@@ -80,6 +80,21 @@ LogicalQuery Closure(const LogicalQuery& q) {
   return out;
 }
 
+LogicalQuery TreeClosure(const Tpq& q) {
+  LogicalQuery out = ToLogical(q);
+  for (VarId v : q.Vars()) {
+    std::vector<std::string> keys;
+    for (const FtExpr& e : q.node(v).contains) keys.push_back(e.ToString());
+    for (VarId a = q.Parent(v); a != kInvalidVar; a = q.Parent(a)) {
+      out.preds.insert(Predicate::Ad(a, v));
+      for (const std::string& key : keys) {
+        out.preds.insert(Predicate::ContainsKey(a, key));
+      }
+    }
+  }
+  return out;
+}
+
 bool Derivable(const std::set<Predicate>& base, const Predicate& p) {
   if (p.kind == PredKind::kPc || p.kind == PredKind::kTag) {
     return false;  // no rule produces pc or tag predicates

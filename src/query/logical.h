@@ -46,6 +46,14 @@ LogicalQuery ToLogical(const Tpq& q);
 /// Idempotent; Closure(Closure(q)) == Closure(q).
 LogicalQuery Closure(const LogicalQuery& q);
 
+/// The closure of a TPQ read off its tree, without inference rounds:
+/// tag(v) for each tagged variable, pc(parent,v) on child edges, ad(a,v)
+/// for every proper ancestor a of v, and contains(a,E) for every
+/// ancestor-or-self a of each carrier of E. O(vars × depth). Equal to
+/// Closure(ToLogical(q)), which stays the reference for logical forms
+/// that are not trees.
+LogicalQuery TreeClosure(const Tpq& q);
+
 /// True iff `p` is derivable from `base` by the inference rules (p not
 /// counted as its own derivation).
 bool Derivable(const std::set<Predicate>& base, const Predicate& p);

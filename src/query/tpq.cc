@@ -106,6 +106,12 @@ std::vector<VarId> Tpq::Children(VarId var) const {
   return out;
 }
 
+bool Tpq::IsLeaf(VarId var) const {
+  const int idx = IndexOf(var);
+  return idx < 0 || std::find(parent_.begin(), parent_.end(), idx) ==
+                        parent_.end();
+}
+
 bool Tpq::IsAncestorVar(VarId anc, VarId var) const {
   for (VarId p = Parent(var); p != kInvalidVar; p = Parent(p)) {
     if (p == anc) return true;

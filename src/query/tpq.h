@@ -87,7 +87,8 @@ class Tpq {
   /// Children of $var in insertion order.
   std::vector<VarId> Children(VarId var) const;
 
-  bool IsLeaf(VarId var) const { return Children(var).empty(); }
+  /// True iff $var has no children (also for an absent $var).
+  bool IsLeaf(VarId var) const;
 
   /// True iff `anc` is a proper ancestor of `var` in the pattern tree.
   bool IsAncestorVar(VarId anc, VarId var) const;

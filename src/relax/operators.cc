@@ -101,7 +101,7 @@ std::set<Predicate> DroppedPredicates(const Tpq& q,
   std::set<Predicate> dropped;
   Result<Tpq> relaxed = ApplyOp(q, op);
   if (!relaxed.ok()) return dropped;
-  const LogicalQuery relaxed_closure = Closure(ToLogical(*relaxed));
+  const LogicalQuery relaxed_closure = TreeClosure(*relaxed);
   for (const Predicate& p : closure.preds) {
     if (relaxed_closure.preds.count(p) == 0) dropped.insert(p);
   }

@@ -54,8 +54,9 @@ Result<Tpq> ApplyOp(const Tpq& q, const RelaxOp& op);
 /// {contains(x,E)}; σ(x) drops the pc/ad predicates tying x's subtree to
 /// x's old parent; λ(x) drops every predicate involving x plus any
 /// derived contains predicates that no longer have a derivation.
-/// `closure` must be Closure(ToLogical(q)). Returns an empty set if the
-/// op is inapplicable.
+/// `closure` must be the closure of q — TreeClosure(q), or equivalently
+/// Closure(ToLogical(q)); the relaxed query's closure is read off its
+/// tree with TreeClosure. Returns an empty set if the op is inapplicable.
 std::set<Predicate> DroppedPredicates(const Tpq& q,
                                       const LogicalQuery& closure,
                                       const RelaxOp& op);

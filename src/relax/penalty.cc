@@ -7,7 +7,7 @@ namespace flexpath {
 PenaltyModel::PenaltyModel(const Tpq& query, const DocumentStats* stats,
                            IrEngine* ir, Weights weights)
     : weights_(std::move(weights)) {
-  const LogicalQuery closure = Closure(ToLogical(query));
+  const LogicalQuery closure = TreeClosure(query);
   auto tag_of = [&](VarId v) {
     return query.HasVar(v) ? query.node(v).tag : kInvalidTag;
   };

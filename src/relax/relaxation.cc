@@ -7,7 +7,7 @@
 namespace flexpath {
 
 std::vector<RelaxStep> EnumerateSteps(const Tpq& q, const PenaltyModel& pm) {
-  const LogicalQuery closure = Closure(ToLogical(q));
+  const LogicalQuery closure = TreeClosure(q);
   std::vector<RelaxStep> steps;
   for (const RelaxOp& op : ApplicableOps(q)) {
     RelaxStep step;

@@ -17,6 +17,7 @@
 #include "stats/document_stats.h"
 #include "stats/element_index.h"
 #include "tests/test_util.h"
+#include "xmark/generator.h"
 
 namespace flexpath {
 namespace {
@@ -389,6 +390,248 @@ TEST_F(PenaltyTest, EnumerateStepsSortedByPenalty) {
     EXPECT_FALSE(s.dropped.empty());
     EXPECT_GE(s.penalty, 0.0);
   }
+}
+
+// --- Schedule vs. the fixpoint reference --------------------------------
+
+// Reference schedule: every candidate operator is applied to a copied Tpq
+// and its closure is derived with the Figure 3 fixpoint into a std::set.
+// BuildSchedule must reproduce it exactly — same ops, same trees, same
+// drop sets, and bit-identical penalty sums.
+std::vector<ScheduleEntry> ReferenceBuildSchedule(const Tpq& q,
+                                                  const PenaltyModel& pm) {
+  const std::set<Predicate> original = Closure(ToLogical(q)).preds;
+  std::vector<ScheduleEntry> out;
+  Tpq current = q;
+  std::set<Predicate> dropped_so_far;
+  for (;;) {
+    struct Candidate {
+      RelaxOp op;
+      Tpq relaxed;
+      std::set<Predicate> cumulative;
+      double marginal_penalty = 0.0;
+    };
+    std::optional<Candidate> best;
+    for (const RelaxOp& op : ApplicableOps(current)) {
+      if (op.kind == RelaxOpKind::kLeafDeletion &&
+          op.var == current.distinguished()) {
+        continue;
+      }
+      Result<Tpq> relaxed = ApplyOp(current, op);
+      if (!relaxed.ok()) continue;
+      const std::set<Predicate> remaining =
+          Closure(ToLogical(*relaxed)).preds;
+      std::set<Predicate> cumulative;
+      for (const Predicate& p : original) {
+        if (remaining.count(p) == 0) cumulative.insert(p);
+      }
+      double marginal = 0.0;
+      bool grows = false;
+      for (const Predicate& p : cumulative) {
+        if (dropped_so_far.count(p) == 0) {
+          marginal += pm.Of(p);
+          grows = true;
+        }
+      }
+      if (!grows) continue;
+      if (!best || marginal < best->marginal_penalty ||
+          (marginal == best->marginal_penalty && op < best->op)) {
+        best = Candidate{op, *std::move(relaxed), std::move(cumulative),
+                         marginal};
+      }
+    }
+    if (!best) break;
+    ScheduleEntry entry;
+    entry.op = best->op;
+    entry.relaxed = std::move(best->relaxed);
+    entry.dropped = std::move(best->cumulative);
+    entry.step_penalty = best->marginal_penalty;
+    entry.cumulative_penalty =
+        (out.empty() ? 0.0 : out.back().cumulative_penalty) +
+        best->marginal_penalty;
+    current = entry.relaxed;
+    dropped_so_far = entry.dropped;
+    out.push_back(std::move(entry));
+  }
+  return out;
+}
+
+// Entry-by-entry equality; penalties compared with ==, not a tolerance.
+void ExpectSameAsReference(const Tpq& q, const PenaltyModel& pm,
+                           const std::string& label) {
+  const std::vector<ScheduleEntry> got = BuildSchedule(q, pm);
+  const std::vector<ScheduleEntry> want = ReferenceBuildSchedule(q, pm);
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(label + " entry " + std::to_string(i));
+    EXPECT_TRUE(got[i].op == want[i].op)
+        << got[i].op.ToString() << " vs " << want[i].op.ToString();
+    EXPECT_EQ(got[i].relaxed.CanonicalString(),
+              want[i].relaxed.CanonicalString());
+    EXPECT_TRUE(ToLogical(got[i].relaxed) == ToLogical(want[i].relaxed));
+    EXPECT_TRUE(got[i].dropped == want[i].dropped);
+    EXPECT_TRUE(got[i].step_penalty == want[i].step_penalty)
+        << got[i].step_penalty << " vs " << want[i].step_penalty;
+    EXPECT_TRUE(got[i].cumulative_penalty == want[i].cumulative_penalty)
+        << got[i].cumulative_penalty << " vs "
+        << want[i].cumulative_penalty;
+  }
+}
+
+// Weight settings the oracle runs under: the default, skewed per-kind
+// weights with per-predicate overrides, all-zero structural weights
+// (every structural step ties, so the op tie-break decides), and
+// overrides whose floating-point sums depend on the summation order
+// ((0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1).
+std::vector<Weights> OracleWeights(const Tpq& q) {
+  static constexpr double kOrderSensitive[] = {0.1, 0.2, 0.3, 0.7};
+  std::vector<Weights> out(4);
+  out[1].structural = 0.75;
+  out[1].contains = 2.5;
+  out[2].structural = 0.0;
+  size_t i = 0;
+  for (const Predicate& p : Closure(ToLogical(q)).preds) {
+    if (p.kind == PredKind::kTag) continue;
+    if (i % 3 == 0) out[1].overrides[p] = (i % 2 == 0) ? 0.0 : 4.0;
+    out[3].overrides[p] = kOrderSensitive[i % 4];
+    ++i;
+  }
+  return out;
+}
+
+TEST(ScheduleOracleTest, PaperQueriesOnXMark) {
+  Corpus corpus;
+  XMarkOptions opts;  // 1 MB
+  Result<Document> doc = GenerateXMark(opts, corpus.tags());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  corpus.Add(std::move(doc).value());
+  DocumentStats stats(&corpus);
+  IrEngine ir(&corpus);
+  const char* queries[] = {
+      "//item[./description/parlist]",
+      "//item[./description/parlist and ./mailbox/mail/text]",
+      "//item[./description/parlist/listitem and ./mailbox/mail/text[./bold "
+      "and ./keyword and ./emph] and ./name and ./incategory]",
+      "//item[./description/parlist and ./mailbox/mail/text[.contains("
+      "\"gold\")] and .contains(\"gold\")]",
+      "//item[./*/parlist and ./mailbox/*/text]",
+  };
+  for (const char* text : queries) {
+    const Tpq q = Parse(text, corpus.tags());
+    for (const Weights& w : OracleWeights(q)) {
+      PenaltyModel pm(q, &stats, &ir, w);
+      ExpectSameAsReference(q, pm, text);
+    }
+  }
+}
+
+TEST(ScheduleOracleTest, RandomQueriesOnRandomCorpora) {
+  Rng rng(20261017);
+  size_t queries = 0;
+  size_t entries = 0;
+  for (int c = 0; c < 10; ++c) {
+    Corpus corpus;
+    for (int d = 0; d < 3; ++d) {
+      corpus.Add(testing_util::RandomDocument(&rng, corpus.tags(), 80));
+    }
+    DocumentStats stats(&corpus);
+    IrEngine ir(&corpus);
+    for (int i = 0; i < 25; ++i) {
+      Tpq q = testing_util::RandomTpq(&rng, corpus.tags(), 7);
+      const std::vector<VarId> vars = q.Vars();
+      for (VarId v : vars) {
+        if (rng.Bernoulli(0.2)) q.mutable_node(v).tag = kInvalidTag;
+      }
+      // A second carrier of one expression, sometimes on the same node.
+      if (rng.Bernoulli(0.5)) {
+        const FtExpr e = FtExpr::And(FtExpr::Term("gold"), FtExpr::Term("red"));
+        q.AddContains(vars[rng.Uniform(vars.size())], e);
+        q.AddContains(vars[rng.Uniform(vars.size())], e);
+      }
+      const std::string label = "corpus " + std::to_string(c) + " query " +
+                                std::to_string(i) + ": " +
+                                q.CanonicalString();
+      for (const Weights& w : OracleWeights(q)) {
+        PenaltyModel pm(q, &stats, &ir, w);
+        ExpectSameAsReference(q, pm, label);
+        entries += BuildSchedule(q, pm).size();
+      }
+      ++queries;
+    }
+  }
+  EXPECT_GE(queries, 200u);
+  EXPECT_GT(entries, queries);  // the chains are not trivially empty
+}
+
+// --- Tree closure vs. the fixpoint --------------------------------------
+
+void ExpectTreeClosureMatches(const Tpq& q) {
+  const LogicalQuery tree = TreeClosure(q);
+  const LogicalQuery fixpoint = Closure(ToLogical(q));
+  EXPECT_TRUE(tree.preds == fixpoint.preds)
+      << "tree:     " << tree.ToString() << "\nfixpoint: "
+      << fixpoint.ToString();
+  EXPECT_EQ(tree.distinguished, fixpoint.distinguished);
+  EXPECT_EQ(tree.exprs.size(), fixpoint.exprs.size());
+  EXPECT_EQ(tree.attr_preds.size(), fixpoint.attr_preds.size());
+}
+
+TEST(TreeClosureTest, MatchesFixpointOverRelaxationSpaces) {
+  Rng rng(1701045);
+  TagDict dict;
+  size_t members = 0;
+  for (int i = 0; i < 60; ++i) {
+    Tpq q = testing_util::RandomTpq(&rng, &dict, 5);
+    if (rng.Bernoulli(0.3)) q.mutable_node(q.Vars().back()).tag = kInvalidTag;
+    for (const Tpq& m : RelaxationSpace(q, 200)) {
+      SCOPED_TRACE(m.CanonicalString());
+      ExpectTreeClosureMatches(m);
+      ++members;
+    }
+  }
+  EXPECT_GT(members, 1000u);
+}
+
+TEST(TreeClosureTest, SameExpressionOnTwoCarriersAtDifferentDepths) {
+  // a/b//c with "gold" on b and on c: contains(a,"gold") has two
+  // derivations, contains(b,"gold") is both stated and derived.
+  TagDict dict;
+  Tpq q;
+  const VarId a = q.AddRoot(dict.Intern("a"));
+  const VarId b = q.AddChild(a, Axis::kChild, dict.Intern("b"));
+  const VarId c = q.AddChild(b, Axis::kDescendant, dict.Intern("c"));
+  q.AddContains(b, FtExpr::Term("gold"));
+  q.AddContains(c, FtExpr::Term("gold"));
+  ExpectTreeClosureMatches(q);
+  const LogicalQuery tree = TreeClosure(q);
+  EXPECT_TRUE(tree.Has(Predicate::Ad(a, c)));
+  EXPECT_TRUE(tree.Has(Predicate::Contains(a, FtExpr::Term("gold"))));
+  EXPECT_FALSE(tree.Has(Predicate::Pc(a, c)));
+  // Promoting the deeper copy drops contains(c,"gold") only.
+  Result<Tpq> kappa = ApplyOp(
+      q, RelaxOp{RelaxOpKind::kContainsPromotion, c,
+                 FtExpr::Term("gold").ToString()});
+  ASSERT_TRUE(kappa.ok());
+  ExpectTreeClosureMatches(*kappa);
+  EXPECT_EQ(DroppedPredicates(q, TreeClosure(q),
+                              RelaxOp{RelaxOpKind::kContainsPromotion, c,
+                                      FtExpr::Term("gold").ToString()}),
+            std::set<Predicate>{Predicate::Contains(c, FtExpr::Term("gold"))});
+}
+
+TEST(TreeClosureTest, DeletingAContainsLeafPromotesToTheParent) {
+  TagDict dict;
+  Tpq q = Parse(kQ1, &dict);
+  const VarId section = q.Vars()[1];
+  const VarId paragraph = q.Vars()[3];
+  Result<Tpq> lambda =
+      ApplyOp(q, RelaxOp{RelaxOpKind::kLeafDeletion, paragraph, ""});
+  ASSERT_TRUE(lambda.ok());
+  ExpectTreeClosureMatches(*lambda);
+  const std::string key = q.node(paragraph).contains[0].ToString();
+  EXPECT_TRUE(TreeClosure(*lambda).Has(Predicate::ContainsKey(section, key)));
+  EXPECT_FALSE(
+      TreeClosure(*lambda).Has(Predicate::ContainsKey(paragraph, key)));
 }
 
 }  // namespace
