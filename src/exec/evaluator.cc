@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -18,67 +19,43 @@ namespace flexpath {
 
 namespace {
 
-/// Binding placeholder for a deleted (null) variable.
-constexpr NodeRef kNullRef{UINT32_MAX, UINT32_MAX};
-
-bool IsNull(NodeRef ref) { return ref == kNullRef; }
-
-// The pipeline's tuple type lives in exec/result_cache.h so cached step
-// results can share it; NodeRefHash comes from xml/corpus.h.
-using Tuple = ExecTuple;
-
 /// Exact dominance pruning: tuples that agree on every live binding have
 /// identical futures (same remaining predicate outcomes, same keyword
 /// chains), so only the lowest-penalty one can contribute a top answer.
 /// This keeps independent pattern branches from multiplying the
 /// intermediate result — without it, a query with b branches of m
 /// matches each materializes m^b tuples per answer instead of b*m.
-void DominancePrune(const std::vector<int>& live_steps,
-                    std::vector<Tuple>* tuples) {
-  if (tuples->size() < 2) return;
-  struct KeyHash {
-    const std::vector<Tuple>* tuples;
-    const std::vector<int>* live;
-    size_t operator()(size_t idx) const {
-      size_t h = 0xcbf29ce484222325ULL;
-      for (int s : *live) {
-        const NodeRef r = (*tuples)[idx].bindings[static_cast<size_t>(s)];
-        h ^= NodeRefHash()(r) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      }
-      return h;
-    }
-  };
-  struct KeyEq {
-    const std::vector<Tuple>* tuples;
-    const std::vector<int>* live;
-    bool operator()(size_t a, size_t b) const {
-      for (int s : *live) {
-        if (!((*tuples)[a].bindings[static_cast<size_t>(s)] ==
-              (*tuples)[b].bindings[static_cast<size_t>(s)])) {
-          return false;
-        }
-      }
-      return true;
-    }
-  };
-  std::unordered_map<size_t, size_t, KeyHash, KeyEq> best(
-      16, KeyHash{tuples, &live_steps}, KeyEq{tuples, &live_steps});
-  for (size_t i = 0; i < tuples->size(); ++i) {
-    auto [it, inserted] = best.emplace(i, i);
-    if (!inserted && (*tuples)[i].penalty < (*tuples)[it->second].penalty) {
-      it->second = i;
+/// Winners are the first-seen row on penalty ties; survivors keep their
+/// order.
+void DominancePrune(const std::vector<int>& live_steps, TupleRows* rows) {
+  const size_t n = rows->size();
+  if (n < 2) return;
+  GroupTable groups(n);
+  std::vector<uint32_t> winner;  ///< Per group: the row kept.
+  winner.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const NodeRef* row = rows->row(i);
+    bool inserted = false;
+    const uint32_t g = groups.FindOrAdd(
+        HashRowKey(row, live_steps),
+        [&](uint32_t group) {
+          const NodeRef* rep = rows->row(winner[group]);
+          for (int s : live_steps) {
+            if (rep[s] != row[s]) return false;
+          }
+          return true;
+        },
+        &inserted);
+    if (inserted) {
+      winner.push_back(static_cast<uint32_t>(i));
+    } else if (rows->penalty(i) < rows->penalty(winner[g])) {
+      winner[g] = static_cast<uint32_t>(i);
     }
   }
-  if (best.size() == tuples->size()) return;
-  std::vector<Tuple> kept;
-  kept.reserve(best.size());
-  // Preserve document order by scanning in order and keeping winners.
-  std::vector<bool> keep(tuples->size(), false);
-  for (const auto& [key, idx] : best) keep[idx] = true;
-  for (size_t i = 0; i < tuples->size(); ++i) {
-    if (keep[i]) kept.push_back(std::move((*tuples)[i]));
-  }
-  *tuples = std::move(kept);
+  if (groups.size() == n) return;
+  std::vector<bool> keep(n, false);
+  for (uint32_t i : winner) keep[i] = true;
+  rows->Filter([&](size_t i) { return keep[i]; });
 }
 
 /// The one cross-shard dominance collision class: non-null live bindings
@@ -91,7 +68,7 @@ void DominancePrune(const std::vector<int>& live_steps,
 /// kept — and erases the rest, making the per-shard pipeline's combined
 /// tuple set byte-identical to the unsharded one.
 void MergeNullLive(const std::vector<int>& live_steps,
-                   std::vector<std::vector<Tuple>>* parts) {
+                   std::vector<TupleRows>* parts) {
   struct Hit {
     size_t part;
     size_t idx;
@@ -99,18 +76,15 @@ void MergeNullLive(const std::vector<int>& live_steps,
   };
   std::vector<Hit> hits;
   for (size_t p = 0; p < parts->size(); ++p) {
-    const std::vector<Tuple>& ts = (*parts)[p];
-    for (size_t i = 0; i < ts.size(); ++i) {
-      bool all_null = true;
-      for (int s : live_steps) {
-        if (!IsNull(ts[i].bindings[static_cast<size_t>(s)])) {
-          all_null = false;
-          break;
-        }
-      }
+    const TupleRows& rows = (*parts)[p];
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const NodeRef* row = rows.row(i);
+      const bool all_null = std::all_of(
+          live_steps.begin(), live_steps.end(),
+          [row](int s) { return IsNull(row[s]); });
       if (all_null) {
         // Per-shard DominancePrune left at most one per shard.
-        hits.push_back(Hit{p, i, ts[i].penalty});
+        hits.push_back(Hit{p, i, rows.penalty(i)});
         break;
       }
     }
@@ -120,10 +94,10 @@ void MergeNullLive(const std::vector<int>& live_steps,
   for (size_t h = 1; h < hits.size(); ++h) {
     if (hits[h].penalty < hits[win].penalty) win = h;
   }
-  for (size_t h = hits.size(); h-- > 0;) {
+  for (size_t h = 0; h < hits.size(); ++h) {
     if (h == win) continue;
-    std::vector<Tuple>& ts = (*parts)[hits[h].part];
-    ts.erase(ts.begin() + static_cast<long>(hits[h].idx));
+    const size_t idx = hits[h].idx;
+    (*parts)[hits[h].part].Filter([idx](size_t i) { return i != idx; });
   }
 }
 
@@ -138,9 +112,9 @@ void MergeNullLive(const std::vector<int>& live_steps,
 /// workers (nothing when the split stays inline — that CPU is already the
 /// calling thread's and the caller accounts for it).
 template <typename Body>
-void ChunkedExtend(ThreadPool* pool, size_t n, size_t grain,
-                   std::vector<Tuple>* out, ExecCounters* ctr,
-                   double* worker_cpu_ms, const Body& body) {
+void ChunkedExtend(ThreadPool* pool, size_t n, size_t grain, TupleRows* out,
+                   ExecCounters* ctr, double* worker_cpu_ms,
+                   const Body& body) {
   const std::vector<std::pair<size_t, size_t>> ranges =
       ChunkRanges(pool, n, grain);
   if (ranges.empty()) return;
@@ -148,7 +122,7 @@ void ChunkedExtend(ThreadPool* pool, size_t n, size_t grain,
     body(ranges[0].first, ranges[0].second, out, ctr);
     return;
   }
-  std::vector<std::vector<Tuple>> outs(ranges.size());
+  std::vector<TupleRows> outs(ranges.size(), TupleRows(out->stride()));
   std::vector<ExecCounters> ctrs(ranges.size());
   TaskGroup group(pool);
   for (size_t c = 0; c < ranges.size(); ++c) {
@@ -158,11 +132,35 @@ void ChunkedExtend(ThreadPool* pool, size_t n, size_t grain,
   }
   group.Wait();
   *worker_cpu_ms += group.WorkerCpuMs();
+  size_t total = out->size();
+  for (const TupleRows& o : outs) total += o.size();
+  out->reserve(total);
   for (size_t c = 0; c < ranges.size(); ++c) {
     ctr->Add(ctrs[c]);
-    out->reserve(out->size() + outs[c].size());
-    std::move(outs[c].begin(), outs[c].end(), std::back_inserter(*out));
+    out->AppendAll(outs[c]);
   }
+}
+
+/// SSO's two sorts over one tuple block: by score (to find the pruning
+/// threshold), then back to binding order for the next join — the
+/// paper's score/id tension, whose cost is what score_sorts accounts.
+/// Rows with equal bindings are equal in mask and penalty too (both are
+/// functions of the bindings), so the result is the block in binding
+/// order however the sorts break ties.
+void ScoreSortRows(TupleRows* rows) {
+  std::vector<uint32_t> order(rows->size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<uint32_t>(i);
+  }
+  std::sort(order.begin(), order.end(), [rows](uint32_t a, uint32_t b) {
+    return rows->penalty(a) < rows->penalty(b);
+  });
+  const size_t width = rows->stride();
+  std::sort(order.begin(), order.end(), [rows, width](uint32_t a, uint32_t b) {
+    return std::lexicographical_compare(rows->row(a), rows->row(a) + width,
+                                        rows->row(b), rows->row(b) + width);
+  });
+  rows->Permute(std::move(order));
 }
 
 }  // namespace
@@ -172,10 +170,11 @@ ResourceUsage UsageFromCounters(const ExecCounters& c) {
   u.tuples_scanned = c.candidates_probed;
   u.tuples_produced = c.tuples_created;
   // An estimate, not an allocator count: each probe reads one Element
-  // record; each materialized tuple copies its bindings vector (a handful
-  // of NodeRefs) plus the tuple header. 64 bytes is the round figure for
-  // the common 3-5 step plans; the point is comparability across queries,
-  // not byte-exactness.
+  // record; each materialized tuple writes one row — its parent's
+  // bindings plus the candidate, 8 bytes per bound step — and its mask
+  // and penalty. 64 bytes is the round figure for the common 3-5 step
+  // plans; the point is comparability across queries, not byte-exactness
+  // (CachedStepResult::ApproxBytes is the exact footprint of a block).
   u.bytes_touched =
       c.candidates_probed * sizeof(Element) + c.tuples_created * 64;
   u.cache_hits = c.cache_step_hits;
@@ -254,6 +253,53 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
       }
     }
   }
+  // Null when the expression was never resolved (its checks then fail).
+  auto contains_result = [&](const std::string& key) -> const ContainsResult* {
+    auto it = contains_results.find(key);
+    return it == contains_results.end() ? nullptr : it->second.get();
+  };
+
+  // Every predicate with its operands resolved to plan steps and its
+  // contains result to a pointer, once per pass — the inner loop indexes
+  // rows and never looks anything up by key.
+  struct StepPred {
+    PredKind kind;
+    size_t x = 0;  ///< Step binding the predicate's first operand.
+    size_t y = 0;  ///< Step binding the second (pc/ad only).
+    const ContainsResult* contains = nullptr;
+    bool optional = false;
+    uint64_t bit = 0;  ///< Violation-mask bit (optional only).
+    double penalty = 0.0;
+  };
+  std::vector<int> step_of_var;  ///< VarId -> plan step.
+  for (size_t i = 0; i < steps.size(); ++i) {
+    const size_t v = static_cast<size_t>(steps[i].var);
+    if (step_of_var.size() <= v) step_of_var.resize(v + 1, -1);
+    step_of_var[v] = static_cast<int>(i);
+  }
+  auto step_of = [&](VarId v) {
+    assert(static_cast<size_t>(v) < step_of_var.size() &&
+           step_of_var[static_cast<size_t>(v)] >= 0);
+    return static_cast<size_t>(step_of_var[static_cast<size_t>(v)]);
+  };
+  std::vector<std::vector<StepPred>> step_preds(steps.size());
+  for (size_t i = 0; i < steps.size(); ++i) {
+    for (const PlanPredicate& pp : steps[i].preds) {
+      StepPred sp;
+      sp.kind = pp.pred.kind;
+      if (sp.kind == PredKind::kPc || sp.kind == PredKind::kAd) {
+        sp.x = step_of(pp.pred.x);
+        sp.y = step_of(pp.pred.y);
+      } else if (sp.kind == PredKind::kContains) {
+        sp.x = step_of(pp.pred.x);
+        sp.contains = contains_result(pp.pred.expr_key);
+      }
+      sp.optional = pp.optional;
+      if (pp.optional) sp.bit = uint64_t{1} << pp.mask_bit;
+      sp.penalty = pp.penalty;
+      step_preds[i].push_back(sp);
+    }
+  }
 
   const bool use_optionals = mode != EvalMode::kExact;
   // Threshold pruning runs only when the scheme's certificate proves it
@@ -269,12 +315,13 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
   const double ks_bonus =
       prune ? cert->prune_ks_factor * plan.max_keyword_score() : 0.0;
   const int dist_step = plan.distinguished_step();
+  const size_t dist = static_cast<size_t>(dist_step);
 
-  // One tuple list per shard; the serial path is the one-part case,
+  // One tuple block per shard; the serial path is the one-part case,
   // except that it runs the cache and the within-step chunk fan-out
   // (shards are the parallel unit when sharding).
-  std::vector<std::vector<Tuple>> parts(nshards);
-  std::vector<Tuple>& tuples = parts[0];  ///< Serial-path alias.
+  std::vector<TupleRows> parts(nshards, TupleRows(1));
+  TupleRows& tuples = parts[0];  ///< Serial-path alias.
 
   // --- Sub-plan result cache (DESIGN.md §12). ---------------------------
   const bool cache_on =
@@ -293,58 +340,57 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
                         static_cast<uint8_t>(mode),
                         static_cast<uint8_t>(scheme), prune_k);
   };
-  // Removes tuples whose distinguished binding is in the exclusion set.
-  auto drop_excluded = [&](std::vector<Tuple>* ts, ExecCounters* c) {
-    const size_t before = ts->size();
-    ts->erase(
-        std::remove_if(ts->begin(), ts->end(),
-                       [&](const Tuple& t) {
-                         return cache->exclude->count(t.bindings[static_cast<
-                                    size_t>(dist_step)]) != 0;
-                       }),
-        ts->end());
-    c->tuples_excluded += before - ts->size();
+  // Removes rows whose distinguished binding is in the exclusion set.
+  auto drop_excluded = [&](TupleRows* rows, ExecCounters* c) {
+    const size_t before = rows->size();
+    rows->Filter([&](size_t i) {
+      return cache->exclude->count(rows->at(i, dist)) == 0;
+    });
+    c->tuples_excluded += before - rows->size();
   };
 
-  // Evaluates one predicate against a (partial) tuple extended by `cand`
-  // at step `s`. Null operands fail the predicate.
-  auto holds = [&](const Predicate& p, const std::vector<NodeRef>& bindings,
-                   NodeRef cand, const std::map<VarId, int>& step_of) {
-    auto bind_of = [&](VarId v) -> NodeRef {
-      const int s = step_of.at(v);
-      return s == static_cast<int>(bindings.size()) ? cand
-                                                    : bindings[static_cast<size_t>(s)];
-    };
+  // Evaluates one predicate of step `s` against the parent row extended
+  // by `cand` at `s` (`parent` is null at step 0, whose predicates only
+  // mention the root). Null operands fail the predicate.
+  auto holds = [&](const StepPred& p, size_t s, const NodeRef* parent,
+                   NodeRef cand) {
+    auto bind = [&](size_t step) { return step == s ? cand : parent[step]; };
     switch (p.kind) {
       case PredKind::kPc: {
-        NodeRef a = bind_of(p.x);
-        NodeRef d = bind_of(p.y);
+        const NodeRef a = bind(p.x);
+        const NodeRef d = bind(p.y);
         if (IsNull(a) || IsNull(d)) return false;
         return corpus.IsParent(a, d);
       }
       case PredKind::kAd: {
-        NodeRef a = bind_of(p.x);
-        NodeRef d = bind_of(p.y);
+        const NodeRef a = bind(p.x);
+        const NodeRef d = bind(p.y);
         if (IsNull(a) || IsNull(d)) return false;
         return corpus.IsAncestor(a, d);
       }
       case PredKind::kContains: {
-        NodeRef x = bind_of(p.x);
-        if (IsNull(x)) return false;
-        auto it = contains_results.find(p.expr_key);
-        if (it == contains_results.end()) return false;
-        return it->second->Satisfies(x);
+        const NodeRef x = bind(p.x);
+        if (IsNull(x) || p.contains == nullptr) return false;
+        return p.contains->Satisfies(x);
       }
       case PredKind::kTag:
         return true;  // implicit in the scan list
     }
     return false;
   };
-
-  std::map<VarId, int> step_of;
-  for (size_t i = 0; i < steps.size(); ++i) {
-    step_of[steps[i].var] = static_cast<int>(i);
-  }
+  // Checks step `s`'s predicates for `cand` under `parent`, folding the
+  // optional violations into `*mask`/`*penalty` in predicate order; false
+  // when a required predicate fails.
+  auto check_preds = [&](size_t s, const NodeRef* parent, NodeRef cand,
+                         uint64_t* mask, double* penalty) {
+    for (const StepPred& p : step_preds[s]) {
+      if (holds(p, s, parent, cand)) continue;
+      if (!p.optional) return false;
+      *mask |= p.bit;
+      *penalty += p.penalty;
+    }
+    return true;
+  };
 
   // Candidate filter shared by all steps: attribute predicates.
   auto attrs_ok = [&](const PlanStep& step, NodeRef ref) {
@@ -378,8 +424,8 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
       }
       if (entry == nullptr) continue;
       // Entries are shared-const; copy so the pipeline can mutate.
-      tuples = entry->tuples;
-      if (excluding && s >= static_cast<size_t>(dist_step)) {
+      tuples = entry->rows;
+      if (excluding && s >= dist) {
         // The entry predates some answers (or, if tainted, was filtered
         // against an older, smaller exclusion set — the set only grows
         // within a run); re-filtering against the current set lands on
@@ -394,16 +440,16 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
       break;
     }
   }
-  // Stores the tuple set alive after computing step `s` into the enabled
-  // tiers (tainted entries — exclusion-filtered at or past the
+  // Stores the tuple block alive after computing step `s` into the
+  // enabled tiers (tainted entries — exclusion-filtered at or past the
   // distinguished step — stay run-local; see CachedStepResult).
   auto store_step = [&](size_t s) {
     if (!cache_on) return;
     ++ctr.cache_step_misses;
     auto entry = std::make_shared<CachedStepResult>();
-    entry->tuples = tuples;
-    entry->tainted = excluding && s >= static_cast<size_t>(dist_step);
-    entry->bytes = CachedStepResult::ApproxBytes(entry->tuples);
+    entry->rows = tuples;
+    entry->tainted = excluding && s >= dist;
+    entry->bytes = CachedStepResult::ApproxBytes(entry->rows);
     const uint64_t key = step_key(s);
     if (cache->run != nullptr) cache->run->Put(key, entry);
     if (cache->shared != nullptr && !entry->tainted) {
@@ -420,40 +466,28 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     // `sc` pins the list against LRU eviction of merged supertype scans
     // (a plain vector reference would dangle).
     auto seed = [&](const ScanHandle& sc, size_t begin, size_t end,
-                    std::vector<Tuple>* out, ExecCounters* c) {
+                    TupleRows* out, ExecCounters* c) {
       for (size_t i = begin; i < end; ++i) {
         const NodeRef ref = sc[i];
         ++c->candidates_probed;
         if (!attrs_ok(step0, ref)) continue;
-        Tuple t;
-        t.bindings.push_back(ref);
-        bool ok = true;
-        for (const PlanPredicate& pp : step0.preds) {
-          // Step-0 predicates are contains predicates on the root variable.
-          const bool sat = holds(pp.pred, {}, ref, step_of);
-          if (sat) continue;
-          if (!pp.optional) {
-            ok = false;
-            break;
-          }
-          t.mask |= uint64_t{1} << pp.mask_bit;
-          t.penalty += pp.penalty;
-        }
-        if (!ok) continue;
+        uint64_t mask = 0;
+        double penalty = 0.0;
+        if (!check_preds(0, nullptr, ref, &mask, &penalty)) continue;
         if (excluding && dist_step == 0 &&
             cache->exclude->count(ref) != 0) {
           ++c->tuples_excluded;
           continue;
         }
         ++c->tuples_created;
-        out->push_back(std::move(t));
+        out->Append(nullptr, ref, mask, penalty);
       }
     };
     if (!sharded) {
       const ScanHandle scan0 = index_->Scan(step0.tag);
       ChunkedExtend(pool, scan0.size(), /*grain=*/1024, &tuples, &ctr,
                     &worker_cpu_ms,
-                    [&](size_t begin, size_t end, std::vector<Tuple>* out,
+                    [&](size_t begin, size_t end, TupleRows* out,
                         ExecCounters* c) { seed(scan0, begin, end, out, c); });
       DominancePrune(plan.LiveSteps(0), &tuples);
     } else {
@@ -486,48 +520,47 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     start_step = 1;
     scan_span.Annotate("candidates", ctr.candidates_probed);
     uint64_t seeded = 0;
-    for (const std::vector<Tuple>& ts : parts) seeded += ts.size();
+    for (const TupleRows& rows : parts) seeded += rows.size();
     scan_span.Annotate("tuples_out", seeded);
   }
 
   // Pruning-threshold helper: the k-th best guaranteed (lower-bound)
   // score among distinct answers, over the union of every part's tuples
-  // — the bound is a global quantity even when execution is sharded.
-  // Returns -inf when fewer than k distinct answers exist.
+  // after step `s` — the bound is a global quantity even when execution
+  // is sharded. Returns -inf when fewer than k distinct answers exist.
   auto prune_bound = [&](size_t s) {
     // The bound must come from distinct *answers*; until the
     // distinguished variable is bound we cannot count answers soundly,
     // so pruning only starts afterwards.
-    const std::vector<Tuple>* first = nullptr;
-    for (const std::vector<Tuple>& ts : parts) {
-      if (!ts.empty()) {
-        first = &ts;
-        break;
-      }
-    }
-    if (first == nullptr ||
-        (*first)[0].bindings.size() <= static_cast<size_t>(dist_step)) {
-      return -std::numeric_limits<double>::infinity();
-    }
-    std::unordered_map<NodeRef, double, NodeRefHash> best_lower;
+    if (s < dist) return -std::numeric_limits<double>::infinity();
+    GroupTable groups;
+    std::vector<NodeRef> answer_of;  ///< Per group: the answer node.
+    std::vector<double> best_lower;  ///< Per group: its best lower bound.
     const double remaining = plan.MaxRemainingPenalty(s);
-    for (const std::vector<Tuple>& ts : parts) {
-      for (const Tuple& t : ts) {
-        const NodeRef answer = t.bindings[static_cast<size_t>(dist_step)];
-        const double lower = plan.base_score() - t.penalty - remaining;
-        auto [it, inserted] = best_lower.emplace(answer, lower);
-        if (!inserted && lower > it->second) it->second = lower;
+    for (const TupleRows& rows : parts) {
+      for (size_t i = 0; i < rows.size(); ++i) {
+        const NodeRef answer = rows.at(i, dist);
+        const double lower = plan.base_score() - rows.penalty(i) - remaining;
+        bool inserted = false;
+        const uint32_t g = groups.FindOrAdd(
+            HashNodeRef(answer),
+            [&](uint32_t group) { return answer_of[group] == answer; },
+            &inserted);
+        if (inserted) {
+          answer_of.push_back(answer);
+          best_lower.push_back(lower);
+        } else if (lower > best_lower[g]) {
+          best_lower[g] = lower;
+        }
       }
     }
     if (best_lower.size() < k) {
       return -std::numeric_limits<double>::infinity();
     }
-    std::vector<double> lowers;
-    lowers.reserve(best_lower.size());
-    for (const auto& [node, lower] : best_lower) lowers.push_back(lower);
-    std::nth_element(lowers.begin(), lowers.begin() + static_cast<long>(k - 1),
-                     lowers.end(), std::greater<double>());
-    return lowers[k - 1];
+    std::nth_element(best_lower.begin(),
+                     best_lower.begin() + static_cast<long>(k - 1),
+                     best_lower.end(), std::greater<double>());
+    return best_lower[k - 1];
   };
 
   // --- Subsequent steps. ------------------------------------------------
@@ -538,7 +571,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     step_span.Annotate("step", static_cast<uint64_t>(s));
     step_span.Annotate("tag", corpus.tags().Name(step.tag));
     size_t total_in = 0;
-    for (const std::vector<Tuple>& ts : parts) total_in += ts.size();
+    for (const TupleRows& rows : parts) total_in += rows.size();
     step_span.Annotate("tuples_in", static_cast<uint64_t>(total_in));
     const uint64_t candidates_before = ctr.candidates_probed;
     const uint64_t pruned_before = ctr.tuples_pruned;
@@ -546,13 +579,15 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     double bound = -std::numeric_limits<double>::infinity();
     if (prune) bound = prune_bound(s - 1);
 
-    // Extends one tuple through this step into `out`, tallying work into
-    // `c` — chunk-local when running under a pool fan-out, so the chunks
-    // never contend and their counters fold back in chunk order.
-    auto extend = [&](const ScanHandle& scan, const Tuple& t,
-                      std::vector<Tuple>* out, ExecCounters* c) {
-      const NodeRef anchor =
-          t.bindings[static_cast<size_t>(step.anchor_step)];
+    // Extends row `i` of `in` through this step into `out`, tallying
+    // work into `c` — chunk-local when running under a pool fan-out, so
+    // the chunks never contend and their counters fold back in chunk
+    // order. A candidate's row is written only once every required
+    // predicate has passed.
+    auto extend = [&](const ScanHandle& scan, const TupleRows& in, size_t i,
+                      TupleRows* out, ExecCounters* c) {
+      const NodeRef* parent = in.row(i);
+      const NodeRef anchor = parent[step.anchor_step];
       bool matched = false;
       // In exact mode a variable absent from the round's query needs no
       // binding at all — probing would be wasted work.
@@ -572,67 +607,57 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
             continue;
           }
           if (!attrs_ok(step, *it)) continue;
-          Tuple next = t;
-          bool ok = true;
-          for (const PlanPredicate& pp : step.preds) {
-            if (holds(pp.pred, t.bindings, *it, step_of)) continue;
-            if (!pp.optional) {
-              ok = false;
-              break;
-            }
-            next.mask |= uint64_t{1} << pp.mask_bit;
-            next.penalty += pp.penalty;
-          }
-          if (!ok) continue;
+          uint64_t mask = in.mask(i);
+          double penalty = in.penalty(i);
+          if (!check_preds(s, parent, *it, &mask, &penalty)) continue;
           matched = true;
-          next.bindings.push_back(*it);
           // Incremental DPO: the node this tuple answers for is already
           // in the result — everything downstream of it is wasted work.
           // (`matched` is already set, so the nullable fallback cannot
           // resurrect the tuple.)
-          if (excluding && s == static_cast<size_t>(dist_step) &&
-              cache->exclude->count(*it) != 0) {
+          if (excluding && s == dist && cache->exclude->count(*it) != 0) {
             ++c->tuples_excluded;
             continue;
           }
-          if (prune &&
-              plan.base_score() - next.penalty + ks_bonus < bound) {
+          if (prune && plan.base_score() - penalty + ks_bonus < bound) {
             ++c->tuples_pruned;
             continue;
           }
           ++c->tuples_created;
-          out->push_back(std::move(next));
+          out->Append(parent, *it, mask, penalty);
         }
       }
       if (!matched && step.nullable) {
-        Tuple next = t;
-        next.bindings.push_back(kNullRef);
-        for (const PlanPredicate& pp : step.preds) {
+        uint64_t mask = in.mask(i);
+        double penalty = in.penalty(i);
+        for (const StepPred& p : step_preds[s]) {
           // A nullable step carries only optional predicates, all of
           // which a null binding violates.
-          next.mask |= uint64_t{1} << pp.mask_bit;
-          next.penalty += pp.penalty;
+          mask |= p.bit;
+          penalty += p.penalty;
         }
-        if (prune && plan.base_score() - next.penalty + ks_bonus < bound) {
+        if (prune && plan.base_score() - penalty + ks_bonus < bound) {
           ++c->tuples_pruned;
           return;
         }
         ++c->tuples_created;
-        out->push_back(std::move(next));
+        out->Append(parent, kNullRef, mask, penalty);
       }
     };
 
     if (!sharded) {
       const ScanHandle scan = index_->Scan(step.tag);  // Pins the list.
-      std::vector<Tuple> out;
+      TupleRows out(s + 1);
       if (mode == EvalMode::kHybridBuckets) {
         // Group by violation mask; within a bucket tuples share their
         // score and stay in document order, so per-bucket processing
         // needs no sorting and whole buckets can be skipped against the
         // bound.
         Span bucket_span(trace, "bucket_merge");
-        std::map<uint64_t, std::vector<const Tuple*>> buckets;
-        for (const Tuple& t : tuples) buckets[t.mask].push_back(&t);
+        std::map<uint64_t, std::vector<uint32_t>> buckets;
+        for (size_t i = 0; i < tuples.size(); ++i) {
+          buckets[tuples.mask(i)].push_back(static_cast<uint32_t>(i));
+        }
         ctr.buckets_peak =
             std::max<uint64_t>(ctr.buckets_peak, buckets.size());
         uint64_t buckets_skipped = 0;
@@ -640,7 +665,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
         // within) into one work list the pool chunks over; the flat
         // order equals the serial per-bucket iteration order, so the
         // chunked merge reproduces it exactly.
-        std::vector<const Tuple*> work;
+        std::vector<uint32_t> work;
         work.reserve(tuples.size());
         for (const auto& [mask, members] : buckets) {
           const double upper = plan.base_score() - plan.PenaltyOfMask(mask) +
@@ -654,14 +679,14 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
         }
         ChunkedExtend(pool, work.size(), /*grain=*/64, &out, &ctr,
                       &worker_cpu_ms,
-                      [&](size_t begin, size_t end, std::vector<Tuple>* o,
+                      [&](size_t begin, size_t end, TupleRows* o,
                           ExecCounters* c) {
                         // Most tuples survive a step (match or
                         // null-bind), so one-output-per-input is the
                         // right first guess.
                         o->reserve(o->size() + (end - begin));
-                        for (size_t i = begin; i < end; ++i) {
-                          extend(scan, *work[i], o, c);
+                        for (size_t w = begin; w < end; ++w) {
+                          extend(scan, tuples, work[w], o, c);
                         }
                       });
         bucket_span.Annotate("buckets",
@@ -674,26 +699,17 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
           // join. Both sorts are real costs we account for.
           Span sort_span(trace, "score_sort");
           sort_span.Annotate("items", static_cast<uint64_t>(tuples.size()));
-          std::sort(tuples.begin(), tuples.end(),
-                    [](const Tuple& a, const Tuple& b) {
-                      return a.penalty < b.penalty;
-                    });
-          ++ctr.score_sorts;
-          ctr.score_sorted_items += tuples.size();
-          std::sort(tuples.begin(), tuples.end(),
-                    [](const Tuple& a, const Tuple& b) {
-                      return a.bindings < b.bindings;
-                    });
-          ++ctr.score_sorts;
-          ctr.score_sorted_items += tuples.size();
+          ScoreSortRows(&tuples);
+          ctr.score_sorts += 2;
+          ctr.score_sorted_items += 2 * tuples.size();
         }
         ChunkedExtend(pool, tuples.size(), /*grain=*/64, &out, &ctr,
                       &worker_cpu_ms,
-                      [&](size_t begin, size_t end, std::vector<Tuple>* o,
+                      [&](size_t begin, size_t end, TupleRows* o,
                           ExecCounters* c) {
                         o->reserve(o->size() + (end - begin));
                         for (size_t i = begin; i < end; ++i) {
-                          extend(scan, tuples[i], o, c);
+                          extend(scan, tuples, i, o, c);
                         }
                       });
       }
@@ -718,21 +734,22 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
           mode == EvalMode::kSsoFlat && prune && total_in > k;
       std::vector<size_t> in_sizes(nshards);
       for (size_t p = 0; p < nshards; ++p) in_sizes[p] = parts[p].size();
-      std::vector<std::vector<Tuple>> outs(nshards);
       std::vector<ExecCounters> cs(nshards);
       std::vector<std::vector<uint64_t>> shard_masks(nshards);
       TaskGroup group(pool);
       for (size_t p = 0; p < nshards; ++p) {
         group.Run([&, p] {
-          std::vector<Tuple>& in = parts[p];
-          std::vector<Tuple>* out = &outs[p];
+          TupleRows& in = parts[p];
+          TupleRows out(s + 1);
           ExecCounters* c = &cs[p];
           if (mode == EvalMode::kHybridBuckets) {
             // Per-shard buckets: the skip criterion (mask upper bound
             // vs the global threshold) is a pure function of the mask,
             // so a bucket is skipped here iff the serial run skips it.
-            std::map<uint64_t, std::vector<const Tuple*>> buckets;
-            for (const Tuple& t : in) buckets[t.mask].push_back(&t);
+            std::map<uint64_t, std::vector<uint32_t>> buckets;
+            for (size_t i = 0; i < in.size(); ++i) {
+              buckets[in.mask(i)].push_back(static_cast<uint32_t>(i));
+            }
             shard_masks[p].reserve(buckets.size());
             for (const auto& [mask, members] : buckets) {
               shard_masks[p].push_back(mask);
@@ -742,24 +759,17 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
                 c->tuples_pruned += members.size();
                 continue;
               }
-              for (const Tuple* t : members) extend(scans[p], *t, out, c);
+              for (uint32_t i : members) extend(scans[p], in, i, &out, c);
             }
           } else {
-            if (sso_sort) {
-              std::sort(in.begin(), in.end(),
-                        [](const Tuple& a, const Tuple& b) {
-                          return a.penalty < b.penalty;
-                        });
-              std::sort(in.begin(), in.end(),
-                        [](const Tuple& a, const Tuple& b) {
-                          return a.bindings < b.bindings;
-                        });
+            if (sso_sort) ScoreSortRows(&in);
+            out.reserve(in.size());
+            for (size_t i = 0; i < in.size(); ++i) {
+              extend(scans[p], in, i, &out, c);
             }
-            out->reserve(in.size());
-            for (const Tuple& t : in) extend(scans[p], t, out, c);
           }
-          DominancePrune(plan.LiveSteps(s), out);
-          parts[p] = std::move(*out);
+          DominancePrune(plan.LiveSteps(s), &out);
+          in = std::move(out);
         });
       }
       group.Wait();
@@ -796,7 +806,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     step_span.Annotate("candidates", ctr.candidates_probed - candidates_before);
     step_span.Annotate("pruned", ctr.tuples_pruned - pruned_before);
     size_t total_out = 0;
-    for (const std::vector<Tuple>& ts : parts) total_out += ts.size();
+    for (const TupleRows& rows : parts) total_out += rows.size();
     step_span.Annotate("tuples_out", static_cast<uint64_t>(total_out));
   }
 
@@ -804,45 +814,58 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
   Span finalize_span(trace, "finalize");
   {
     size_t total = 0;
-    for (const std::vector<Tuple>& ts : parts) total += ts.size();
+    for (const TupleRows& rows : parts) total += rows.size();
     finalize_span.Annotate("tuples", static_cast<uint64_t>(total));
+  }
+  // Keyword-scoring chains with their contains results resolved once.
+  struct Chain {
+    const ContainsResult* result;
+    double weight;
+    const std::vector<int>* steps;
+  };
+  std::vector<Chain> chains;
+  for (const JoinPlan::ContainsChain& chain : plan.contains_chains()) {
+    const ContainsResult* result = contains_result(chain.expr.ToString());
+    if (result != nullptr) {
+      chains.push_back(Chain{result, chain.weight, &chain.chain_steps});
+    }
   }
   // Scores one part's tuples, dedups by distinguished node (best score
   // kept, first-seen on exact ties) and sorts best-first. Shards hold
   // disjoint documents and answers are document-local, so per-part
   // finalize needs no cross-part dedup and the part lists merge by rank.
-  auto finalize_part = [&](const std::vector<Tuple>& ts) {
-    std::unordered_map<NodeRef, AnswerScore, NodeRefHash> best;
-    for (const Tuple& t : ts) {
+  auto finalize_part = [&](const TupleRows& rows) {
+    GroupTable groups;
+    std::vector<RankedAnswer> part_answers;  ///< One per group.
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const NodeRef* row = rows.row(i);
       AnswerScore score;
       score.ss = mode == EvalMode::kExact
                      ? plan.base_score() - exact_penalty
-                     : plan.base_score() - t.penalty;
+                     : plan.base_score() - rows.penalty(i);
       score.ks = 0.0;
-      for (const JoinPlan::ContainsChain& chain : plan.contains_chains()) {
-        auto res_it = contains_results.find(chain.expr.ToString());
-        if (res_it == contains_results.end()) continue;
-        const ContainsResult* result = res_it->second.get();
-        for (int cs : chain.chain_steps) {
-          const NodeRef b = t.bindings[static_cast<size_t>(cs)];
+      for (const Chain& chain : chains) {
+        for (int cs : *chain.steps) {
+          const NodeRef b = row[cs];
           if (IsNull(b)) continue;
-          if (result->Satisfies(b)) {
-            score.ks += chain.weight * result->BestScoreWithin(b);
+          if (chain.result->Satisfies(b)) {
+            score.ks += chain.weight * chain.result->BestScoreWithin(b);
             break;
           }
         }
       }
-      const NodeRef answer = t.bindings[static_cast<size_t>(dist_step)];
+      const NodeRef answer = row[dist];
       assert(!IsNull(answer) && "distinguished variable must be bound");
-      auto [it, inserted] = best.emplace(answer, score);
-      if (!inserted && RanksBefore(score, it->second, scheme)) {
-        it->second = score;
+      bool inserted = false;
+      const uint32_t g = groups.FindOrAdd(
+          HashNodeRef(answer),
+          [&](uint32_t group) { return part_answers[group].node == answer; },
+          &inserted);
+      if (inserted) {
+        part_answers.push_back(RankedAnswer{answer, score});
+      } else if (RanksBefore(score, part_answers[g].score, scheme)) {
+        part_answers[g].score = score;
       }
-    }
-    std::vector<RankedAnswer> part_answers;
-    part_answers.reserve(best.size());
-    for (const auto& [node, score] : best) {
-      part_answers.push_back(RankedAnswer{node, score});
     }
     std::sort(part_answers.begin(), part_answers.end(),
               [&](const RankedAnswer& a, const RankedAnswer& b) {

@@ -6,12 +6,8 @@
 
 namespace flexpath {
 
-size_t CachedStepResult::ApproxBytes(const std::vector<ExecTuple>& tuples) {
-  size_t bytes = sizeof(CachedStepResult) + tuples.size() * sizeof(ExecTuple);
-  for (const ExecTuple& t : tuples) {
-    bytes += t.bindings.capacity() * sizeof(NodeRef);
-  }
-  return bytes;
+size_t CachedStepResult::ApproxBytes(const TupleRows& rows) {
+  return sizeof(CachedStepResult) + rows.Bytes();
 }
 
 uint64_t StepCacheKey(uint64_t step_fingerprint, uint64_t corpus_generation,

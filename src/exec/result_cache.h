@@ -5,40 +5,32 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_set>
-#include <vector>
 
 #include "common/lru_cache.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "exec/tuple_rows.h"
 #include "xml/corpus.h"
 
 namespace flexpath {
 
-/// One intermediate tuple of the join pipeline: the bindings of the plan
-/// steps evaluated so far, plus the violation mask / penalty accumulated
-/// from optional predicates. Lives here (rather than inside evaluator.cc)
-/// so cached step results can be shared between runs.
-struct ExecTuple {
-  std::vector<NodeRef> bindings;
-  uint64_t mask = 0;     ///< Violated optional predicates.
-  double penalty = 0.0;  ///< Σ π over the mask.
-};
-
-/// The cached output of one plan step: the tuple set alive after the
+/// The cached output of one plan step: the tuple block alive after the
 /// step's extend + dominance prune — the exact state the evaluator's
 /// pipeline carries between steps, so execution can resume from any
 /// cached prefix as if the prefix had just been computed.
 struct CachedStepResult {
-  std::vector<ExecTuple> tuples;
-  /// True when the tuples were computed under answer exclusion at or past
+  TupleRows rows;
+  /// True when the rows were computed under answer exclusion at or past
   /// the distinguished step (incremental DPO): the set is missing tuples
   /// for already-answered nodes, so it is only reusable inside the same
   /// run (where the exclusion set has grown monotonically and a re-filter
   /// restores exactness) — never via the shared tier.
   bool tainted = false;
-  size_t bytes = 0;  ///< Approximate footprint, the LRU charge.
+  size_t bytes = 0;  ///< Footprint, the LRU charge.
 
-  static size_t ApproxBytes(const std::vector<ExecTuple>& tuples);
+  /// The footprint of an entry holding `rows`: the entry itself plus the
+  /// block's rows × stride bindings and its mask/penalty arrays.
+  static size_t ApproxBytes(const TupleRows& rows);
 };
 
 /// Builds the full cache key of one step's output from everything the

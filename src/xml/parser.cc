@@ -98,7 +98,7 @@ class XmlParser {
   }
 
   bool ConsumeComment() {
-    if (!(Peek() == '<' && PeekAt(1) == '!' && PeekAt(2) == '-' &&
+    if (!(PeekAt(0) == '<' && PeekAt(1) == '!' && PeekAt(2) == '-' &&
           PeekAt(3) == '-')) {
       return false;
     }

@@ -142,7 +142,8 @@ TEST(ResultCacheTest, ResultCacheStatsTrackHitsMissesEvictions) {
   ResultCache cache(/*budget_bytes=*/1000);
   EXPECT_EQ(cache.Get(1), nullptr);
   auto entry = std::make_shared<CachedStepResult>();
-  entry->tuples.resize(1);
+  entry->rows = TupleRows(1);
+  entry->rows.Append(nullptr, NodeRef{0, 0}, 0, 0.0);
   entry->bytes = 600;
   cache.Put(1, entry);
   EXPECT_NE(cache.Get(1), nullptr);

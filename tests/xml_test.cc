@@ -1,4 +1,7 @@
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -140,6 +143,24 @@ TEST(ParserTest, HandlesPrologCommentsCdata) {
   Result<Document> doc = ParseXml(xml, &dict);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   EXPECT_EQ(doc->node(1).text, "5 < 6 & 7 > 2");
+}
+
+// The parser must never read past the view it was given: the input here
+// sits in an exact-size heap buffer with no terminator behind it, so an
+// index at end of input (after the root element, while looking for a
+// trailing comment) lands outside the allocation, where AddressSanitizer
+// and -D_GLIBCXX_ASSERTIONS builds catch it.
+TEST(ParserTest, StopsAtEndOfUnterminatedBuffer) {
+  for (std::string_view xml : {"<a><b>x</b></a>", "<a/> <!-- c -->",
+                               "<a/><?pi?>", "<a/>\n"}) {
+    const auto buf = std::make_unique<char[]>(xml.size());
+    std::copy(xml.begin(), xml.end(), buf.get());
+    TagDict dict;
+    Result<Document> doc =
+        ParseXml(std::string_view(buf.get(), xml.size()), &dict);
+    ASSERT_TRUE(doc.ok()) << xml << ": " << doc.status().ToString();
+    EXPECT_EQ(doc->node(0).tag, dict.Lookup("a"));
+  }
 }
 
 TEST(ParserTest, DecodesEntities) {
