@@ -19,8 +19,8 @@ DataRelaxationIndex::DataRelaxationIndex(const Corpus* corpus)
     // strategy's cost, which we reproduce on purpose.
     for (NodeId n = 0; n < doc.size(); ++n) {
       offsets[n] = edges.size();
-      const Element& e = doc.node(n);
-      for (NodeId m = n + 1; m < doc.size() && doc.node(m).start < e.end;
+      const uint32_t end = doc.span(n).end;
+      for (NodeId m = n + 1; m < doc.size() && doc.span(m).start < end;
            ++m) {
         edges.push_back(m);
       }

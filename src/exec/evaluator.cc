@@ -169,14 +169,14 @@ ResourceUsage UsageFromCounters(const ExecCounters& c) {
   ResourceUsage u;
   u.tuples_scanned = c.candidates_probed;
   u.tuples_produced = c.tuples_created;
-  // An estimate, not an allocator count: each probe reads one Element
+  // An estimate, not an allocator count: each probe reads one NodeSpan
   // record; each materialized tuple writes one row — its parent's
   // bindings plus the candidate, 8 bytes per bound step — and its mask
   // and penalty. 64 bytes is the round figure for the common 3-5 step
   // plans; the point is comparability across queries, not byte-exactness
   // (CachedStepResult::ApproxBytes is the exact footprint of a block).
   u.bytes_touched =
-      c.candidates_probed * sizeof(Element) + c.tuples_created * 64;
+      c.candidates_probed * sizeof(NodeSpan) + c.tuples_created * 64;
   u.cache_hits = c.cache_step_hits;
   u.cache_misses = c.cache_step_misses;
   u.rounds_executed = c.plan_passes;
@@ -246,10 +246,11 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
         assert(ir_ != nullptr && "plan has contains but no IR engine");
         Span probe_span(trace, "ir_probe");
         std::shared_ptr<const ContainsResult> result = ir_->Evaluate(e);
-        probe_span.Annotate("expr", e.ToString());
+        std::string key = e.ToString();
+        probe_span.Annotate("expr", key);
         probe_span.Annotate("satisfying",
                             static_cast<uint64_t>(result->satisfying().size()));
-        contains_results.emplace(e.ToString(), result);
+        contains_results.emplace(std::move(key), std::move(result));
       }
     }
   }
@@ -593,17 +594,18 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
       // binding at all — probing would be wasted work.
       const bool skip_probe = mode == EvalMode::kExact && step.nullable;
       if (!IsNull(anchor) && !skip_probe) {
-        const Element& anchor_el = corpus.node(anchor);
+        const Document& doc = corpus.doc(anchor.doc);
+        const NodeSpan& anchor_span = doc.span(anchor.node);
         // Scan entries inside the anchor's interval form a contiguous
         // range beginning right after the anchor itself.
         auto it = std::upper_bound(scan.begin(), scan.end(), anchor);
         for (; it != scan.end(); ++it) {
           if (it->doc != anchor.doc) break;
-          const Element& cand_el = corpus.node(*it);
-          if (cand_el.start >= anchor_el.end) break;
+          const NodeSpan& cand_span = doc.span(it->node);
+          if (cand_span.start >= anchor_span.end) break;
           ++c->candidates_probed;
           if (step.anchor_parent_only &&
-              cand_el.level != anchor_el.level + 1) {
+              cand_span.level != anchor_span.level + 1) {
             continue;
           }
           if (!attrs_ok(step, *it)) continue;

@@ -87,7 +87,7 @@ static_assert(sizeof(ExecCounters) ==
 
 /// Projects work counters into the ResourceUsage vocabulary (tuples
 /// scanned/produced, cache hits/misses, rounds, and a byte estimate:
-/// sizeof(Element) per scan probe plus a nominal tuple footprint per
+/// sizeof(NodeSpan) per scan probe plus a nominal tuple footprint per
 /// materialization). cpu_ms is left at zero — counters carry no time;
 /// callers add the CPU they measured. Deterministic: equal counters give
 /// equal usage, so the differential byte-identity guarantees extend to

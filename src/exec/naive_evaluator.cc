@@ -12,11 +12,11 @@ namespace {
 /// `anc`'s interval satisfying the axis relative to `anc`.
 bool HasRelated(const Corpus& corpus, const std::vector<NodeRef>& nodes,
                 NodeRef anc, Axis axis) {
-  const Element& a = corpus.node(anc);
+  const NodeSpan& a = corpus.span(anc);
   auto it = std::upper_bound(nodes.begin(), nodes.end(), anc);
   for (; it != nodes.end(); ++it) {
     if (it->doc != anc.doc) break;
-    const Element& e = corpus.node(*it);
+    const NodeSpan& e = corpus.span(*it);
     if (e.start >= a.end) break;
     if (axis == Axis::kDescendant) return true;
     if (e.level == a.level + 1) return true;
@@ -30,13 +30,13 @@ bool HasUpward(const Corpus& corpus, const std::vector<NodeRef>& parents,
                NodeRef node, Axis axis) {
   const Document& doc = corpus.doc(node.doc);
   if (axis == Axis::kChild) {
-    const NodeId p = doc.node(node.node).parent;
+    const NodeId p = doc.span(node.node).parent;
     if (p == kInvalidNode) return false;
     return std::binary_search(parents.begin(), parents.end(),
                               NodeRef{node.doc, p});
   }
-  for (NodeId p = doc.node(node.node).parent; p != kInvalidNode;
-       p = doc.node(p).parent) {
+  for (NodeId p = doc.span(node.node).parent; p != kInvalidNode;
+       p = doc.span(p).parent) {
     if (std::binary_search(parents.begin(), parents.end(),
                            NodeRef{node.doc, p})) {
       return true;

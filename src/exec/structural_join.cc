@@ -13,13 +13,13 @@ struct Pos {
 };
 
 Pos PosOf(const Corpus& corpus, NodeRef ref) {
-  return Pos{ref.doc, corpus.node(ref).start};
+  return Pos{ref.doc, corpus.span(ref).start};
 }
 
 bool Contains(const Corpus& corpus, NodeRef anc, NodeRef desc) {
   if (anc.doc != desc.doc) return false;
-  const Element& a = corpus.node(anc);
-  const Element& d = corpus.node(desc);
+  const NodeSpan& a = corpus.span(anc);
+  const NodeSpan& d = corpus.span(desc);
   return a.start < d.start && d.end < a.end;
 }
 
@@ -55,7 +55,7 @@ void JoinRange(const Corpus& corpus, const std::vector<NodeRef>& ancestors,
       if (parent_only) {
         // Only the deepest open ancestor can be the parent.
         if (!stack.empty() &&
-            corpus.node(stack.back()).level + 1 == corpus.node(next).level) {
+            corpus.span(stack.back()).level + 1 == corpus.span(next).level) {
           out->push_back(JoinPair{stack.back(), next});
         }
       } else {
@@ -72,7 +72,7 @@ void JoinRange(const Corpus& corpus, const std::vector<NodeRef>& ancestors,
     usage->tuples_scanned += scanned;
     usage->tuples_produced += produced;
     usage->bytes_touched +=
-        scanned * sizeof(Element) + produced * sizeof(JoinPair);
+        scanned * sizeof(NodeSpan) + produced * sizeof(JoinPair);
   }
 }
 

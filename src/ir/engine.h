@@ -140,8 +140,16 @@ class IrEngine {
   static bool NearAt(const std::vector<const Posting*>& entry,
                      uint32_t window);
 
-  /// Closes `direct` under ancestors, returning a sorted deduped set.
-  std::vector<NodeRef> AncestorClosure(std::vector<NodeRef> direct) const;
+  /// Closes `direct` (sorted, unique) under ancestors, returning a sorted
+  /// deduped set.
+  std::vector<NodeRef> AncestorClosure(
+      const std::vector<NodeRef>& direct) const;
+
+  /// Adds `term`'s (1 + log tf) * idf to each node of `specific` (sorted,
+  /// pairwise disjoint), tf summed over the node's subtree. Nodes whose
+  /// subtree lacks the term are left unchanged.
+  void AddTermScores(const std::string& term,
+                     std::vector<ScoredNode>* specific) const;
 
   /// All element NodeRefs of the corpus in order (universe for NOT).
   std::vector<NodeRef> Universe() const;

@@ -91,12 +91,12 @@ uint64_t InvertedIndex::SubtreeTermFrequency(const std::string& term,
     // doc with start >= ctx.end); since start is monotone in NodeId the
     // boundary node binary-searches over the (materialized) context doc.
     const Document& doc = corpus_->doc(context.doc);
-    const Element& ctx = doc.node(context.node);
+    const NodeSpan& ctx = doc.span(context.node);
     NodeId lo_node = context.node;
     NodeId hi_node = static_cast<NodeId>(doc.size());
     while (lo_node < hi_node) {
       const NodeId mid = lo_node + (hi_node - lo_node) / 2;
-      if (doc.node(mid).start < ctx.end) {
+      if (doc.span(mid).start < ctx.end) {
         lo_node = mid + 1;
       } else {
         hi_node = mid;
@@ -120,7 +120,7 @@ uint64_t InvertedIndex::SubtreeTermFrequency(const std::string& term,
   auto it = index_.find(term);
   if (it == index_.end()) return 0;
   const PostingList* list = &it->second;
-  const Element& ctx = corpus_->node(context);
+  const NodeSpan& ctx = corpus_->span(context);
   // Subtree postings form a contiguous run: same doc, start in
   // [ctx.start, ctx.end). Binary-search the run boundaries.
   auto lower = std::lower_bound(
@@ -132,7 +132,7 @@ uint64_t InvertedIndex::SubtreeTermFrequency(const std::string& term,
   auto upper = std::partition_point(
       lower, list->postings.end(), [&](const Posting& p) {
         return p.node.doc == context.doc &&
-               corpus_->node(p.node).start < ctx.end;
+               corpus_->span(p.node).start < ctx.end;
       });
   size_t lo = static_cast<size_t>(lower - list->postings.begin());
   size_t hi = static_cast<size_t>(upper - list->postings.begin());

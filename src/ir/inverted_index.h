@@ -104,7 +104,10 @@ class InvertedIndex {
 
   /// Sum of tf of `term` over all elements in the subtree of `context`
   /// (inclusive). O(log |postings|) via prefix sums in memory; in packed
-  /// mode a skip-entry range seek that decodes at most two blocks.
+  /// mode a skip-entry range seek that decodes at most two blocks. The
+  /// engine scores by one merge walk per term instead
+  /// (IrEngine::AddTermScores); this per-node form is the reference the
+  /// tests compare that walk against.
   uint64_t SubtreeTermFrequency(const std::string& term,
                                 NodeRef context) const;
 

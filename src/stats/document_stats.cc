@@ -78,13 +78,14 @@ DocumentStats::DocumentStats(const Corpus* corpus, DocId doc_begin,
 
     for (NodeId n = 0; n < doc.size(); ++n) {
       const Element& e = doc.node(n);
+      const NodeId parent = doc.span(n).parent;
       ++tag_counts_[e.tag];
-      while (!stack.empty() && stack.back().node != e.parent) pop();
+      while (!stack.empty() && stack.back().node != parent) pop();
       // Pair counts along the full ancestor chain.
-      if (e.parent != kInvalidNode) {
-        ++pc_counts_[PairKey(doc.node(e.parent).tag, e.tag)];
+      if (parent != kInvalidNode) {
+        ++pc_counts_[PairKey(doc.node(parent).tag, e.tag)];
         stack.back().child.Set(e.tag);
-        for (NodeId a = e.parent; a != kInvalidNode; a = doc.node(a).parent) {
+        for (NodeId a = parent; a != kInvalidNode; a = doc.span(a).parent) {
           ++ad_counts_[PairKey(doc.node(a).tag, e.tag)];
         }
       }

@@ -13,25 +13,6 @@ void PutVarint(uint64_t value, std::string* out) {
   out->push_back(static_cast<char>(value));
 }
 
-Status GetVarint(std::string_view data, size_t* pos, uint64_t* out) {
-  uint64_t value = 0;
-  int shift = 0;
-  while (true) {
-    if (*pos >= data.size()) {
-      return Status::InvalidArgument("truncated varint");
-    }
-    const uint8_t byte = static_cast<uint8_t>(data[(*pos)++]);
-    if (shift >= 63 && byte > 1) {
-      return Status::InvalidArgument("varint overflow");
-    }
-    value |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) break;
-    shift += 7;
-  }
-  *out = value;
-  return Status::OK();
-}
-
 Status EncodeKeyBlocks(const std::vector<uint64_t>& keys, std::string* out,
                        std::vector<SkipEntry>* skips) {
   const size_t base = out->size();

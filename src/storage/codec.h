@@ -22,8 +22,26 @@ namespace storage {
 void PutVarint(uint64_t value, std::string* out);
 
 /// Bounds-checked varint reader over a byte range. `*pos` advances past
-/// the consumed bytes on success and is unspecified on error.
-Status GetVarint(std::string_view data, size_t* pos, uint64_t* out);
+/// the consumed bytes on success and is unspecified on error. Inline:
+/// document decodes call it several times per node.
+inline Status GetVarint(std::string_view data, size_t* pos, uint64_t* out) {
+  uint64_t value = 0;
+  int shift = 0;
+  while (true) {
+    if (*pos >= data.size()) {
+      return Status::InvalidArgument("truncated varint");
+    }
+    const uint8_t byte = static_cast<uint8_t>(data[(*pos)++]);
+    if (shift >= 63 && byte > 1) {
+      return Status::InvalidArgument("varint overflow");
+    }
+    value |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) break;
+    shift += 7;
+  }
+  *out = value;
+  return Status::OK();
+}
 
 /// Number of keys per delta block. Small enough that a point lookup
 /// decodes little; large enough that the skip table stays tiny (one

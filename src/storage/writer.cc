@@ -38,13 +38,14 @@ void PutString(std::string_view s, std::string* out) {
 void EncodeDocument(const Document& doc, std::string* out) {
   for (NodeId n = 0; n < doc.size(); ++n) {
     const Element& e = doc.node(n);
+    const NodeSpan& span = doc.span(n);
     PutVarint(e.tag, out);
-    PutVarint(PlusOne(e.parent), out);
+    PutVarint(PlusOne(span.parent), out);
     PutVarint(PlusOne(e.first_child), out);
     PutVarint(PlusOne(e.next_sibling), out);
-    PutVarint(e.start, out);
-    PutVarint(e.end, out);
-    PutVarint(e.level, out);
+    PutVarint(span.start, out);
+    PutVarint(span.end, out);
+    PutVarint(span.level, out);
     PutString(e.text, out);
     PutVarint(e.attrs.size(), out);
     for (const Attribute& a : e.attrs) {

@@ -98,11 +98,11 @@ std::string EncodeCorpus(const Corpus& corpus) {
     PutVarint(doc.size(), &out);
     for (NodeId n = 0; n < doc.size(); ++n) {
       const Element& e = doc.node(n);
+      const NodeId parent = doc.span(n).parent;
       PutVarint(e.tag, &out);
       // Parents precede children in pre-order, so parent+1 fits and 0
       // marks the root.
-      PutVarint(e.parent == kInvalidNode ? 0 : uint64_t{e.parent} + 1,
-                &out);
+      PutVarint(parent == kInvalidNode ? 0 : uint64_t{parent} + 1, &out);
       PutString(e.text, &out);
       PutVarint(e.attrs.size(), &out);
       for (const Attribute& a : e.attrs) {

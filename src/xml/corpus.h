@@ -110,6 +110,10 @@ class Corpus {
     return doc(ref.doc).node(ref.node);
   }
 
+  const NodeSpan& span(NodeRef ref) const {
+    return doc(ref.doc).span(ref.node);
+  }
+
   /// Element count of document `id` without materializing it.
   size_t DocSize(DocId id) const {
     return backing_ != nullptr ? backing_->DocNodeCount(id)

@@ -6,10 +6,10 @@ namespace flexpath {
 
 std::string Document::SubtreeText(NodeId id) const {
   std::string out;
-  const Element& top = nodes_[id];
+  const uint32_t top_end = spans_[id].end;
   // Subtree of a pre-order node is the contiguous id range [id, x) where x
-  // is the first node whose start exceeds top.end.
-  for (NodeId i = id; i < nodes_.size() && nodes_[i].start < top.end; ++i) {
+  // is the first node whose start exceeds top_end.
+  for (NodeId i = id; i < nodes_.size() && spans_[i].start < top_end; ++i) {
     const std::string& t = nodes_[i].text;
     if (t.empty()) continue;
     if (!out.empty()) out += ' ';
@@ -43,11 +43,12 @@ NodeId DocumentBuilder::Open(std::string_view tag) {
   NodeId id = static_cast<NodeId>(doc_.nodes_.size());
   Element e;
   e.tag = dict_->Intern(tag);
-  e.start = counter_++;
-  e.level = static_cast<uint32_t>(stack_.size());
+  NodeSpan span;
+  span.start = counter_++;
+  span.level = static_cast<uint32_t>(stack_.size());
   if (!stack_.empty()) {
     NodeId parent = stack_.back();
-    e.parent = parent;
+    span.parent = parent;
     NodeId prev = last_child_.back();
     if (prev == kInvalidNode) {
       doc_.nodes_[parent].first_child = id;
@@ -57,6 +58,7 @@ NodeId DocumentBuilder::Open(std::string_view tag) {
     last_child_.back() = id;
   }
   doc_.nodes_.push_back(std::move(e));
+  doc_.spans_.push_back(span);
   stack_.push_back(id);
   last_child_.push_back(kInvalidNode);
   return id;
@@ -89,7 +91,7 @@ Status DocumentBuilder::Close() {
     return error_ = Status::InvalidArgument("Close with no open element");
   }
   NodeId id = stack_.back();
-  doc_.nodes_[id].end = counter_++;
+  doc_.spans_[id].end = counter_++;
   stack_.pop_back();
   last_child_.pop_back();
   if (stack_.empty()) root_done_ = true;

@@ -1,6 +1,7 @@
 #ifndef FLEXPATH_XML_DOCUMENT_H_
 #define FLEXPATH_XML_DOCUMENT_H_
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -24,26 +25,35 @@ struct Attribute {
   std::string value;
 };
 
-/// One element node. Elements carry Dietz interval numbers
-/// (start, end, level): `a` is an ancestor of `d` iff
-/// a.start < d.start && d.end < a.end; `a` is the parent of `d` iff
-/// additionally d.level == a.level + 1. Input lists sorted by node id are
+/// Dietz interval numbers and the parent link of one element, kept apart
+/// from Element so the ancestor walks, interval tests and subtree scans
+/// of the join and IR layers read 16-byte records instead of full
+/// elements. `a` is an ancestor of `d` iff a.start < d.start &&
+/// d.end < a.end; `a` is the parent of `d` iff additionally
+/// d.level == a.level + 1. Input lists sorted by node id are
 /// automatically sorted by `start`, which the structural join requires.
-struct Element {
-  TagId tag = kInvalidTag;
-  NodeId parent = kInvalidNode;
-  NodeId first_child = kInvalidNode;
-  NodeId next_sibling = kInvalidNode;
+struct NodeSpan {
   uint32_t start = 0;   ///< Interval open number.
   uint32_t end = 0;     ///< Interval close number (> start).
+  NodeId parent = kInvalidNode;
   uint32_t level = 0;   ///< Root is level 0.
+};
+static_assert(sizeof(NodeSpan) == 16, "NodeSpan is the hot per-node record");
+
+/// One element node: tag, child/sibling links, text and attributes. Its
+/// interval numbers and parent live in the Document's parallel NodeSpan
+/// array (Document::span).
+struct Element {
+  TagId tag = kInvalidTag;
+  NodeId first_child = kInvalidNode;
+  NodeId next_sibling = kInvalidNode;
   std::string text;     ///< Immediate text content (children excluded).
   std::vector<Attribute> attrs;
 };
 
 /// An in-memory XML document: a vector of elements in document (pre-)order,
-/// so NodeId doubles as document order. Build with DocumentBuilder or the
-/// Parser; immutable afterwards.
+/// so NodeId doubles as document order, and a parallel vector of their
+/// spans. Build with DocumentBuilder or the Parser; immutable afterwards.
 class Document {
  public:
   Document() = default;
@@ -57,17 +67,18 @@ class Document {
   bool empty() const { return nodes_.empty(); }
 
   const Element& node(NodeId id) const { return nodes_[id]; }
+  const NodeSpan& span(NodeId id) const { return spans_[id]; }
   NodeId root() const { return nodes_.empty() ? kInvalidNode : 0; }
 
   /// True iff `a` is a proper ancestor of `d`.
   bool IsAncestor(NodeId a, NodeId d) const {
-    const Element& ea = nodes_[a];
-    const Element& ed = nodes_[d];
-    return ea.start < ed.start && ed.end < ea.end;
+    const NodeSpan& sa = spans_[a];
+    const NodeSpan& sd = spans_[d];
+    return sa.start < sd.start && sd.end < sa.end;
   }
 
   /// True iff `a` is the parent of `d`.
-  bool IsParent(NodeId a, NodeId d) const { return nodes_[d].parent == a; }
+  bool IsParent(NodeId a, NodeId d) const { return spans_[d].parent == a; }
 
   /// Concatenated text of the subtree rooted at `id`, in document order,
   /// with single spaces between fragments. O(subtree).
@@ -79,19 +90,23 @@ class Document {
   /// Returns the value of attribute `name` on `id`, or nullptr if absent.
   const std::string* FindAttribute(NodeId id, TagId name) const;
 
-  /// Wraps an already-valid node vector (pre-order, interval-numbered)
-  /// as a Document — used by deserializers (binary_codec, storage) that
-  /// reproduce nodes exactly as a builder once emitted them. Performs no
-  /// validation.
-  static Document Assemble(std::vector<Element> nodes) {
+  /// Wraps already-valid parallel node and span vectors (pre-order,
+  /// interval-numbered) as a Document — used by the packed reader, which
+  /// reproduces nodes exactly as a builder once emitted them. Performs no
+  /// validation beyond the two sizes matching.
+  static Document Assemble(std::vector<Element> nodes,
+                           std::vector<NodeSpan> spans) {
+    assert(nodes.size() == spans.size());
     Document doc;
     doc.nodes_ = std::move(nodes);
+    doc.spans_ = std::move(spans);
     return doc;
   }
 
  private:
   friend class DocumentBuilder;
   std::vector<Element> nodes_;
+  std::vector<NodeSpan> spans_;  ///< spans_[i] belongs to nodes_[i].
 };
 
 /// Incrementally builds a Document. Usage:

@@ -25,10 +25,10 @@ void ExpectCorporaEqual(const Corpus& a, const Corpus& b) {
     ASSERT_EQ(da.size(), db.size()) << "doc " << d;
     for (NodeId n = 0; n < da.size(); ++n) {
       EXPECT_EQ(da.node(n).tag, db.node(n).tag);
-      EXPECT_EQ(da.node(n).parent, db.node(n).parent);
-      EXPECT_EQ(da.node(n).start, db.node(n).start);
-      EXPECT_EQ(da.node(n).end, db.node(n).end);
-      EXPECT_EQ(da.node(n).level, db.node(n).level);
+      EXPECT_EQ(da.span(n).parent, db.span(n).parent);
+      EXPECT_EQ(da.span(n).start, db.span(n).start);
+      EXPECT_EQ(da.span(n).end, db.span(n).end);
+      EXPECT_EQ(da.span(n).level, db.span(n).level);
       EXPECT_EQ(da.node(n).text, db.node(n).text);
       ASSERT_EQ(da.node(n).attrs.size(), db.node(n).attrs.size());
       for (size_t i = 0; i < da.node(n).attrs.size(); ++i) {

@@ -1,13 +1,20 @@
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "ir/engine.h"
 #include "ir/ft_expr.h"
 #include "ir/inverted_index.h"
 #include "ir/stemmer.h"
 #include "ir/tokenizer.h"
+#include "storage/reader.h"
+#include "storage/writer.h"
 #include "tests/test_util.h"
 
 namespace flexpath {
@@ -346,6 +353,190 @@ TEST_F(IrEngineTest, StemmedQueryMatchesInflectedText) {
   Result<FtExpr> e = ParseFtExpr("\"stream\" and \"algorithm\" and query");
   ASSERT_TRUE(e.ok());
   EXPECT_TRUE(engine.Evaluate(*e)->Satisfies(NodeRef{0, 0}));
+}
+
+// --- Property: contains results against a brute-force oracle ------------
+
+/// Random FTExp over RandomDocument's vocabulary plus one word no
+/// document holds, so empty results occur.
+FtExpr RandomFtExpr(Rng* rng, int depth) {
+  static constexpr const char* kWords[] = {"red",  "green", "blue", "gold",
+                                           "iron", "salt",  "zinc"};
+  auto word = [&] { return std::string(kWords[rng->Uniform(7)]); };
+  switch (rng->Uniform(depth >= 2 ? 3 : 6)) {
+    case 0:
+    case 1:
+      return FtExpr::Term(word());
+    case 2:
+      return FtExpr::Phrase({word(), word()});
+    case 3:
+      return FtExpr::And(RandomFtExpr(rng, depth + 1),
+                         RandomFtExpr(rng, depth + 1));
+    case 4:
+      return FtExpr::Or(RandomFtExpr(rng, depth + 1),
+                        RandomFtExpr(rng, depth + 1));
+    default:
+      return FtExpr::Not(RandomFtExpr(rng, depth + 1));
+  }
+}
+
+/// True iff one element's own tokens satisfy the term or phrase `e`.
+bool ElementMatches(const std::vector<PositionedToken>& tokens,
+                    const FtExpr& e) {
+  const std::vector<std::string> words =
+      e.kind() == FtKind::kTerm ? std::vector<std::string>{e.term()}
+                                : e.phrase();
+  for (const PositionedToken& first : tokens) {
+    if (first.text != words[0]) continue;
+    bool run = true;
+    for (size_t i = 1; i < words.size() && run; ++i) {
+      run = std::any_of(tokens.begin(), tokens.end(),
+                        [&](const PositionedToken& t) {
+                          return t.text == words[i] &&
+                                 t.position == first.position + i;
+                        });
+    }
+    if (run) return true;
+  }
+  return false;
+}
+
+/// Subtree semantics checked directly: does the subtree of `n` in `doc`
+/// satisfy `e`? `tokens[m]` are node m's own tokens.
+bool SubtreeSatisfies(const Document& doc,
+                      const std::vector<std::vector<PositionedToken>>& tokens,
+                      NodeId n, const FtExpr& e) {
+  switch (e.kind()) {
+    case FtKind::kAnd:
+      return SubtreeSatisfies(doc, tokens, n, e.children()[0]) &&
+             SubtreeSatisfies(doc, tokens, n, e.children()[1]);
+    case FtKind::kOr:
+      return SubtreeSatisfies(doc, tokens, n, e.children()[0]) ||
+             SubtreeSatisfies(doc, tokens, n, e.children()[1]);
+    case FtKind::kNot:
+      return !SubtreeSatisfies(doc, tokens, n, e.children()[0]);
+    default:
+      for (NodeId m = n; m < doc.size() && doc.span(m).start < doc.span(n).end;
+           ++m) {
+        if (ElementMatches(tokens[m], e)) return true;
+      }
+      return false;
+  }
+}
+
+/// Reference scores: per most-specific node, per positive term in order,
+/// the index's subtree term frequency; then the batch normalized to
+/// [0, 1].
+std::vector<double> PerNodeScores(const InvertedIndex& index,
+                                  const FtExpr& e,
+                                  const std::vector<ScoredNode>& specific) {
+  std::vector<double> scores;
+  double max_score = 0.0;
+  for (const ScoredNode& s : specific) {
+    double score = 0.0;
+    for (const std::string& t : e.PositiveTerms()) {
+      const uint64_t tf = index.SubtreeTermFrequency(t, s.node);
+      if (tf > 0) {
+        score += (1.0 + std::log(static_cast<double>(tf))) * index.Idf(t);
+      }
+    }
+    scores.push_back(score);
+    max_score = std::max(max_score, score);
+  }
+  for (double& score : scores) score = max_score > 0.0 ? score / max_score : 1.0;
+  return scores;
+}
+
+TEST(IrPropertyTest, ContainsMatchesBruteForceAndPackedMode) {
+  Rng rng(15);
+  const TokenizerOptions opts;
+  const std::string path = ::testing::TempDir() + "/ir_property.fxp";
+  size_t empty = 0;
+  size_t multi_doc = 0;
+  size_t nested = 0;
+  for (int round = 0; round < 30; ++round) {
+    Corpus corpus;
+    const size_t docs = 1 + rng.Uniform(4);
+    for (size_t d = 0; d < docs; ++d) {
+      corpus.Add(testing_util::RandomDocument(&rng, corpus.tags(), 40));
+    }
+    std::vector<std::vector<std::vector<PositionedToken>>> tokens(docs);
+    for (DocId d = 0; d < docs; ++d) {
+      for (NodeId n = 0; n < corpus.doc(d).size(); ++n) {
+        tokens[d].push_back(
+            TokenizeWithPositions(corpus.doc(d).node(n).text, opts));
+      }
+    }
+    ASSERT_TRUE(storage::WritePackedCorpus(corpus, opts, path).ok());
+    Result<std::shared_ptr<storage::StorageReader>> reader =
+        storage::StorageReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    Corpus packed;
+    ASSERT_TRUE((*reader)->LoadTags(packed.tags()).ok());
+    packed.AttachBacking(*reader);
+    IrEngine memory_engine(&corpus, opts);
+    IrEngine packed_engine(&packed, opts, *reader);
+
+    for (int q = 0; q < 12; ++q) {
+      const FtExpr e = RandomFtExpr(&rng, 0);
+      SCOPED_TRACE("round " + std::to_string(round) + ": " + e.ToString());
+      const std::shared_ptr<const ContainsResult> r =
+          memory_engine.Evaluate(e);
+
+      std::vector<NodeRef> expect;
+      for (DocId d = 0; d < docs; ++d) {
+        for (NodeId n = 0; n < corpus.doc(d).size(); ++n) {
+          if (SubtreeSatisfies(corpus.doc(d), tokens[d], n, e)) {
+            expect.push_back(NodeRef{d, n});
+          }
+        }
+      }
+      ASSERT_EQ(r->satisfying(), expect);
+
+      const std::vector<std::string> terms = e.PositiveTerms();
+      std::vector<NodeRef> expect_specific;
+      for (NodeRef ref : expect) {
+        const bool has_satisfying_descendant = std::any_of(
+            expect.begin(), expect.end(),
+            [&](NodeRef other) { return corpus.IsAncestor(ref, other); });
+        if (!has_satisfying_descendant) {
+          expect_specific.push_back(ref);
+        } else if (std::any_of(terms.begin(), terms.end(),
+                               [&](const std::string& t) {
+                                 return ElementMatches(
+                                     tokens[ref.doc][ref.node],
+                                     FtExpr::Term(t, opts));
+                               })) {
+          ++nested;  // a match with another satisfying node under it
+        }
+      }
+      const std::vector<ScoredNode>& specific = r->most_specific();
+      ASSERT_EQ(specific.size(), expect_specific.size());
+      const std::vector<double> scores =
+          PerNodeScores(memory_engine.index(), e, specific);
+      for (size_t i = 0; i < specific.size(); ++i) {
+        EXPECT_EQ(specific[i].node, expect_specific[i]);
+        EXPECT_EQ(specific[i].score, scores[i]) << "node " << i;
+      }
+
+      const std::shared_ptr<const ContainsResult> p =
+          packed_engine.Evaluate(e);
+      ASSERT_EQ(p->satisfying(), r->satisfying());
+      ASSERT_EQ(p->most_specific().size(), specific.size());
+      for (size_t i = 0; i < specific.size(); ++i) {
+        EXPECT_EQ(p->most_specific()[i].node, specific[i].node);
+        EXPECT_EQ(p->most_specific()[i].score, specific[i].score);
+      }
+
+      empty += expect.empty();
+      multi_doc += !expect.empty() && expect.front().doc != expect.back().doc;
+    }
+  }
+  std::remove(path.c_str());
+  // The random cases cover what the merge walks must get right.
+  EXPECT_GT(empty, 0u);
+  EXPECT_GT(multi_doc, 0u);
+  EXPECT_GT(nested, 0u);
 }
 
 }  // namespace

@@ -86,7 +86,7 @@ class XMarkSchemaTest : public ::testing::Test {
     size_t n = 0;
     for (NodeId i = 0; i < doc_.size(); ++i) {
       if (doc_.node(i).tag != t) continue;
-      const NodeId par = doc_.node(i).parent;
+      const NodeId par = doc_.span(i).parent;
       if (par != kInvalidNode && doc_.node(par).tag == p) ++n;
     }
     return n;
@@ -168,10 +168,10 @@ TEST_F(XMarkSchemaTest, TextHasMarkup) {
 
 TEST_F(XMarkSchemaTest, WellFormedIntervals) {
   for (NodeId i = 0; i < doc_.size(); ++i) {
-    const Element& e = doc_.node(i);
+    const NodeSpan& e = doc_.span(i);
     ASSERT_LT(e.start, e.end);
     if (e.parent != kInvalidNode) {
-      const Element& p = doc_.node(e.parent);
+      const NodeSpan& p = doc_.span(e.parent);
       ASSERT_LT(p.start, e.start);
       ASSERT_LT(e.end, p.end);
       ASSERT_EQ(e.level, p.level + 1);

@@ -59,8 +59,8 @@ TEST(DocumentBuilderTest, BuildsIntervalEncoding) {
 
   EXPECT_TRUE(doc->IsParent(0, 1));
   EXPECT_FALSE(doc->IsParent(0, 2));
-  EXPECT_EQ(doc->node(2).level, 2u);
-  EXPECT_EQ(doc->node(0).level, 0u);
+  EXPECT_EQ(doc->span(2).level, 2u);
+  EXPECT_EQ(doc->span(0).level, 0u);
 }
 
 TEST(DocumentBuilderTest, SiblingLinks) {
@@ -229,8 +229,8 @@ TEST(SerializerTest, RoundTripPreservesStructure) {
   for (NodeId i = 0; i < doc->size(); ++i) {
     EXPECT_EQ(again->node(i).tag, doc->node(i).tag);
     EXPECT_EQ(again->node(i).text, doc->node(i).text);
-    EXPECT_EQ(again->node(i).parent, doc->node(i).parent);
-    EXPECT_EQ(again->node(i).level, doc->node(i).level);
+    EXPECT_EQ(again->span(i).parent, doc->span(i).parent);
+    EXPECT_EQ(again->span(i).level, doc->span(i).level);
   }
 }
 
@@ -259,9 +259,9 @@ TEST(RoundTripPropertyTest, RandomDocumentsSurviveRoundTrip) {
     ASSERT_EQ(again->size(), doc.size());
     for (NodeId i = 0; i < doc.size(); ++i) {
       EXPECT_EQ(again->node(i).tag, doc.node(i).tag);
-      EXPECT_EQ(again->node(i).parent, doc.node(i).parent);
-      EXPECT_EQ(again->node(i).start, doc.node(i).start);
-      EXPECT_EQ(again->node(i).end, doc.node(i).end);
+      EXPECT_EQ(again->span(i).parent, doc.span(i).parent);
+      EXPECT_EQ(again->span(i).start, doc.span(i).start);
+      EXPECT_EQ(again->span(i).end, doc.span(i).end);
     }
   }
 }
