@@ -74,14 +74,12 @@ double SweepSizeMb(int index) {
 }
 
 TopKResult RunTopK(Fixture& fixture, const Tpq& q, Algorithm algo, size_t k,
-                   RankScheme scheme, size_t threads, CacheTier cache,
-                   size_t shards) {
+                   RankScheme scheme, size_t threads, CacheTier cache) {
   TopKOptions opts;
   opts.k = k;
   opts.scheme = scheme;
   opts.num_threads = threads;
   opts.result_cache.tier = cache;
-  opts.num_shards = shards;
   Result<TopKResult> result = fixture.processor->Run(q, algo, opts);
   if (!result.ok()) {
     std::fprintf(stderr, "top-k run failed: %s\n",

@@ -64,12 +64,10 @@ double SweepSizeMb(int index);
 /// comparable across machines — thread-scaling benches opt in explicitly.
 /// `cache` maps to TopKOptions::result_cache.tier (the sub-plan result
 /// cache, DESIGN.md §12); the default of kOff keeps the paper figures on
-/// the memoization-free path. `shards` maps to TopKOptions::num_shards
-/// (0 = unsharded, the default — scatter-gather benches opt in).
+/// the memoization-free path.
 TopKResult RunTopK(Fixture& fixture, const Tpq& q, Algorithm algo, size_t k,
                    RankScheme scheme = RankScheme::kStructureFirst,
-                   size_t threads = 1, CacheTier cache = CacheTier::kOff,
-                   size_t shards = 0);
+                   size_t threads = 1, CacheTier cache = CacheTier::kOff);
 
 /// Prints one machine-parseable JSON line describing a benchmark run to
 /// stderr (stdout belongs to google-benchmark's reporter):

@@ -7,10 +7,6 @@
 //     the cold run's — the "measurably faster via counters" check, which
 //     holds on a 1-core box where wall-clock comparisons would be noise,
 //   - asserts the answers of cold, warm and cache-off runs are identical,
-//   - runs the same workload sharded (scatter-gather over 3 document-
-//     range shards, DESIGN.md §15), asserts answers AND every execution
-//     counter are byte-identical to the unsharded run, and records both
-//     timings so the baseline diff tracks scatter-gather overhead,
 //   - packs the same-size corpus into the single-file storage format
 //     (DESIGN.md §17), opens it mmap-backed, runs the workload cold
 //     (first touch decodes pages into the buffer pools) and warm (pool
@@ -29,7 +25,6 @@
 #include <cstring>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/metrics.h"
@@ -113,10 +108,8 @@ int main(int argc, char** argv) {
   auto& fixture = flexpath::bench_util::GetFixtureMb(1.0);
   const flexpath::Tpq q = fixture.Parse(flexpath::bench_util::kQ3);
   constexpr size_t kK = 50;
-  constexpr size_t kShards = 3;
 
-  // Reference run without any caching (also the unsharded baseline the
-  // scatter-gather run is diffed against).
+  // Reference run without any caching.
   auto ref_start = std::chrono::steady_clock::now();
   const TopKResult reference = flexpath::bench_util::RunTopK(
       fixture, q, Algorithm::kDpo, kK, flexpath::RankScheme::kStructureFirst,
@@ -135,16 +128,6 @@ int main(int argc, char** argv) {
       /*threads=*/1, CacheTier::kShared);
   const double warm_ms = MsSince(start);
 
-  // Scatter-gather over document-range shards, cache off (sharding
-  // disables the sub-plan cache): answers and counters must be
-  // byte-identical to the unsharded reference; the timing delta is the
-  // scatter-gather overhead the baseline diff watches.
-  start = std::chrono::steady_clock::now();
-  const TopKResult sharded = flexpath::bench_util::RunTopK(
-      fixture, q, Algorithm::kDpo, kK, flexpath::RankScheme::kStructureFirst,
-      /*threads=*/1, CacheTier::kOff, kShards);
-  const double sharded_ms = MsSince(start);
-
   // Packed-corpus storage engine: the same XMark document through
   // FlexPath's pack → mmap-open → query path. The cold run pays the lazy
   // block decodes; the warm run must be served from the buffer pools.
@@ -159,7 +142,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: %s\n", doc.status().ToString().c_str());
       return 1;
     }
-    mem.AddDocument(std::move(doc).value());
+    if (flexpath::Result<flexpath::DocId> id =
+            mem.AddDocument(std::move(doc).value());
+        !id.ok()) {
+      std::fprintf(stderr, "FAIL: %s\n", id.status().ToString().c_str());
+      return 1;
+    }
   }
   const std::string packed_path = std::string(out_path) + ".corpus.fxp";
   start = std::chrono::steady_clock::now();
@@ -272,37 +260,6 @@ int main(int argc, char** argv) {
                  AnswerKey(warm).c_str());
     ++failures;
   }
-  if (AnswerKey(sharded) != AnswerKey(reference)) {
-    std::fprintf(stderr,
-                 "FAIL: sharded answers differ from the unsharded run\n"
-                 "  unsharded: %s\n  sharded  : %s\n",
-                 AnswerKey(reference).c_str(), AnswerKey(sharded).c_str());
-    ++failures;
-  }
-  {
-    std::string mismatch;
-    const flexpath::ExecCounters& a = reference.counters;
-    const flexpath::ExecCounters& b = sharded.counters;
-    std::vector<std::pair<const char*, uint64_t>> ref_fields;
-    a.ForEach([&](const char* name, uint64_t value) {
-      ref_fields.emplace_back(name, value);
-    });
-    size_t i = 0;
-    b.ForEach([&](const char* name, uint64_t value) {
-      if (i < ref_fields.size() && ref_fields[i].second != value) {
-        mismatch += std::string(" ") + name + "=" +
-                    std::to_string(ref_fields[i].second) + "vs" +
-                    std::to_string(value);
-      }
-      ++i;
-    });
-    if (!mismatch.empty()) {
-      std::fprintf(stderr,
-                   "FAIL: sharded run counters diverge from unsharded:%s\n",
-                   mismatch.c_str());
-      ++failures;
-    }
-  }
   // Q3 is the deep-relaxation query; if it stops relaxing the cache smoke
   // stops covering the cross-round reuse it exists to watch.
   if (reference.relaxations_used < 3) {
@@ -331,11 +288,8 @@ int main(int argc, char** argv) {
   AppendRunJson(&json, "cold", cold, cold_ms);
   json += ",";
   AppendRunJson(&json, "warm", warm, warm_ms);
-  json += ",\"shards\":" + std::to_string(kShards);
   json += ",";
-  AppendRunJson(&json, "unsharded", reference, reference_ms);
-  json += ",";
-  AppendRunJson(&json, "sharded", sharded, sharded_ms);
+  AppendRunJson(&json, "reference", reference, reference_ms);
   json += ",\"packed_file_bytes\":" + std::to_string(packed_file_bytes);
   json += ",\"packed_pack_ms\":" + std::to_string(pack_ms);
   json += ",\"packed_open_ms\":" + std::to_string(packed_open_ms);

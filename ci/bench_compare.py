@@ -21,8 +21,7 @@ The committed baseline (ci/bench_baseline.json) was recorded on a quiet
 
 Checked fields (threshold: >20% worse than baseline):
   - cold.elapsed_ms / warm.elapsed_ms  (wall time per run)
-  - unsharded.elapsed_ms / sharded.elapsed_ms
-                                       (scatter-gather overhead)
+  - reference.elapsed_ms               (the uncached run)
   - packed_cold.elapsed_ms / packed_warm.elapsed_ms
                                        (mmap-backed storage engine)
   - packed_open_ms                     (packed-corpus open cost,
@@ -74,8 +73,7 @@ def main(argv: list[str]) -> int:
         return 1 if strict else 0
 
     findings = 0
-    for run in ("cold", "warm", "unsharded", "sharded", "packed_cold",
-                "packed_warm"):
+    for run in ("cold", "warm", "reference", "packed_cold", "packed_warm"):
         base = baseline.get(run, {}).get("elapsed_ms")
         cur = current.get(run, {}).get("elapsed_ms")
         if not base or cur is None:

@@ -36,9 +36,6 @@
 //   :scheme structure|keyword|combined
 //   :threads N                 worker threads (0 = all cores, 1 = serial;
 //                              results are identical either way)
-//   :shards N                  document-range shards for scatter-gather
-//                              execution (0 = unsharded; results are
-//                              identical at any shard count)
 //   :explain <xpath>           show closure, operators and the schedule
 //   :analyze <xpath>           run with tracing, print the span tree
 //   :lint <xpath>              static analysis: semantic diagnostics plus
@@ -79,8 +76,6 @@
 //                              the slow-query log
 //   --threads N                worker threads for query execution
 //                              (0 = hardware concurrency, 1 = serial)
-//   --shards N                 document-range shards for scatter-gather
-//                              execution (0 = unsharded)
 //   --metrics-prom             print a Prometheus text exposition of all
 //                              metrics on exit (stdout)
 //   --trace-out FILE           collect a trace for every query and write
@@ -173,7 +168,6 @@ struct CliState {
   flexpath::RankScheme scheme = flexpath::RankScheme::kStructureFirst;
   double slow_query_ms = -1.0;  ///< Negative: slow-query log disabled.
   size_t threads = 0;           ///< 0: hardware concurrency; 1: serial.
-  size_t shards = 0;            ///< 0: unsharded; N: scatter-gather.
   flexpath::ResultCacheOptions cache;  ///< Sub-plan result cache knobs.
   double max_cpu_ms = 0.0;      ///< Soft per-query CPU budget (0: off).
   uint64_t max_tuples = 0;      ///< Soft per-query tuple budget (0: off).
@@ -186,7 +180,6 @@ flexpath::TopKOptions MakeOptions(const CliState& state) {
   opts.scheme = state.scheme;
   opts.slow_query_ms = state.slow_query_ms;
   opts.num_threads = state.threads;
-  opts.num_shards = state.shards;
   opts.result_cache = state.cache;
   opts.max_cpu_ms = state.max_cpu_ms;
   opts.max_tuples = state.max_tuples;
@@ -293,7 +286,6 @@ void PrintHelp() {
       "  :algo dpo|sso|hybrid     choose the algorithm\n"
       "  :scheme structure|keyword|combined\n"
       "  :threads N               worker threads (0 = all cores, 1 = serial)\n"
-      "  :shards N                document-range shards (0 = unsharded)\n"
       "  :explain <xpath>         closure, operators, schedule\n"
       "  :analyze <xpath>         run with tracing, print the span tree\n"
       "  :lint <xpath>            static diagnostics + schedule verification\n"
@@ -477,7 +469,6 @@ int Certify(bool as_json) {
         {"well_formed", &cert->well_formed},
         {"relaxation_monotone", &cert->relaxation_monotone},
         {"order_invariant", &cert->order_invariant},
-        {"truncation_safe", &cert->truncation_safe},
         {"cache_exact", &cert->cache_exact},
     };
     for (const auto& [name, v] : props) {
@@ -631,15 +622,6 @@ int Repl(CliState& state) {
       } else {
         std::printf("usage: :threads N (0 = all cores, 1 = serial)\n");
       }
-    } else if (cmd == ":shards") {
-      size_t n = 0;
-      if (words >> n) {
-        state.shards = n;
-        std::printf("shards = %zu%s\n", state.shards,
-                    state.shards == 0 ? " (unsharded)" : "");
-      } else {
-        std::printf("usage: :shards N (0 = unsharded)\n");
-      }
     } else if (cmd == ":explain") {
       std::string rest;
       std::getline(words, rest);
@@ -779,10 +761,6 @@ int main(int argc, char** argv) {
       state.threads = static_cast<size_t>(std::atol(argv[++i]));
       continue;
     }
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      state.shards = static_cast<size_t>(std::atol(argv[++i]));
-      continue;
-    }
     if (std::strcmp(argv[i], "--metrics-prom") == 0) {
       metrics_prom = true;
       continue;
@@ -915,7 +893,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
         return 1;
       }
-      state.fp.AddDocument(std::move(doc).value());
+      if (flexpath::Result<flexpath::DocId> id =
+              state.fp.AddDocument(std::move(doc).value());
+          !id.ok()) {
+        std::fprintf(stderr, "%s\n", id.status().ToString().c_str());
+        return 1;
+      }
       loaded = true;
       continue;
     }
@@ -941,7 +924,7 @@ int main(int argc, char** argv) {
                  "[--check-json \"<xpath>\"] [--certify] [--certify-json] "
                  "[--subtype SUPER SUB] "
                  "[--log-json] [--log-level L] [--slow-query-ms N] "
-                 "[--threads N] [--shards N] [--metrics-prom] "
+                 "[--threads N] [--metrics-prom] "
                  "[--cache off|run|shared] [--cache-mb N] "
                  "[--trace-out FILE] [--flightrec-out FILE] "
                  "[--crash-dump FILE] [--admin-port N] [--admin-bind ADDR] "

@@ -136,7 +136,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--xmark: %s\n", doc.status().ToString().c_str());
       return 1;
     }
-    fp.AddDocument(std::move(doc).value());
+    if (flexpath::Result<flexpath::DocId> id =
+            fp.AddDocument(std::move(doc).value());
+        !id.ok()) {
+      std::fprintf(stderr, "--xmark: %s\n", id.status().ToString().c_str());
+      return 1;
+    }
   }
   for (const std::string& file : xml_files) {
     if (flexpath::Result<flexpath::DocId> id = fp.AddDocumentFile(file);

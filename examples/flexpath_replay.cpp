@@ -170,7 +170,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
         return 1;
       }
-      fp.AddDocument(std::move(doc).value());
+      if (flexpath::Result<flexpath::DocId> id =
+              fp.AddDocument(std::move(doc).value());
+          !id.ok()) {
+        std::fprintf(stderr, "%s\n", id.status().ToString().c_str());
+        return 1;
+      }
       loaded = true;
       continue;
     }

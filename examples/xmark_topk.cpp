@@ -38,8 +38,9 @@ int main(int argc, char** argv) {
                  doc.status().ToString().c_str());
     return 1;
   }
-  fp.AddDocument(std::move(doc).value());
-  if (!fp.Build().ok()) return 1;
+  if (!fp.AddDocument(std::move(doc).value()).ok() || !fp.Build().ok()) {
+    return 1;
+  }
   std::printf(
       "generated ~%.1f MB: %u items, %u categories, %u people, %u "
       "auctions\n\n",

@@ -371,7 +371,6 @@ SchemeCertificate CertifyScheme(const SchemeAlgebra& algebra) {
     const std::string skipped = "not evaluated: malformed algebra (FX305)";
     cert.relaxation_monotone = Refute(kDiagSchemeMalformed, skipped);
     cert.order_invariant = Refute(kDiagSchemeMalformed, skipped);
-    cert.truncation_safe = Refute(kDiagSchemeMalformed, skipped);
     cert.cache_exact = Refute(kDiagSchemeMalformed, skipped);
     return cert;
   }
@@ -410,7 +409,7 @@ SchemeCertificate CertifyScheme(const SchemeAlgebra& algebra) {
 
   // Order invariance: the comparator must be a pure deterministic
   // function of (ss, ks) with exact ties, or merge order (thread
-  // schedule, shard interleaving) leaks into the answer list.
+  // schedule) leaks into the answer list.
   bool any_opaque = false;
   for (const ExprFacts& f : facts) any_opaque = any_opaque || f.opaque;
   if (any_opaque) {
@@ -430,21 +429,6 @@ SchemeCertificate CertifyScheme(const SchemeAlgebra& algebra) {
         "exact ties");
   }
 
-  // Truncation safety: with a deterministic total preference over
-  // (ss, ks), the global order restricted to one shard is exactly the
-  // shard's local order, so a per-shard top-K' (K' >= K) retains every
-  // global top-K answer.
-  if (cert.order_invariant.holds) {
-    cert.truncation_safe = Hold(
-        "global order restricted to a shard is the shard's local order; "
-        "per-shard top-K' retains every global top-K answer");
-  } else {
-    cert.truncation_safe =
-        Refute(kDiagSchemeNotTruncationSafe,
-               "not provable without order invariance: a truncated shard "
-               "list may drop an answer the merged order needs");
-  }
-
   // Cache exactness: sub-plan tuples are scheme-independent facts, and
   // reusing them across schemes and K is exact as long as the scheme
   // ranks purely on (ss, ks) computed from those tuples.
@@ -460,8 +444,7 @@ SchemeCertificate CertifyScheme(const SchemeAlgebra& algebra) {
   }
 
   cert.certified = cert.well_formed.holds && cert.relaxation_monotone.holds &&
-                   cert.order_invariant.holds && cert.truncation_safe.holds &&
-                   cert.cache_exact.holds;
+                   cert.order_invariant.holds && cert.cache_exact.holds;
 
   // Directives: what the proof licenses on the primary key. Threshold
   // pruning compares bounds in ss units with an optimistic keyword
@@ -500,8 +483,6 @@ std::string SchemeCertificate::ToJson() const {
   out += ",";
   out += VerdictJson("order_invariant", order_invariant);
   out += ",";
-  out += VerdictJson("truncation_safe", truncation_safe);
-  out += ",";
   out += VerdictJson("cache_exact", cache_exact);
   out += "},\"directives\":{";
   out += "\"threshold_pruning\":";
@@ -528,7 +509,6 @@ AnalysisReport SchemeCertificate::Report() const {
   if (!well_formed.holds) return report;  // FX305 alone; the rest is noise.
   add(relaxation_monotone);
   add(order_invariant);
-  add(truncation_safe);
   add(cache_exact);
   return report;
 }

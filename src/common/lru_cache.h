@@ -72,14 +72,6 @@ class LruByteCache {
   size_t budget() const { return budget_; }
   uint64_t evictions() const { return evictions_; }
 
-  /// Visits every resident entry as fn(key, value, bytes), most recent
-  /// first, without touching recency. Lets owners audit entries — e.g.
-  /// counting values still pinned by handed-out shared_ptr references.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const Entry& e : order_) fn(e.key, e.value, e.bytes);
-  }
-
  private:
   struct Entry {
     Key key;

@@ -28,9 +28,7 @@ FlexPath::FlexPath(TokenizerOptions tokenizer_opts)
 FlexPath::~FlexPath() = default;
 
 Result<DocId> FlexPath::AddDocumentXml(std::string_view xml) {
-  if (built_) {
-    return Status::InvalidArgument("cannot add documents after Build()");
-  }
+  FLEXPATH_RETURN_IF_ERROR(CheckAcceptsDocuments());
   static Histogram* m_parse =
       MetricsRegistry::Global().histogram("build.parse_ms");
   static Counter* m_docs =
@@ -52,8 +50,21 @@ Result<DocId> FlexPath::AddDocumentFile(const std::string& path) {
   return AddDocumentXml(buffer.str());
 }
 
-DocId FlexPath::AddDocument(Document doc) {
+Result<DocId> FlexPath::AddDocument(Document doc) {
+  FLEXPATH_RETURN_IF_ERROR(CheckAcceptsDocuments());
   return corpus_.Add(std::move(doc));
+}
+
+Status FlexPath::CheckAcceptsDocuments() const {
+  // A backed corpus (OpenPacked, even one that failed midway) serves its
+  // documents from the file; Corpus::Add must never reach it. After
+  // Build() the index, statistics and IR engine are frozen and would
+  // never see a new document.
+  if (built_ || corpus_.backed()) {
+    return Status::InvalidArgument(
+        "cannot add documents after Build() or OpenPacked()");
+  }
+  return Status::OK();
 }
 
 TagDict* FlexPath::tags() { return corpus_.tags(); }
@@ -223,7 +234,6 @@ Result<TopKResult> FlexPath::QueryTpq(const Tpq& q, const TopKOptions& opts,
   {
     MutexLock lock(varz_mu_);
     ++varz_queries_;
-    if (opts.num_shards > 0) ++varz_sharded_queries_;
     if (!result.ok()) {
       ++varz_errors_;
     } else {
@@ -283,19 +293,16 @@ void FlexPath::SetQueryLog(QueryLogWriter* log) {
 std::string FlexPath::VarzJson() const {
   uint64_t queries = 0;
   uint64_t errors = 0;
-  uint64_t sharded = 0;
   ResourceUsage usage;
   {
     MutexLock lock(varz_mu_);
     queries = varz_queries_;
     errors = varz_errors_;
-    sharded = varz_sharded_queries_;
     usage = varz_usage_;
   }
   const uint64_t succeeded = queries - errors;
   std::string out = "{\"queries\":" + std::to_string(queries);
   out += ",\"errors\":" + std::to_string(errors);
-  out += ",\"sharded_queries\":" + std::to_string(sharded);
   out += ",\"usage_total\":{";
   bool first = true;
   usage.ForEach([&out, &first](const char* name, double value) {

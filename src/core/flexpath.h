@@ -61,14 +61,17 @@ class FlexPath {
   FlexPath(const FlexPath&) = delete;
   FlexPath& operator=(const FlexPath&) = delete;
 
-  /// Parses and adds one XML document. Must be called before Build().
+  /// Parses and adds one XML document. InvalidArgument after Build() or
+  /// OpenPacked().
   Result<DocId> AddDocumentXml(std::string_view xml);
 
   /// Reads and parses an XML file from disk.
   Result<DocId> AddDocumentFile(const std::string& path);
 
-  /// Adds an already-built document (built against tags()).
-  DocId AddDocument(Document doc);
+  /// Adds an already-built document (built against tags()). Same
+  /// contract as AddDocumentXml: InvalidArgument after Build() or
+  /// OpenPacked().
+  Result<DocId> AddDocument(Document doc);
 
   /// Mutable element-type hierarchy for the tag-generalization extension
   /// (Section 3.4). Populate before Build(); a query node constrained to
@@ -164,9 +167,9 @@ class FlexPath {
   AnalyzerContext analyzer_context() const;
 
   /// The score-algebra certificate of `scheme` (flexcheck v2, DESIGN.md
-  /// §16): the four statically proved/refuted properties — relaxation
-  /// monotonicity, order invariance, truncation safety, cache exactness
-  /// — plus the optimization directives the engine derives from them.
+  /// §16): the three statically proved/refuted properties — relaxation
+  /// monotonicity, order invariance, cache exactness — plus the
+  /// optimization directives the engine derives from them.
   /// NotFound for a scheme value the registry has never seen. Corpus
   /// independent; works before Build().
   Result<SchemeCertificate> CertifyScheme(RankScheme scheme) const;
@@ -260,9 +263,9 @@ class FlexPath {
   }
 
   /// One JSON object with this instance's cumulative per-query resource
-  /// accounting — query/error/sharded-query counts plus the summed and
+  /// accounting — query/error counts plus the summed and
   /// per-query-mean ResourceUsage across every QueryTpq run:
-  ///   {"queries":..,"errors":..,"sharded_queries":..,
+  ///   {"queries":..,"errors":..,
   ///    "usage_total":{"cpu_ms":..,...},"usage_mean":{...}}
   std::string VarzJson() const;
 
@@ -273,6 +276,9 @@ class FlexPath {
   std::string BuildInfoJson() const;
 
  private:
+  /// OK while documents may still be added: not built, not opened.
+  Status CheckAcceptsDocuments() const;
+
   /// Applies the thesaurus to every contains predicate of `q` in place.
   void ExpandContains(Tpq* q) const;
 
@@ -296,7 +302,6 @@ class FlexPath {
   mutable Mutex varz_mu_;
   uint64_t varz_queries_ GUARDED_BY(varz_mu_) = 0;
   uint64_t varz_errors_ GUARDED_BY(varz_mu_) = 0;
-  uint64_t varz_sharded_queries_ GUARDED_BY(varz_mu_) = 0;
   ResourceUsage varz_usage_ GUARDED_BY(varz_mu_);
 };
 

@@ -6,14 +6,12 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
 #include "rank/scheme_registry.h"
-#include "shard/merge.h"
 
 namespace flexpath {
 
@@ -56,49 +54,6 @@ void DominancePrune(const std::vector<int>& live_steps, TupleRows* rows) {
   std::vector<bool> keep(n, false);
   for (uint32_t i : winner) keep[i] = true;
   rows->Filter([&](size_t i) { return keep[i]; });
-}
-
-/// The one cross-shard dominance collision class: non-null live bindings
-/// are document-local and shards are document-disjoint, so tuples from
-/// different shards can only agree on every live binding when all those
-/// bindings are null (vacuously, when no live step is bound yet). After
-/// per-shard DominancePrune each shard holds at most one such tuple;
-/// this pass keeps the global winner — lowest penalty, earliest shard on
-/// ties, which is exactly the first-seen tuple a global prune would have
-/// kept — and erases the rest, making the per-shard pipeline's combined
-/// tuple set byte-identical to the unsharded one.
-void MergeNullLive(const std::vector<int>& live_steps,
-                   std::vector<TupleRows>* parts) {
-  struct Hit {
-    size_t part;
-    size_t idx;
-    double penalty;
-  };
-  std::vector<Hit> hits;
-  for (size_t p = 0; p < parts->size(); ++p) {
-    const TupleRows& rows = (*parts)[p];
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const NodeRef* row = rows.row(i);
-      const bool all_null = std::all_of(
-          live_steps.begin(), live_steps.end(),
-          [row](int s) { return IsNull(row[s]); });
-      if (all_null) {
-        // Per-shard DominancePrune left at most one per shard.
-        hits.push_back(Hit{p, i, rows.penalty(i)});
-        break;
-      }
-    }
-  }
-  if (hits.size() < 2) return;
-  size_t win = 0;
-  for (size_t h = 1; h < hits.size(); ++h) {
-    if (hits[h].penalty < hits[win].penalty) win = h;
-  }
-  for (size_t h = 0; h < hits.size(); ++h) {
-    if (h == win) continue;
-    const size_t idx = hits[h].idx;
-    (*parts)[hits[h].part].Filter([idx](size_t i) { return i != idx; });
-  }
 }
 
 /// Runs `body(begin, end, out, ctr)` over [0, n) in contiguous chunks on
@@ -211,8 +166,7 @@ void ExecCounters::Add(const ExecCounters& other) {
 std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     const JoinPlan& plan, EvalMode mode, size_t k, RankScheme scheme,
     double exact_penalty, ExecCounters* counters, TraceCollector* trace,
-    ThreadPool* pool, const EvalCacheContext* cache, ResourceUsage* usage,
-    const ShardEvalContext* shard) {
+    ThreadPool* pool, const EvalCacheContext* cache, ResourceUsage* usage) {
   // Work is tallied locally, then folded into the caller's counters and
   // the global registry — so per-call deltas are exact even when the
   // caller accumulates across plan passes.
@@ -220,18 +174,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
   ++ctr.plan_passes;
   double worker_cpu_ms = 0.0;
 
-  const bool sharded = shard != nullptr;
-  // The cache keys whole-corpus tuple lists; a sharded pass neither
-  // probes nor populates it (callers already disable it — see topk.cc).
-  assert(!sharded || cache == nullptr);
-  if (sharded) cache = nullptr;
-  const size_t nshards = sharded ? shard->shards->num_shards() : 1;
-  assert(nshards > 0);
-  // Per-shard work attribution, reported through the shard context.
-  std::vector<ExecCounters> shard_ctr(sharded ? nshards : 0);
-
   const Corpus& corpus = index_->corpus();
-  assert(!sharded || &shard->shards->corpus() == &corpus);
   const std::vector<PlanStep>& steps = plan.steps();
   assert(!steps.empty());
 
@@ -318,11 +261,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
   const int dist_step = plan.distinguished_step();
   const size_t dist = static_cast<size_t>(dist_step);
 
-  // One tuple block per shard; the serial path is the one-part case,
-  // except that it runs the cache and the within-step chunk fan-out
-  // (shards are the parallel unit when sharding).
-  std::vector<TupleRows> parts(nshards, TupleRows(1));
-  TupleRows& tuples = parts[0];  ///< Serial-path alias.
+  TupleRows tuples(1);  ///< The live tuple block, one row per tuple.
 
   // --- Sub-plan result cache (DESIGN.md §12). ---------------------------
   const bool cache_on =
@@ -403,13 +342,6 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     return true;
   };
 
-  // The shard's access path: its own doc-range index. NodeRefs it yields
-  // are global, so everything downstream of the scan is shard-agnostic.
-  auto scan_for = [&](size_t part, TagId tag) {
-    return sharded ? shard->shards->index(part).Scan(tag)
-                   : index_->Scan(tag);
-  };
-
   // --- Cache probe: resume from the deepest cached plan prefix. ---------
   size_t start_step = 0;  ///< First step that still has to execute.
   if (cache_on) {
@@ -464,71 +396,41 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     Span scan_span(trace, "scan_step");
     scan_span.Annotate("step", uint64_t{0});
     scan_span.Annotate("tag", corpus.tags().Name(step0.tag));
-    // `sc` pins the list against LRU eviction of merged supertype scans
-    // (a plain vector reference would dangle).
-    auto seed = [&](const ScanHandle& sc, size_t begin, size_t end,
-                    TupleRows* out, ExecCounters* c) {
-      for (size_t i = begin; i < end; ++i) {
-        const NodeRef ref = sc[i];
-        ++c->candidates_probed;
-        if (!attrs_ok(step0, ref)) continue;
-        uint64_t mask = 0;
-        double penalty = 0.0;
-        if (!check_preds(0, nullptr, ref, &mask, &penalty)) continue;
-        if (excluding && dist_step == 0 &&
-            cache->exclude->count(ref) != 0) {
-          ++c->tuples_excluded;
-          continue;
-        }
-        ++c->tuples_created;
-        out->Append(nullptr, ref, mask, penalty);
-      }
-    };
-    if (!sharded) {
-      const ScanHandle scan0 = index_->Scan(step0.tag);
-      ChunkedExtend(pool, scan0.size(), /*grain=*/1024, &tuples, &ctr,
-                    &worker_cpu_ms,
-                    [&](size_t begin, size_t end, TupleRows* out,
-                        ExecCounters* c) { seed(scan0, begin, end, out, c); });
-      DominancePrune(plan.LiveSteps(0), &tuples);
-    } else {
-      // Scatter: each shard seeds from its own range-restricted scan.
-      // Per-shard scan lists partition the global one in document order,
-      // so concatenating in shard order reproduces the serial seed list,
-      // and the null-live merge restores the one cross-shard prune.
-      std::vector<ScanHandle> scans;
-      scans.reserve(nshards);
-      for (size_t p = 0; p < nshards; ++p) {
-        scans.push_back(scan_for(p, step0.tag));
-      }
-      std::vector<ExecCounters> cs(nshards);
-      TaskGroup group(pool);
-      for (size_t p = 0; p < nshards; ++p) {
-        group.Run([&, p] {
-          seed(scans[p], 0, scans[p].size(), &parts[p], &cs[p]);
-          DominancePrune(plan.LiveSteps(0), &parts[p]);
-        });
-      }
-      group.Wait();
-      worker_cpu_ms += group.WorkerCpuMs();
-      for (size_t p = 0; p < nshards; ++p) {
-        ctr.Add(cs[p]);
-        shard_ctr[p].Add(cs[p]);
-      }
-      MergeNullLive(plan.LiveSteps(0), &parts);
-    }
+    // The handle pins the list against LRU eviction of merged supertype
+    // scans (a plain vector reference would dangle).
+    const ScanHandle scan0 = index_->Scan(step0.tag);
+    ChunkedExtend(pool, scan0.size(), /*grain=*/1024, &tuples, &ctr,
+                  &worker_cpu_ms,
+                  [&](size_t begin, size_t end, TupleRows* out,
+                      ExecCounters* c) {
+                    for (size_t i = begin; i < end; ++i) {
+                      const NodeRef ref = scan0[i];
+                      ++c->candidates_probed;
+                      if (!attrs_ok(step0, ref)) continue;
+                      uint64_t mask = 0;
+                      double penalty = 0.0;
+                      if (!check_preds(0, nullptr, ref, &mask, &penalty)) {
+                        continue;
+                      }
+                      if (excluding && dist_step == 0 &&
+                          cache->exclude->count(ref) != 0) {
+                        ++c->tuples_excluded;
+                        continue;
+                      }
+                      ++c->tuples_created;
+                      out->Append(nullptr, ref, mask, penalty);
+                    }
+                  });
+    DominancePrune(plan.LiveSteps(0), &tuples);
     store_step(0);
     start_step = 1;
     scan_span.Annotate("candidates", ctr.candidates_probed);
-    uint64_t seeded = 0;
-    for (const TupleRows& rows : parts) seeded += rows.size();
-    scan_span.Annotate("tuples_out", seeded);
+    scan_span.Annotate("tuples_out", static_cast<uint64_t>(tuples.size()));
   }
 
   // Pruning-threshold helper: the k-th best guaranteed (lower-bound)
-  // score among distinct answers, over the union of every part's tuples
-  // after step `s` — the bound is a global quantity even when execution
-  // is sharded. Returns -inf when fewer than k distinct answers exist.
+  // score among distinct answers over the tuples alive after step `s`.
+  // Returns -inf when fewer than k distinct answers exist.
   auto prune_bound = [&](size_t s) {
     // The bound must come from distinct *answers*; until the
     // distinguished variable is bound we cannot count answers soundly,
@@ -538,21 +440,19 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     std::vector<NodeRef> answer_of;  ///< Per group: the answer node.
     std::vector<double> best_lower;  ///< Per group: its best lower bound.
     const double remaining = plan.MaxRemainingPenalty(s);
-    for (const TupleRows& rows : parts) {
-      for (size_t i = 0; i < rows.size(); ++i) {
-        const NodeRef answer = rows.at(i, dist);
-        const double lower = plan.base_score() - rows.penalty(i) - remaining;
-        bool inserted = false;
-        const uint32_t g = groups.FindOrAdd(
-            HashNodeRef(answer),
-            [&](uint32_t group) { return answer_of[group] == answer; },
-            &inserted);
-        if (inserted) {
-          answer_of.push_back(answer);
-          best_lower.push_back(lower);
-        } else if (lower > best_lower[g]) {
-          best_lower[g] = lower;
-        }
+    for (size_t i = 0; i < tuples.size(); ++i) {
+      const NodeRef answer = tuples.at(i, dist);
+      const double lower = plan.base_score() - tuples.penalty(i) - remaining;
+      bool inserted = false;
+      const uint32_t g = groups.FindOrAdd(
+          HashNodeRef(answer),
+          [&](uint32_t group) { return answer_of[group] == answer; },
+          &inserted);
+      if (inserted) {
+        answer_of.push_back(answer);
+        best_lower.push_back(lower);
+      } else if (lower > best_lower[g]) {
+        best_lower[g] = lower;
       }
     }
     if (best_lower.size() < k) {
@@ -571,23 +471,22 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     Span step_span(trace, "join_step");
     step_span.Annotate("step", static_cast<uint64_t>(s));
     step_span.Annotate("tag", corpus.tags().Name(step.tag));
-    size_t total_in = 0;
-    for (const TupleRows& rows : parts) total_in += rows.size();
-    step_span.Annotate("tuples_in", static_cast<uint64_t>(total_in));
+    step_span.Annotate("tuples_in", static_cast<uint64_t>(tuples.size()));
     const uint64_t candidates_before = ctr.candidates_probed;
     const uint64_t pruned_before = ctr.tuples_pruned;
 
     double bound = -std::numeric_limits<double>::infinity();
     if (prune) bound = prune_bound(s - 1);
 
-    // Extends row `i` of `in` through this step into `out`, tallying
+    const ScanHandle scan = index_->Scan(step.tag);  // Pins the list.
+
+    // Extends row `i` of `tuples` through this step into `out`, tallying
     // work into `c` — chunk-local when running under a pool fan-out, so
     // the chunks never contend and their counters fold back in chunk
     // order. A candidate's row is written only once every required
     // predicate has passed.
-    auto extend = [&](const ScanHandle& scan, const TupleRows& in, size_t i,
-                      TupleRows* out, ExecCounters* c) {
-      const NodeRef* parent = in.row(i);
+    auto extend = [&](size_t i, TupleRows* out, ExecCounters* c) {
+      const NodeRef* parent = tuples.row(i);
       const NodeRef anchor = parent[step.anchor_step];
       bool matched = false;
       // In exact mode a variable absent from the round's query needs no
@@ -609,8 +508,8 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
             continue;
           }
           if (!attrs_ok(step, *it)) continue;
-          uint64_t mask = in.mask(i);
-          double penalty = in.penalty(i);
+          uint64_t mask = tuples.mask(i);
+          double penalty = tuples.penalty(i);
           if (!check_preds(s, parent, *it, &mask, &penalty)) continue;
           matched = true;
           // Incremental DPO: the node this tuple answers for is already
@@ -630,8 +529,8 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
         }
       }
       if (!matched && step.nullable) {
-        uint64_t mask = in.mask(i);
-        double penalty = in.penalty(i);
+        uint64_t mask = tuples.mask(i);
+        double penalty = tuples.penalty(i);
         for (const StepPred& p : step_preds[s]) {
           // A nullable step carries only optional predicates, all of
           // which a null binding violates.
@@ -647,178 +546,83 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
       }
     };
 
-    if (!sharded) {
-      const ScanHandle scan = index_->Scan(step.tag);  // Pins the list.
-      TupleRows out(s + 1);
-      if (mode == EvalMode::kHybridBuckets) {
-        // Group by violation mask; within a bucket tuples share their
-        // score and stay in document order, so per-bucket processing
-        // needs no sorting and whole buckets can be skipped against the
-        // bound.
-        Span bucket_span(trace, "bucket_merge");
-        std::map<uint64_t, std::vector<uint32_t>> buckets;
-        for (size_t i = 0; i < tuples.size(); ++i) {
-          buckets[tuples.mask(i)].push_back(static_cast<uint32_t>(i));
-        }
-        ctr.buckets_peak =
-            std::max<uint64_t>(ctr.buckets_peak, buckets.size());
-        uint64_t buckets_skipped = 0;
-        // Surviving buckets flatten (in mask order, document order
-        // within) into one work list the pool chunks over; the flat
-        // order equals the serial per-bucket iteration order, so the
-        // chunked merge reproduces it exactly.
-        std::vector<uint32_t> work;
-        work.reserve(tuples.size());
-        for (const auto& [mask, members] : buckets) {
-          const double upper = plan.base_score() - plan.PenaltyOfMask(mask) +
-                               ks_bonus;
-          if (prune && upper < bound) {
-            ctr.tuples_pruned += members.size();
-            ++buckets_skipped;
-            continue;
-          }
-          work.insert(work.end(), members.begin(), members.end());
-        }
-        ChunkedExtend(pool, work.size(), /*grain=*/64, &out, &ctr,
-                      &worker_cpu_ms,
-                      [&](size_t begin, size_t end, TupleRows* o,
-                          ExecCounters* c) {
-                        // Most tuples survive a step (match or
-                        // null-bind), so one-output-per-input is the
-                        // right first guess.
-                        o->reserve(o->size() + (end - begin));
-                        for (size_t w = begin; w < end; ++w) {
-                          extend(scan, tuples, work[w], o, c);
-                        }
-                      });
-        bucket_span.Annotate("buckets",
-                             static_cast<uint64_t>(buckets.size()));
-        bucket_span.Annotate("buckets_skipped", buckets_skipped);
-      } else {
-        if (mode == EvalMode::kSsoFlat && prune && tuples.size() > k) {
-          // SSO's tension: to apply the threshold it sorts the flat tuple
-          // list by score, then must restore document order for the next
-          // join. Both sorts are real costs we account for.
-          Span sort_span(trace, "score_sort");
-          sort_span.Annotate("items", static_cast<uint64_t>(tuples.size()));
-          ScoreSortRows(&tuples);
-          ctr.score_sorts += 2;
-          ctr.score_sorted_items += 2 * tuples.size();
-        }
-        ChunkedExtend(pool, tuples.size(), /*grain=*/64, &out, &ctr,
-                      &worker_cpu_ms,
-                      [&](size_t begin, size_t end, TupleRows* o,
-                          ExecCounters* c) {
-                        o->reserve(o->size() + (end - begin));
-                        for (size_t i = begin; i < end; ++i) {
-                          extend(scan, tuples, i, o, c);
-                        }
-                      });
+    TupleRows out(s + 1);
+    if (mode == EvalMode::kHybridBuckets) {
+      // Group by violation mask; within a bucket tuples share their
+      // score and stay in document order, so per-bucket processing
+      // needs no sorting and whole buckets can be skipped against the
+      // bound.
+      Span bucket_span(trace, "bucket_merge");
+      std::map<uint64_t, std::vector<uint32_t>> buckets;
+      for (size_t i = 0; i < tuples.size(); ++i) {
+        buckets[tuples.mask(i)].push_back(static_cast<uint32_t>(i));
       }
-      DominancePrune(plan.LiveSteps(s), &out);
-      tuples = std::move(out);
+      ctr.buckets_peak =
+          std::max<uint64_t>(ctr.buckets_peak, buckets.size());
+      uint64_t buckets_skipped = 0;
+      // Surviving buckets flatten (in mask order, document order
+      // within) into one work list the pool chunks over; the flat
+      // order equals the serial per-bucket iteration order, so the
+      // chunked merge reproduces it exactly.
+      std::vector<uint32_t> work;
+      work.reserve(tuples.size());
+      for (const auto& [mask, members] : buckets) {
+        const double upper = plan.base_score() - plan.PenaltyOfMask(mask) +
+                             ks_bonus;
+        if (prune && upper < bound) {
+          ctr.tuples_pruned += members.size();
+          ++buckets_skipped;
+          continue;
+        }
+        work.insert(work.end(), members.begin(), members.end());
+      }
+      ChunkedExtend(pool, work.size(), /*grain=*/64, &out, &ctr,
+                    &worker_cpu_ms,
+                    [&](size_t begin, size_t end, TupleRows* o,
+                        ExecCounters* c) {
+                      // Most tuples survive a step (match or
+                      // null-bind), so one-output-per-input is the
+                      // right first guess.
+                      o->reserve(o->size() + (end - begin));
+                      for (size_t w = begin; w < end; ++w) {
+                        extend(work[w], o, c);
+                      }
+                    });
+      bucket_span.Annotate("buckets",
+                           static_cast<uint64_t>(buckets.size()));
+      bucket_span.Annotate("buckets_skipped", buckets_skipped);
     } else {
-      // Scatter: one task per shard joins its own tuples against its own
-      // scan. The threshold bound above is global (union of all shards),
-      // so every per-tuple keep/prune decision matches the serial run;
-      // per-shard relative order equals the serial list's order
-      // restricted to that shard, which is all DominancePrune's
-      // first-seen tie-breaks ever look at.
-      std::vector<ScanHandle> scans;
-      scans.reserve(nshards);
-      for (size_t p = 0; p < nshards; ++p) {
-        scans.push_back(scan_for(p, step.tag));
-      }
-      // The SSO sort is a phase-level event: the serial run sorts once
-      // when the *global* list outgrows k, so the sharded run gates on
-      // the global size and books one sort pair, not one per shard.
-      const bool sso_sort =
-          mode == EvalMode::kSsoFlat && prune && total_in > k;
-      std::vector<size_t> in_sizes(nshards);
-      for (size_t p = 0; p < nshards; ++p) in_sizes[p] = parts[p].size();
-      std::vector<ExecCounters> cs(nshards);
-      std::vector<std::vector<uint64_t>> shard_masks(nshards);
-      TaskGroup group(pool);
-      for (size_t p = 0; p < nshards; ++p) {
-        group.Run([&, p] {
-          TupleRows& in = parts[p];
-          TupleRows out(s + 1);
-          ExecCounters* c = &cs[p];
-          if (mode == EvalMode::kHybridBuckets) {
-            // Per-shard buckets: the skip criterion (mask upper bound
-            // vs the global threshold) is a pure function of the mask,
-            // so a bucket is skipped here iff the serial run skips it.
-            std::map<uint64_t, std::vector<uint32_t>> buckets;
-            for (size_t i = 0; i < in.size(); ++i) {
-              buckets[in.mask(i)].push_back(static_cast<uint32_t>(i));
-            }
-            shard_masks[p].reserve(buckets.size());
-            for (const auto& [mask, members] : buckets) {
-              shard_masks[p].push_back(mask);
-              const double upper = plan.base_score() -
-                                   plan.PenaltyOfMask(mask) + ks_bonus;
-              if (prune && upper < bound) {
-                c->tuples_pruned += members.size();
-                continue;
-              }
-              for (uint32_t i : members) extend(scans[p], in, i, &out, c);
-            }
-          } else {
-            if (sso_sort) ScoreSortRows(&in);
-            out.reserve(in.size());
-            for (size_t i = 0; i < in.size(); ++i) {
-              extend(scans[p], in, i, &out, c);
-            }
-          }
-          DominancePrune(plan.LiveSteps(s), &out);
-          in = std::move(out);
-        });
-      }
-      group.Wait();
-      worker_cpu_ms += group.WorkerCpuMs();
-      for (size_t p = 0; p < nshards; ++p) {
-        ctr.Add(cs[p]);
-        shard_ctr[p].Add(cs[p]);
-      }
-      if (sso_sort) {
+      if (mode == EvalMode::kSsoFlat && prune && tuples.size() > k) {
+        // SSO's tension: to apply the threshold it sorts the flat tuple
+        // list by score, then must restore document order for the next
+        // join. Both sorts are real costs we account for.
+        Span sort_span(trace, "score_sort");
+        sort_span.Annotate("items", static_cast<uint64_t>(tuples.size()));
+        ScoreSortRows(&tuples);
         ctr.score_sorts += 2;
-        ctr.score_sorted_items += 2 * total_in;
-        for (size_t p = 0; p < nshards; ++p) {
-          shard_ctr[p].score_sorts += 2;
-          shard_ctr[p].score_sorted_items += 2 * in_sizes[p];
-        }
+        ctr.score_sorted_items += 2 * tuples.size();
       }
-      if (mode == EvalMode::kHybridBuckets) {
-        // buckets_peak counts *distinct* masks alive in the step — a
-        // global quantity, so the per-shard mask sets union before the
-        // max (two shards holding the same mask are one bucket's worth
-        // of score-homogeneity, not two).
-        std::set<uint64_t> all_masks;
-        for (size_t p = 0; p < nshards; ++p) {
-          all_masks.insert(shard_masks[p].begin(), shard_masks[p].end());
-          shard_ctr[p].buckets_peak = std::max<uint64_t>(
-              shard_ctr[p].buckets_peak, shard_masks[p].size());
-        }
-        ctr.buckets_peak =
-            std::max<uint64_t>(ctr.buckets_peak, all_masks.size());
-      }
-      MergeNullLive(plan.LiveSteps(s), &parts);
+      ChunkedExtend(pool, tuples.size(), /*grain=*/64, &out, &ctr,
+                    &worker_cpu_ms,
+                    [&](size_t begin, size_t end, TupleRows* o,
+                        ExecCounters* c) {
+                      o->reserve(o->size() + (end - begin));
+                      for (size_t i = begin; i < end; ++i) {
+                        extend(i, o, c);
+                      }
+                    });
     }
+    DominancePrune(plan.LiveSteps(s), &out);
+    tuples = std::move(out);
     store_step(s);
     step_span.Annotate("candidates", ctr.candidates_probed - candidates_before);
     step_span.Annotate("pruned", ctr.tuples_pruned - pruned_before);
-    size_t total_out = 0;
-    for (const TupleRows& rows : parts) total_out += rows.size();
-    step_span.Annotate("tuples_out", static_cast<uint64_t>(total_out));
+    step_span.Annotate("tuples_out", static_cast<uint64_t>(tuples.size()));
   }
 
   // --- Finalize: keyword scores, dedup, sort. ---------------------------
   Span finalize_span(trace, "finalize");
-  {
-    size_t total = 0;
-    for (const TupleRows& rows : parts) total += rows.size();
-    finalize_span.Annotate("tuples", static_cast<uint64_t>(total));
-  }
+  finalize_span.Annotate("tuples", static_cast<uint64_t>(tuples.size()));
   // Keyword-scoring chains with their contains results resolved once.
   struct Chain {
     const ContainsResult* result;
@@ -832,97 +636,49 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
       chains.push_back(Chain{result, chain.weight, &chain.chain_steps});
     }
   }
-  // Scores one part's tuples, dedups by distinguished node (best score
-  // kept, first-seen on exact ties) and sorts best-first. Shards hold
-  // disjoint documents and answers are document-local, so per-part
-  // finalize needs no cross-part dedup and the part lists merge by rank.
-  auto finalize_part = [&](const TupleRows& rows) {
-    GroupTable groups;
-    std::vector<RankedAnswer> part_answers;  ///< One per group.
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const NodeRef* row = rows.row(i);
-      AnswerScore score;
-      score.ss = mode == EvalMode::kExact
-                     ? plan.base_score() - exact_penalty
-                     : plan.base_score() - rows.penalty(i);
-      score.ks = 0.0;
-      for (const Chain& chain : chains) {
-        for (int cs : *chain.steps) {
-          const NodeRef b = row[cs];
-          if (IsNull(b)) continue;
-          if (chain.result->Satisfies(b)) {
-            score.ks += chain.weight * chain.result->BestScoreWithin(b);
-            break;
-          }
+  // Score every tuple, dedup by distinguished node (best score kept,
+  // first-seen on exact ties) and sort best-first.
+  GroupTable groups;
+  std::vector<RankedAnswer> answers;  ///< One per group.
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    const NodeRef* row = tuples.row(i);
+    AnswerScore score;
+    score.ss = mode == EvalMode::kExact
+                   ? plan.base_score() - exact_penalty
+                   : plan.base_score() - tuples.penalty(i);
+    score.ks = 0.0;
+    for (const Chain& chain : chains) {
+      for (int cs : *chain.steps) {
+        const NodeRef b = row[cs];
+        if (IsNull(b)) continue;
+        if (chain.result->Satisfies(b)) {
+          score.ks += chain.weight * chain.result->BestScoreWithin(b);
+          break;
         }
       }
-      const NodeRef answer = row[dist];
-      assert(!IsNull(answer) && "distinguished variable must be bound");
-      bool inserted = false;
-      const uint32_t g = groups.FindOrAdd(
-          HashNodeRef(answer),
-          [&](uint32_t group) { return part_answers[group].node == answer; },
-          &inserted);
-      if (inserted) {
-        part_answers.push_back(RankedAnswer{answer, score});
-      } else if (RanksBefore(score, part_answers[g].score, scheme)) {
-        part_answers[g].score = score;
-      }
     }
-    std::sort(part_answers.begin(), part_answers.end(),
-              [&](const RankedAnswer& a, const RankedAnswer& b) {
-                if (RanksBefore(a.score, b.score, scheme)) return true;
-                if (RanksBefore(b.score, a.score, scheme)) return false;
-                return a.node < b.node;  // deterministic tie-break
-              });
-    return part_answers;
-  };
-
-  std::vector<RankedAnswer> answers;
-  if (!sharded) {
-    answers = finalize_part(tuples);
-  } else {
-    // Gather: per-shard finalize, K'-truncate where sound, then the
-    // coordinator's rank merge with score-threshold early termination —
-    // it stops pulling once k answers are out, and everything cut on
-    // either side lands in the discard seam for the property tests.
-    std::vector<std::vector<RankedAnswer>> per_shard(nshards);
-    for (size_t p = 0; p < nshards; ++p) {
-      per_shard[p] = finalize_part(parts[p]);
-    }
-    // K'-truncation is licensed by the certificate's truncation-safety
-    // verdict (FX303); without it every per-shard answer travels whole.
-    const size_t kprime =
-        ShardKPrime(k, /*single_pass=*/use_optionals,
-                    cert != nullptr && cert->truncation_safe.holds);
-    for (size_t p = 0; p < nshards; ++p) {
-      if (per_shard[p].size() > kprime) {
-        if (shard->discarded != nullptr) {
-          shard->discarded->insert(
-              shard->discarded->end(),
-              per_shard[p].begin() + static_cast<long>(kprime),
-              per_shard[p].end());
-        }
-        per_shard[p].resize(kprime);
-      }
-    }
-    ShardMergeStats mstats;
-    mstats.collect_discarded = shard->discarded != nullptr;
-    const size_t cap =
-        kprime == std::numeric_limits<size_t>::max() ? 0 : k;
-    answers = MergeShardAnswers(per_shard, cap, scheme, &mstats);
-    if (shard->discarded != nullptr) {
-      shard->discarded->insert(shard->discarded->end(),
-                               mstats.discarded.begin(),
-                               mstats.discarded.end());
+    const NodeRef answer = row[dist];
+    assert(!IsNull(answer) && "distinguished variable must be bound");
+    bool inserted = false;
+    const uint32_t g = groups.FindOrAdd(
+        HashNodeRef(answer),
+        [&](uint32_t group) { return answers[group].node == answer; },
+        &inserted);
+    if (inserted) {
+      answers.push_back(RankedAnswer{answer, score});
+    } else if (RanksBefore(score, answers[g].score, scheme)) {
+      answers[g].score = score;
     }
   }
+  std::sort(answers.begin(), answers.end(),
+            [&](const RankedAnswer& a, const RankedAnswer& b) {
+              if (RanksBefore(a.score, b.score, scheme)) return true;
+              if (RanksBefore(b.score, a.score, scheme)) return false;
+              return a.node < b.node;  // deterministic tie-break
+            });
   finalize_span.Annotate("answers", static_cast<uint64_t>(answers.size()));
   finalize_span.Close();
 
-  if (sharded && shard->per_shard_counters != nullptr) {
-    *shard->per_shard_counters = std::move(shard_ctr);
-  }
   if (counters != nullptr) counters->Add(ctr);
   if (usage != nullptr) {
     ResourceUsage u = UsageFromCounters(ctr);

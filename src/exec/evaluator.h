@@ -11,7 +11,6 @@
 #include "exec/result_cache.h"
 #include "ir/engine.h"
 #include "rank/score.h"
-#include "shard/sharded_corpus.h"
 #include "stats/element_index.h"
 
 namespace flexpath {
@@ -32,8 +31,8 @@ struct ExecCounters {
   uint64_t cache_step_misses = 0;  ///< Plan steps computed while caching.
   uint64_t tuples_excluded = 0;    ///< Tuples dropped: answer already known.
 
-  /// How a field folds when counters from parallel chunks / shards /
-  /// rounds are combined: totals sum, high-water marks max.
+  /// How a field folds when counters from parallel chunks or rounds are
+  /// combined: totals sum, high-water marks max.
   enum class Agg : uint8_t { kSum, kMax };
 
   /// Must equal the number of fields above; the static_assert below
@@ -64,9 +63,8 @@ struct ExecCounters {
 
   /// Accumulates `other` into this through VisitFields: sums every
   /// kSum field, maxes every kMax field (buckets_peak). Every combine
-  /// path — parallel chunk merge, shard union, round totals — goes
-  /// through here, so a field cannot be aggregated in one path and
-  /// dropped in another.
+  /// path — parallel chunk merge, round totals — goes through here, so
+  /// a field cannot be aggregated in one path and dropped in another.
   void Add(const ExecCounters& other);
 
   /// Calls fn(name, value) for every field, in declaration order.
@@ -107,31 +105,6 @@ enum class EvalMode : uint8_t {
   kExact,
   kSsoFlat,
   kHybridBuckets,
-};
-
-/// Sharded scatter-gather execution (DESIGN.md §15). When passed to
-/// Evaluate, the tuple pipeline runs per document-range shard: each
-/// shard seeds and joins against its own ElementIndex (NodeRefs stay
-/// global, so no remapping), the pruning bound is computed globally
-/// between steps, and a coordinator merges the per-shard answer lists —
-/// truncated to the K' bound where sound — into the global order.
-/// Answers and every work counter are byte-identical to the unsharded
-/// run at any shard count; only cpu_ms (wall-truth) varies.
-struct ShardEvalContext {
-  /// The partition to execute over. Must be built from the same corpus
-  /// the evaluator's index serves, at the same generation.
-  const ShardedCorpus* shards = nullptr;
-  /// Optional: receives one counter delta per shard for this pass —
-  /// the shard-attributable work (probes, tuples, prunes). Phase-level
-  /// counters (score_sorts, buckets_peak) are global quantities and are
-  /// attributed per shard as the shard's own share, so they do not sum
-  /// to the pass totals.
-  std::vector<ExecCounters>* per_shard_counters = nullptr;
-  /// Optional: receives every answer cut by per-shard K' truncation or
-  /// by the coordinator's early termination — the test seam for the
-  /// K'-bound invariant (no discarded answer may outrank the global
-  /// k-th answer).
-  std::vector<RankedAnswer>* discarded = nullptr;
 };
 
 /// Evaluates join plans over the tag index + IR engine.
@@ -177,12 +150,6 @@ class PlanEvaluator {
   /// its pool fan-outs burned on *worker* threads. The calling thread's
   /// own CPU is deliberately excluded — the caller times itself, so the
   /// two add without double counting.
-  ///
-  /// `shard`, when non-null, runs the sharded scatter-gather path
-  /// (DESIGN.md §15): per-shard seed/join/prune with a global threshold
-  /// bound, per-shard finalize, K'-truncation and coordinator merge.
-  /// Mutually exclusive with `cache` — the sub-plan cache keys whole
-  /// tuple lists, not per-shard ones; callers disable it when sharding.
   std::vector<RankedAnswer> Evaluate(const JoinPlan& plan, EvalMode mode,
                                      size_t k, RankScheme scheme,
                                      double exact_penalty,
@@ -190,8 +157,7 @@ class PlanEvaluator {
                                      TraceCollector* trace = nullptr,
                                      ThreadPool* pool = nullptr,
                                      const EvalCacheContext* cache = nullptr,
-                                     ResourceUsage* usage = nullptr,
-                                     const ShardEvalContext* shard = nullptr);
+                                     ResourceUsage* usage = nullptr);
 
  private:
   const ElementIndex* index_;

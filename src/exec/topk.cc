@@ -90,30 +90,7 @@ struct RoundOutput {
   bool has_span = false;  ///< Set on the worker-collector path only.
   bool pruned = false;    ///< Skipped: static analysis proved it empty.
   std::string prune_reason;
-  /// Sharded runs: the round's per-shard counter deltas. Buffered with
-  /// the rest of the round so a discarded speculative round discards its
-  /// shard attribution too.
-  std::vector<ExecCounters> shard_counters;
 };
-
-/// Fills TopKResult::shards from the per-shard counter totals plus the
-/// final answer list (each answer charged to the shard owning its doc).
-void FillShardStats(const ShardedCorpus& sc,
-                    const std::vector<ExecCounters>& per_shard,
-                    TopKResult* result) {
-  result->shards.resize(sc.num_shards());
-  for (size_t i = 0; i < sc.num_shards(); ++i) {
-    TopKResult::ShardStats& s = result->shards[i];
-    s.doc_begin = sc.range(i).doc_begin;
-    s.doc_end = sc.range(i).doc_end;
-    s.candidates_probed = per_shard[i].candidates_probed;
-    s.tuples_created = per_shard[i].tuples_created;
-  }
-  for (const RankedAnswer& a : result->answers) {
-    const size_t owner = sc.ShardOf(a.node.doc);
-    if (owner < result->shards.size()) ++result->shards[owner].answers;
-  }
-}
 
 }  // namespace
 
@@ -143,30 +120,7 @@ const char* CacheTierName(CacheTier tier) {
 
 Result<TopKResult> TopKProcessor::Run(const Tpq& q, Algorithm algo,
                                       const TopKOptions& opts) {
-  if (opts.num_shards == 0) return RunWithShards(q, algo, opts, nullptr);
-  Result<const ShardedCorpus*> shards = ShardsFor(opts.num_shards);
-  if (!shards.ok()) return shards.status();
-  return RunWithShards(q, algo, opts, *shards);
-}
-
-Result<TopKResult> TopKProcessor::RunWithShards(const Tpq& q, Algorithm algo,
-                                                const TopKOptions& opts,
-                                                const ShardedCorpus* shards) {
   if (opts.k == 0) return Status::InvalidArgument("k must be positive");
-  if (shards != nullptr) {
-    if (shards->num_shards() == 0) {
-      return Status::InvalidArgument("shard partition has no shards");
-    }
-    if (shards->source_generation() != index_->corpus().generation()) {
-      return Status::InvalidArgument(
-          "shard partition is stale: built at corpus generation " +
-          std::to_string(shards->source_generation()) +
-          " but the corpus is now at generation " +
-          std::to_string(index_->corpus().generation()) +
-          "; documents were added after sharding — rebuild the index and "
-          "the shard partition before querying");
-    }
-  }
   FLEXPATH_RETURN_IF_ERROR(q.Validate());
   if (q.ContainsCount() > 0 && ir_ == nullptr) {
     return Status::InvalidArgument(
@@ -209,41 +163,19 @@ Result<TopKResult> TopKProcessor::RunWithShards(const Tpq& q, Algorithm algo,
   if (trace != nullptr) {
     collector->current()->Annotate(
         "threads", static_cast<uint64_t>(pool != nullptr ? pool->size() : 1));
-    collector->current()->Annotate(
-        "shards",
-        static_cast<uint64_t>(shards != nullptr ? shards->num_shards() : 0));
   }
-  // A sharded run bypasses the sub-plan result cache (entries key
-  // whole-corpus tuple lists — see RunDpo/RunEncoded). The downgrade
-  // used to be silent; surface it as the FX310 advisory, a counter, and
-  // a trace annotation so "why is my cache cold" has an answer.
-  if (shards != nullptr && opts.result_cache.tier != CacheTier::kOff) {
-    static Counter* m_cache_off_sharded =
-        MetricsRegistry::Global().counter("query.cache_disabled_sharded");
-    m_cache_off_sharded->Inc();
-    FLEXPATH_LOG_WARN(
-        "exec", "result cache disabled for sharded run",
-        {"code", std::string(kDiagCacheDisabledSharded)},
-        {"tier_requested", CacheTierName(opts.result_cache.tier)},
-        {"shards", static_cast<uint64_t>(shards->num_shards())});
-    if (trace != nullptr) {
-      collector->current()->Annotate("cache_disabled_sharded", uint64_t{1});
-    }
-  }
-
   Result<TopKResult> result = [&]() -> Result<TopKResult> {
     Span pm_span(trace, "penalty_model");
     PenaltyModel pm(q, stats_, ir_, opts.weights);
     pm_span.Close();
     switch (algo) {
       case Algorithm::kDpo:
-        return RunDpo(q, opts, *cert, pm, trace, pool, shards);
+        return RunDpo(q, opts, *cert, pm, trace, pool);
       case Algorithm::kSso:
-        return RunEncoded(q, opts, *cert, pm, EvalMode::kSsoFlat, trace, pool,
-                          shards);
+        return RunEncoded(q, opts, *cert, pm, EvalMode::kSsoFlat, trace, pool);
       case Algorithm::kHybrid:
         return RunEncoded(q, opts, *cert, pm, EvalMode::kHybridBuckets, trace,
-                          pool, shards);
+                          pool);
     }
     return Status::InvalidArgument("unknown algorithm");
   }();
@@ -251,7 +183,6 @@ Result<TopKResult> TopKProcessor::RunWithShards(const Tpq& q, Algorithm algo,
   static MetricsRegistry& reg = MetricsRegistry::Global();
   static Counter* m_queries = reg.counter("query.count");
   static Counter* m_errors = reg.counter("query.errors");
-  static Counter* m_sharded = reg.counter("query.sharded");
   static Counter* m_pruned = reg.counter("query.rounds_pruned_static");
   static Counter* m_budget = reg.counter("query.budget_exhausted");
   static Histogram* m_cpu = reg.histogram("query.cpu_ms");
@@ -265,21 +196,9 @@ Result<TopKResult> TopKProcessor::RunWithShards(const Tpq& q, Algorithm algo,
           std::chrono::steady_clock::now() - start)
           .count();
   m_queries->Inc();
-  if (shards != nullptr) m_sharded->Inc();
   if (!result.ok()) {
     m_errors->Inc();
   } else {
-    // Per-shard scatter-gather attribution, under stable names so /varz
-    // and /metrics scrapes can chart shard balance over time. Looked up
-    // by name per sharded query — the registry interns them, and
-    // sharded queries are rare enough that the lookup is noise.
-    for (size_t i = 0; i < result->shards.size(); ++i) {
-      const TopKResult::ShardStats& s = result->shards[i];
-      const std::string prefix = "shard." + std::to_string(i) + ".";
-      reg.counter(prefix + "candidates_probed")->Inc(s.candidates_probed);
-      reg.counter(prefix + "tuples_created")->Inc(s.tuples_created);
-      reg.counter(prefix + "answers")->Inc(s.answers);
-    }
     // The algorithm left only the off-coordinator CPU in usage.cpu_ms;
     // every other field is recomputed from the merged counters so the
     // deterministic figures come from exactly the work the result kept.
@@ -366,13 +285,8 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
                                          const SchemeCertificate& cert,
                                          const PenaltyModel& pm,
                                          TraceCollector* trace,
-                                         ThreadPool* pool,
-                                         const ShardedCorpus* shards) {
+                                         ThreadPool* pool) {
   TopKResult result;
-  // Sharded scatter-gather attribution: accumulated round by round, in
-  // merge order, so discarded speculative rounds contribute nothing.
-  std::vector<ExecCounters> shard_totals(
-      shards != nullptr ? shards->num_shards() : 0);
   // CPU accounting for the soft budget: this thread's time plus whatever
   // landed on pool workers so far. The budgeted path reads the clock
   // between rounds only; with no budget set, nothing below branches on
@@ -434,14 +348,10 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
   std::optional<ResultCache> run_cache;
   EvalCacheContext cache_ctx;
   const EvalCacheContext* cache = nullptr;
-  // Sharded runs skip the cache entirely: entries key whole-corpus tuple
-  // lists, which a per-shard pipeline neither produces nor consumes
-  // (surfaced as FX310 by RunWithShards). Cache exactness itself is a
-  // certified property (FX304): a scheme whose ranking is not provably a
-  // pure function of (ss, ks) may not reuse kExact entries, so it runs
-  // uncached rather than approximately.
-  if (opts.result_cache.tier != CacheTier::kOff && shards == nullptr &&
-      cert.cache_exact.holds) {
+  // Cache exactness is a certified property (FX304): a scheme whose
+  // ranking is not provably a pure function of (ss, ks) may not reuse
+  // kExact entries, so it runs uncached rather than approximately.
+  if (opts.result_cache.tier != CacheTier::kOff && cert.cache_exact.holds) {
     run_cache.emplace(opts.result_cache.run_budget_bytes);
     cache_ctx.run = &*run_cache;
     if (opts.result_cache.tier == CacheTier::kShared) {
@@ -515,17 +425,10 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
       out->usage.cpu_ms = round_cpu.ElapsedMs();
       return;
     }
-    ShardEvalContext sctx;
-    const ShardEvalContext* sptr = nullptr;
-    if (shards != nullptr) {
-      sctx.shards = shards;
-      sctx.per_shard_counters = &out->shard_counters;
-      sptr = &sctx;
-    }
     out->answers = evaluator_.Evaluate(*plan, EvalMode::kExact, opts.k,
                                        opts.scheme, round_penalty(round),
                                        &out->counters, rc, evpool, cache,
-                                       &out->usage, sptr);
+                                       &out->usage);
     // Evaluate's usage.cpu_ms holds only its pool-worker time; adding the
     // timer completes the round's bill while the split stays recoverable.
     out->off_thread_cpu_ms = out->usage.cpu_ms;
@@ -539,13 +442,6 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
                          Span* inline_span) -> bool {
     if (out.pruned) ++result.rounds_pruned;
     result.counters.Add(out.counters);
-    // Statically pruned rounds never ran the evaluator, so they carry no
-    // per-shard deltas.
-    if (out.shard_counters.size() == shard_totals.size()) {
-      for (size_t i = 0; i < shard_totals.size(); ++i) {
-        shard_totals[i].Add(out.shard_counters[i]);
-      }
-    }
     // DPO appends: later rounds never outrank earlier ones
     // (structure-first), so no resorting — answers seen before keep
     // their earlier (higher) score.
@@ -691,7 +587,6 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
 
   SortByScheme(&result.answers, opts.scheme);
   if (result.answers.size() > opts.k) result.answers.resize(opts.k);
-  if (shards != nullptr) FillShardStats(*shards, shard_totals, &result);
   // Hand Run() only the off-coordinator CPU; it recomputes the
   // deterministic usage fields from the merged counters and adds its own
   // coordinator timer on top.
@@ -705,13 +600,8 @@ Result<TopKResult> TopKProcessor::RunEncoded(const Tpq& q,
                                              const PenaltyModel& pm,
                                              EvalMode mode,
                                              TraceCollector* trace,
-                                             ThreadPool* pool,
-                                             const ShardedCorpus* shards) {
+                                             ThreadPool* pool) {
   TopKResult result;
-  // Sharded scatter-gather attribution: every encoded pass's per-shard
-  // deltas accumulate (unlike DPO there is no speculation to discard).
-  std::vector<ExecCounters> shard_totals(
-      shards != nullptr ? shards->num_shards() : 0);
   // Budget accounting mirrors RunDpo's: the check sits between encoded
   // passes (never inside one), and a budget-free run takes no new
   // branches.
@@ -794,11 +684,9 @@ Result<TopKResult> TopKProcessor::RunEncoded(const Tpq& q,
   std::optional<ResultCache> run_cache;
   EvalCacheContext cache_ctx;
   const EvalCacheContext* cache = nullptr;
-  // As in RunDpo: sharded runs skip the cache (entries key whole-corpus
-  // tuple lists; FX310), and so do schemes whose certificate refutes
-  // cache exactness (FX304).
-  if (opts.result_cache.tier != CacheTier::kOff && shards == nullptr &&
-      cert.cache_exact.holds) {
+  // As in RunDpo: schemes whose certificate refutes cache exactness
+  // (FX304) run uncached.
+  if (opts.result_cache.tier != CacheTier::kOff && cert.cache_exact.holds) {
     run_cache.emplace(opts.result_cache.run_budget_bytes);
     cache_ctx.run = &*run_cache;
     if (opts.result_cache.tier == CacheTier::kShared) {
@@ -836,26 +724,11 @@ Result<TopKResult> TopKProcessor::RunEncoded(const Tpq& q,
     FlightRecorder::Global().Record(FlightEventType::kRoundStart, encoded);
     // SSO/Hybrid encode the whole relaxation batch into this one plan, so
     // the pass itself is the parallel unit: the evaluator fans each join
-    // step out over tuple chunks on the pool (or over shards when
-    // sharded — shards are then the work units).
-    std::vector<ExecCounters> pass_shard;
-    ShardEvalContext sctx;
-    const ShardEvalContext* sptr = nullptr;
-    if (shards != nullptr) {
-      sctx.shards = shards;
-      sctx.per_shard_counters = &pass_shard;
-      sptr = &sctx;
-    }
+    // step out over tuple chunks on the pool.
     result.answers = evaluator_.Evaluate(*plan, mode, prune ? opts.k : 0,
                                          opts.scheme, 0.0, &pass_counters,
-                                         trace, pool, cache, &pass_usage,
-                                         sptr);
+                                         trace, pool, cache, &pass_usage);
     result.counters.Add(pass_counters);
-    if (pass_shard.size() == shard_totals.size()) {
-      for (size_t i = 0; i < shard_totals.size(); ++i) {
-        shard_totals[i].Add(pass_shard[i]);
-      }
-    }
     off_thread_cpu_ms += pass_usage.cpu_ms;  // Worker CPU only, see Evaluate.
     pass_usage.cpu_ms += pass_cpu.ElapsedMs();
     AnnotateCounters(&pass_span, pass_counters);
@@ -891,34 +764,10 @@ Result<TopKResult> TopKProcessor::RunEncoded(const Tpq& q,
   }
 
   if (result.answers.size() > opts.k) result.answers.resize(opts.k);
-  if (shards != nullptr) FillShardStats(*shards, shard_totals, &result);
   // As in RunDpo: only the off-coordinator CPU travels back; Run()
   // finalizes the rest from the counters.
   result.usage.cpu_ms = off_thread_cpu_ms;
   return result;
-}
-
-Result<const ShardedCorpus*> TopKProcessor::ShardsFor(size_t num_shards) {
-  MutexLock lock(shards_mu_);
-  std::unique_ptr<ShardedCorpus>& slot = shards_[num_shards];
-  if (slot == nullptr) {
-    auto built = std::make_unique<ShardedCorpus>(
-        &index_->corpus(), index_->hierarchy(), num_shards);
-    // The partition's merged statistics must equal the full-corpus
-    // tables before either side may feed selectivity estimation — a
-    // divergence means the partition saw a different corpus than the
-    // stats did, and answers could silently differ.
-    if (stats_ != nullptr) {
-      FLEXPATH_RETURN_IF_ERROR(built->ReconcileWith(*stats_));
-    }
-    slot = std::move(built);
-  }
-  // Built (possibly long ago) against the corpus as it was then; a
-  // corpus that has grown since must be re-indexed and re-sharded, not
-  // silently rebalanced — the processor's global index is just as stale,
-  // so rebalancing here would mask the real error. RunWithShards turns
-  // the mismatch into the user-facing diagnostic.
-  return slot.get();
 }
 
 ThreadPool* TopKProcessor::PoolFor(const TopKOptions& opts) {

@@ -18,7 +18,6 @@
 #include "query/tpq.h"
 #include "rank/score.h"
 #include "relax/penalty.h"
-#include "shard/sharded_corpus.h"
 #include "stats/document_stats.h"
 #include "stats/element_index.h"
 
@@ -72,7 +71,7 @@ struct TopKOptions {
   /// built-ins always are; custom values come from Register, which
   /// refuses uncertifiable algebras) — the run consults the scheme's
   /// SchemeCertificate for every optimization decision (threshold
-  /// pruning, DPO stopping rule, shard K'-truncation, cache exactness;
+  /// pruning, DPO stopping rule, cache exactness;
   /// DESIGN.md §16), and an unregistered value is an InvalidArgument
   /// error up front.
   RankScheme scheme = RankScheme::kStructureFirst;
@@ -126,24 +125,6 @@ struct TopKOptions {
   /// Soft per-query tuple budget (ExecCounters::tuples_created), 0 to
   /// disable (the default). Same between-rounds semantics as max_cpu_ms.
   uint64_t max_tuples = 0;
-  /// Document-range shards for scatter-gather execution (DESIGN.md §15).
-  /// 0 (the default) runs the unsharded path; any value >= 1 partitions
-  /// the corpus into that many contiguous ranges (num_shards = 1 is the
-  /// degenerate one-shard partition and exercises the full scatter-
-  /// gather machinery). Per-shard partitions are built lazily on first
-  /// use and cached; a corpus mutated after that hard-errors rather than
-  /// serving answers from a stale partition. Sharding never changes
-  /// results: answers, scores, relaxation metadata and every work
-  /// counter are byte-identical to the unsharded run at any shard count
-  /// (the differential harness checks all of it). Sharding disables the
-  /// sub-plan result cache — cache entries key whole-corpus tuple lists;
-  /// a run that requested both surfaces the conflict as an FX310
-  /// warning, the query.cache_disabled_sharded metric, and a trace
-  /// annotation (see the README cache/shards tables).
-  /// Shards compose with num_threads: the thread pool fans out over
-  /// shards (and, unsharded, over tuple chunks), so threads are the
-  /// workers and shards are the work units.
-  size_t num_shards = 0;
 };
 
 struct TopKResult {
@@ -171,18 +152,6 @@ struct TopKResult {
   bool budget_exhausted = false;
   /// Execution trace; null unless TopKOptions::collect_trace was set.
   std::shared_ptr<const QueryTrace> trace;
-  /// Per-shard accounting for sharded runs (empty otherwise): what each
-  /// document-range shard contributed. The work figures cover only the
-  /// rounds/passes the result kept — discarded speculative DPO rounds
-  /// drop their per-shard counters exactly as they drop the global ones.
-  struct ShardStats {
-    DocId doc_begin = 0;
-    DocId doc_end = 0;
-    uint64_t candidates_probed = 0;
-    uint64_t tuples_created = 0;
-    size_t answers = 0;  ///< Final answers whose doc lies in this range.
-  };
-  std::vector<ShardStats> shards;
 };
 
 /// Runs top-K queries against one indexed corpus. The FleXPath
@@ -209,35 +178,18 @@ class TopKProcessor {
   Result<TopKResult> Run(const Tpq& q, Algorithm algo,
                          const TopKOptions& opts);
 
-  /// Run() with an explicit partition instead of opts.num_shards — the
-  /// seam the shard-boundary fuzzer drives with arbitrary cut points.
-  /// `shards` may be null (unsharded) and must be built over this
-  /// processor's corpus at its current generation; a generation mismatch
-  /// (the corpus grew after partitioning) is an InvalidArgument error.
-  Result<TopKResult> RunWithShards(const Tpq& q, Algorithm algo,
-                                   const TopKOptions& opts,
-                                   const ShardedCorpus* shards);
-
  private:
   // `cert` is the certificate of opts.scheme (validated non-null by
-  // RunWithShards): the stopping rules and cache decisions below read
-  // their licenses from it instead of switching on the scheme by name.
+  // Run): the stopping rules and cache decisions below read their
+  // licenses from it instead of switching on the scheme by name.
   Result<TopKResult> RunDpo(const Tpq& q, const TopKOptions& opts,
                             const SchemeCertificate& cert,
                             const PenaltyModel& pm, TraceCollector* trace,
-                            ThreadPool* pool, const ShardedCorpus* shards);
+                            ThreadPool* pool);
   Result<TopKResult> RunEncoded(const Tpq& q, const TopKOptions& opts,
                                 const SchemeCertificate& cert,
                                 const PenaltyModel& pm, EvalMode mode,
-                                TraceCollector* trace, ThreadPool* pool,
-                                const ShardedCorpus* shards);
-
-  /// The cached n-shard partition, built (and reconciled against the
-  /// full-corpus statistics) on first use. Fails with InvalidArgument
-  /// when the corpus has grown past the partition's generation — the
-  /// processor's global index is equally stale then, so rebalancing
-  /// would only hide the real error.
-  Result<const ShardedCorpus*> ShardsFor(size_t num_shards);
+                                TraceCollector* trace, ThreadPool* pool);
 
   /// The pool serving `opts.num_threads`, or null for a serial run.
   /// Pools are created on first use and cached per size for the
@@ -252,9 +204,6 @@ class TopKProcessor {
   PlanEvaluator evaluator_;
   Mutex pools_mu_;
   std::map<size_t, std::unique_ptr<ThreadPool>> pools_ GUARDED_BY(pools_mu_);
-  Mutex shards_mu_;
-  std::map<size_t, std::unique_ptr<ShardedCorpus>> shards_
-      GUARDED_BY(shards_mu_);
 };
 
 }  // namespace flexpath

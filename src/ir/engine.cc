@@ -82,20 +82,6 @@ size_t ContainsResult::CountWithTag(TagId tag) const {
   return count;
 }
 
-size_t ContainsResult::CountWithTagInRange(TagId tag, DocId doc_begin,
-                                           DocId doc_end) const {
-  // satisfying_ is sorted in global document order, so the documents of
-  // one shard form a contiguous run.
-  auto lo = std::lower_bound(satisfying_.begin(), satisfying_.end(),
-                             NodeRef{doc_begin, 0});
-  auto hi = std::lower_bound(lo, satisfying_.end(), NodeRef{doc_end, 0});
-  size_t count = 0;
-  for (auto it = lo; it != hi; ++it) {
-    if (corpus_->node(*it).tag == tag) ++count;
-  }
-  return count;
-}
-
 size_t ContainsResult::ApproxBytes() const {
   size_t bytes = sizeof(ContainsResult);
   bytes += satisfying_.capacity() * sizeof(NodeRef);

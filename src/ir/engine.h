@@ -55,14 +55,6 @@ class ContainsResult {
   /// safe to call from concurrent query workers.
   size_t CountWithTag(TagId tag) const;
 
-  /// #contains(t, FTExp) restricted to documents [doc_begin, doc_end) —
-  /// the mergeable per-shard form: summed over a partition of the corpus
-  /// it equals CountWithTag exactly (satisfying elements never span
-  /// documents). Uncached; shard reconciliation and tests call it, not
-  /// the query path.
-  size_t CountWithTagInRange(TagId tag, DocId doc_begin,
-                             DocId doc_end) const;
-
   /// Charged size of this result in the engine's LRU cache: the node and
   /// score vectors plus the sparse table (the per-tag count memo is small
   /// and grows after insertion, so it is not charged).

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "common/log.h"
-
 namespace flexpath {
 
 InvertedIndex::InvertedIndex(const Corpus* corpus, TokenizerOptions opts)
@@ -35,13 +33,7 @@ InvertedIndex::InvertedIndex(const Corpus* corpus, TokenizerOptions opts)
     }
   }
   // Documents are scanned in (doc, node) order, so each posting list is
-  // already sorted by NodeRef. Build the tf prefix sums.
-  for (auto& [term, list] : index_) {
-    list.tf_prefix.resize(list.postings.size() + 1, 0);
-    for (size_t i = 0; i < list.postings.size(); ++i) {
-      list.tf_prefix[i + 1] = list.tf_prefix[i] + list.postings[i].tf;
-    }
-  }
+  // already sorted by NodeRef.
 }
 
 InvertedIndex::InvertedIndex(const Corpus* corpus, TokenizerOptions opts,
@@ -85,41 +77,8 @@ size_t InvertedIndex::vocabulary_size() const {
 
 uint64_t InvertedIndex::SubtreeTermFrequency(const std::string& term,
                                              NodeRef context) const {
-  if (source_ != nullptr) {
-    // Key-range formulation of the in-memory search below. Subtree
-    // postings are exactly the keys in [context, first node of the same
-    // doc with start >= ctx.end); since start is monotone in NodeId the
-    // boundary node binary-searches over the (materialized) context doc.
-    const Document& doc = corpus_->doc(context.doc);
-    const NodeSpan& ctx = doc.span(context.node);
-    NodeId lo_node = context.node;
-    NodeId hi_node = static_cast<NodeId>(doc.size());
-    while (lo_node < hi_node) {
-      const NodeId mid = lo_node + (hi_node - lo_node) / 2;
-      if (doc.span(mid).start < ctx.end) {
-        lo_node = mid + 1;
-      } else {
-        hi_node = mid;
-      }
-    }
-    const uint64_t lo_key =
-        (static_cast<uint64_t>(context.doc) << 32) | context.node;
-    const uint64_t hi_key =
-        lo_node < doc.size()
-            ? (static_cast<uint64_t>(context.doc) << 32) | lo_node
-            : (static_cast<uint64_t>(context.doc) + 1) << 32;
-    Result<uint64_t> sum = source_->RangeTermFrequency(term, lo_key, hi_key);
-    if (!sum.ok()) {
-      FLEXPATH_LOG_ERROR("storage", "range term frequency failed",
-                         {"term", term},
-                         {"error", sum.status().ToString()});
-      return 0;
-    }
-    return sum.value();
-  }
-  auto it = index_.find(term);
-  if (it == index_.end()) return 0;
-  const PostingList* list = &it->second;
+  const std::shared_ptr<const PostingList> list = Find(term);
+  if (list == nullptr) return 0;
   const NodeSpan& ctx = corpus_->span(context);
   // Subtree postings form a contiguous run: same doc, start in
   // [ctx.start, ctx.end). Binary-search the run boundaries.
@@ -134,9 +93,9 @@ uint64_t InvertedIndex::SubtreeTermFrequency(const std::string& term,
         return p.node.doc == context.doc &&
                corpus_->span(p.node).start < ctx.end;
       });
-  size_t lo = static_cast<size_t>(lower - list->postings.begin());
-  size_t hi = static_cast<size_t>(upper - list->postings.begin());
-  return list->tf_prefix[hi] - list->tf_prefix[lo];
+  uint64_t sum = 0;
+  for (auto p = lower; p != upper; ++p) sum += p->tf;
+  return sum;
 }
 
 void InvertedIndex::ForEachTerm(

@@ -22,20 +22,16 @@ struct Posting {
   std::vector<uint32_t> positions;  ///< Token offsets within the element.
 };
 
-/// A term's posting list, sorted by NodeRef (global document order), plus
-/// a prefix-sum over tf for O(log n) subtree frequency queries.
+/// A term's posting list, sorted by NodeRef (global document order).
 struct PostingList {
   std::vector<Posting> postings;
-  std::vector<uint64_t> tf_prefix;  ///< tf_prefix[i] = sum of tf[0..i).
 };
 
 /// On-demand provider of posting lists. A packed corpus
 /// (storage/reader.h) implements this over its block-compressed posting
 /// section: term metadata (df, total tf) is answered from the term
-/// directory without decoding, full lists decode into the buffer pool,
-/// and range term-frequency sums seek via per-block skip entries (tf
-/// prefix sums in SkipEntry::aggregate) so only boundary blocks decode.
-/// Declared here so ir/ stays independent of storage/.
+/// directory without decoding, and full lists decode into the buffer
+/// pool. Declared here so ir/ stays independent of storage/.
 class PostingSource {
  public:
   virtual ~PostingSource() = default;
@@ -49,13 +45,6 @@ class PostingSource {
   /// for unknown terms. The shared_ptr pins the list against eviction.
   virtual std::shared_ptr<const PostingList> FindPostings(
       const std::string& term) const = 0;
-
-  /// Sum of tf over postings whose NodeRef key ((doc << 32) | node) lies
-  /// in [lo_key, hi_key). Seeks via skip entries; decodes at most the
-  /// two boundary blocks. Errors (corrupt blocks) surface as Status.
-  virtual Result<uint64_t> RangeTermFrequency(const std::string& term,
-                                              uint64_t lo_key,
-                                              uint64_t hi_key) const = 0;
 
   /// Number of distinct terms in the directory.
   virtual size_t TermCount() const = 0;
@@ -103,11 +92,10 @@ class InvertedIndex {
   const TokenizerOptions& tokenizer_options() const { return opts_; }
 
   /// Sum of tf of `term` over all elements in the subtree of `context`
-  /// (inclusive). O(log |postings|) via prefix sums in memory; in packed
-  /// mode a skip-entry range seek that decodes at most two blocks. The
-  /// engine scores by one merge walk per term instead
-  /// (IrEngine::AddTermScores); this per-node form is the reference the
-  /// tests compare that walk against.
+  /// (inclusive), in either mode: a binary search for the subtree's
+  /// posting run, then a plain sum over it. The engine scores by one
+  /// merge walk per term instead (IrEngine::AddTermScores); this
+  /// per-node form is the reference the tests compare that walk against.
   uint64_t SubtreeTermFrequency(const std::string& term,
                                 NodeRef context) const;
 

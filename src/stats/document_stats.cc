@@ -40,12 +40,7 @@ class TagSet {
 
 }  // namespace
 
-DocumentStats::DocumentStats(const Corpus* corpus)
-    : DocumentStats(corpus, 0, static_cast<DocId>(corpus->size())) {}
-
-DocumentStats::DocumentStats(const Corpus* corpus, DocId doc_begin,
-                             DocId doc_end)
-    : corpus_(corpus), doc_begin_(doc_begin), doc_end_(doc_end) {
+DocumentStats::DocumentStats(const Corpus* corpus) : corpus_(corpus) {
   const size_t num_tags = corpus_->tags().size();
   tag_counts_.assign(num_tags, 0);
   const size_t words = (num_tags + 63) / 64;
@@ -59,7 +54,7 @@ DocumentStats::DocumentStats(const Corpus* corpus, DocId doc_begin,
     Frame(NodeId n, size_t w) : node(n), desc(w), child(w) {}
   };
 
-  for (DocId d = doc_begin_; d < doc_end_; ++d) {
+  for (DocId d = 0; d < corpus_->size(); ++d) {
     const Document& doc = corpus_->doc(d);
     std::vector<Frame> stack;
     auto pop = [&]() {
@@ -97,8 +92,6 @@ DocumentStats::DocumentStats(const Corpus* corpus, DocId doc_begin,
 
 DocumentStats::DocumentStats(const Corpus* corpus, Tables tables)
     : corpus_(corpus),
-      doc_begin_(0),
-      doc_end_(static_cast<DocId>(corpus->size())),
       tag_counts_(std::move(tables.tag_counts)),
       pc_counts_(std::move(tables.pc_counts)),
       ad_counts_(std::move(tables.ad_counts)),

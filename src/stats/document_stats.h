@@ -42,13 +42,6 @@ class DocumentStats {
   /// Snapshot of the tables for serialization.
   Tables ExportTables() const;
 
-  /// Statistics over documents [doc_begin, doc_end) only — one shard's
-  /// tables. Every statistic is a per-document sum (pairs never cross
-  /// documents), so shard tables over a partition of the corpus merge
-  /// *exactly* to the full-corpus tables; ShardedCorpus::ReconcileWith
-  /// verifies that identity at shard-build time (DESIGN.md §15).
-  DocumentStats(const Corpus* corpus, DocId doc_begin, DocId doc_end);
-
   DocumentStats(const DocumentStats&) = delete;
   DocumentStats& operator=(const DocumentStats&) = delete;
 
@@ -70,41 +63,12 @@ class DocumentStats {
 
   const Corpus& corpus() const { return *corpus_; }
 
-  /// Document range these statistics cover: [doc_begin, doc_end).
-  DocId doc_begin() const { return doc_begin_; }
-  DocId doc_end() const { return doc_end_; }
-
-  /// Number of tag-count slots (the tag alphabet size at build time).
-  size_t NumTags() const { return tag_counts_.size(); }
-
-  /// Visit every nonzero pair statistic as fn(t1, t2, count) — the
-  /// iteration shard reconciliation sums over. Order is unspecified.
-  template <typename Fn>
-  void ForEachPcCount(Fn&& fn) const { ForEachPair(pc_counts_, fn); }
-  template <typename Fn>
-  void ForEachAdCount(Fn&& fn) const { ForEachPair(ad_counts_, fn); }
-  template <typename Fn>
-  void ForEachPcExists(Fn&& fn) const { ForEachPair(pc_exists_, fn); }
-  template <typename Fn>
-  void ForEachAdExists(Fn&& fn) const { ForEachPair(ad_exists_, fn); }
-
  private:
   static uint64_t PairKey(TagId a, TagId b) {
     return (static_cast<uint64_t>(a) << 32) | b;
   }
 
-  template <typename Fn>
-  static void ForEachPair(const std::unordered_map<uint64_t, uint64_t>& m,
-                          Fn&& fn) {
-    for (const auto& [key, count] : m) {
-      fn(static_cast<TagId>(key >> 32),
-         static_cast<TagId>(key & 0xffffffffULL), count);
-    }
-  }
-
   const Corpus* corpus_;
-  DocId doc_begin_ = 0;
-  DocId doc_end_ = 0;
   std::vector<uint64_t> tag_counts_;
   std::unordered_map<uint64_t, uint64_t> pc_counts_;
   std::unordered_map<uint64_t, uint64_t> ad_counts_;

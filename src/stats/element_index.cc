@@ -18,20 +18,11 @@ size_t MergedBytes(const std::vector<NodeRef>& list) {
 
 ElementIndex::ElementIndex(const Corpus* corpus,
                            const TypeHierarchy* hierarchy)
-    : ElementIndex(corpus, hierarchy, 0,
-                   static_cast<DocId>(corpus->size())) {}
-
-ElementIndex::ElementIndex(const Corpus* corpus,
-                           const TypeHierarchy* hierarchy, DocId doc_begin,
-                           DocId doc_end)
     : corpus_(corpus),
       hierarchy_(hierarchy),
-      doc_begin_(doc_begin),
-      doc_end_(doc_end),
-      source_generation_(corpus->generation()),
       merged_(kDefaultMergedBudgetBytes) {
   by_tag_.resize(corpus_->tags().size());
-  for (DocId d = doc_begin_; d < doc_end_; ++d) {
+  for (DocId d = 0; d < corpus_->size(); ++d) {
     const Document& doc = corpus_->doc(d);
     for (NodeId n = 0; n < doc.size(); ++n) {
       const TagId tag = doc.node(n).tag;
@@ -45,25 +36,8 @@ ElementIndex::ElementIndex(const Corpus* corpus,
                            std::shared_ptr<const ElementTableSource> source)
     : corpus_(corpus),
       hierarchy_(hierarchy),
-      doc_begin_(0),
-      doc_end_(static_cast<DocId>(corpus->size())),
-      source_generation_(corpus->generation()),
       table_source_(std::move(source)),
       merged_(kDefaultMergedBudgetBytes) {}
-
-size_t ElementIndex::OutstandingPins() const {
-  MutexLock lock(merged_mu_);
-  size_t pinned = 0;
-  merged_.ForEach(
-      [&](const TagId& /*tag*/,
-          const std::shared_ptr<const std::vector<NodeRef>>& list,
-          size_t /*bytes*/) {
-        // The cache itself holds one reference; anything above that is a
-        // live ScanHandle (or a copy of one) still pinning the list.
-        if (list.use_count() > 1) ++pinned;
-      });
-  return pinned;
-}
 
 ScanHandle ElementIndex::Scan(TagId tag) const {
   if (tag == kInvalidTag) return ScanHandle(&empty_);

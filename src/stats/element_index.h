@@ -91,15 +91,6 @@ class ElementIndex {
   explicit ElementIndex(const Corpus* corpus,
                         const TypeHierarchy* hierarchy = nullptr);
 
-  /// Builds an index restricted to documents [doc_begin, doc_end) of
-  /// `corpus` — the per-shard access path of sharded execution (DESIGN.md
-  /// §15). NodeRefs stay *global* (they name documents of the full
-  /// corpus), so tuples produced against a shard index join and rank
-  /// exactly as they would against the full index; each scan list is the
-  /// full index's list restricted to the shard's document range.
-  ElementIndex(const Corpus* corpus, const TypeHierarchy* hierarchy,
-               DocId doc_begin, DocId doc_end);
-
   /// Builds a *packed* index: no corpus pass, no in-memory by-tag lists.
   /// Scans are answered by `source` (the packed reader's element section)
   /// and Count() by its directory — this is what makes OpenPacked O(1)
@@ -138,28 +129,9 @@ class ElementIndex {
   const Corpus& corpus() const { return *corpus_; }
   const TypeHierarchy* hierarchy() const { return hierarchy_; }
 
-  /// Document range this index covers: [doc_begin, doc_end). The default
-  /// constructor covers the whole corpus.
-  DocId doc_begin() const { return doc_begin_; }
-  DocId doc_end() const { return doc_end_; }
-
-  /// Corpus::generation() at build time. A later Corpus::Add leaves the
-  /// index silently stale; sharded execution compares this against the
-  /// live generation and hard-errors on mismatch (DESIGN.md §15).
-  uint64_t source_generation() const { return source_generation_; }
-
-  /// Merged-scan cache entries currently pinned by a live ScanHandle
-  /// somewhere (shared use_count above the cache's own reference). Zero
-  /// once every handle from this index has been dropped — the leak check
-  /// the sharded differential suite asserts after scatter-gather runs.
-  size_t OutstandingPins() const;
-
  private:
   const Corpus* corpus_;
   const TypeHierarchy* hierarchy_;
-  DocId doc_begin_ = 0;
-  DocId doc_end_ = 0;
-  uint64_t source_generation_ = 0;
   std::vector<std::vector<NodeRef>> by_tag_;  ///< Indexed by TagId.
   /// Packed mode: lists come from here instead of by_tag_ (which stays
   /// empty). Shared with the StorageReader that owns the mapping.

@@ -25,10 +25,6 @@ NodeRef RefOf(uint64_t key) {
                  static_cast<NodeId>(key & 0xffffffffULL)};
 }
 
-uint64_t KeyOf(NodeRef ref) {
-  return (static_cast<uint64_t>(ref.doc) << 32) | ref.node;
-}
-
 /// Reads a varint-length-prefixed string.
 Status GetString(std::string_view data, size_t* pos, std::string* out) {
   uint64_t len = 0;
@@ -56,7 +52,6 @@ size_t PostingListBytes(const PostingList& list) {
   for (const Posting& p : list.postings) {
     bytes += p.positions.capacity() * sizeof(uint32_t);
   }
-  bytes += list.tf_prefix.capacity() * sizeof(uint64_t);
   return bytes;
 }
 
@@ -94,22 +89,6 @@ bool NestsLikeBuilder(const std::vector<Element>& nodes,
                    (spans[sib].end < start) &
                    (nodes[sib].next_sibling == n) &
                    (spans[n - 1].end < start)));
-}
-
-/// First index in [0, n) whose skip first_key is >= key, by binary
-/// search over the mmap'd skip slice.
-size_t SkipLowerBound(const SkipEntry* skips, size_t n, uint64_t key) {
-  size_t lo = 0;
-  size_t hi = n;
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (skips[mid].first_key < key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
 }
 
 Status DecodePairMap(std::string_view data, size_t* pos,
@@ -611,69 +590,9 @@ std::shared_ptr<const PostingList> StorageReader::FindPostings(
                        {"term", term}, {"error", decoded.ToString()});
     list->postings.clear();
   }
-  list->tf_prefix.resize(list->postings.size() + 1, 0);
-  for (size_t i = 0; i < list->postings.size(); ++i) {
-    list->tf_prefix[i + 1] = list->tf_prefix[i] + list->postings[i].tf;
-  }
   std::shared_ptr<const PostingList> owned = std::move(list);
   post_pool_.Put(static_cast<uint32_t>(idx), owned, PostingListBytes(*owned));
   return owned;
-}
-
-Result<uint64_t> StorageReader::RangeTermFrequency(const std::string& term,
-                                                   uint64_t lo_key,
-                                                   uint64_t hi_key) const {
-  static Counter* m_seeks =
-      MetricsRegistry::Global().counter("storage.range_tf_seeks");
-  if (lo_key >= hi_key) return uint64_t{0};
-  const int64_t idx = FindTermIndex(term);
-  if (idx < 0) return uint64_t{0};
-  const TermDirRecord& rec = term_dir_[idx];
-  // Pooled fast path: an already-decoded list answers from its prefix
-  // sums, exactly like the in-memory index.
-  {
-    MutexLock lock(post_pool_mu_);
-    if (std::shared_ptr<const PostingList> list =
-            post_pool_.Get(static_cast<uint32_t>(idx))) {
-      ++post_hits_;
-      auto lower = [&](uint64_t key) {
-        auto it = std::lower_bound(
-            list->postings.begin(), list->postings.end(), key,
-            [](const Posting& p, uint64_t k) { return KeyOf(p.node) < k; });
-        return static_cast<size_t>(it - list->postings.begin());
-      };
-      return list->tf_prefix[lower(hi_key)] - list->tf_prefix[lower(lo_key)];
-    }
-  }
-  m_seeks->Inc();
-  const SkipEntry* skips = post_skips_ + rec.skip_index;
-  const std::string_view bytes =
-      Section(kSecPostBlocks)
-          .substr(static_cast<size_t>(rec.post_offset),
-                  static_cast<size_t>(rec.post_length));
-  // F(key) = sum of tf over postings with node key < `key`; the answer
-  // is F(hi) - F(lo). Block b = the last block whose first key is below
-  // `key`: earlier blocks are wholly below (their tf is the skip
-  // aggregate), later ones wholly at-or-above, so only block b decodes.
-  std::vector<Posting> block;
-  auto prefix_tf = [&](uint64_t key) -> Result<uint64_t> {
-    const size_t at_or_above = SkipLowerBound(skips, rec.skip_count, key);
-    if (at_or_above == 0) return uint64_t{0};
-    const SkipEntry& skip = skips[at_or_above - 1];
-    block.clear();
-    FLEXPATH_RETURN_IF_ERROR(DecodePostingBlock(bytes, skip, &block));
-    uint64_t partial = 0;
-    for (const Posting& p : block) {
-      if (KeyOf(p.node) >= key) break;
-      partial += p.tf;
-    }
-    return skip.aggregate + partial;
-  };
-  Result<uint64_t> hi = prefix_tf(hi_key);
-  if (!hi.ok()) return hi.status();
-  Result<uint64_t> lo = prefix_tf(lo_key);
-  if (!lo.ok()) return lo.status();
-  return hi.value() - lo.value();
 }
 
 StorageReader::PoolStats StorageReader::GetElemPoolStats() const {

@@ -103,9 +103,6 @@ class StorageReader : public CorpusBacking,
                 uint64_t* total_tf) const override;
   std::shared_ptr<const PostingList> FindPostings(
       const std::string& term) const override;
-  Result<uint64_t> RangeTermFrequency(const std::string& term,
-                                      uint64_t lo_key,
-                                      uint64_t hi_key) const override;
   size_t TermCount() const override {
     return static_cast<size_t>(header_.term_count);
   }

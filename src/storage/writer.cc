@@ -71,8 +71,8 @@ void EncodePairMap(const std::unordered_map<uint64_t, uint64_t>& m,
 /// Encodes one posting list as interleaved delta blocks: per posting a
 /// key (absolute for the block's first posting, delta otherwise), the
 /// tf, then tf position values (first absolute, rest deltas). One
-/// SkipEntry per block with aggregate = tf prefix sum before the block,
-/// which is what RangeTermFrequency seeks on.
+/// SkipEntry per block with aggregate = tf prefix sum before the block
+/// (part of the format; the reader does not consult it).
 Status EncodePostingBlocks(const PostingList& list, std::string* out,
                            std::vector<SkipEntry>* skips) {
   const size_t base = out->size();
@@ -227,7 +227,8 @@ Status WritePackedCorpus(const Corpus& corpus, const TokenizerOptions& opts,
       rec.str_length = static_cast<uint32_t>(term.size());
       strings.append(term);
       rec.df = static_cast<uint32_t>(list->postings.size());
-      rec.total_tf = list->tf_prefix.empty() ? 0 : list->tf_prefix.back();
+      rec.total_tf = 0;
+      for (const Posting& p : list->postings) rec.total_tf += p.tf;
       rec.post_offset = blocks.size();
       rec.skip_index = skips.size();
       std::vector<SkipEntry> term_skips;

@@ -224,94 +224,27 @@ TEST(DifferentialTest, SerialMatchesParallelForAllAlgorithms) {
   }
 }
 
-// 3. Sharded vs unsharded, full cross product: algorithm × rank scheme ×
-// K × shard count × thread count. The scatter-gather path (DESIGN.md
-// §15) promises byte-identity with the serial unsharded run — ranked
+// 3. Packed vs in-memory, full cross product: algorithm × rank scheme ×
+// thread count. One FlexPath instance builds in memory; a second opens
+// the packed file the first saved. The storage engine's contract
+// (DESIGN.md §17) is byte-identity of everything result-shaped — ranked
 // answers with scores, relaxation metadata, and every execution counter
-// (including the phase-level sort counters and the bucket peak, which
-// the sharded path must reconstruct as global quantities). num_shards=1
-// is deliberately in the matrix: the one-shard partition runs the whole
-// scatter-gather machinery and must still match.
-TEST(DifferentialTest, ShardedMatchesSingleShardForAllAlgorithms) {
-  constexpr Algorithm kAlgos[] = {Algorithm::kDpo, Algorithm::kSso,
-                                  Algorithm::kHybrid};
-  constexpr RankScheme kSchemes[] = {RankScheme::kStructureFirst,
-                                     RankScheme::kKeywordFirst,
-                                     RankScheme::kCombined};
-  constexpr size_t kShardCounts[] = {1, 2, 3, 8};
-  constexpr size_t kThreadCounts[] = {1, 4};
-  constexpr size_t kKs[] = {1, 3, 10};
-
-  Rng rng(20260808);
-  for (int iter = 0; iter < 30; ++iter) {
-    Rig rig(&rng, 6, 90);
-    TopKProcessor processor(rig.index.get(), rig.stats.get(), rig.ir.get());
-    const Tpq q = testing_util::RandomTpq(&rng, rig.corpus.tags(), 5);
-    const RankScheme scheme = kSchemes[iter % 3];
-
-    for (Algorithm algo : kAlgos) {
-      for (size_t k : kKs) {
-        TopKOptions opts;
-        opts.k = k;
-        opts.scheme = scheme;
-        opts.num_threads = 1;
-        Result<TopKResult> baseline = processor.Run(q, algo, opts);
-        ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-        const std::string reference = Fingerprint(*baseline);
-
-        for (size_t shards : kShardCounts) {
-          for (size_t threads : kThreadCounts) {
-            opts.num_shards = shards;
-            opts.num_threads = threads;
-            Result<TopKResult> sharded = processor.Run(q, algo, opts);
-            ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-
-            std::string label = std::string("iter ") + std::to_string(iter) +
-                                " " + AlgorithmName(algo) + " " +
-                                SchemeName(scheme) +
-                                " k=" + std::to_string(k) +
-                                " shards=" + std::to_string(shards) +
-                                " threads=" + std::to_string(threads);
-            EXPECT_EQ(Fingerprint(*sharded), reference) << label;
-            // Shard attribution must cover the partition and charge
-            // every final answer to the shard owning its document.
-            ASSERT_EQ(sharded->shards.size(), shards) << label;
-            size_t answers = 0;
-            uint64_t probed = 0;
-            for (const TopKResult::ShardStats& s : sharded->shards) {
-              answers += s.answers;
-              probed += s.candidates_probed;
-            }
-            EXPECT_EQ(answers, sharded->answers.size()) << label;
-            EXPECT_EQ(probed, sharded->counters.candidates_probed) << label;
-          }
-        }
-        opts.num_shards = 0;
-      }
-    }
-  }
-}
-
-// 4. Packed vs in-memory, full cross product: algorithm × rank scheme ×
-// shard count × thread count. One FlexPath instance builds in memory;
-// a second opens the packed file the first saved. The storage engine's
-// contract (DESIGN.md §17) is byte-identity of everything result-shaped
-// — ranked answers with scores, relaxation metadata, and every
-// execution counter — because the packed read path serves exactly the
-// structures the in-memory build holds, just lazily and from the mmap.
+// — because the packed read path serves exactly the structures the
+// in-memory build holds, just lazily and from the mmap.
 TEST(DifferentialTest, PackedMatchesInMemory) {
   constexpr Algorithm kAlgos[] = {Algorithm::kDpo, Algorithm::kSso,
                                   Algorithm::kHybrid};
   constexpr RankScheme kSchemes[] = {RankScheme::kStructureFirst,
                                      RankScheme::kKeywordFirst,
                                      RankScheme::kCombined};
-  constexpr size_t kShardCounts[] = {1, 2};
   constexpr size_t kThreadCounts[] = {1, 4};
 
   Rng rng(20260809);
   FlexPath mem;
   for (int i = 0; i < 6; ++i) {
-    mem.AddDocument(testing_util::RandomDocument(&rng, mem.tags(), 90));
+    ASSERT_TRUE(
+        mem.AddDocument(testing_util::RandomDocument(&rng, mem.tags(), 90))
+            .ok());
   }
   const std::string path =
       ::testing::TempDir() + "/flexpath_diff_packed.fxp";
@@ -329,26 +262,22 @@ TEST(DifferentialTest, PackedMatchesInMemory) {
       TopKOptions opts;
       opts.k = 10;
       opts.scheme = scheme;
-      for (size_t shards : kShardCounts) {
-        for (size_t threads : kThreadCounts) {
-          opts.num_shards = shards;
-          opts.num_threads = threads;
-          Result<TopKResult> a = mem.QueryTpq(q, opts, algo, "diff");
-          Result<TopKResult> b = packed.QueryTpq(q, opts, algo, "diff");
-          ASSERT_TRUE(a.ok()) << a.status().ToString();
-          ASSERT_TRUE(b.ok()) << b.status().ToString();
-          EXPECT_EQ(Fingerprint(*b), Fingerprint(*a))
-              << "iter " << iter << " " << AlgorithmName(algo) << " "
-              << SchemeName(scheme) << " shards=" << shards
-              << " threads=" << threads;
-        }
+      for (size_t threads : kThreadCounts) {
+        opts.num_threads = threads;
+        Result<TopKResult> a = mem.QueryTpq(q, opts, algo, "diff");
+        Result<TopKResult> b = packed.QueryTpq(q, opts, algo, "diff");
+        ASSERT_TRUE(a.ok()) << a.status().ToString();
+        ASSERT_TRUE(b.ok()) << b.status().ToString();
+        EXPECT_EQ(Fingerprint(*b), Fingerprint(*a))
+            << "iter " << iter << " " << AlgorithmName(algo) << " "
+            << SchemeName(scheme) << " threads=" << threads;
       }
     }
   }
   std::remove(path.c_str());
 }
 
-// 5. Determinism under repetition: the same Hybrid top-K on an 8-thread
+// 4. Determinism under repetition: the same Hybrid top-K on an 8-thread
 // pool, 20 times over — every repetition must produce a byte-identical
 // fingerprint (ranked answers with scores, penalty_applied, counters).
 // A scheduling-dependent merge would make this flake immediately.

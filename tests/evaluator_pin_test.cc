@@ -52,10 +52,10 @@ std::string Pin(const TopKResult& r) {
 struct PinCase {
   PinCase(const char* name_, const char* xpath_, Algorithm algo_, size_t k_,
           const char* expect_, size_t threads_ = 1,
-          CacheTier cache_ = CacheTier::kOff, size_t shards_ = 0,
+          CacheTier cache_ = CacheTier::kOff,
           RankScheme scheme_ = RankScheme::kStructureFirst)
       : name(name_), xpath(xpath_), algo(algo_), k(k_), expect(expect_),
-        threads(threads_), cache(cache_), shards(shards_), scheme(scheme_) {}
+        threads(threads_), cache(cache_), scheme(scheme_) {}
 
   const char* name;
   const char* xpath;
@@ -64,7 +64,6 @@ struct PinCase {
   const char* expect;
   size_t threads;
   CacheTier cache;
-  size_t shards;
   RankScheme scheme;
 };
 
@@ -74,7 +73,6 @@ TopKOptions OptionsFor(const PinCase& c) {
   opts.scheme = c.scheme;
   opts.num_threads = c.threads;
   opts.result_cache.tier = c.cache;
-  opts.num_shards = c.shards;
   return opts;
 }
 
@@ -105,8 +103,8 @@ constexpr Algorithm kSso = Algorithm::kSso;
 constexpr Algorithm kHybrid = Algorithm::kHybrid;
 
 // Q1-Q3 x DPO/SSO/Hybrid x k in {10, 50, 500} on one 1 MB XMark
-// document (seed 42), serial; plus 4-thread, cached, sharded and
-// full-text runs of the same document.
+// document (seed 42), serial; plus 4-thread, cached and full-text runs
+// of the same document.
 TEST(EvaluatorPinTest, XMarkOneMegabyte) {
   FlexPath fp;
   XMarkOptions xo;
@@ -114,7 +112,7 @@ TEST(EvaluatorPinTest, XMarkOneMegabyte) {
   xo.seed = 42;
   Result<Document> doc = GenerateXMark(xo, fp.tags());
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  fp.AddDocument(std::move(doc).value());
+  ASSERT_TRUE(fp.AddDocument(std::move(doc).value()).ok());
   ASSERT_TRUE(fp.Build().ok());
 
   const std::vector<PinCase> cases = {
@@ -299,6 +297,12 @@ TEST(EvaluatorPinTest, XMarkOneMegabyte) {
        "tuples_pruned=3395 score_sorts=0 score_sorted_items=0 "
        "buckets_peak=176 rounds_pruned_static=0 cache_step_hits=0 "
        "cache_step_misses=0 tuples_excluded=0", 4},
+      {"Q3/SSO/500/threads=4", kQ3, kSso, 500,
+       "answers=500 digest=ee42f6f7e20c195d relaxations=24 dropped=38 "
+       "plan_passes=2 candidates_probed=97518 tuples_created=98883 "
+       "tuples_pruned=3457 score_sorts=22 score_sorted_items=35744 "
+       "buckets_peak=0 rounds_pruned_static=0 cache_step_hits=0 "
+       "cache_step_misses=0 tuples_excluded=0", 4},
       // Cached prefixes and incremental DPO's answer exclusion.
       {"Q3/DPO/50/cache=run", kQ3, kDpo, 50,
        "answers=50 digest=ccd3a7cf3155d5cb relaxations=7 dropped=10 "
@@ -312,33 +316,20 @@ TEST(EvaluatorPinTest, XMarkOneMegabyte) {
        "tuples_pruned=2194 score_sorts=0 score_sorted_items=0 "
        "buckets_peak=12 rounds_pruned_static=0 cache_step_hits=0 "
        "cache_step_misses=24 tuples_excluded=0", 1, CacheTier::kRun},
-      // Per-shard pipelines and the null-live merge.
-      {"Q3/SSO/500/shards=3", kQ3, kSso, 500,
-       "answers=500 digest=ee42f6f7e20c195d relaxations=24 dropped=38 "
-       "plan_passes=2 candidates_probed=97518 tuples_created=98883 "
-       "tuples_pruned=3457 score_sorts=22 score_sorted_items=35744 "
-       "buckets_peak=0 rounds_pruned_static=0 cache_step_hits=0 "
-       "cache_step_misses=0 tuples_excluded=0", 4, CacheTier::kOff, 3},
-      {"Q3/Hybrid/50/shards=3", kQ3, kHybrid, 50,
-       "answers=50 digest=bfb37eea6410d5c5 relaxations=9 dropped=18 "
-       "plan_passes=2 candidates_probed=27456 tuples_created=29295 "
-       "tuples_pruned=2194 score_sorts=0 score_sorted_items=0 "
-       "buckets_peak=12 rounds_pruned_static=0 cache_step_hits=0 "
-       "cache_step_misses=0 tuples_excluded=0", 1, CacheTier::kOff, 3},
       // Contains predicates and keyword-scoring chains.
       {"Ft/DPO/50/combined", kFt, kDpo, 50,
        "answers=50 digest=c5b6c90818cd6153 relaxations=15 dropped=22 "
        "plan_passes=16 candidates_probed=45691 tuples_created=58910 "
        "tuples_pruned=0 score_sorts=0 score_sorted_items=0 "
        "buckets_peak=0 rounds_pruned_static=0 cache_step_hits=0 "
-       "cache_step_misses=0 tuples_excluded=0", 1, CacheTier::kOff, 0,
+       "cache_step_misses=0 tuples_excluded=0", 1, CacheTier::kOff,
        RankScheme::kCombined},
       {"Ft/SSO/50/combined", kFt, kSso, 50,
        "answers=50 digest=8b3bd886780f2a78 relaxations=15 dropped=22 "
        "plan_passes=1 candidates_probed=1633 tuples_created=825 "
        "tuples_pruned=4 score_sorts=10 score_sorted_items=794 "
        "buckets_peak=0 rounds_pruned_static=0 cache_step_hits=0 "
-       "cache_step_misses=0 tuples_excluded=0", 1, CacheTier::kOff, 0,
+       "cache_step_misses=0 tuples_excluded=0", 1, CacheTier::kOff,
        RankScheme::kCombined},
       {"Ft/Hybrid/50/keyword-first", kFt, kHybrid, 50,
        "answers=50 digest=1e54a65cd8dd046b relaxations=15 dropped=22 "
@@ -346,7 +337,7 @@ TEST(EvaluatorPinTest, XMarkOneMegabyte) {
        "tuples_pruned=0 score_sorts=0 score_sorted_items=0 "
        "buckets_peak=11 rounds_pruned_static=0 cache_step_hits=0 "
        "cache_step_misses=0 tuples_excluded=0", 1,
-       CacheTier::kOff, 0, RankScheme::kKeywordFirst},
+       CacheTier::kOff, RankScheme::kKeywordFirst},
   };
   RunPins(&fp, cases);
 }
@@ -363,7 +354,7 @@ TEST(EvaluatorPinTest, PackedCollection) {
       xo.seed = seed;
       Result<Document> doc = GenerateXMark(xo, writer.tags());
       ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-      writer.AddDocument(std::move(doc).value());
+      ASSERT_TRUE(writer.AddDocument(std::move(doc).value()).ok());
     }
     ASSERT_TRUE(writer.SavePacked(path).ok());
   }

@@ -2,11 +2,9 @@
 // never crash the parsers — they either parse or return a ParseError —
 // and the thread-pool primitives must survive adversarial usage
 // (concurrent submitters, tasks spawning tasks, teardown under load,
-// exceptions, empty fan-outs). Plus shard-boundary fuzzing: random
-// partition cut points must never change a query's answer digest, and
-// storage fuzzing: the packed-corpus codec round-trips adversarial key
-// sequences, and a StorageReader fed corrupted pages returns a Status
-// (or correct data) — never a crash.
+// exceptions, empty fan-outs). Plus storage fuzzing: the packed-corpus
+// codec round-trips adversarial key sequences, and a StorageReader fed
+// corrupted pages returns a Status (or correct data) — never a crash.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -22,15 +20,8 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "exec/topk.h"
-#include "ir/engine.h"
 #include "ir/ft_expr.h"
 #include "query/xpath_parser.h"
-#include "rank/score.h"
-#include "shard/partition.h"
-#include "shard/sharded_corpus.h"
-#include "stats/document_stats.h"
-#include "stats/element_index.h"
 #include "storage/codec.h"
 #include "storage/reader.h"
 #include "storage/writer.h"
@@ -232,52 +223,6 @@ TEST(ThreadPoolFuzzTest, ParallelForZeroTasksAndEdgeChunks) {
   }
 }
 
-// --- Shard boundaries ------------------------------------------------------
-
-// Shard-boundary fuzzing: answers must be invariant under *any*
-// placement of shard cut points — random counts, duplicates, cuts at 0
-// or past the corpus end, empty shards anywhere. Each partition's run
-// must digest identically to the unsharded run of the same query.
-TEST(FuzzTest, ShardBoundariesNeverChangeAnswers) {
-  Rng rng(1006);
-  Corpus corpus;
-  for (int i = 0; i < 7; ++i) {
-    corpus.Add(testing_util::RandomDocument(&rng, corpus.tags(), 60));
-  }
-  ElementIndex index(&corpus);
-  DocumentStats stats(&corpus);
-  IrEngine ir(&corpus);
-  TopKProcessor processor(&index, &stats, &ir);
-  constexpr Algorithm kAlgos[] = {Algorithm::kDpo, Algorithm::kSso,
-                                  Algorithm::kHybrid};
-
-  for (int iter = 0; iter < 60; ++iter) {
-    const Tpq q = testing_util::RandomTpq(&rng, corpus.tags(), 4);
-    const Algorithm algo = kAlgos[iter % 3];
-    TopKOptions opts;
-    opts.k = 1 + rng.Uniform(8);
-    opts.num_threads = 1 + rng.Uniform(4);
-    Result<TopKResult> baseline =
-        processor.RunWithShards(q, algo, opts, nullptr);
-    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-    const uint64_t reference = AnswersDigest(baseline->answers);
-
-    // Random cut points, deliberately unclamped: duplicates and values
-    // past the corpus end are PartitionAtCuts's job to tolerate.
-    std::vector<DocId> cuts(rng.Uniform(6));
-    for (DocId& c : cuts) {
-      c = static_cast<DocId>(rng.Uniform(corpus.size() + 3));
-    }
-    ShardedCorpus sharded(&corpus, nullptr,
-                          PartitionAtCuts(corpus.size(), cuts));
-    Result<TopKResult> result =
-        processor.RunWithShards(q, algo, opts, &sharded);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(AnswersDigest(result->answers), reference)
-        << "iter " << iter << " shards=" << sharded.num_shards();
-  }
-}
-
 // --- Packed storage --------------------------------------------------------
 
 // Codec round-trip fuzzing with adversarial delta shapes: runs of
@@ -404,7 +349,6 @@ TEST(FuzzTest, StorageReaderSurvivesCorruptedPages) {
     for (const char* term : {"a", "the", "zzz"}) {
       if (reader->TermInfo(term, &df, &total_tf)) {
         (void)reader->FindPostings(term);
-        (void)reader->RangeTermFrequency(term, 0, ~uint64_t{0});
       }
     }
     TagDict dict;

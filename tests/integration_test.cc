@@ -116,7 +116,7 @@ TEST(FlexPathXMarkTest, EndToEndOnGeneratedData) {
   gopts.seed = 5;
   Result<Document> doc = GenerateXMark(gopts, fp.tags());
   ASSERT_TRUE(doc.ok());
-  fp.AddDocument(std::move(doc).value());
+  ASSERT_TRUE(fp.AddDocument(std::move(doc).value()).ok());
   ASSERT_TRUE(fp.Build().ok());
 
   // Paper benchmark query Q2 with a K that forces relaxation.
@@ -146,7 +146,7 @@ TEST(FlexPathXMarkTest, FullTextQueryOnGeneratedData) {
   gopts.seed = 6;
   Result<Document> doc = GenerateXMark(gopts, fp.tags());
   ASSERT_TRUE(doc.ok());
-  fp.AddDocument(std::move(doc).value());
+  ASSERT_TRUE(fp.AddDocument(std::move(doc).value()).ok());
   ASSERT_TRUE(fp.Build().ok());
 
   Result<std::vector<QueryAnswer>> answers = fp.Query(

@@ -45,7 +45,6 @@ TEST(ScoreAlgebraTest, StructureFirstCertifiesWithAtKStop) {
   EXPECT_TRUE(cert.well_formed.holds);
   EXPECT_TRUE(cert.relaxation_monotone.holds);
   EXPECT_TRUE(cert.order_invariant.holds);
-  EXPECT_TRUE(cert.truncation_safe.holds);
   EXPECT_TRUE(cert.cache_exact.holds);
   // Exactly the directives the engine hard-coded before flexcheck v2:
   // ss strictly dominates, so stop at K and prune with no ks bonus.
@@ -101,7 +100,6 @@ TEST(ScoreAlgebraTest, NonMonotoneKeyRefutedWithFx301) {
   EXPECT_EQ(cert.relaxation_monotone.code, kDiagSchemeNotMonotone);
   // Monotonicity is independent of the merge-order properties.
   EXPECT_TRUE(cert.order_invariant.holds);
-  EXPECT_TRUE(cert.truncation_safe.holds);
   // Conservative directives: nothing is licensed.
   EXPECT_EQ(cert.stop_rule, DpoStopRule::kExhaustive);
   EXPECT_FALSE(cert.threshold_pruning);
@@ -120,9 +118,8 @@ TEST(ScoreAlgebraTest, NegatedPenaltyTermIsMonotone) {
 }
 
 // Epsilon tie-banding is not transitive, so merge order would leak into
-// the answer list — FX302, and FX303 follows (truncation safety needs
-// order invariance).
-TEST(ScoreAlgebraTest, EpsilonTiesRefutedWithFx302AndFx303) {
+// the answer list — FX302.
+TEST(ScoreAlgebraTest, EpsilonTiesRefutedWithFx302) {
   SchemeAlgebra banded = CombinedAlgebra();
   banded.name = "combined-banded";
   banded.tie_epsilon = 0.01;
@@ -131,13 +128,11 @@ TEST(ScoreAlgebraTest, EpsilonTiesRefutedWithFx302AndFx303) {
   EXPECT_TRUE(cert.relaxation_monotone.holds);
   EXPECT_FALSE(cert.order_invariant.holds);
   EXPECT_EQ(cert.order_invariant.code, kDiagSchemeNotOrderInvariant);
-  EXPECT_FALSE(cert.truncation_safe.holds);
-  EXPECT_EQ(cert.truncation_safe.code, kDiagSchemeNotTruncationSafe);
   // Ties are a comparator property; cached tuples stay exact.
   EXPECT_TRUE(cert.cache_exact.holds);
 }
 
-// An opaque term (external UDF) refutes all four properties.
+// An opaque term (external UDF) refutes all three properties.
 TEST(ScoreAlgebraTest, OpaqueTermRefutesEverything) {
   SchemeAlgebra udf;
   udf.name = "udf-scored";
@@ -147,10 +142,9 @@ TEST(ScoreAlgebraTest, OpaqueTermRefutesEverything) {
   EXPECT_FALSE(cert.certified);
   EXPECT_EQ(cert.relaxation_monotone.code, kDiagSchemeNotMonotone);
   EXPECT_EQ(cert.order_invariant.code, kDiagSchemeNotOrderInvariant);
-  EXPECT_EQ(cert.truncation_safe.code, kDiagSchemeNotTruncationSafe);
   EXPECT_EQ(cert.cache_exact.code, kDiagSchemeNotCacheExact);
-  // Four refuted properties, four diagnostics.
-  EXPECT_EQ(cert.Report().diagnostics.size(), 4u);
+  // Three refuted properties, three diagnostics.
+  EXPECT_EQ(cert.Report().diagnostics.size(), 3u);
 }
 
 // Malformed algebras short-circuit: FX305 alone, nothing else evaluated.
@@ -406,35 +400,6 @@ TEST_F(CertifiedExecutionTest, ForgedCertificateMakesPrunedRunDiverge) {
 
   // Restore the honest certificate — the registry is process-wide.
   SchemeRegistry::Global().ReplaceCertificateForTest(scheme, honest);
-}
-
-// Cache/shard mutual exclusion (DESIGN.md §15): a sharded run that also
-// requests the result cache keeps its answers but surfaces the conflict
-// through the query.cache_disabled_sharded counter (and an FX310 log
-// line + trace annotation).
-TEST_F(CertifiedExecutionTest, ShardedRunDisablesCacheAndCountsIt) {
-  Counter* disabled =
-      MetricsRegistry::Global().counter("query.cache_disabled_sharded");
-  const uint64_t before = disabled->Value();
-
-  TopKOptions cached_sharded;
-  cached_sharded.k = 3;
-  cached_sharded.num_threads = 1;
-  cached_sharded.num_shards = 2;
-  cached_sharded.result_cache.tier = CacheTier::kShared;
-  Result<TopKResult> a = fp_.QueryTpq(q_, cached_sharded, Algorithm::kDpo);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  EXPECT_EQ(disabled->Value(), before + 1);
-
-  // Answers match the cache-off sharded run — the cache was dropped,
-  // not the sharding.
-  TopKOptions plain_sharded = cached_sharded;
-  plain_sharded.result_cache.tier = CacheTier::kOff;
-  Result<TopKResult> b = fp_.QueryTpq(q_, plain_sharded, Algorithm::kDpo);
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_EQ(AnswersDigest(a->answers), AnswersDigest(b->answers));
-  // The cache-off run does not touch the counter.
-  EXPECT_EQ(disabled->Value(), before + 1);
 }
 
 }  // namespace

@@ -293,7 +293,9 @@ TEST_F(PackedRoundTripTest, PostingsMatchInMemoryIndex) {
     uint64_t total_tf = 0;
     ASSERT_TRUE(reader_->TermInfo(term, &df, &total_tf)) << term;
     EXPECT_EQ(df, list.postings.size()) << term;
-    EXPECT_EQ(total_tf, list.tf_prefix.back()) << term;
+    uint64_t want_tf = 0;
+    for (const Posting& p : list.postings) want_tf += p.tf;
+    EXPECT_EQ(total_tf, want_tf) << term;
 
     std::shared_ptr<const PostingList> got = reader_->FindPostings(term);
     ASSERT_NE(got, nullptr) << term;
@@ -304,41 +306,12 @@ TEST_F(PackedRoundTripTest, PostingsMatchInMemoryIndex) {
       EXPECT_EQ(got->postings[i].positions, list.postings[i].positions)
           << term;
     }
-    EXPECT_EQ(got->tf_prefix, list.tf_prefix) << term;
   });
   EXPECT_GT(terms_checked, 0u);
   uint32_t df = 0;
   uint64_t total_tf = 0;
   EXPECT_FALSE(reader_->TermInfo("no-such-term-anywhere", &df, &total_tf));
   EXPECT_EQ(reader_->FindPostings("no-such-term-anywhere"), nullptr);
-}
-
-TEST_F(PackedRoundTripTest, RangeTermFrequencySeeksMatchFullDecode) {
-  InvertedIndex mem(&corpus_, tok_);
-  Rng rng(4242);
-  size_t terms = 0;
-  mem.ForEachTerm([&](const std::string& term, const PostingList& list) {
-    if (++terms % 17 != 0) return;  // sample: full decode is the oracle
-    const uint64_t max_key =
-        (uint64_t{list.postings.back().node.doc} << 32 |
-         list.postings.back().node.node) +
-        2;
-    for (int trial = 0; trial < 8; ++trial) {
-      uint64_t lo = rng.Uniform(max_key);
-      uint64_t hi = rng.Uniform(max_key);
-      if (lo > hi) std::swap(lo, hi);
-      uint64_t expect = 0;
-      for (const Posting& p : list.postings) {
-        const uint64_t key = uint64_t{p.node.doc} << 32 | p.node.node;
-        if (key >= lo && key < hi) expect += p.tf;
-      }
-      Result<uint64_t> got = reader_->RangeTermFrequency(term, lo, hi);
-      ASSERT_TRUE(got.ok()) << term;
-      EXPECT_EQ(*got, expect)
-          << term << " [" << lo << "," << hi << ")";
-    }
-  });
-  ASSERT_GT(terms, 0u);
 }
 
 TEST_F(PackedRoundTripTest, StatsTablesMatchExport) {
@@ -656,7 +629,9 @@ TEST(PackedFlexPathTest, OpenIsLazyAndDocSizeNeedsNoDecode) {
   FlexPath mem;
   Rng rng(808);
   for (int i = 0; i < 4; ++i) {
-    mem.AddDocument(testing_util::RandomDocument(&rng, mem.tags(), 80));
+    ASSERT_TRUE(
+        mem.AddDocument(testing_util::RandomDocument(&rng, mem.tags(), 80))
+            .ok());
   }
   const std::string path = TempPath("storage_lazy.fxp");
   ASSERT_TRUE(mem.SavePacked(path).ok());
@@ -688,7 +663,9 @@ TEST(PackedFlexPathTest, OpenIsLazyAndDocSizeNeedsNoDecode) {
 TEST(PackedFlexPathTest, OpenPackedRequiresFreshInstance) {
   FlexPath mem;
   Rng rng(809);
-  mem.AddDocument(testing_util::RandomDocument(&rng, mem.tags(), 40));
+  ASSERT_TRUE(
+      mem.AddDocument(testing_util::RandomDocument(&rng, mem.tags(), 40))
+          .ok());
   const std::string path = TempPath("storage_fresh.fxp");
   ASSERT_TRUE(mem.SavePacked(path).ok());
   ASSERT_TRUE(mem.Build().ok());
@@ -697,8 +674,39 @@ TEST(PackedFlexPathTest, OpenPackedRequiresFreshInstance) {
   // Documents added but not built: refuse too (the packed file is the
   // corpus; mixing is undefined).
   FlexPath half;
-  half.AddDocument(testing_util::RandomDocument(&rng, half.tags(), 20));
+  ASSERT_TRUE(
+      half.AddDocument(testing_util::RandomDocument(&rng, half.tags(), 20))
+          .ok());
   EXPECT_FALSE(half.OpenPacked(path).ok());
+  std::remove(path.c_str());
+}
+
+// AddDocument keeps AddDocumentXml's contract: after Build() the index,
+// statistics and IR engine are frozen, and after OpenPacked() the corpus
+// is served from the file, so a late document is refused and the corpus
+// is left exactly as it was.
+TEST(PackedFlexPathTest, AddDocumentRefusedAfterBuildOrOpen) {
+  Rng rng(810);
+  FlexPath mem;
+  ASSERT_TRUE(
+      mem.AddDocument(testing_util::RandomDocument(&rng, mem.tags(), 20))
+          .ok());
+  const std::string path = TempPath("storage_add_after.fxp");
+  ASSERT_TRUE(mem.SavePacked(path).ok());
+  ASSERT_TRUE(mem.Build().ok());
+  Result<DocId> after_build =
+      mem.AddDocument(testing_util::RandomDocument(&rng, mem.tags(), 20));
+  EXPECT_EQ(after_build.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(mem.corpus().size(), 1u);
+
+  FlexPath packed;
+  ASSERT_TRUE(packed.OpenPacked(path).ok());
+  const size_t nodes = packed.corpus().TotalNodes();
+  Result<DocId> after_open = packed.AddDocument(
+      testing_util::RandomDocument(&rng, packed.tags(), 20));
+  EXPECT_EQ(after_open.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(packed.corpus().size(), 1u);
+  EXPECT_EQ(packed.corpus().TotalNodes(), nodes);
   std::remove(path.c_str());
 }
 
