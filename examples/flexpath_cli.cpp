@@ -327,7 +327,8 @@ void RunQuery(CliState& state, const std::string& xpath) {
   for (const flexpath::RankedAnswer& a : result->answers) {
     const std::string& tag =
         std::as_const(corpus).tags().Name(corpus.node(a.node).tag);
-    std::string snippet = corpus.doc(a.node.doc).SubtreeText(a.node.node);
+    std::string snippet =
+        corpus.DocWithContent(a.node.doc).SubtreeText(a.node.node);
     std::printf("%3d. <%s> ss=%.3f ks=%.3f  %.70s\n", rank++, tag.c_str(),
                 a.score.ss, a.score.ks, snippet.c_str());
   }

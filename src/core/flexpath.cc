@@ -203,7 +203,8 @@ Result<std::vector<QueryAnswer>> FlexPath::Query(std::string_view xpath,
     qa.node = a.node;
     qa.score = a.score;
     qa.tag = std::as_const(corpus_).tags().Name(corpus_.node(a.node).tag);
-    std::string text = corpus_.doc(a.node.doc).SubtreeText(a.node.node);
+    std::string text =
+        corpus_.DocWithContent(a.node.doc).SubtreeText(a.node.node);
     if (text.size() > 120) {
       text.resize(117);
       text += "...";

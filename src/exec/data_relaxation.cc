@@ -55,7 +55,8 @@ std::vector<NodeRef> DataRelaxationIndex::Evaluate(
     const TpqNode& n = q.node(v);
     std::vector<NodeRef> set;
     for (DocId d = 0; d < corpus_->size(); ++d) {
-      const Document& doc = corpus_->doc(d);
+      const Document& doc = n.attr_preds.empty() ? corpus_->doc(d)
+                                                 : corpus_->DocWithContent(d);
       for (NodeId i = 0; i < doc.size(); ++i) {
         ++scanned;
         if (n.tag != kInvalidTag && doc.node(i).tag != n.tag) continue;

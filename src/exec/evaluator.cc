@@ -336,7 +336,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
   auto attrs_ok = [&](const PlanStep& step, NodeRef ref) {
     for (const AttrPred& ap : step.attr_preds) {
       const std::string* val =
-          corpus.doc(ref.doc).FindAttribute(ref.node, ap.attr);
+          corpus.DocWithContent(ref.doc).FindAttribute(ref.node, ap.attr);
       if (val == nullptr || !ap.Matches(*val)) return false;
     }
     return true;

@@ -62,10 +62,9 @@ std::vector<NodeRef> NaiveEvaluate(const ElementIndex& index, const Tpq& q,
     std::vector<NodeRef> set;
     // Candidate elements by tag (or every element for a wildcard).
     auto consider = [&](NodeRef ref) {
-      const Element& e = corpus.node(ref);
       for (const AttrPred& ap : n.attr_preds) {
-        const std::string* val = corpus.doc(ref.doc).FindAttribute(
-            ref.node, ap.attr);
+        const std::string* val =
+            corpus.DocWithContent(ref.doc).FindAttribute(ref.node, ap.attr);
         if (val == nullptr || !ap.Matches(*val)) return;
       }
       for (const FtExpr& expr : n.contains) {
@@ -75,7 +74,6 @@ std::vector<NodeRef> NaiveEvaluate(const ElementIndex& index, const Tpq& q,
       for (VarId c : q.Children(v)) {
         if (!HasRelated(corpus, down[c], ref, q.AxisOf(c))) return;
       }
-      (void)e;
       set.push_back(ref);
     };
     if (n.tag != kInvalidTag) {

@@ -10,12 +10,12 @@ InvertedIndex::InvertedIndex(const Corpus* corpus, TokenizerOptions opts)
     : corpus_(corpus), opts_(opts) {
   total_elements_ = corpus_->TotalNodes();
   for (DocId d = 0; d < corpus_->size(); ++d) {
-    const Document& doc = corpus_->doc(d);
+    const Document& doc = corpus_->DocWithContent(d);
     for (NodeId n = 0; n < doc.size(); ++n) {
-      const Element& e = doc.node(n);
-      if (e.text.empty()) continue;
+      const std::string& text = doc.content(n).text;
+      if (text.empty()) continue;
       for (const PositionedToken& token :
-           TokenizeWithPositions(e.text, opts_)) {
+           TokenizeWithPositions(text, opts_)) {
         PostingList& list = index_[token.text];
         if (!list.postings.empty() &&
             list.postings.back().node == NodeRef{d, n}) {

@@ -74,34 +74,5 @@ Status DecodeKeyBlocks(std::string_view data, uint64_t expect,
   return Status::OK();
 }
 
-Status DecodeOneBlock(std::string_view data, uint64_t offset, uint32_t count,
-                      std::vector<uint64_t>* out) {
-  if (offset > data.size()) {
-    return Status::InvalidArgument("skip offset past end of list");
-  }
-  if (count > kBlockKeys) {
-    return Status::InvalidArgument("implausible block count");
-  }
-  out->clear();
-  out->reserve(count);
-  size_t pos = static_cast<size_t>(offset);
-  uint64_t key = 0;
-  for (uint32_t j = 0; j < count; ++j) {
-    uint64_t v = 0;
-    FLEXPATH_RETURN_IF_ERROR(GetVarint(data, &pos, &v));
-    if (j == 0) {
-      key = v;
-    } else {
-      if (v == 0) return Status::InvalidArgument("zero delta in key block");
-      if (key > UINT64_MAX - v) {
-        return Status::InvalidArgument("key overflow in key block");
-      }
-      key += v;
-    }
-    out->push_back(key);
-  }
-  return Status::OK();
-}
-
 }  // namespace storage
 }  // namespace flexpath

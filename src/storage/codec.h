@@ -14,9 +14,8 @@ namespace storage {
 
 /// Low-level byte codec shared by the packed-corpus writer and reader
 /// (DESIGN.md §17): LEB128 varints plus delta-compressed blocks of
-/// strictly increasing uint64 keys with a fixed-width skip table, so a
-/// reader can seek to the block containing a key and decode only that
-/// block instead of the whole list.
+/// strictly increasing uint64 keys with a fixed-width skip table that
+/// locates each block.
 
 /// Appends `value` as a LEB128 varint (1-10 bytes).
 void PutVarint(uint64_t value, std::string* out);
@@ -45,30 +44,26 @@ inline Status GetVarint(std::string_view data, size_t* pos, uint64_t* out) {
 
 /// Number of keys per delta block. Small enough that a point lookup
 /// decodes little; large enough that the skip table stays tiny (one
-/// 32-byte entry per block).
+/// 24-byte entry per block).
 inline constexpr size_t kBlockKeys = 128;
 
-/// One skip-table entry, fixed width so the reader can binary-search the
-/// mmap'd table directly. `first_key` is the first key of the block,
-/// `offset` the block's byte offset within the list's encoded region,
-/// `aggregate` a codec-client running total *before* this block (the
-/// posting writer stores the tf prefix sum there; element tables store
-/// the key ordinal), and `count` the number of keys in the block.
+/// One skip-table entry, fixed width so the reader can index the mmap'd
+/// table directly. `first_key` is the first key of the block, `offset`
+/// the block's byte offset within the list's encoded region, and `count`
+/// the number of keys in the block.
 struct SkipEntry {
   uint64_t first_key = 0;
   uint64_t offset = 0;
-  uint64_t aggregate = 0;
   uint32_t count = 0;
   uint32_t reserved = 0;
 };
-static_assert(sizeof(SkipEntry) == 32, "SkipEntry layout is part of the format");
+static_assert(sizeof(SkipEntry) == 24, "SkipEntry layout is part of the format");
 
 /// Encodes a strictly increasing key sequence as delta blocks of up to
 /// kBlockKeys keys: each block is [varint first_key][varint delta]*,
 /// deltas >= 1. Appends the encoded bytes to `out` and one SkipEntry per
-/// block to `skips` (offsets relative to the first appended byte;
-/// `aggregate` left 0 for the caller to fill). Returns InvalidArgument
-/// if the keys are not strictly increasing.
+/// block to `skips` (offsets relative to the first appended byte).
+/// Returns InvalidArgument if the keys are not strictly increasing.
 Status EncodeKeyBlocks(const std::vector<uint64_t>& keys, std::string* out,
                        std::vector<SkipEntry>* skips);
 
@@ -77,12 +72,6 @@ Status EncodeKeyBlocks(const std::vector<uint64_t>& keys, std::string* out,
 /// delta, or a truncated block is an error, never a crash.
 Status DecodeKeyBlocks(std::string_view data, uint64_t expect,
                        std::vector<uint64_t>* out);
-
-/// Decodes a single block (starting at `offset` within `data`) holding
-/// `count` keys. Used by skip-seeking readers to decode only the blocks
-/// overlapping a key range.
-Status DecodeOneBlock(std::string_view data, uint64_t offset, uint32_t count,
-                      std::vector<uint64_t>* out);
 
 }  // namespace storage
 }  // namespace flexpath

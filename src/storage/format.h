@@ -11,8 +11,8 @@ namespace storage {
 /// integers are little-endian; fixed-width directory records are padded
 /// to natural alignment and sections start on page boundaries, so a
 /// reader can point straight into the mapping without copying. Variable
-/// content (node streams, element-table blocks, posting blocks) is
-/// varint/delta coded per storage/codec.h.
+/// content (node streams, node content, element-table blocks, posting
+/// blocks) is varint/delta coded per storage/codec.h.
 ///
 /// Layout:
 ///   FileHeader (page 0)
@@ -20,7 +20,9 @@ namespace storage {
 ///   sections, each page-aligned, in SectionId order.
 
 inline constexpr uint64_t kMagic = 0x50524F434B505846ULL;  // "FXPKCORP" LE
-inline constexpr uint32_t kFormatVersion = 1;
+/// Version 2 stores each node as (tag, level) and moves text and
+/// attributes to kSecNodeContent; version 1 files must be re-packed.
+inline constexpr uint32_t kFormatVersion = 2;
 /// Written as a native u32; reads back as this value only on a
 /// same-endianness machine (the mmap'd directories are raw memory, so a
 /// cross-endian file is rejected rather than misread).
@@ -31,17 +33,18 @@ inline constexpr uint32_t kPageSize = 4096;
 enum SectionId : uint32_t {
   kSecTagNames = 1,      ///< tag_count varint-prefixed names.
   kSecDocDir = 2,        ///< doc_count × DocDirRecord.
-  kSecNodeStreams = 3,   ///< per-doc varint node streams (see writer.cc).
-  kSecElemDir = 4,       ///< tag_count × ElemDirRecord.
-  kSecElemBlocks = 5,    ///< delta key blocks of the per-tag tables.
-  kSecElemSkips = 6,     ///< SkipEntry table for kSecElemBlocks.
-  kSecStats = 7,         ///< #(t)/#pc/#ad/existence tables (varint).
-  kSecTermDir = 8,       ///< term_count × TermDirRecord, term-sorted.
-  kSecTermStrings = 9,   ///< raw term bytes, referenced by TermDirRecord.
-  kSecPostBlocks = 10,   ///< block-compressed postings.
-  kSecPostSkips = 11,    ///< SkipEntry table for kSecPostBlocks.
+  kSecNodeStreams = 3,   ///< per-doc structure: varint tag, level per node.
+  kSecNodeContent = 4,   ///< per-doc text and attributes (see writer.cc).
+  kSecElemDir = 5,       ///< tag_count × ElemDirRecord.
+  kSecElemBlocks = 6,    ///< delta key blocks of the per-tag tables.
+  kSecElemSkips = 7,     ///< SkipEntry table for kSecElemBlocks.
+  kSecStats = 8,         ///< #(t)/#pc/#ad/existence tables (varint).
+  kSecTermDir = 9,       ///< term_count × TermDirRecord, term-sorted.
+  kSecTermStrings = 10,  ///< raw term bytes, referenced by TermDirRecord.
+  kSecPostBlocks = 11,   ///< block-compressed postings.
+  kSecPostSkips = 12,    ///< SkipEntry table for kSecPostBlocks.
 };
-inline constexpr uint32_t kSectionCount = 11;
+inline constexpr uint32_t kSectionCount = 12;
 
 struct FileHeader {
   uint64_t magic = kMagic;
@@ -68,16 +71,19 @@ struct SectionRecord {
 };
 static_assert(sizeof(SectionRecord) == 24, "SectionRecord layout");
 
-/// One document: where its varint node stream lives inside
-/// kSecNodeStreams, and how many element nodes it holds (so the corpus
-/// can answer DocSize() without touching the stream).
+/// One document: where its structure stream lives inside kSecNodeStreams
+/// and its content inside kSecNodeContent, and how many element nodes it
+/// holds (so the corpus can answer DocSize() without touching either).
+/// Every node costs at least two bytes in each stream.
 struct DocDirRecord {
-  uint64_t offset = 0;
+  uint64_t offset = 0;  ///< Into kSecNodeStreams.
   uint64_t length = 0;
+  uint64_t content_offset = 0;  ///< Into kSecNodeContent.
+  uint64_t content_length = 0;
   uint32_t node_count = 0;
   uint32_t reserved = 0;
 };
-static_assert(sizeof(DocDirRecord) == 24, "DocDirRecord layout");
+static_assert(sizeof(DocDirRecord) == 40, "DocDirRecord layout");
 
 /// One tag's element table: `count` strictly increasing NodeRef keys
 /// ((doc << 32) | node) in kSecElemBlocks, with `skip_count` SkipEntry
@@ -94,9 +100,7 @@ static_assert(sizeof(ElemDirRecord) == 40, "ElemDirRecord layout");
 
 /// One term: its bytes in kSecTermStrings, document frequency and total
 /// term frequency (so Idf and stats need no posting decode), and its
-/// block-compressed postings + skip entries. The skip `aggregate` field
-/// carries the tf prefix sum before each block, which is what lets
-/// range-tf lookups seek without decompressing the whole list.
+/// block-compressed postings + skip entries.
 struct TermDirRecord {
   uint64_t str_offset = 0;
   uint32_t str_length = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "common/log.h"
@@ -55,40 +56,18 @@ size_t PostingListBytes(const PostingList& list) {
   return bytes;
 }
 
-/// True iff node `n` nests the way DocumentBuilder numbers a tree, given
-/// that nodes [0, n) passed: its interval lies strictly inside its
-/// parent's, one level below. Node n - 1 has a first child exactly when
-/// it is n's parent. Otherwise `n` has a previous sibling, the last node
-/// decoded at n's level (`last_at_level`), which must share n's parent,
-/// link to `n` and close before `n` opens, and node n - 1 must close
-/// before `n` opens too. By induction every earlier node then either is
-/// an ancestor of `n` whose interval contains n's or closes before `n`
-/// opens, so the interval test IsAncestor agrees with the parent links;
-/// the IR closure relies on that when it walks parents up to an interval
-/// ancestor. The caller checks that every next_sibling link was matched.
-bool NestsLikeBuilder(const std::vector<Element>& nodes,
-                      const std::vector<NodeSpan>& spans, NodeId n,
-                      NodeId parent, uint64_t start, uint64_t end,
-                      uint64_t level, std::vector<NodeId>* last_at_level) {
-  if (n == 0) {
-    last_at_level->assign(1, 0);
-    return level == 0;
+/// Reads a varint of at most 32 bits; false on truncation or overflow.
+/// The structure decode's inner loop: a one-byte value (every tag and
+/// level below 128) takes the fast path.
+inline bool GetVarint32(std::string_view data, size_t* pos, uint32_t* out) {
+  if (*pos < data.size() && static_cast<uint8_t>(data[*pos]) < 0x80) {
+    *out = static_cast<uint8_t>(data[(*pos)++]);
+    return true;
   }
-  const NodeSpan& p = spans[parent];
-  if (!(p.start < start && end < p.end && level == uint64_t{p.level} + 1)) {
-    return false;
-  }
-  if (level == last_at_level->size()) last_at_level->push_back(kInvalidNode);
-  const NodeId prev = std::exchange((*last_at_level)[level], n);
-  const NodeId sib = prev == kInvalidNode ? 0 : prev;
-  // Bitwise, not short-circuit: which case holds changes from node to
-  // node, and a branch on it mispredicts.
-  const bool first = parent == n - 1;
-  return (first == (nodes[n - 1].first_child != kInvalidNode)) &
-         (first | ((prev != kInvalidNode) & (spans[sib].parent == parent) &
-                   (spans[sib].end < start) &
-                   (nodes[sib].next_sibling == n) &
-                   (spans[n - 1].end < start)));
+  uint64_t v = 0;
+  if (!GetVarint(data, pos, &v).ok() || v > UINT32_MAX) return false;
+  *out = static_cast<uint32_t>(v);
+  return true;
 }
 
 Status DecodePairMap(std::string_view data, size_t* pos,
@@ -149,6 +128,13 @@ Status StorageReader::Validate() {
     return Status::InvalidArgument(
         "packed corpus was written on a machine with different endianness");
   }
+  if (header_.version == 1) {
+    return Status::InvalidArgument(
+        "packed corpus version 1 is no longer supported (reader supports " +
+        std::to_string(kFormatVersion) +
+        "); re-pack it from the source XML with flexpath_pack or "
+        "FlexPath::SavePacked");
+  }
   if (header_.version != kFormatVersion) {
     return Status::InvalidArgument(
         "unsupported packed corpus version " +
@@ -195,11 +181,19 @@ Status StorageReader::Validate() {
     return Status::InvalidArgument("document directory length mismatch");
   }
   doc_dir_ = reinterpret_cast<const DocDirRecord*>(doc_dir.data());
+  // Every node costs at least two bytes in each stream, which also
+  // bounds the node arrays a decode allocates by the file size.
   const std::string_view streams = Section(kSecNodeStreams);
+  const std::string_view content = Section(kSecNodeContent);
   for (uint64_t d = 0; d < header_.doc_count; ++d) {
     const DocDirRecord& rec = doc_dir_[d];
     if (rec.offset > streams.size() ||
-        rec.length > streams.size() - rec.offset) {
+        rec.length > streams.size() - rec.offset ||
+        rec.length / 2 < rec.node_count ||
+        rec.content_offset > content.size() ||
+        rec.content_length > content.size() - rec.content_offset ||
+        rec.content_length / 2 < rec.node_count ||
+        rec.node_count > UINT32_MAX / 2) {
       return Status::InvalidArgument("node stream out of bounds for doc " +
                                      std::to_string(d));
     }
@@ -319,88 +313,101 @@ Result<Document> StorageReader::MaterializeDocument(DocId id) const {
   const std::string_view stream = Section(kSecNodeStreams)
                                       .substr(static_cast<size_t>(rec.offset),
                                               static_cast<size_t>(rec.length));
+  // Per node: tag, level. A pre-order level sequence with level[0] == 0
+  // and 1 <= level[n] <= level[n-1] + 1 is exactly a single-rooted tree,
+  // so that range test is the whole structural check. One stack of open
+  // nodes (open[l] is at level l) then rebuilds parents, links and the
+  // intervals, numbered by DocumentBuilder's open/close counter.
   std::vector<Element> nodes(rec.node_count);
   std::vector<NodeSpan> spans(rec.node_count);
-  std::vector<NodeId> last_at_level;
-  uint32_t sibling_links = 0;     // next_sibling links stored
-  uint32_t later_siblings = 0;    // nodes that have a previous sibling
+  std::vector<NodeId> open;
+  uint32_t counter = 0;
   size_t pos = 0;
-  for (uint32_t n = 0; n < rec.node_count; ++n) {
-    Element& e = nodes[n];
-    NodeSpan& span = spans[n];
-    uint64_t tag = 0;
-    uint64_t parent = 0;
-    uint64_t first_child = 0;
-    uint64_t next_sibling = 0;
-    uint64_t start = 0;
-    uint64_t end = 0;
-    uint64_t level = 0;
-    FLEXPATH_RETURN_IF_ERROR(GetVarint(stream, &pos, &tag));
-    FLEXPATH_RETURN_IF_ERROR(GetVarint(stream, &pos, &parent));
-    FLEXPATH_RETURN_IF_ERROR(GetVarint(stream, &pos, &first_child));
-    FLEXPATH_RETURN_IF_ERROR(GetVarint(stream, &pos, &next_sibling));
-    FLEXPATH_RETURN_IF_ERROR(GetVarint(stream, &pos, &start));
-    FLEXPATH_RETURN_IF_ERROR(GetVarint(stream, &pos, &end));
-    FLEXPATH_RETURN_IF_ERROR(GetVarint(stream, &pos, &level));
-    // Links are stored as id + 1 (0 = none). Only node 0 is a root, a
-    // parent precedes its child, a first child directly follows its
-    // parent and a sibling follows its predecessor, so every parent and
-    // sibling walk over the decoded document terminates. NestsLikeBuilder
-    // then checks that the links and the intervals agree.
-    const bool links_ok =
-        (n == 0 ? parent == 0 : (parent != 0 && parent <= n)) &&
-        (first_child == 0 || (first_child == uint64_t{n} + 2 &&
-                              first_child <= rec.node_count)) &&
-        (next_sibling == 0 ||
-         (next_sibling > uint64_t{n} + 1 && next_sibling <= rec.node_count));
-    if (tag >= header_.tag_count || !links_ok || start >= end ||
-        end > UINT32_MAX || level > UINT32_MAX ||
-        !NestsLikeBuilder(nodes, spans, n, static_cast<NodeId>(parent - 1),
-                          start, end, level, &last_at_level)) {
+  for (NodeId n = 0; n < rec.node_count; ++n) {
+    uint32_t tag = 0;
+    uint32_t level = 0;
+    if (!GetVarint32(stream, &pos, &tag) ||
+        !GetVarint32(stream, &pos, &level)) {
+      return Status::InvalidArgument("truncated node stream of doc " +
+                                     std::to_string(id));
+    }
+    if (tag >= header_.tag_count ||
+        (n == 0 ? level != 0 : level == 0 || level > open.size())) {
       return Status::InvalidArgument("corrupt node record in doc " +
                                      std::to_string(id));
     }
-    sibling_links += next_sibling != 0;
-    later_siblings += n > 0 && parent != n;  // parent is stored as id + 1
-    e.tag = static_cast<TagId>(tag);
-    e.first_child =
-        first_child == 0 ? kInvalidNode : static_cast<NodeId>(first_child - 1);
-    e.next_sibling = next_sibling == 0
-                         ? kInvalidNode
-                         : static_cast<NodeId>(next_sibling - 1);
-    span.parent =
-        parent == 0 ? kInvalidNode : static_cast<NodeId>(parent - 1);
-    span.start = static_cast<uint32_t>(start);
-    span.end = static_cast<uint32_t>(end);
-    span.level = static_cast<uint32_t>(level);
-    FLEXPATH_RETURN_IF_ERROR(GetString(stream, &pos, &e.text));
-    uint64_t attr_count = 0;
-    FLEXPATH_RETURN_IF_ERROR(GetVarint(stream, &pos, &attr_count));
-    if (attr_count > stream.size() - pos) {
-      return Status::InvalidArgument("implausible attribute count");
+    NodeId prev = kInvalidNode;  // The last node closed at n's level.
+    while (open.size() > level) {
+      prev = open.back();
+      open.pop_back();
+      spans[prev].end = counter++;
     }
-    e.attrs.resize(static_cast<size_t>(attr_count));
-    for (Attribute& a : e.attrs) {
-      uint64_t name = 0;
-      FLEXPATH_RETURN_IF_ERROR(GetVarint(stream, &pos, &name));
-      if (name >= header_.tag_count) {
-        return Status::InvalidArgument("corrupt attribute name");
+    NodeSpan& span = spans[n];
+    span.start = counter++;
+    span.level = level;
+    if (level > 0) {
+      span.parent = open.back();
+      if (prev == kInvalidNode) {
+        nodes[span.parent].first_child = n;
+      } else {
+        nodes[prev].next_sibling = n;
       }
-      a.name = static_cast<TagId>(name);
-      FLEXPATH_RETURN_IF_ERROR(GetString(stream, &pos, &a.value));
     }
+    nodes[n].tag = tag;
+    open.push_back(n);
   }
+  for (; !open.empty(); open.pop_back()) spans[open.back()].end = counter++;
   if (pos != stream.size()) {
     return Status::InvalidArgument("trailing bytes in node stream of doc " +
-                                   std::to_string(id));
-  }
-  if (sibling_links != later_siblings) {
-    return Status::InvalidArgument("corrupt node record in doc " +
                                    std::to_string(id));
   }
   m_decodes->Inc();
   m_bytes->Inc(rec.length);
   return Document::Assemble(std::move(nodes), std::move(spans));
+}
+
+Result<std::vector<NodeContent>> StorageReader::MaterializeContent(
+    DocId id) const {
+  if (id >= header_.doc_count) {
+    return Status::OutOfRange("document id out of range");
+  }
+  static Counter* m_decodes =
+      MetricsRegistry::Global().counter("storage.content_decodes");
+  static Counter* m_bytes =
+      MetricsRegistry::Global().counter("storage.content_decode_bytes");
+  const DocDirRecord& rec = doc_dir_[id];
+  const std::string_view bytes =
+      Section(kSecNodeContent)
+          .substr(static_cast<size_t>(rec.content_offset),
+                  static_cast<size_t>(rec.content_length));
+  // Per node: text, attribute count, then (name, value) per attribute.
+  std::vector<NodeContent> content(rec.node_count);
+  size_t pos = 0;
+  for (NodeContent& c : content) {
+    FLEXPATH_RETURN_IF_ERROR(GetString(bytes, &pos, &c.text));
+    uint64_t attr_count = 0;
+    FLEXPATH_RETURN_IF_ERROR(GetVarint(bytes, &pos, &attr_count));
+    if (attr_count > bytes.size() - pos) {
+      return Status::InvalidArgument("implausible attribute count");
+    }
+    c.attrs.resize(static_cast<size_t>(attr_count));
+    for (Attribute& a : c.attrs) {
+      uint64_t name = 0;
+      FLEXPATH_RETURN_IF_ERROR(GetVarint(bytes, &pos, &name));
+      if (name >= header_.tag_count) {
+        return Status::InvalidArgument("corrupt attribute name");
+      }
+      a.name = static_cast<TagId>(name);
+      FLEXPATH_RETURN_IF_ERROR(GetString(bytes, &pos, &a.value));
+    }
+  }
+  if (pos != bytes.size()) {
+    return Status::InvalidArgument("trailing bytes in node content of doc " +
+                                   std::to_string(id));
+  }
+  m_decodes->Inc();
+  m_bytes->Inc(rec.content_length);
+  return content;
 }
 
 size_t StorageReader::TagListCount(TagId tag) const {
@@ -431,11 +438,24 @@ std::shared_ptr<const std::vector<NodeRef>> StorageReader::TagList(
                                      .substr(static_cast<size_t>(rec.offset),
                                              static_cast<size_t>(rec.length));
   std::vector<uint64_t> keys;
-  const Status decoded = DecodeKeyBlocks(bytes, rec.count, &keys);
+  Status decoded = DecodeKeyBlocks(bytes, rec.count, &keys);
   auto list = std::make_shared<std::vector<NodeRef>>();
   if (decoded.ok()) {
     list->reserve(keys.size());
-    for (uint64_t key : keys) list->push_back(RefOf(key));
+    for (uint64_t key : keys) {
+      // The evaluator indexes the named document's node arrays with
+      // these keys, so each must name a node that exists.
+      const NodeRef ref = RefOf(key);
+      if (ref.doc >= header_.doc_count ||
+          ref.node >= doc_dir_[ref.doc].node_count) {
+        decoded = Status::InvalidArgument("element key out of range");
+        list->clear();
+        break;
+      }
+      list->push_back(ref);
+    }
+  }
+  if (decoded.ok()) {
     ColdBlockDecodes()->Inc(rec.skip_count);
   } else {
     // TagList cannot return a Status; an empty list is well-defined (the
@@ -647,9 +667,10 @@ std::string StorageReader::InspectJson() const {
   field("total_elements", header_.total_elements, true);
   out += "  \"sections\": [\n";
   static constexpr const char* kSectionNames[] = {
-      "tag_names",   "doc_dir",    "node_streams", "elem_dir",
-      "elem_blocks", "elem_skips", "stats",        "term_dir",
-      "term_strings", "post_blocks", "post_skips"};
+      "tag_names",  "doc_dir",     "node_streams", "node_content",
+      "elem_dir",   "elem_blocks", "elem_skips",   "stats",
+      "term_dir",   "term_strings", "post_blocks", "post_skips"};
+  static_assert(std::size(kSectionNames) == kSectionCount);
   for (uint32_t i = 0; i < kSectionCount; ++i) {
     const SectionRecord& rec = section_table_[i];
     out += "    {\"id\": " + std::to_string(rec.id) + ", \"name\": \"" +

@@ -92,6 +92,8 @@ class StorageReader : public CorpusBacking,
   }
   size_t DocNodeCount(DocId id) const override;
   Result<Document> MaterializeDocument(DocId id) const override;
+  Result<std::vector<NodeContent>> MaterializeContent(
+      DocId id) const override;
 
   // ---- ElementTableSource. ----
   size_t TagListCount(TagId tag) const override;

@@ -23,34 +23,26 @@ uint64_t KeyOf(NodeRef ref) {
   return (static_cast<uint64_t>(ref.doc) << 32) | ref.node;
 }
 
-/// kInvalidNode-safe NodeId encoding: 0 = none, else id + 1.
-uint64_t PlusOne(NodeId id) {
-  return id == kInvalidNode ? 0 : static_cast<uint64_t>(id) + 1;
-}
-
 void PutString(std::string_view s, std::string* out) {
   PutVarint(s.size(), out);
   out->append(s.data(), s.size());
 }
 
-/// Serializes one document as the varint node stream the reader's
-/// MaterializeDocument parses. Field order is the format.
-void EncodeDocument(const Document& doc, std::string* out) {
+/// Serializes one document's structure as the (tag, level) varint pairs
+/// the reader's MaterializeDocument parses, and its content as the
+/// (text, attribute count, (name, value)*) records MaterializeContent
+/// parses. Field order is the format.
+void EncodeDocument(const Document& doc, std::string* structure,
+                    std::string* content) {
   for (NodeId n = 0; n < doc.size(); ++n) {
-    const Element& e = doc.node(n);
-    const NodeSpan& span = doc.span(n);
-    PutVarint(e.tag, out);
-    PutVarint(PlusOne(span.parent), out);
-    PutVarint(PlusOne(e.first_child), out);
-    PutVarint(PlusOne(e.next_sibling), out);
-    PutVarint(span.start, out);
-    PutVarint(span.end, out);
-    PutVarint(span.level, out);
-    PutString(e.text, out);
-    PutVarint(e.attrs.size(), out);
-    for (const Attribute& a : e.attrs) {
-      PutVarint(a.name, out);
-      PutString(a.value, out);
+    PutVarint(doc.node(n).tag, structure);
+    PutVarint(doc.span(n).level, structure);
+    const NodeContent& c = doc.content(n);
+    PutString(c.text, content);
+    PutVarint(c.attrs.size(), content);
+    for (const Attribute& a : c.attrs) {
+      PutVarint(a.name, content);
+      PutString(a.value, content);
     }
   }
 }
@@ -71,18 +63,15 @@ void EncodePairMap(const std::unordered_map<uint64_t, uint64_t>& m,
 /// Encodes one posting list as interleaved delta blocks: per posting a
 /// key (absolute for the block's first posting, delta otherwise), the
 /// tf, then tf position values (first absolute, rest deltas). One
-/// SkipEntry per block with aggregate = tf prefix sum before the block
-/// (part of the format; the reader does not consult it).
+/// SkipEntry per block.
 Status EncodePostingBlocks(const PostingList& list, std::string* out,
                            std::vector<SkipEntry>* skips) {
   const size_t base = out->size();
-  uint64_t tf_before = 0;
   for (size_t i = 0; i < list.postings.size(); i += kBlockKeys) {
     const size_t block_end = std::min(list.postings.size(), i + kBlockKeys);
     SkipEntry skip;
     skip.first_key = KeyOf(list.postings[i].node);
     skip.offset = out->size() - base;
-    skip.aggregate = tf_before;
     skip.count = static_cast<uint32_t>(block_end - i);
     skips->push_back(skip);
     for (size_t j = i; j < block_end; ++j) {
@@ -111,7 +100,6 @@ Status EncodePostingBlocks(const PostingList& list, std::string* out,
           PutVarint(p.positions[k] - p.positions[k - 1], out);
         }
       }
-      tf_before += p.tf;
     }
   }
   return Status::OK();
@@ -143,16 +131,19 @@ Status WritePackedCorpus(const Corpus& corpus, const TokenizerOptions& opts,
     }
   }
 
-  // Node streams + document directory.
+  // Node streams, node content + document directory.
   {
     std::string& streams = sections[kSecNodeStreams];
+    std::string& content = sections[kSecNodeContent];
     std::string& dir = sections[kSecDocDir];
     for (DocId d = 0; d < corpus.size(); ++d) {
-      const Document& doc = corpus.doc(d);
+      const Document& doc = corpus.DocWithContent(d);
       DocDirRecord rec;
       rec.offset = streams.size();
-      EncodeDocument(doc, &streams);
+      rec.content_offset = content.size();
+      EncodeDocument(doc, &streams, &content);
       rec.length = streams.size() - rec.offset;
+      rec.content_length = content.size() - rec.content_offset;
       rec.node_count = static_cast<uint32_t>(doc.size());
       AppendPod(rec, &dir);
     }
@@ -180,10 +171,6 @@ Status WritePackedCorpus(const Corpus& corpus, const TokenizerOptions& opts,
       std::vector<SkipEntry> tag_skips;
       FLEXPATH_RETURN_IF_ERROR(
           EncodeKeyBlocks(by_tag[t], &blocks, &tag_skips));
-      // Element-table aggregates carry the key ordinal before each block.
-      for (size_t b = 0; b < tag_skips.size(); ++b) {
-        tag_skips[b].aggregate = b * kBlockKeys;
-      }
       rec.length = blocks.size() - rec.offset;
       rec.skip_count = static_cast<uint32_t>(tag_skips.size());
       skips.insert(skips.end(), tag_skips.begin(), tag_skips.end());

@@ -41,7 +41,8 @@ struct NodeRefHash {
 
 /// Pluggable on-demand document source. A backed corpus (see
 /// Corpus::AttachBacking) starts with every slot empty and decodes a
-/// document the first time it is touched — this is what makes
+/// document's structure the first time it is touched, and its text and
+/// attributes the first time something reads them — this is what makes
 /// FlexPath::OpenPacked pay-per-touch instead of load-everything. The
 /// packed-file implementation lives in storage/reader.h; the interface is
 /// declared here so xml/ stays independent of storage/.
@@ -55,10 +56,18 @@ class CorpusBacking {
   /// Element-node count of document `id`, answered without decoding it.
   virtual size_t DocNodeCount(DocId id) const = 0;
 
-  /// Decodes document `id`. Called at most once per slot (the corpus
-  /// memoizes the result); errors surface as an empty document plus a
-  /// log line, since doc() cannot return a Status.
+  /// Decodes the structure of document `id`, without content. Called at
+  /// most once per slot (the corpus memoizes the result); errors surface
+  /// as an empty document plus a log line, since doc() cannot return a
+  /// Status.
   virtual Result<Document> MaterializeDocument(DocId id) const = 0;
+
+  /// Decodes the text and attributes of document `id`, one entry per
+  /// node. Called at most once per slot, after its structure; errors
+  /// surface as empty contents (every node without text or attributes)
+  /// plus a log line.
+  virtual Result<std::vector<NodeContent>> MaterializeContent(
+      DocId id) const = 0;
 };
 
 /// A collection of XML documents sharing one tag dictionary. This is the
@@ -71,7 +80,8 @@ class CorpusBacking {
 /// lazily from a CorpusBacking. In both modes doc()/node() hand out
 /// references that stay valid for the corpus lifetime — a materialized
 /// document is never evicted, so downstream indexes can hold Element
-/// pointers exactly as they always have.
+/// pointers exactly as they always have. A backed doc() carries structure
+/// only; every reader of text or attributes goes through DocWithContent.
 class Corpus {
  public:
   Corpus() = default;
@@ -81,7 +91,8 @@ class Corpus {
   Corpus& operator=(Corpus&&) = default;
 
   /// Adds an already-built document (e.g., from DocumentBuilder or the
-  /// XMark generator). The document must have been built against tags().
+  /// XMark generator). The document must have been built against tags()
+  /// and carry its content (Document::has_content).
   /// Must not be called on a backed corpus.
   DocId Add(Document doc);
 
@@ -102,6 +113,17 @@ class Corpus {
     if (backing_ != nullptr &&
         !materialized_[id].load(std::memory_order_acquire)) {
       MaterializeSlow(id);
+    }
+    return docs_[id];
+  }
+
+  /// doc(id) with its text and attributes present (Document::has_content).
+  /// In backed mode the first call decodes them; in-memory documents
+  /// always have them.
+  const Document& DocWithContent(DocId id) const {
+    if (backing_ != nullptr &&
+        !content_loaded_[id].load(std::memory_order_acquire)) {
+      LoadContentSlow(id);
     }
     return docs_[id];
   }
@@ -152,14 +174,21 @@ class Corpus {
   /// fully written Document.
   void MaterializeSlow(DocId id) const;
 
+  /// Cold path of DocWithContent: materializes the structure, then
+  /// decodes and attaches the content under materialize_mu_ and publishes
+  /// it through content_loaded_[id] the same way.
+  void LoadContentSlow(DocId id) const;
+
   TagDict tags_;
-  /// Slots are written at most once after AttachBacking (under
-  /// materialize_mu_, published via materialized_[id]); logically const.
+  /// Slots are written at most twice after AttachBacking, structure then
+  /// content (under materialize_mu_, published via materialized_[id] and
+  /// content_loaded_[id]); logically const.
   mutable std::vector<Document> docs_;
   uint64_t generation_ = 0;
 
   std::shared_ptr<const CorpusBacking> backing_;
   mutable std::unique_ptr<std::atomic<bool>[]> materialized_;
+  mutable std::unique_ptr<std::atomic<bool>[]> content_loaded_;
   mutable std::unique_ptr<Mutex> materialize_mu_;
 };
 

@@ -5,12 +5,13 @@
 namespace flexpath {
 
 std::string Document::SubtreeText(NodeId id) const {
+  assert(has_content());
   std::string out;
   const uint32_t top_end = spans_[id].end;
   // Subtree of a pre-order node is the contiguous id range [id, x) where x
   // is the first node whose start exceeds top_end.
   for (NodeId i = id; i < nodes_.size() && spans_[i].start < top_end; ++i) {
-    const std::string& t = nodes_[i].text;
+    const std::string& t = content_[i].text;
     if (t.empty()) continue;
     if (!out.empty()) out += ' ';
     out += t;
@@ -28,7 +29,8 @@ std::vector<NodeId> Document::Children(NodeId id) const {
 }
 
 const std::string* Document::FindAttribute(NodeId id, TagId name) const {
-  for (const Attribute& a : nodes_[id].attrs) {
+  assert(has_content());
+  for (const Attribute& a : content_[id].attrs) {
     if (a.name == name) return &a.value;
   }
   return nullptr;
@@ -57,8 +59,9 @@ NodeId DocumentBuilder::Open(std::string_view tag) {
     }
     last_child_.back() = id;
   }
-  doc_.nodes_.push_back(std::move(e));
+  doc_.nodes_.push_back(e);
   doc_.spans_.push_back(span);
+  doc_.content_.emplace_back();
   stack_.push_back(id);
   last_child_.push_back(kInvalidNode);
   return id;
@@ -69,8 +72,8 @@ Status DocumentBuilder::Attr(std::string_view name, std::string_view value) {
   if (stack_.empty()) {
     return error_ = Status::InvalidArgument("Attr with no open element");
   }
-  Element& e = doc_.nodes_[stack_.back()];
-  e.attrs.push_back(Attribute{dict_->Intern(name), std::string(value)});
+  NodeContent& c = doc_.content_[stack_.back()];
+  c.attrs.push_back(Attribute{dict_->Intern(name), std::string(value)});
   return Status::OK();
 }
 
@@ -79,9 +82,9 @@ Status DocumentBuilder::Text(std::string_view text) {
   if (stack_.empty()) {
     return error_ = Status::InvalidArgument("Text with no open element");
   }
-  Element& e = doc_.nodes_[stack_.back()];
-  if (!e.text.empty()) e.text += ' ';
-  e.text += text;
+  std::string& t = doc_.content_[stack_.back()].text;
+  if (!t.empty()) t += ' ';
+  t += text;
   return Status::OK();
 }
 

@@ -40,20 +40,31 @@ struct NodeSpan {
 };
 static_assert(sizeof(NodeSpan) == 16, "NodeSpan is the hot per-node record");
 
-/// One element node: tag, child/sibling links, text and attributes. Its
-/// interval numbers and parent live in the Document's parallel NodeSpan
-/// array (Document::span).
+/// One element node: its tag and child/sibling links. Its interval
+/// numbers and parent live in the Document's parallel NodeSpan array
+/// (Document::span), its text and attributes in the parallel NodeContent
+/// array (Document::content).
 struct Element {
   TagId tag = kInvalidTag;
   NodeId first_child = kInvalidNode;
   NodeId next_sibling = kInvalidNode;
+};
+static_assert(sizeof(Element) == 12, "Element is the hot per-node record");
+
+/// The text and attributes of one element. Only attribute predicates,
+/// answer snippets, the IR index build and serialization (XML or packed)
+/// read them, so a packed document decodes them separately and only when
+/// one of those first asks (Corpus::DocWithContent).
+struct NodeContent {
   std::string text;     ///< Immediate text content (children excluded).
   std::vector<Attribute> attrs;
 };
 
 /// An in-memory XML document: a vector of elements in document (pre-)order,
-/// so NodeId doubles as document order, and a parallel vector of their
-/// spans. Build with DocumentBuilder or the Parser; immutable afterwards.
+/// so NodeId doubles as document order, and parallel vectors of their
+/// spans and contents. Build with DocumentBuilder or the Parser; immutable
+/// afterwards, except that a document assembled from structure alone gets
+/// its contents attached once (AttachContent).
 class Document {
  public:
   Document() = default;
@@ -70,6 +81,14 @@ class Document {
   const NodeSpan& span(NodeId id) const { return spans_[id]; }
   NodeId root() const { return nodes_.empty() ? kInvalidNode : 0; }
 
+  /// True once text and attributes are present for every node: always
+  /// for a built document, after AttachContent for an assembled one.
+  bool has_content() const { return content_.size() == nodes_.size(); }
+  const NodeContent& content(NodeId id) const {
+    assert(has_content());
+    return content_[id];
+  }
+
   /// True iff `a` is a proper ancestor of `d`.
   bool IsAncestor(NodeId a, NodeId d) const {
     const NodeSpan& sa = spans_[a];
@@ -81,19 +100,20 @@ class Document {
   bool IsParent(NodeId a, NodeId d) const { return spans_[d].parent == a; }
 
   /// Concatenated text of the subtree rooted at `id`, in document order,
-  /// with single spaces between fragments. O(subtree).
+  /// with single spaces between fragments. O(subtree). Requires content.
   std::string SubtreeText(NodeId id) const;
 
   /// Returns the children of `id` in document order.
   std::vector<NodeId> Children(NodeId id) const;
 
   /// Returns the value of attribute `name` on `id`, or nullptr if absent.
+  /// Requires content.
   const std::string* FindAttribute(NodeId id, TagId name) const;
 
   /// Wraps already-valid parallel node and span vectors (pre-order,
-  /// interval-numbered) as a Document — used by the packed reader, which
-  /// reproduces nodes exactly as a builder once emitted them. Performs no
-  /// validation beyond the two sizes matching.
+  /// interval-numbered) as a Document without content — used by the
+  /// packed reader, which rebuilds the structure exactly as a builder
+  /// numbers it. Performs no validation beyond the two sizes matching.
   static Document Assemble(std::vector<Element> nodes,
                            std::vector<NodeSpan> spans) {
     assert(nodes.size() == spans.size());
@@ -103,10 +123,19 @@ class Document {
     return doc;
   }
 
+  /// Attaches the contents of an assembled document, one per node. Writes
+  /// only the content array, so a reader of the structure may run
+  /// concurrently (Corpus::DocWithContent publishes the result).
+  void AttachContent(std::vector<NodeContent> content) {
+    assert(content.size() == nodes_.size() && content_.empty());
+    content_ = std::move(content);
+  }
+
  private:
   friend class DocumentBuilder;
   std::vector<Element> nodes_;
-  std::vector<NodeSpan> spans_;  ///< spans_[i] belongs to nodes_[i].
+  std::vector<NodeSpan> spans_;        ///< spans_[i] belongs to nodes_[i].
+  std::vector<NodeContent> content_;   ///< Empty until attached, if assembled.
 };
 
 /// Incrementally builds a Document. Usage:

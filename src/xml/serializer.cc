@@ -10,6 +10,7 @@ void SerializeNode(const Document& doc, const TagDict& dict, NodeId id,
                    const SerializeOptions& opts, int depth,
                    std::string* out) {
   const Element& e = doc.node(id);
+  const NodeContent& content = doc.content(id);
   auto indent = [&](int d) {
     if (opts.pretty) {
       out->append("\n");
@@ -21,7 +22,7 @@ void SerializeNode(const Document& doc, const TagDict& dict, NodeId id,
 
   *out += '<';
   *out += dict.Name(e.tag);
-  for (const Attribute& a : e.attrs) {
+  for (const Attribute& a : content.attrs) {
     *out += ' ';
     *out += dict.Name(a.name);
     *out += "=\"";
@@ -29,14 +30,14 @@ void SerializeNode(const Document& doc, const TagDict& dict, NodeId id,
     *out += '"';
   }
   bool has_children = e.first_child != kInvalidNode;
-  if (!has_children && e.text.empty()) {
+  if (!has_children && content.text.empty()) {
     *out += "/>";
     return;
   }
   *out += '>';
-  if (!e.text.empty()) {
+  if (!content.text.empty()) {
     if (opts.pretty && has_children) indent(depth + 1);
-    *out += XmlEscape(e.text);
+    *out += XmlEscape(content.text);
   }
   for (NodeId c = e.first_child; c != kInvalidNode;
        c = doc.node(c).next_sibling) {

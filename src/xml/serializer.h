@@ -17,6 +17,7 @@ struct SerializeOptions {
 /// Renders `doc` back to XML text. Text content is escaped; attribute
 /// values are double-quoted. parse(serialize(doc)) reproduces the same
 /// tree shape, tags, attributes and (whitespace-normalized) text.
+/// `doc` must have its content (Document::has_content).
 std::string SerializeXml(const Document& doc, const TagDict& dict,
                          const SerializeOptions& opts = {});
 

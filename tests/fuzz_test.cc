@@ -228,8 +228,8 @@ TEST(ThreadPoolFuzzTest, ParallelForZeroTasksAndEdgeChunks) {
 // Codec round-trip fuzzing with adversarial delta shapes: runs of
 // delta 1 (worst case for the strict-increase check), huge jumps
 // (multi-byte varints), keys starting at 0, and sequences ending at
-// uint64 max. Whatever encodes must decode back exactly — via the full
-// decode and via each skip entry.
+// uint64 max. Whatever encodes must decode back exactly, and each skip
+// entry must name its block's first key.
 TEST(FuzzTest, StorageKeyBlocksRoundTripAdversarialDeltas) {
   Rng rng(1007);
   for (int iter = 0; iter < 300; ++iter) {
@@ -261,15 +261,13 @@ TEST(FuzzTest, StorageKeyBlocksRoundTripAdversarialDeltas) {
         storage::DecodeKeyBlocks(bytes, keys.size(), &back).ok())
         << "iter " << iter;
     EXPECT_EQ(back, keys) << "iter " << iter;
-    std::vector<uint64_t> assembled;
-    std::vector<uint64_t> block;
+    size_t first = 0;
     for (const storage::SkipEntry& s : skips) {
-      ASSERT_TRUE(
-          storage::DecodeOneBlock(bytes, s.offset, s.count, &block).ok())
-          << "iter " << iter;
-      assembled.insert(assembled.end(), block.begin(), block.end());
+      ASSERT_LT(first, keys.size()) << "iter " << iter;
+      EXPECT_EQ(s.first_key, keys[first]) << "iter " << iter;
+      first += s.count;
     }
-    EXPECT_EQ(assembled, keys) << "iter " << iter;
+    EXPECT_EQ(first, keys.size()) << "iter " << iter;
   }
 }
 
@@ -298,8 +296,9 @@ TEST(FuzzTest, StorageKeyBlockDecoderSurvivesMutation) {
 // (in the header, directories, and payload pages alike) and drive the
 // full reader surface. Every operation must either succeed or return a
 // Status — no crashes, no sanitizer reports. Decode errors on the
-// corpus-backing path surface as empty documents by contract (doc()
-// cannot return a Status), which is also exercised here.
+// corpus-backing path surface as empty documents or empty contents by
+// contract (doc() cannot return a Status), which is also exercised here
+// through the attribute and text readers.
 TEST(FuzzTest, StorageReaderSurvivesCorruptedPages) {
   Rng rng(1009);
   Corpus corpus;
@@ -338,6 +337,19 @@ TEST(FuzzTest, StorageReaderSurvivesCorruptedPages) {
     for (DocId d = 0; d < static_cast<DocId>(reader->DocCount()); ++d) {
       (void)reader->DocNodeCount(d);
       (void)reader->MaterializeDocument(d);  // Status or document
+      (void)reader->MaterializeContent(d);   // Status or content
+    }
+    Corpus backed;
+    if (reader->LoadTags(backed.tags()).ok()) {
+      backed.AttachBacking(reader);
+      for (DocId d = 0; d < backed.size(); ++d) {
+        const Document& doc = backed.DocWithContent(d);
+        if (doc.empty()) continue;
+        (void)doc.SubtreeText(doc.root());
+        for (NodeId n = 0; n < doc.size(); ++n) {
+          (void)doc.FindAttribute(n, 0);
+        }
+      }
     }
     for (TagId t = 0; t < static_cast<TagId>(reader->header().tag_count);
          ++t) {

@@ -464,7 +464,7 @@ TEST(IrPropertyTest, ContainsMatchesBruteForceAndPackedMode) {
     for (DocId d = 0; d < docs; ++d) {
       for (NodeId n = 0; n < corpus.doc(d).size(); ++n) {
         tokens[d].push_back(
-            TokenizeWithPositions(corpus.doc(d).node(n).text, opts));
+            TokenizeWithPositions(corpus.doc(d).content(n).text, opts));
       }
     }
     ASSERT_TRUE(storage::WritePackedCorpus(corpus, opts, path).ok());

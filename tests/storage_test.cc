@@ -3,17 +3,21 @@
 // mmap-backed read path serves exactly what the in-memory build serves,
 // rejection (with a Status, never a crash) of corrupt / truncated /
 // wrong-version files, buffer-pool accounting, and the lazy corpus
-// backing that defers document decodes until a query touches them.
+// backing that defers document decodes until a query touches them and
+// content decodes until something reads text or attributes.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/log.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "core/flexpath.h"
@@ -33,7 +37,6 @@ namespace flexpath {
 namespace {
 
 using storage::DecodeKeyBlocks;
-using storage::DecodeOneBlock;
 using storage::EncodeKeyBlocks;
 using storage::GetVarint;
 using storage::kBlockKeys;
@@ -118,17 +121,24 @@ TEST(StorageCodecTest, KeyBlocksRoundTripAtBlockBoundaries) {
     ASSERT_TRUE(DecodeKeyBlocks(bytes, n, &back).ok()) << n;
     EXPECT_EQ(back, keys) << n;
 
-    // Per-block decode via the skip table reassembles the sequence
-    // (DecodeOneBlock replaces its output: collect block by block).
-    std::vector<uint64_t> assembled;
-    std::vector<uint64_t> block;
+    // Each skip entry names its block's first key and count, and the
+    // list decodes from its offset to the end as the matching suffix.
+    size_t first = 0;
     for (const SkipEntry& s : skips) {
-      EXPECT_EQ(s.first_key, keys[assembled.size()]);
-      ASSERT_TRUE(DecodeOneBlock(bytes, s.offset, s.count, &block).ok());
-      ASSERT_EQ(block.size(), s.count);
-      assembled.insert(assembled.end(), block.begin(), block.end());
+      ASSERT_LT(first, keys.size()) << n;
+      EXPECT_EQ(s.first_key, keys[first]) << n;
+      EXPECT_EQ(s.count, std::min(kBlockKeys, keys.size() - first)) << n;
+      std::vector<uint64_t> suffix;
+      ASSERT_TRUE(DecodeKeyBlocks(std::string_view(bytes).substr(s.offset),
+                                  keys.size() - first, &suffix)
+                      .ok())
+          << n;
+      EXPECT_TRUE(std::equal(suffix.begin(), suffix.end(),
+                             keys.begin() + first))
+          << n;
+      first += s.count;
     }
-    EXPECT_EQ(assembled, keys) << n;
+    EXPECT_EQ(first, keys.size()) << n;
   }
 }
 
@@ -241,6 +251,11 @@ TEST_F(PackedRoundTripTest, DocumentsMaterializeWithFullFidelity) {
     Result<Document> got = reader_->MaterializeDocument(d);
     ASSERT_TRUE(got.ok()) << got.status().ToString() << " doc " << d;
     ASSERT_EQ(got->size(), expect.size()) << "doc " << d;
+    // The structure decode carries no content; it is decoded separately.
+    EXPECT_FALSE(got->has_content());
+    Result<std::vector<NodeContent>> content = reader_->MaterializeContent(d);
+    ASSERT_TRUE(content.ok()) << content.status().ToString() << " doc " << d;
+    ASSERT_EQ(content->size(), expect.size()) << "doc " << d;
     for (NodeId n = 0; n < expect.size(); ++n) {
       const Element& a = expect.node(n);
       const Element& b = got->node(n);
@@ -253,11 +268,13 @@ TEST_F(PackedRoundTripTest, DocumentsMaterializeWithFullFidelity) {
       EXPECT_EQ(sa.start, sb.start);
       EXPECT_EQ(sa.end, sb.end);
       EXPECT_EQ(sa.level, sb.level);
-      EXPECT_EQ(a.text, b.text);
-      ASSERT_EQ(a.attrs.size(), b.attrs.size());
-      for (size_t i = 0; i < a.attrs.size(); ++i) {
-        EXPECT_EQ(a.attrs[i].name, b.attrs[i].name);
-        EXPECT_EQ(a.attrs[i].value, b.attrs[i].value);
+      const NodeContent& ca = expect.content(n);
+      const NodeContent& cb = (*content)[n];
+      EXPECT_EQ(ca.text, cb.text);
+      ASSERT_EQ(ca.attrs.size(), cb.attrs.size());
+      for (size_t i = 0; i < ca.attrs.size(); ++i) {
+        EXPECT_EQ(ca.attrs[i].name, cb.attrs[i].name);
+        EXPECT_EQ(ca.attrs[i].value, cb.attrs[i].value);
       }
     }
   }
@@ -355,7 +372,8 @@ TEST_F(PackedRoundTripTest, InspectJsonNamesEverySection) {
   const std::string json = reader_->InspectJson();
   for (const char* field :
        {"\"magic\"", "\"version\"", "\"page_size\"", "\"sections\"",
-        "tag_names", "doc_dir", "node_streams", "elem_dir", "elem_blocks",
+        "tag_names", "doc_dir", "node_streams", "node_content", "elem_dir",
+        "elem_blocks",
         "elem_skips", "stats", "term_dir", "term_strings", "post_blocks",
         "post_skips"}) {
     EXPECT_NE(json.find(field), std::string::npos) << field;
@@ -441,129 +459,228 @@ std::map<uint32_t, storage::SectionRecord> SectionsOf(const std::string& file) {
   return sections;
 }
 
-// Byte offset in `file` of field `field` of node `node` of document 0,
-// counted from the varint after the tag (0 = parent, 1 = first_child,
-// 2 = next_sibling, 3 = start, 4 = end, 5 = level), found by walking the
-// section table, the doc directory and the node stream up to it.
-size_t NodeFieldOffset(const std::string& file, NodeId node, int field) {
-  std::map<uint32_t, storage::SectionRecord> sections = SectionsOf(file);
-  storage::DocDirRecord doc0;
-  std::memcpy(&doc0, file.data() + sections[storage::kSecDocDir].offset,
-              sizeof(doc0));
-  const size_t base = sections[storage::kSecNodeStreams].offset + doc0.offset;
-  const std::string_view stream(file.data() + base, doc0.length);
-  size_t pos = 0;
-  uint64_t v = 0;
-  auto skip_string = [&] {
-    EXPECT_TRUE(GetVarint(stream, &pos, &v).ok());
-    pos += v;
-  };
-  for (NodeId n = 0; n < node; ++n) {
-    for (int f = 0; f < 7; ++f) EXPECT_TRUE(GetVarint(stream, &pos, &v).ok());
-    skip_string();
-    uint64_t attrs = 0;
-    EXPECT_TRUE(GetVarint(stream, &pos, &attrs).ok());
-    for (uint64_t a = 0; a < attrs; ++a) {
-      EXPECT_TRUE(GetVarint(stream, &pos, &v).ok());
-      skip_string();
-    }
-  }
-  for (int f = 0; f <= field; ++f) EXPECT_TRUE(GetVarint(stream, &pos, &v).ok());
-  return base + pos;
+// Directory record of document `doc` in a packed `file`, and its byte
+// offset there.
+size_t DocDirOffset(const std::string& file, DocId doc) {
+  return SectionsOf(file)[storage::kSecDocDir].offset +
+         doc * sizeof(storage::DocDirRecord);
 }
 
-// One single-byte overwrite of a node record field of document 0. Every
-// value the fixture stores there is a single-byte varint, so a patch keeps
-// the stream length.
-struct NodePatch {
-  NodeId node;
-  int field;
-  char value;
+storage::DocDirRecord DocDirOf(const std::string& file, DocId doc) {
+  storage::DocDirRecord rec;
+  std::memcpy(&rec, file.data() + DocDirOffset(file, doc), sizeof(rec));
+  return rec;
+}
+
+// `file` with document `doc`'s directory record changed by `edit`.
+template <typename Edit>
+std::string WithDocDir(std::string file, DocId doc, Edit edit) {
+  storage::DocDirRecord rec = DocDirOf(file, doc);
+  edit(&rec);
+  std::memcpy(&file[DocDirOffset(file, doc)], &rec, sizeof(rec));
+  return file;
+}
+
+// `file` with byte `at` of document 0's stream in `section` (structure or
+// content) overwritten: it must hold `was` and becomes `value`.
+std::string PatchDoc0(std::string file, uint32_t section, size_t at,
+                      char was, char value) {
+  const storage::DocDirRecord rec = DocDirOf(file, 0);
+  const size_t base =
+      SectionsOf(file)[section].offset +
+      (section == storage::kSecNodeStreams ? rec.offset : rec.content_offset);
+  EXPECT_EQ(file[base + at], was) << "section " << section << " byte " << at;
+  file[base + at] = value;
+  return file;
+}
+
+// One corrupted copy of the fixture file, and the error it must give
+// (none for the clean file).
+struct CorruptCase {
+  const char* what;
+  std::string file;
+  const char* needle;
 };
 
-// Doc 0 of the fixture, as ids, intervals and levels:
-//   site(0) [0,9] L0 > item(1) [1,4] L1 > name(2) [2,3] L2
-//                    > item(3) [5,8] L1 > name(4) [6,7] L2
-// Links are stored as id + 1 (0 = none). Each case is a set of patches
-// the reader must reject; the unpatched file must still decode.
-void ExpectNodeRecordsRejected(
-    const std::string& path, const std::string& bytes,
-    const std::vector<std::vector<NodePatch>>& cases) {
-  for (const std::vector<NodePatch>& patches : cases) {
-    std::string m = bytes;
-    for (const NodePatch& p : patches) {
-      const size_t at = NodeFieldOffset(m, p.node, p.field);
-      ASSERT_NE(m[at], p.value) << "node " << p.node << " field " << p.field;
-      m[at] = p.value;
-    }
-    SCOPED_TRACE("first patch: node " + std::to_string(patches[0].node) +
-                 " field " + std::to_string(patches[0].field));
-    WriteFileBytes(path, m);
-    Result<std::shared_ptr<StorageReader>> r = StorageReader::Open(path);
+// Doc 0 of the fixture as its structure stream, one single-byte varint
+// per field, (tag, level) per node (tags: site 0, item 1, id 2, name 3):
+//   site(0, 0) item(1, 1) name(3, 2) item(1, 1) name(3, 2)
+// so byte 2n is node n's tag and byte 2n + 1 its level. Each case breaks
+// the level rule, the tag range or the stream framing; every other
+// document still decodes, and so does the unpatched file.
+TEST_F(PackedCorruptionTest, RejectsStructureThatBreaksTheLevelRule) {
+  auto patch = [&](size_t at, char was, char value) {
+    return PatchDoc0(bytes_, storage::kSecNodeStreams, at, was, value);
+  };
+  const std::vector<CorruptCase> cases = {
+      {"root not at level 0", patch(1, 0, 1), "corrupt node record"},
+      {"level jump of two", patch(5, 2, 3), "corrupt node record"},
+      {"second root", patch(7, 1, 0), "corrupt node record"},
+      {"tag out of range", patch(2, 1, 4), "corrupt node record"},
+      {"truncated stream", patch(9, 2, '\x82'), "truncated node stream"},
+      {"trailing bytes",
+       WithDocDir(bytes_, 0, [](storage::DocDirRecord* r) { ++r->length; }),
+       "trailing bytes in node stream"},
+      {"fewer nodes than the stream holds",
+       WithDocDir(bytes_, 0,
+                  [](storage::DocDirRecord* r) { --r->node_count; }),
+       "trailing bytes in node stream"},
+      // One more node reads the next document's root as a second root.
+      {"more nodes than the stream holds",
+       WithDocDir(bytes_, 0,
+                  [](storage::DocDirRecord* r) {
+                    ++r->node_count;
+                    r->length += 2;
+                  }),
+       "corrupt node record"},
+  };
+  for (const CorruptCase& c : cases) {
+    SCOPED_TRACE(c.what);
+    WriteFileBytes(path_, c.file);
+    Result<std::shared_ptr<StorageReader>> r = StorageReader::Open(path_);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     Result<Document> doc = (*r)->MaterializeDocument(0);
     ASSERT_FALSE(doc.ok());
     EXPECT_EQ(doc.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(doc.status().ToString().find("corrupt node record"),
-              std::string::npos)
+    EXPECT_NE(doc.status().ToString().find(c.needle), std::string::npos)
         << doc.status().ToString();
+    EXPECT_TRUE((*r)->MaterializeDocument(1).ok());
   }
-  WriteFileBytes(path, bytes);
-  Result<std::shared_ptr<StorageReader>> r = StorageReader::Open(path);
+  // A node count the stream cannot hold (two bytes a node) is rejected
+  // when the directory is validated.
+  ExpectOpenFails(
+      WithDocDir(bytes_, 0, [](storage::DocDirRecord* r) { ++r->node_count; }),
+      "node stream out of bounds for doc 0");
+
+  WriteFileBytes(path_, bytes_);
+  Result<std::shared_ptr<StorageReader>> r = StorageReader::Open(path_);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE((*r)->MaterializeDocument(0).ok());
 }
 
-TEST_F(PackedCorruptionTest, RejectsNodeLinksThatCouldLoopWalks) {
-  ExpectNodeRecordsRejected(path_, bytes_,
-                            {
-                                {{1, 0, 2}},  // item's parent is itself
-                                {{1, 0, 3}},  // item's parent is its child
-                                {{1, 0, 0}},  // a second root
-                                {{0, 0, 1}},  // the root has a parent
-                                {{1, 1, 2}},  // item's first child is itself
-                                {{2, 1, 2}},  // name's first child is item
-                                {{2, 2, 1}},  // name's next sibling is site
-                            });
+// Doc 0 of the fixture as its content stream, per node the text, the
+// attribute count, then (name, value) per attribute:
+//   site: 00 00 | item: 00 01 02 02 'i' '1' | name: 09 "gold ring" 00 |
+//   item: 00 00 | name: 09 "gold coin" 00
+// A corrupt content stream empties only that document's content, with a
+// log line: its structure still answers queries, attribute predicates on
+// it match nothing and its snippets are empty, while document 1 is served
+// as before.
+TEST_F(PackedCorruptionTest, CorruptContentEmptiesOnlyThatDocument) {
+  auto patch = [&](size_t at, char was, char value) {
+    return PatchDoc0(bytes_, storage::kSecNodeContent, at, was, value);
+  };
+  const std::vector<CorruptCase> cases = {
+      {"bad attribute name", patch(4, 2, 0x7f), "corrupt attribute name"},
+      {"truncated string", patch(21, 9, 0x7f), "truncated string"},
+      {"trailing bytes",
+       WithDocDir(bytes_, 0,
+                  [](storage::DocDirRecord* r) { ++r->content_length; }),
+       "trailing bytes in node content"},
+      {"clean", bytes_, nullptr},
+  };
+  for (const CorruptCase& c : cases) {
+    SCOPED_TRACE(c.what);
+    WriteFileBytes(path_, c.file);
+    Result<std::shared_ptr<StorageReader>> r = StorageReader::Open(path_);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    Result<std::vector<NodeContent>> content = (*r)->MaterializeContent(0);
+    EXPECT_TRUE((*r)->MaterializeContent(1).ok());
+    if (c.needle != nullptr) {
+      ASSERT_FALSE(content.ok());
+      EXPECT_NE(content.status().ToString().find(c.needle), std::string::npos)
+          << content.status().ToString();
+    } else {
+      ASSERT_TRUE(content.ok()) << content.status().ToString();
+    }
+
+    std::vector<std::string> logged;
+    Logger::Global().SetCaptureSink(
+        [&](std::string_view line) { logged.emplace_back(line); });
+    FlexPath packed;
+    ASSERT_TRUE(packed.OpenPacked(path_).ok());
+    TopKOptions opts;
+    opts.k = 10;
+    Result<std::vector<QueryAnswer>> by_attr =
+        packed.Query("//item[@id='i1']", opts);
+    Result<std::vector<QueryAnswer>> by_structure =
+        packed.Query("//item[./name]", opts);
+    Logger::Global().SetCaptureSink(nullptr);
+    ASSERT_TRUE(by_attr.ok()) << by_attr.status().ToString();
+    ASSERT_TRUE(by_structure.ok()) << by_structure.status().ToString();
+    const bool corrupt = c.needle != nullptr;
+    EXPECT_EQ(by_attr->size(), corrupt ? 0u : 1u);
+    std::vector<std::pair<NodeRef, std::string>> got;
+    for (const QueryAnswer& a : *by_structure) {
+      got.emplace_back(a.node, a.snippet);
+    }
+    std::sort(got.begin(), got.end());
+    const std::vector<std::pair<NodeRef, std::string>> want = {
+        {NodeRef{0, 1}, corrupt ? "" : "gold ring"},
+        {NodeRef{0, 3}, corrupt ? "" : "gold coin"},
+        {NodeRef{1, 1}, "silver coin"},
+    };
+    EXPECT_EQ(got, want);
+    size_t failures = 0;
+    for (const std::string& line : logged) {
+      failures += line.find("document content decode failed") !=
+                  std::string::npos;
+    }
+    EXPECT_EQ(failures, corrupt ? 1u : 0u);
+  }
 }
 
-TEST_F(PackedCorruptionTest, RejectsNodeIntervalsThatDisagreeWithLinks) {
-  // Every case keeps the links pointing forward, so walks terminate, but
-  // the intervals, levels and links no longer describe one tree.
-  ExpectNodeRecordsRejected(
-      path_, bytes_,
-      {
-          {{2, 3, 1}},  // name opens with its parent
-          {{2, 4, 4}},  // name closes with its parent
-          {{0, 4, 3}},  // site closes inside item
-          {{2, 5, 1}},  // name is at its parent's level
-          {{4, 5, 1}},  // the last name is at its parent's level
-          {{0, 5, 1}},  // the root is not at level 0
-          // Every level one too deep, so only the root's is wrong.
-          {{0, 5, 1}, {1, 5, 2}, {2, 5, 3}, {3, 5, 2}, {4, 5, 3}},
-          {{1, 4, 7}},  // the first item overlaps the second
-          {{1, 1, 0}},  // item has no first child, yet name's parent is item
-          {{1, 2, 3}},  // item's next sibling is its own child
-          {{1, 2, 0}},  // the second item is nobody's next sibling
-          {{2, 2, 4}},  // name's next sibling is the second item
-          {{3, 1, 0}},  // the second item claims no children
-          // The links say name(2) is a child of site, after item(1),
-          // while its interval lies inside item's: item must close
-          // before its next sibling opens.
-          {{2, 0, 1}, {2, 5, 1}, {1, 1, 0}, {1, 2, 3}, {2, 2, 4}},
-          // The links say the last name(4) is a child of the first item,
-          // after name(2), and the intervals agree, but ids are no longer
-          // pre-order: the second item(3) sits between them. Only the
-          // rule that node n - 1 closes before a later sibling opens
-          // catches this.
-          {{1, 4, 6},
-           {2, 2, 5},
-           {3, 3, 7},
-           {3, 1, 0},
-           {4, 0, 2},
-           {4, 3, 4},
-           {4, 4, 5}},
-      });
+// A v1 file (seven varints, text and attributes per node) cannot be read
+// as v2; the reader says to re-pack it rather than misreading it.
+TEST_F(PackedCorruptionTest, RejectsVersion1WithRepackMessage) {
+  std::string m = bytes_;
+  const uint32_t version = 1;
+  std::memcpy(&m[offsetof(storage::FileHeader, version)], &version,
+              sizeof(version));
+  ExpectOpenFails(m, "re-pack");
+}
+
+// An element-table key past its document (node 100 of a five-node
+// document) would index the document's node arrays out of bounds. The
+// table decodes empty instead, like a corrupt posting list, so the tag
+// matches nothing.
+TEST_F(PackedCorruptionTest, RejectsElementKeysPastTheirDocument) {
+  std::map<uint32_t, storage::SectionRecord> sections = SectionsOf(bytes_);
+  Result<std::shared_ptr<StorageReader>> pristine = StorageReader::Open(path_);
+  ASSERT_TRUE(pristine.ok());
+  TagDict tags;
+  ASSERT_TRUE((*pristine)->LoadTags(&tags).ok());
+  const TagId item = tags.Lookup("item");
+  ASSERT_NE(item, kInvalidTag);
+  storage::ElemDirRecord rec;
+  std::memcpy(&rec,
+              bytes_.data() + sections[storage::kSecElemDir].offset +
+                  item * sizeof(rec),
+              sizeof(rec));
+  ASSERT_EQ(rec.count, 3u);
+  // item's keys are (0, 1), (0, 3), (1, 1): the first is the varint 1.
+  std::string m = bytes_;
+  const size_t first_key = sections[storage::kSecElemBlocks].offset + rec.offset;
+  ASSERT_EQ(m[first_key], 1);
+  m[first_key] = 100;
+  WriteFileBytes(path_, m);
+
+  Result<std::shared_ptr<StorageReader>> r = StorageReader::Open(path_);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ((*r)->TagListCount(item), 3u);
+  EXPECT_TRUE((*r)->TagList(item)->empty());
+
+  FlexPath packed;
+  ASSERT_TRUE(packed.OpenPacked(path_).ok());
+  TopKOptions opts;
+  opts.k = 10;
+  Result<std::vector<QueryAnswer>> answers =
+      packed.Query("//item[./name]", opts);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_TRUE(answers->empty());
+  Result<std::vector<QueryAnswer>> names = packed.Query("//name", opts);
+  ASSERT_TRUE(names.ok()) << names.status().ToString();
+  EXPECT_EQ(names->size(), 3u);
 }
 
 TEST_F(PackedCorruptionTest, RejectsPostingsOutOfOrderOrRange) {
@@ -657,6 +774,95 @@ TEST(PackedFlexPathTest, OpenIsLazyAndDocSizeNeedsNoDecode) {
   EXPECT_EQ(decodes->Value(), before_open + 1);
 
   EXPECT_NE(packed.packed_reader(), nullptr);
+  std::remove(path.c_str());
+}
+
+// Content is decoded only for the documents whose text or attributes a
+// query reads: none for a structure-only query, the candidates' documents
+// for an attribute predicate, the answers' documents for snippets. Every
+// answer and snippet equals the in-memory build's.
+TEST(PackedFlexPathTest, ContentDecodesOnlyWhereQueriesReadIt) {
+  // Items and names live only in documents 0 and 1, persons only in 2
+  // and 3, so each query below touches a known pair of documents.
+  const std::vector<std::string> docs = {
+      "<site><item id=\"a\"><name>gold ring</name></item></site>",
+      "<site><item id=\"b\"><name>silver</name><name>x</name></item>"
+      "</site>",
+      "<site><person id=\"p\"><age>33</age></person></site>",
+      "<site><person id=\"q\"><age>4</age><age>5</age></person></site>",
+  };
+  FlexPath mem;
+  for (const std::string& xml : docs) {
+    ASSERT_TRUE(mem.AddDocumentXml(xml).ok());
+  }
+  const std::string path = TempPath("storage_content_lazy.fxp");
+  ASSERT_TRUE(mem.SavePacked(path).ok());
+  ASSERT_TRUE(mem.Build().ok());
+  const std::string file = ReadFileBytes(path);
+  auto sum = [&](std::vector<DocId> ids, bool content) {
+    uint64_t bytes = 0;
+    for (DocId d : ids) {
+      const storage::DocDirRecord rec = DocDirOf(file, d);
+      bytes += content ? rec.content_length : rec.length;
+    }
+    return bytes;
+  };
+
+  MetricsRegistry& m = MetricsRegistry::Global();
+  Counter* doc_bytes = m.counter("storage.doc_decode_bytes");
+  Counter* content_decodes = m.counter("storage.content_decodes");
+  Counter* content_bytes = m.counter("storage.content_decode_bytes");
+  FlexPath packed;
+  ASSERT_TRUE(packed.OpenPacked(path).ok());
+  TopKOptions opts;
+  opts.k = 10;
+  opts.num_threads = 1;
+  auto run = [&](FlexPath& fp, const char* xpath) {
+    Result<Tpq> q = fp.Parse(xpath);
+    EXPECT_TRUE(q.ok());
+    Result<TopKResult> r = fp.QueryTpq(*q, opts, Algorithm::kHybrid);
+    EXPECT_TRUE(r.ok());
+    std::vector<std::pair<NodeRef, double>> out;
+    for (const RankedAnswer& a : r->answers) {
+      out.emplace_back(a.node, a.score.Combined());
+    }
+    return out;
+  };
+
+  // Structure only: both item documents' structure, no content at all.
+  uint64_t b0 = doc_bytes->Value();
+  uint64_t c0 = content_decodes->Value();
+  EXPECT_EQ(run(packed, "//item[./name]"), run(mem, "//item[./name]"));
+  EXPECT_EQ(doc_bytes->Value() - b0, sum({0, 1}, false));
+  EXPECT_EQ(content_decodes->Value(), c0);
+
+  // An attribute predicate decodes the content of the candidates'
+  // documents (2 and 3), and no other.
+  b0 = doc_bytes->Value();
+  uint64_t cb0 = content_bytes->Value();
+  EXPECT_EQ(run(packed, "//person[@id='p' and ./age]"),
+            run(mem, "//person[@id='p' and ./age]"));
+  EXPECT_EQ(doc_bytes->Value() - b0, sum({2, 3}, false));
+  EXPECT_EQ(content_decodes->Value() - c0, 2u);
+  EXPECT_EQ(content_bytes->Value() - cb0, sum({2, 3}, true));
+
+  // Snippets decode the answers' documents (0 and 1) once each; the
+  // person documents are already decoded and are not decoded again.
+  cb0 = content_bytes->Value();
+  for (const char* xpath : {"//item[./name]", "//person[./age]"}) {
+    Result<std::vector<QueryAnswer>> got = packed.Query(xpath, opts);
+    Result<std::vector<QueryAnswer>> want = mem.Query(xpath, opts);
+    ASSERT_TRUE(got.ok() && want.ok());
+    ASSERT_EQ(got->size(), want->size()) << xpath;
+    for (size_t i = 0; i < got->size(); ++i) {
+      EXPECT_EQ((*got)[i].node, (*want)[i].node) << xpath;
+      EXPECT_EQ((*got)[i].score, (*want)[i].score) << xpath;
+      EXPECT_EQ((*got)[i].tag, (*want)[i].tag) << xpath;
+      EXPECT_EQ((*got)[i].snippet, (*want)[i].snippet) << xpath;
+    }
+  }
+  EXPECT_EQ(content_decodes->Value() - c0, 4u);
+  EXPECT_EQ(content_bytes->Value() - cb0, sum({0, 1}, true));
   std::remove(path.c_str());
 }
 

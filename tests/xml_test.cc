@@ -128,7 +128,7 @@ TEST(ParserTest, ParsesBasicDocument) {
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   ASSERT_EQ(doc->size(), 3u);
   EXPECT_EQ(doc->node(0).tag, dict.Lookup("a"));
-  EXPECT_EQ(doc->node(1).text, "hi");
+  EXPECT_EQ(doc->content(1).text, "hi");
   const std::string* attr = doc->FindAttribute(1, dict.Lookup("x"));
   ASSERT_NE(attr, nullptr);
   EXPECT_EQ(*attr, "1");
@@ -142,7 +142,7 @@ TEST(ParserTest, HandlesPrologCommentsCdata) {
     <site><!-- inner --><item><![CDATA[5 < 6 & 7 > 2]]></item></site>)";
   Result<Document> doc = ParseXml(xml, &dict);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  EXPECT_EQ(doc->node(1).text, "5 < 6 & 7 > 2");
+  EXPECT_EQ(doc->content(1).text, "5 < 6 & 7 > 2");
 }
 
 // The parser must never read past the view it was given: the input here
@@ -168,7 +168,7 @@ TEST(ParserTest, DecodesEntities) {
   Result<Document> doc =
       ParseXml("<a>&lt;tag&gt; &amp; &quot;x&quot; &#65;&#x42;</a>", &dict);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  EXPECT_EQ(doc->node(0).text, "<tag> & \"x\" AB");
+  EXPECT_EQ(doc->content(0).text, "<tag> & \"x\" AB");
 }
 
 TEST(ParserTest, EntityInAttribute) {
@@ -228,7 +228,7 @@ TEST(SerializerTest, RoundTripPreservesStructure) {
   ASSERT_EQ(again->size(), doc->size());
   for (NodeId i = 0; i < doc->size(); ++i) {
     EXPECT_EQ(again->node(i).tag, doc->node(i).tag);
-    EXPECT_EQ(again->node(i).text, doc->node(i).text);
+    EXPECT_EQ(again->content(i).text, doc->content(i).text);
     EXPECT_EQ(again->span(i).parent, doc->span(i).parent);
     EXPECT_EQ(again->span(i).level, doc->span(i).level);
   }
