@@ -74,12 +74,11 @@ double SweepSizeMb(int index) {
 }
 
 TopKResult RunTopK(Fixture& fixture, const Tpq& q, Algorithm algo, size_t k,
-                   RankScheme scheme, size_t threads, CacheTier cache) {
+                   RankScheme scheme, size_t threads) {
   TopKOptions opts;
   opts.k = k;
   opts.scheme = scheme;
   opts.num_threads = threads;
-  opts.result_cache.tier = cache;
   Result<TopKResult> result = fixture.processor->Run(q, algo, opts);
   if (!result.ok()) {
     std::fprintf(stderr, "top-k run failed: %s\n",
@@ -93,7 +92,7 @@ void EmitJsonLine(const std::string& bench, const char* algorithm, size_t k,
                   uint64_t corpus_bytes, double elapsed_ms,
                   const ExecCounters& counters, size_t relaxations,
                   size_t answers, size_t threads,
-                  const std::string* metrics_json, CacheTier cache) {
+                  const std::string* metrics_json) {
   std::string line = "{\"bench\":\"";
   line += JsonEscape(bench);
   line += "\",\"algorithm\":\"";
@@ -107,9 +106,7 @@ void EmitJsonLine(const std::string& bench, const char* algorithm, size_t k,
   line += ",\"relaxations_used\":" + std::to_string(relaxations);
   line += ",\"answers\":" + std::to_string(answers);
   line += ",\"threads\":" + std::to_string(threads);
-  line += ",\"cache\":\"";
-  line += CacheTierName(cache);
-  line += "\",\"counters\":{";
+  line += ",\"counters\":{";
   bool first = true;
   counters.ForEach([&](const char* name, uint64_t value) {
     if (!first) line += ',';
@@ -128,14 +125,13 @@ void EmitJsonLine(const std::string& bench, const char* algorithm, size_t k,
 
 TopKResult EmitTopKRunJson(const std::string& bench, Fixture& fixture,
                            const Tpq& q, Algorithm algo, size_t k,
-                           RankScheme scheme, size_t threads,
-                           CacheTier cache) {
+                           RankScheme scheme, size_t threads) {
   // Zero the process-wide registry so the emitted line (and an embedded
   // metrics snapshot) reflects this run alone, not every configuration
   // the bench binary executed before it.
   MetricsRegistry::Global().ResetAll();
   const auto start = std::chrono::steady_clock::now();
-  TopKResult result = RunTopK(fixture, q, algo, k, scheme, threads, cache);
+  TopKResult result = RunTopK(fixture, q, algo, k, scheme, threads);
   const double elapsed_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)
@@ -146,11 +142,11 @@ TopKResult EmitTopKRunJson(const std::string& bench, Fixture& fixture,
         MetricsToJson(MetricsRegistry::Global().Snapshot());
     EmitJsonLine(bench, AlgorithmName(algo), k, fixture.target_bytes,
                  elapsed_ms, result.counters, result.relaxations_used,
-                 result.answers.size(), threads, &metrics, cache);
+                 result.answers.size(), threads, &metrics);
   } else {
     EmitJsonLine(bench, AlgorithmName(algo), k, fixture.target_bytes,
                  elapsed_ms, result.counters, result.relaxations_used,
-                 result.answers.size(), threads, nullptr, cache);
+                 result.answers.size(), threads);
   }
   return result;
 }

@@ -62,18 +62,14 @@ double SweepSizeMb(int index);
 /// `threads` maps to TopKOptions::num_threads; the default of 1 keeps
 /// the paper-figure benchmarks on the serial path so their numbers stay
 /// comparable across machines — thread-scaling benches opt in explicitly.
-/// `cache` maps to TopKOptions::result_cache.tier (the sub-plan result
-/// cache, DESIGN.md §12); the default of kOff keeps the paper figures on
-/// the memoization-free path.
 TopKResult RunTopK(Fixture& fixture, const Tpq& q, Algorithm algo, size_t k,
                    RankScheme scheme = RankScheme::kStructureFirst,
-                   size_t threads = 1, CacheTier cache = CacheTier::kOff);
+                   size_t threads = 1);
 
 /// Prints one machine-parseable JSON line describing a benchmark run to
 /// stderr (stdout belongs to google-benchmark's reporter):
 ///   {"bench":"fig10/DPO","algorithm":"DPO","k":600,"corpus_bytes":...,
 ///    "elapsed_ms":...,"relaxations_used":...,"answers":...,"threads":...,
-///    "cache":"off",
 ///    "counters":{"plan_passes":...,...all ExecCounters fields...}}
 /// When `metrics_json` is non-null, its content is appended verbatim as a
 /// final "metrics" field (a MetricsToJson snapshot of the run).
@@ -81,8 +77,7 @@ void EmitJsonLine(const std::string& bench, const char* algorithm, size_t k,
                   uint64_t corpus_bytes, double elapsed_ms,
                   const ExecCounters& counters, size_t relaxations,
                   size_t answers, size_t threads = 1,
-                  const std::string* metrics_json = nullptr,
-                  CacheTier cache = CacheTier::kOff);
+                  const std::string* metrics_json = nullptr);
 
 /// Times one un-instrumented top-K run and emits its JSON line. Call once
 /// per benchmark case, after the google-benchmark timing loop, so every
@@ -94,8 +89,7 @@ void EmitJsonLine(const std::string& bench, const char* algorithm, size_t k,
 TopKResult EmitTopKRunJson(const std::string& bench, Fixture& fixture,
                            const Tpq& q, Algorithm algo, size_t k,
                            RankScheme scheme = RankScheme::kStructureFirst,
-                           size_t threads = 1,
-                           CacheTier cache = CacheTier::kOff);
+                           size_t threads = 1);
 
 }  // namespace bench_util
 }  // namespace flexpath

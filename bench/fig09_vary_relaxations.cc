@@ -26,37 +26,6 @@ void BM_Fig09(benchmark::State& state, flexpath::Algorithm algo,
                                         fixture, q, algo, 50);
 }
 
-// Cache axis (DESIGN.md §12): the same DPO runs with the sub-plan result
-// cache at each tier. Q3 relaxes several steps, so consecutive DPO
-// rounds share long plan prefixes — the run-local tier alone shortens
-// every round after the first, and the shared tier additionally makes
-// repeated queries (every timing-loop iteration after the first) start
-// warm. Counters land in the JSON line: cache_step_hits / tuples_excluded
-// say how much work each tier removed.
-void BM_Fig09Cached(benchmark::State& state, const char* query,
-                    flexpath::CacheTier tier) {
-  auto& fixture = flexpath::bench_util::GetFixtureMb(
-      flexpath::bench_util::SmallDocMb());
-  flexpath::Tpq q = fixture.Parse(query);
-  flexpath::TopKResult result;
-  for (auto _ : state) {
-    result = flexpath::bench_util::RunTopK(
-        fixture, q, flexpath::Algorithm::kDpo, 50,
-        flexpath::RankScheme::kStructureFirst, /*threads=*/1, tier);
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["relaxations"] =
-      static_cast<double>(result.relaxations_used);
-  state.counters["cache_step_hits"] =
-      static_cast<double>(result.counters.cache_step_hits);
-  state.counters["tuples_excluded"] =
-      static_cast<double>(result.counters.tuples_excluded);
-  flexpath::bench_util::EmitTopKRunJson(
-      std::string("fig09/") + query + "/cache", fixture, q,
-      flexpath::Algorithm::kDpo, 50, flexpath::RankScheme::kStructureFirst,
-      /*threads=*/1, tier);
-}
-
 }  // namespace
 
 BENCHMARK_CAPTURE(BM_Fig09, Q1_DPO, flexpath::Algorithm::kDpo,
@@ -71,11 +40,5 @@ BENCHMARK_CAPTURE(BM_Fig09, Q3_DPO, flexpath::Algorithm::kDpo,
                   flexpath::bench_util::kQ3);
 BENCHMARK_CAPTURE(BM_Fig09, Q3_SSO, flexpath::Algorithm::kSso,
                   flexpath::bench_util::kQ3);
-BENCHMARK_CAPTURE(BM_Fig09Cached, Q3_DPO_cache_off,
-                  flexpath::bench_util::kQ3, flexpath::CacheTier::kOff);
-BENCHMARK_CAPTURE(BM_Fig09Cached, Q3_DPO_cache_run,
-                  flexpath::bench_util::kQ3, flexpath::CacheTier::kRun);
-BENCHMARK_CAPTURE(BM_Fig09Cached, Q3_DPO_cache_shared,
-                  flexpath::bench_util::kQ3, flexpath::CacheTier::kShared);
 
 BENCHMARK_MAIN();

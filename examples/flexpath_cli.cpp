@@ -46,16 +46,15 @@
 //   :synonym A B               register B as a synonym of A
 //   :stats                     corpus + per-query-shape statistics
 //   :slowlog                   slow-query log (see --slow-query-ms)
-//   :cache [off|run|shared]    show cache statistics (JSON), or switch
-//                              the sub-plan result-cache tier
+//   :cache                     show cache statistics (JSON)
 //   :trace [FILE]              Chrome-trace JSON of the last traced query
 //                              (stdout, or written to FILE); load it in
 //                              chrome://tracing or ui.perfetto.dev
 //   :flightrec                 dump the crash-safe flight recorder ring
 //                              as JSON (most recent ~4k runtime events)
-//   :watch [SECONDS]           windowed metric rates (QPS, cache hit
-//                              rate, rounds pruned/s, cpu_ms/s, mean
-//                              latency) over the trailing window
+//   :watch [SECONDS]           windowed metric rates (QPS, errors/s,
+//                              rounds pruned/s, cpu_ms/s, mean latency)
+//                              over the trailing window
 //                              (default 60s); needs --admin-port or a
 //                              prior :watch to start the sampler
 //   :help / :quit
@@ -110,12 +109,6 @@
 //                              that trips it stops relaxing and returns
 //                              its partial answers, flagged
 //   --max-tuples N             per-query tuple-creation budget
-//
-// Cache flags (DESIGN.md §12):
-//   --cache off|run|shared     sub-plan result-cache tier (default off;
-//                              answers are identical at every tier)
-//   --cache-mb N               byte budget, in MB, of the process-wide
-//                              shared tier (and of each run-local tier)
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -168,7 +161,6 @@ struct CliState {
   flexpath::RankScheme scheme = flexpath::RankScheme::kStructureFirst;
   double slow_query_ms = -1.0;  ///< Negative: slow-query log disabled.
   size_t threads = 0;           ///< 0: hardware concurrency; 1: serial.
-  flexpath::ResultCacheOptions cache;  ///< Sub-plan result cache knobs.
   double max_cpu_ms = 0.0;      ///< Soft per-query CPU budget (0: off).
   uint64_t max_tuples = 0;      ///< Soft per-query tuple budget (0: off).
   std::string trace_out;        ///< --trace-out target (empty: off).
@@ -180,7 +172,6 @@ flexpath::TopKOptions MakeOptions(const CliState& state) {
   opts.scheme = state.scheme;
   opts.slow_query_ms = state.slow_query_ms;
   opts.num_threads = state.threads;
-  opts.result_cache = state.cache;
   opts.max_cpu_ms = state.max_cpu_ms;
   opts.max_tuples = state.max_tuples;
   // --trace-out wants a Chrome trace of whatever ran last, so every
@@ -272,11 +263,11 @@ void Watch(CliState& state, double window_s) {
   StartHistory(state);
   state.history.SampleNow();
   const flexpath::DerivedRates rates = state.history.Derived(window_s);
-  std::printf("window %.0fs: qps=%.3f errors/s=%.3f cache_hit=%.1f%% "
+  std::printf("window %.0fs: qps=%.3f errors/s=%.3f "
               "rounds_pruned/s=%.3f cpu_ms/s=%.3f mean_latency=%.3fms\n",
               window_s, rates.qps, rates.errors_per_s,
-              rates.cache_hit_rate * 100.0, rates.rounds_pruned_per_s,
-              rates.cpu_ms_per_s, rates.latency_mean_ms);
+              rates.rounds_pruned_per_s, rates.cpu_ms_per_s,
+              rates.latency_mean_ms);
 }
 
 void PrintHelp() {
@@ -293,7 +284,7 @@ void PrintHelp() {
       "  :synonym A B             thesaurus entry (B relaxes A)\n"
       "  :stats                   corpus + per-query-shape statistics\n"
       "  :slowlog                 slow-query log\n"
-      "  :cache [off|run|shared]  cache statistics / result-cache tier\n"
+      "  :cache                   cache statistics\n"
       "  :trace [FILE]            Chrome-trace JSON of the last traced query\n"
       "  :flightrec               dump the flight-recorder ring as JSON\n"
       "  :watch [SECONDS]         windowed metric rates (default 60s)\n"
@@ -446,9 +437,9 @@ void Lint(CliState& state, const std::string& xpath) {
 }
 
 // Scheme certification (--certify / :certify): the flexcheck-v2 view of
-// every registered rank scheme — its score-algebra expression, the four
-// statically proved/refuted properties (FX301-FX304, DESIGN.md §16),
-// and the optimization directives the engine derives from the proof.
+// every registered rank scheme — its score-algebra expression, the
+// statically proved/refuted properties (FX305, FX301, FX302; DESIGN.md
+// §16), and the optimization directives the engine derives from the proof.
 // Exit status 1 when any registered scheme fails certification (cannot
 // happen with only the built-ins; a custom scheme can only get in
 // uncertified through the test seam).
@@ -470,7 +461,6 @@ int Certify(bool as_json) {
         {"well_formed", &cert->well_formed},
         {"relaxation_monotone", &cert->relaxation_monotone},
         {"order_invariant", &cert->order_invariant},
-        {"cache_exact", &cert->cache_exact},
     };
     for (const auto& [name, v] : props) {
       std::string note = v->code.empty() ? "" : "[" + v->code + "] ";
@@ -500,28 +490,12 @@ const char* FlagValue(int argc, char** argv, int* i, const char* flag) {
   return nullptr;
 }
 
-// Parses a result-cache tier name; returns false on anything else.
-bool ParseCacheTier(const std::string& name, flexpath::CacheTier* out) {
-  if (name == "off") {
-    *out = flexpath::CacheTier::kOff;
-  } else if (name == "run") {
-    *out = flexpath::CacheTier::kRun;
-  } else if (name == "shared") {
-    *out = flexpath::CacheTier::kShared;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 void PrintStats(CliState& state) {
   const flexpath::Corpus& corpus = state.fp.corpus();
   std::printf("documents: %zu, elements: %zu, distinct tags: %zu\n",
               corpus.size(), corpus.TotalNodes(),
               std::as_const(corpus).tags().size());
-  std::printf("result cache: tier=%s  %s\n",
-              flexpath::CacheTierName(state.cache.tier),
-              state.fp.CacheStatsJson().c_str());
+  std::printf("caches: %s\n", state.fp.CacheStatsJson().c_str());
   const std::vector<flexpath::ShapeStatsSnapshot> shapes =
       state.fp.query_stats()->Shapes();
   if (shapes.empty()) return;
@@ -653,43 +627,33 @@ int Repl(CliState& state) {
     } else if (cmd == ":slowlog") {
       PrintSlowLog(state);
     } else if (cmd == ":cache") {
-      std::string name;
-      if (words >> name) {
-        if (ParseCacheTier(name, &state.cache.tier)) {
-          std::printf("result cache tier = %s\n",
-                      flexpath::CacheTierName(state.cache.tier));
-        } else {
-          std::printf("usage: :cache [off|run|shared]\n");
-        }
+      // Two distinct cache families live behind one engine: the
+      // query-level IR caches (contains results, merged scans) and —
+      // for a packed corpus — the storage buffer pools, which cache
+      // *decoded file blocks*, not derived results.
+      std::printf("query IR caches:\n  %s\n",
+                  state.fp.CacheStatsJson().c_str());
+      const flexpath::storage::StorageReader* reader =
+          state.fp.packed_reader();
+      if (reader == nullptr) {
+        std::printf("storage buffer pools: (not a packed corpus)\n");
       } else {
-        // Two distinct cache families live behind one engine: the
-        // query-level result/IR caches (answers, contains results,
-        // merged scans) and — for a packed corpus — the storage buffer
-        // pools, which cache *decoded file blocks*, not query results.
-        std::printf("query result/IR caches:\n  %s\n",
-                    state.fp.CacheStatsJson().c_str());
-        const flexpath::storage::StorageReader* reader =
-            state.fp.packed_reader();
-        if (reader == nullptr) {
-          std::printf("storage buffer pools: (not a packed corpus)\n");
-        } else {
-          const auto print_pool =
-              [](const char* pool_name,
-                 const flexpath::storage::StorageReader::PoolStats& s) {
-                std::printf(
-                    "  %-15s %llu hits / %llu misses / %llu evictions, "
-                    "%zu entries, %zu of %zu bytes\n",
-                    pool_name, static_cast<unsigned long long>(s.hits),
-                    static_cast<unsigned long long>(s.misses),
-                    static_cast<unsigned long long>(s.evictions),
-                    s.entries, s.bytes, s.budget);
-              };
-          std::printf(
-              "storage buffer pools (decoded-block pools of the packed "
-              "file, not result caches):\n");
-          print_pool("element tables:", reader->GetElemPoolStats());
-          print_pool("posting lists:", reader->GetPostPoolStats());
-        }
+        const auto print_pool =
+            [](const char* pool_name,
+               const flexpath::storage::StorageReader::PoolStats& s) {
+              std::printf(
+                  "  %-15s %llu hits / %llu misses / %llu evictions, "
+                  "%zu entries, %zu of %zu bytes\n",
+                  pool_name, static_cast<unsigned long long>(s.hits),
+                  static_cast<unsigned long long>(s.misses),
+                  static_cast<unsigned long long>(s.evictions),
+                  s.entries, s.bytes, s.budget);
+            };
+        std::printf(
+            "storage buffer pools (decoded-block pools of the packed "
+            "file, not derived-result caches):\n");
+        print_pool("element tables:", reader->GetElemPoolStats());
+        print_pool("posting lists:", reader->GetPostPoolStats());
       }
     } else if (cmd == ":trace") {
       const std::string chrome = state.fp.LastTraceChromeJson();
@@ -815,25 +779,6 @@ int main(int argc, char** argv) {
       state.max_tuples = static_cast<uint64_t>(std::atoll(v));
       continue;
     }
-    if (std::strcmp(argv[i], "--cache") == 0 && i + 1 < argc) {
-      if (!ParseCacheTier(argv[++i], &state.cache.tier)) {
-        std::fprintf(stderr, "--cache: expected off|run|shared, got %s\n",
-                     argv[i]);
-        return 2;
-      }
-      continue;
-    }
-    if (std::strcmp(argv[i], "--cache-mb") == 0 && i + 1 < argc) {
-      const double mb = std::atof(argv[++i]);
-      if (mb <= 0) {
-        std::fprintf(stderr, "--cache-mb: expected a positive number\n");
-        return 2;
-      }
-      const size_t bytes = static_cast<size_t>(mb * 1024 * 1024);
-      state.cache.run_budget_bytes = bytes;
-      state.fp.SetSharedResultCacheBudget(bytes);
-      continue;
-    }
     if (std::strcmp(argv[i], "--explain") == 0 ||
         std::strcmp(argv[i], "--explain-json") == 0) {
       if (i + 1 >= argc) {
@@ -926,7 +871,6 @@ int main(int argc, char** argv) {
                  "[--subtype SUPER SUB] "
                  "[--log-json] [--log-level L] [--slow-query-ms N] "
                  "[--threads N] [--metrics-prom] "
-                 "[--cache off|run|shared] [--cache-mb N] "
                  "[--trace-out FILE] [--flightrec-out FILE] "
                  "[--crash-dump FILE] [--admin-port N] [--admin-bind ADDR] "
                  "[--query-log FILE] "

@@ -6,13 +6,13 @@
 //
 // Each record of the JSON-lines log (written by flexpath_cli --query-log,
 // or any FlexPath instance with SetQueryLog) is re-run with the options
-// it was captured with — algorithm, K, ranking scheme, thread count,
-// cache tier — and its answers are digested and compared against the
-// captured AnswersDigest. Against the same corpus (e.g. the deterministic
-// --xmark generator with its fixed seed) every digest must match: the
-// engine's answers are byte-identical across runs, thread counts and
-// cache tiers, so a mismatch means the corpus differs or a change broke
-// answer reproducibility.
+// it was captured with — algorithm, K, ranking scheme, thread count —
+// and its answers are digested and compared against the captured
+// AnswersDigest. Against the same corpus (e.g. the deterministic --xmark
+// generator with its fixed seed) every digest must match: the engine's
+// answers are byte-identical across runs and thread counts, so a
+// mismatch means the corpus differs or a change broke answer
+// reproducibility.
 //
 // The report (text on stdout; JSON with --out) gives per-workload counts
 // and latency percentiles: captured p50/p99 vs replayed p50/p99.
@@ -68,19 +68,6 @@ bool ParseScheme(const std::string& name, flexpath::RankScheme* out) {
     *out = flexpath::RankScheme::kKeywordFirst;
   } else if (name == "combined") {
     *out = flexpath::RankScheme::kCombined;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool ParseTier(const std::string& name, flexpath::CacheTier* out) {
-  if (name == "off") {
-    *out = flexpath::CacheTier::kOff;
-  } else if (name == "run") {
-    *out = flexpath::CacheTier::kRun;
-  } else if (name == "shared") {
-    *out = flexpath::CacheTier::kShared;
   } else {
     return false;
   }
@@ -230,7 +217,6 @@ int main(int argc, char** argv) {
     // rather than failing: the digest check still validates the answers.
     ParseAlgorithm(r.algorithm, &algo);
     ParseScheme(r.scheme, &opts.scheme);
-    ParseTier(r.cache_tier, &opts.result_cache.tier);
     const auto start = std::chrono::steady_clock::now();
     flexpath::Result<flexpath::TopKResult> result =
         fp.QueryTpq(*q, opts, algo, r.query);

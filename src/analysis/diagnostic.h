@@ -38,13 +38,12 @@ inline constexpr std::string_view kDiagEmptyTag = "FX101";
 inline constexpr std::string_view kDiagEmptyContains = "FX102";
 inline constexpr std::string_view kDiagDeadEdge = "FX103";
 inline constexpr std::string_view kDiagRedundantPredicate = "FX201";
-// Scheme certification (src/analysis/score_algebra.h). FX301, FX302 and
-// FX304 are refutations of the three certified properties, one per
-// optimization they gate; FX305 is a malformed algebra. (FX303 is
-// retired and not reused.)
+// Scheme certification (src/analysis/score_algebra.h). FX301 and FX302
+// are refutations of the two certified properties, one per optimization
+// they gate; FX305 is a malformed algebra. (The gaps in the numbering
+// are retired codes and are not reused.)
 inline constexpr std::string_view kDiagSchemeNotMonotone = "FX301";
 inline constexpr std::string_view kDiagSchemeNotOrderInvariant = "FX302";
-inline constexpr std::string_view kDiagSchemeNotCacheExact = "FX304";
 inline constexpr std::string_view kDiagSchemeMalformed = "FX305";
 
 /// One static-analysis finding.

@@ -371,7 +371,6 @@ SchemeCertificate CertifyScheme(const SchemeAlgebra& algebra) {
     const std::string skipped = "not evaluated: malformed algebra (FX305)";
     cert.relaxation_monotone = Refute(kDiagSchemeMalformed, skipped);
     cert.order_invariant = Refute(kDiagSchemeMalformed, skipped);
-    cert.cache_exact = Refute(kDiagSchemeMalformed, skipped);
     return cert;
   }
   cert.well_formed = Hold("keys have sound arity and finite coefficients");
@@ -429,22 +428,8 @@ SchemeCertificate CertifyScheme(const SchemeAlgebra& algebra) {
         "exact ties");
   }
 
-  // Cache exactness: sub-plan tuples are scheme-independent facts, and
-  // reusing them across schemes and K is exact as long as the scheme
-  // ranks purely on (ss, ks) computed from those tuples.
-  if (any_opaque) {
-    cert.cache_exact =
-        Refute(kDiagSchemeNotCacheExact,
-               "score is not provably a pure function of (ss, ks): cached "
-               "sub-plan results cannot be marked kExact for this scheme");
-  } else {
-    cert.cache_exact = Hold(
-        "ranking is a pure function of (ss, ks), so kExact sub-plan "
-        "cache entries are valid regardless of scheme and K");
-  }
-
   cert.certified = cert.well_formed.holds && cert.relaxation_monotone.holds &&
-                   cert.order_invariant.holds && cert.cache_exact.holds;
+                   cert.order_invariant.holds;
 
   // Directives: what the proof licenses on the primary key. Threshold
   // pruning compares bounds in ss units with an optimistic keyword
@@ -482,8 +467,6 @@ std::string SchemeCertificate::ToJson() const {
   out += VerdictJson("relaxation_monotone", relaxation_monotone);
   out += ",";
   out += VerdictJson("order_invariant", order_invariant);
-  out += ",";
-  out += VerdictJson("cache_exact", cache_exact);
   out += "},\"directives\":{";
   out += "\"threshold_pruning\":";
   out += threshold_pruning ? "true" : "false";
@@ -509,7 +492,6 @@ AnalysisReport SchemeCertificate::Report() const {
   if (!well_formed.holds) return report;  // FX305 alone; the rest is noise.
   add(relaxation_monotone);
   add(order_invariant);
-  add(cache_exact);
   return report;
 }
 

@@ -113,17 +113,14 @@ struct PropertyVerdict {
   std::string detail;
 };
 
-/// The machine-readable output of the certifier: three property verdicts
+/// The machine-readable output of the certifier: two property verdicts
 /// (plus well-formedness), and the optimization directives they license.
 /// Every optimization site consults a directive instead of switching on
 /// the scheme by name:
 ///  - relaxation_monotone (FX301, Theorem 3)  -> DPO stopping rules,
 ///    static_prune, and SSO/Hybrid threshold pruning are meaningful;
 ///  - order_invariant (FX302)                 -> parallel / serial-order
-///    merges may reorder work without changing the answer list;
-///  - cache_exact (FX304)                     -> sub-plan result-cache
-///    entries may be marked kExact and shared across schemes and K
-///    (exec/result_cache.h).
+///    merges may reorder work without changing the answer list.
 struct SchemeCertificate {
   std::string scheme;      ///< SchemeAlgebra::name.
   std::string expression;  ///< SchemeAlgebra::ToString().
@@ -131,7 +128,6 @@ struct SchemeCertificate {
   PropertyVerdict well_formed;          ///< FX305 when refuted.
   PropertyVerdict relaxation_monotone;  ///< FX301 when refuted.
   PropertyVerdict order_invariant;      ///< FX302 when refuted.
-  PropertyVerdict cache_exact;          ///< FX304 when refuted.
 
   /// True iff every property above holds. SchemeRegistry::Register
   /// refuses algebras that do not certify.
@@ -157,7 +153,7 @@ struct SchemeCertificate {
   AnalysisReport Report() const;
 };
 
-/// Statically proves or refutes the three properties for `algebra` by
+/// Statically proves or refutes the two properties for `algebra` by
 /// interval analysis over the key expressions: for each key the
 /// certifier bounds the partial derivatives d(key)/d(ss) and
 /// d(key)/d(ks), tracks affineness, and rejects opaque terms. Pure

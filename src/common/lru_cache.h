@@ -16,7 +16,7 @@ namespace flexpath {
 /// invalidate a handed-out result.
 ///
 /// Not thread-safe: callers that share an instance across threads guard
-/// it with their own mutex (see ResultCache, ElementIndex, IrEngine).
+/// it with their own mutex (see ElementIndex, IrEngine, StorageReader).
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class LruByteCache {
  public:
@@ -59,12 +59,6 @@ class LruByteCache {
   void SetBudget(size_t budget_bytes) {
     budget_ = budget_bytes;
     EvictToBudget();
-  }
-
-  void Clear() {
-    map_.clear();
-    order_.clear();
-    bytes_ = 0;
   }
 
   size_t size() const { return map_.size(); }

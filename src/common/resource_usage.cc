@@ -20,8 +20,6 @@ void ResourceUsage::Add(const ResourceUsage& other) {
   tuples_scanned += other.tuples_scanned;
   tuples_produced += other.tuples_produced;
   bytes_touched += other.bytes_touched;
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
   rounds_executed += other.rounds_executed;
   rounds_pruned += other.rounds_pruned;
 }

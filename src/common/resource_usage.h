@@ -29,16 +29,14 @@ class ThreadCpuTimer {
 /// CPU is attributed where it runs: each pool worker's task time is
 /// measured at the task boundary and folded in, so cpu_ms can exceed the
 /// query's wall-clock latency on a multi-core run. The byte figure is an
-/// estimate (scan entries examined, tuple bindings materialized, cached
-/// entries copied), not an allocator-exact count; it exists so relative
+/// estimate (scan entries examined, tuple bindings materialized), not an
+/// allocator-exact count; it exists so relative
 /// comparisons between queries, rounds and plans are meaningful.
 struct ResourceUsage {
   double cpu_ms = 0.0;          ///< Thread-CPU ms, all participating threads.
   uint64_t tuples_scanned = 0;  ///< Scan/probe entries examined.
   uint64_t tuples_produced = 0; ///< Tuples / join pairs materialized.
   uint64_t bytes_touched = 0;   ///< Approximate bytes read+written.
-  uint64_t cache_hits = 0;      ///< Result-cache steps served from cache.
-  uint64_t cache_misses = 0;    ///< Result-cache steps computed.
   uint64_t rounds_executed = 0; ///< Relaxation rounds / encoded passes run.
   uint64_t rounds_pruned = 0;   ///< Rounds skipped by static analysis.
 
@@ -54,8 +52,6 @@ struct ResourceUsage {
     fn("tuples_scanned", static_cast<double>(tuples_scanned));
     fn("tuples_produced", static_cast<double>(tuples_produced));
     fn("bytes_touched", static_cast<double>(bytes_touched));
-    fn("cache_hits", static_cast<double>(cache_hits));
-    fn("cache_misses", static_cast<double>(cache_misses));
     fn("rounds_executed", static_cast<double>(rounds_executed));
     fn("rounds_pruned", static_cast<double>(rounds_pruned));
   }

@@ -254,7 +254,6 @@ Result<TopKResult> FlexPath::QueryTpq(const Tpq& q, const TopKOptions& opts,
     record.scheme = RankSchemeName(opts.scheme);
     record.k = opts.k;
     record.threads = opts.num_threads;
-    record.cache_tier = CacheTierName(opts.result_cache.tier);
     record.latency_ms = MsSince(wall_start);
     record.answers = result->answers.size();
     record.relaxations = result->relaxations_used;
@@ -411,16 +410,7 @@ std::string FlexPath::SchemeCertificatesJson() {
 }
 
 std::string FlexPath::CacheStatsJson() const {
-  const ResultCache::Stats rc = ResultCache::Global().GetStats();
-  std::string out = "{\"result_cache\":{";
-  out += "\"hits\":" + std::to_string(rc.hits);
-  out += ",\"misses\":" + std::to_string(rc.misses);
-  out += ",\"insertions\":" + std::to_string(rc.insertions);
-  out += ",\"evictions\":" + std::to_string(rc.evictions);
-  out += ",\"entries\":" + std::to_string(rc.entries);
-  out += ",\"bytes\":" + std::to_string(rc.bytes);
-  out += ",\"budget\":" + std::to_string(rc.budget);
-  out += "},\"ir_cache\":";
+  std::string out = "{\"ir_cache\":";
   if (ir_ != nullptr) {
     const IrEngine::CacheStats ir = ir_->GetCacheStats();
     out += "{\"evictions\":" + std::to_string(ir.evictions);
@@ -445,10 +435,9 @@ std::string FlexPath::CacheStatsJson() const {
   } else {
     out += "null";
   }
-  // The storage buffer pools are a different animal from the result
-  // caches above: they cache *decoded on-disk pages* (element tables,
-  // posting lists), not query results, and exist only for packed
-  // corpora.
+  // The storage buffer pools are a different animal from the caches
+  // above: they cache *decoded on-disk pages* (element tables, posting
+  // lists), not derived results, and exist only for packed corpora.
   out += ",\"storage_buffer_pool\":";
   if (reader_ != nullptr) {
     auto pool_json = [](const storage::StorageReader::PoolStats& s) {
@@ -469,10 +458,6 @@ std::string FlexPath::CacheStatsJson() const {
   }
   out += '}';
   return out;
-}
-
-void FlexPath::SetSharedResultCacheBudget(size_t budget_bytes) {
-  ResultCache::Global().SetBudget(budget_bytes);
 }
 
 std::string FlexPath::MetricsJson() const {

@@ -167,8 +167,8 @@ class FlexPath {
   AnalyzerContext analyzer_context() const;
 
   /// The score-algebra certificate of `scheme` (flexcheck v2, DESIGN.md
-  /// §16): the three statically proved/refuted properties — relaxation
-  /// monotonicity, order invariance, cache exactness — plus the
+  /// §16): the statically proved/refuted properties — well-formedness,
+  /// relaxation monotonicity, order invariance — plus the
   /// optimization directives the engine derives from them.
   /// NotFound for a scheme value the registry has never seen. Corpus
   /// independent; works before Build().
@@ -211,18 +211,12 @@ class FlexPath {
   /// and slow-query log; see QueryStatsStore::ToJson() for the schema.
   std::string QueryStatsJson() const { return query_stats_.ToJson(); }
 
-  /// One JSON object with the state of every cache: the process-wide
-  /// sub-plan result cache (DESIGN.md §12), this instance's IR
+  /// One JSON object with the state of every cache: this instance's IR
   /// contains-result cache, its merged-scan cache, and — for a packed
   /// corpus — the storage buffer pools (element tables and posting
   /// lists; null otherwise). Fields for the instance caches are null
   /// before Build()/OpenPacked().
   std::string CacheStatsJson() const;
-
-  /// Sets the byte budget of the process-wide sub-plan result cache
-  /// (ResultCache::Global(), the kShared tier), evicting immediately if
-  /// over. Affects every FlexPath instance in the process.
-  void SetSharedResultCacheBudget(size_t budget_bytes);
 
   /// Phase-by-phase trace of the last Build() call (element index,
   /// statistics, IR engine); null before Build().
@@ -242,8 +236,8 @@ class FlexPath {
 
   /// JSON dump of the process-wide crash-safe flight recorder ring
   /// (FlightRecorder::Global().ToJson()): the most recent ~4k runtime
-  /// events — query start/end, relaxation-round lifecycle, shared-cache
-  /// evictions, slow queries and budget trips.
+  /// events — query start/end, relaxation-round lifecycle, slow queries
+  /// and budget trips.
   std::string FlightRecorderJson() const;
 
   /// Replaces this instance's query-statistics capacities (shape table,

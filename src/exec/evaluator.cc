@@ -6,11 +6,13 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
+#include "exec/tuple_rows.h"
 #include "rank/scheme_registry.h"
 
 namespace flexpath {
@@ -128,12 +130,9 @@ ResourceUsage UsageFromCounters(const ExecCounters& c) {
   // record; each materialized tuple writes one row — its parent's
   // bindings plus the candidate, 8 bytes per bound step — and its mask
   // and penalty. 64 bytes is the round figure for the common 3-5 step
-  // plans; the point is comparability across queries, not byte-exactness
-  // (CachedStepResult::ApproxBytes is the exact footprint of a block).
+  // plans; the point is comparability across queries, not byte-exactness.
   u.bytes_touched =
       c.candidates_probed * sizeof(NodeSpan) + c.tuples_created * 64;
-  u.cache_hits = c.cache_step_hits;
-  u.cache_misses = c.cache_step_misses;
   u.rounds_executed = c.plan_passes;
   u.rounds_pruned = c.rounds_pruned_static;
   return u;
@@ -166,7 +165,7 @@ void ExecCounters::Add(const ExecCounters& other) {
 std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     const JoinPlan& plan, EvalMode mode, size_t k, RankScheme scheme,
     double exact_penalty, ExecCounters* counters, TraceCollector* trace,
-    ThreadPool* pool, const EvalCacheContext* cache, ResourceUsage* usage) {
+    ThreadPool* pool, ResourceUsage* usage) {
   // Work is tallied locally, then folded into the caller's counters and
   // the global registry — so per-call deltas are exact even when the
   // caller accumulates across plan passes.
@@ -258,36 +257,9 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
       k > 0 && use_optionals && cert != nullptr && cert->threshold_pruning;
   const double ks_bonus =
       prune ? cert->prune_ks_factor * plan.max_keyword_score() : 0.0;
-  const int dist_step = plan.distinguished_step();
-  const size_t dist = static_cast<size_t>(dist_step);
+  const size_t dist = static_cast<size_t>(plan.distinguished_step());
 
   TupleRows tuples(1);  ///< The live tuple block, one row per tuple.
-
-  // --- Sub-plan result cache (DESIGN.md §12). ---------------------------
-  const bool cache_on =
-      cache != nullptr && (cache->run != nullptr || cache->shared != nullptr);
-  // Incremental DPO: drop tuples for already-answered nodes. Exact mode
-  // only — encoded modes produce their whole answer set in one pass.
-  const bool excluding = cache != nullptr && mode == EvalMode::kExact &&
-                         cache->exclude != nullptr &&
-                         !cache->exclude->empty();
-  // The threshold bound makes step outputs depend on k in encoded modes;
-  // kExact never prunes, so its entries are k-independent and every DPO
-  // round of every k shares them.
-  const uint64_t prune_k = prune ? static_cast<uint64_t>(k) : 0;
-  auto step_key = [&](size_t s) {
-    return StepCacheKey(plan.step_fingerprint(s), cache->corpus_generation,
-                        static_cast<uint8_t>(mode),
-                        static_cast<uint8_t>(scheme), prune_k);
-  };
-  // Removes rows whose distinguished binding is in the exclusion set.
-  auto drop_excluded = [&](TupleRows* rows, ExecCounters* c) {
-    const size_t before = rows->size();
-    rows->Filter([&](size_t i) {
-      return cache->exclude->count(rows->at(i, dist)) == 0;
-    });
-    c->tuples_excluded += before - rows->size();
-  };
 
   // Evaluates one predicate of step `s` against the parent row extended
   // by `cand` at `s` (`parent` is null at step 0, whose predicates only
@@ -342,56 +314,8 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     return true;
   };
 
-  // --- Cache probe: resume from the deepest cached plan prefix. ---------
-  size_t start_step = 0;  ///< First step that still has to execute.
-  if (cache_on) {
-    Span lookup_span(trace, "cache_lookup");
-    for (size_t s = steps.size(); s-- > 0;) {
-      const uint64_t key = step_key(s);
-      std::shared_ptr<const CachedStepResult> entry;
-      const char* tier = "run";
-      if (cache->run != nullptr) entry = cache->run->Get(key);
-      if (entry == nullptr && cache->shared != nullptr) {
-        entry = cache->shared->Get(key);
-        tier = "shared";
-      }
-      if (entry == nullptr) continue;
-      // Entries are shared-const; copy so the pipeline can mutate.
-      tuples = entry->rows;
-      if (excluding && s >= dist) {
-        // The entry predates some answers (or, if tainted, was filtered
-        // against an older, smaller exclusion set — the set only grows
-        // within a run); re-filtering against the current set lands on
-        // exactly the tuple set an uncached pass would produce.
-        drop_excluded(&tuples, &ctr);
-      }
-      ctr.cache_step_hits += s + 1;
-      start_step = s + 1;
-      lookup_span.Annotate("cache_hit", tier);
-      lookup_span.Annotate("prefix_steps", static_cast<uint64_t>(s + 1));
-      lookup_span.Annotate("tuples", static_cast<uint64_t>(tuples.size()));
-      break;
-    }
-  }
-  // Stores the tuple block alive after computing step `s` into the
-  // enabled tiers (tainted entries — exclusion-filtered at or past the
-  // distinguished step — stay run-local; see CachedStepResult).
-  auto store_step = [&](size_t s) {
-    if (!cache_on) return;
-    ++ctr.cache_step_misses;
-    auto entry = std::make_shared<CachedStepResult>();
-    entry->rows = tuples;
-    entry->tainted = excluding && s >= dist;
-    entry->bytes = CachedStepResult::ApproxBytes(entry->rows);
-    const uint64_t key = step_key(s);
-    if (cache->run != nullptr) cache->run->Put(key, entry);
-    if (cache->shared != nullptr && !entry->tainted) {
-      cache->shared->Put(key, std::move(entry));
-    }
-  };
-
   // --- Step 0: seed tuples from the first scan list. -------------------
-  if (start_step == 0) {
+  {
     const PlanStep& step0 = steps[0];
     Span scan_span(trace, "scan_step");
     scan_span.Annotate("step", uint64_t{0});
@@ -412,18 +336,11 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
                       if (!check_preds(0, nullptr, ref, &mask, &penalty)) {
                         continue;
                       }
-                      if (excluding && dist_step == 0 &&
-                          cache->exclude->count(ref) != 0) {
-                        ++c->tuples_excluded;
-                        continue;
-                      }
                       ++c->tuples_created;
                       out->Append(nullptr, ref, mask, penalty);
                     }
                   });
     DominancePrune(plan.LiveSteps(0), &tuples);
-    store_step(0);
-    start_step = 1;
     scan_span.Annotate("candidates", ctr.candidates_probed);
     scan_span.Annotate("tuples_out", static_cast<uint64_t>(tuples.size()));
   }
@@ -465,7 +382,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
   };
 
   // --- Subsequent steps. ------------------------------------------------
-  for (size_t s = start_step; s < steps.size(); ++s) {
+  for (size_t s = 1; s < steps.size(); ++s) {
     const PlanStep& step = steps[s];
 
     Span step_span(trace, "join_step");
@@ -512,14 +429,6 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
           double penalty = tuples.penalty(i);
           if (!check_preds(s, parent, *it, &mask, &penalty)) continue;
           matched = true;
-          // Incremental DPO: the node this tuple answers for is already
-          // in the result — everything downstream of it is wasted work.
-          // (`matched` is already set, so the nullable fallback cannot
-          // resurrect the tuple.)
-          if (excluding && s == dist && cache->exclude->count(*it) != 0) {
-            ++c->tuples_excluded;
-            continue;
-          }
           if (prune && plan.base_score() - penalty + ks_bonus < bound) {
             ++c->tuples_pruned;
             continue;
@@ -614,7 +523,6 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     }
     DominancePrune(plan.LiveSteps(s), &out);
     tuples = std::move(out);
-    store_step(s);
     step_span.Annotate("candidates", ctr.candidates_probed - candidates_before);
     step_span.Annotate("pruned", ctr.tuples_pruned - pruned_before);
     step_span.Annotate("tuples_out", static_cast<uint64_t>(tuples.size()));
@@ -695,9 +603,6 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
   static Counter* m_sorts = reg.counter("exec.score_sorts");
   static Counter* m_sorted = reg.counter("exec.score_sorted_items");
   static Gauge* m_buckets = reg.gauge("exec.buckets_peak");
-  static Counter* m_cache_hits = reg.counter("exec.cache_step_hits");
-  static Counter* m_cache_misses = reg.counter("exec.cache_step_misses");
-  static Counter* m_excluded = reg.counter("exec.tuples_excluded");
   m_passes->Inc(ctr.plan_passes);
   m_probed->Inc(ctr.candidates_probed);
   m_created->Inc(ctr.tuples_created);
@@ -705,9 +610,6 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
   m_sorts->Inc(ctr.score_sorts);
   m_sorted->Inc(ctr.score_sorted_items);
   m_buckets->Max(static_cast<int64_t>(ctr.buckets_peak));
-  m_cache_hits->Inc(ctr.cache_step_hits);
-  m_cache_misses->Inc(ctr.cache_step_misses);
-  m_excluded->Inc(ctr.tuples_excluded);
   return answers;
 }
 

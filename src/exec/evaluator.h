@@ -8,7 +8,6 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "exec/plan.h"
-#include "exec/result_cache.h"
 #include "ir/engine.h"
 #include "rank/score.h"
 #include "stats/element_index.h"
@@ -27,9 +26,6 @@ struct ExecCounters {
   uint64_t score_sorted_items = 0; ///< Total items passed through them.
   uint64_t buckets_peak = 0;       ///< Max live buckets (Hybrid).
   uint64_t rounds_pruned_static = 0;  ///< Rounds skipped by static analysis.
-  uint64_t cache_step_hits = 0;    ///< Plan steps skipped via cached prefixes.
-  uint64_t cache_step_misses = 0;  ///< Plan steps computed while caching.
-  uint64_t tuples_excluded = 0;    ///< Tuples dropped: answer already known.
 
   /// How a field folds when counters from parallel chunks or rounds are
   /// combined: totals sum, high-water marks max.
@@ -38,7 +34,7 @@ struct ExecCounters {
   /// Must equal the number of fields above; the static_assert below
   /// pins sizeof to it, so adding a field without updating this (and
   /// VisitFields) fails the build instead of drifting silently.
-  static constexpr size_t kFieldCount = 11;
+  static constexpr size_t kFieldCount = 8;
 
   /// Reflection visitor: calls fn(name, field, agg) for every counter
   /// field of `self`, in declaration order — the single source of truth
@@ -56,9 +52,6 @@ struct ExecCounters {
     fn("score_sorted_items", self.score_sorted_items, Agg::kSum);
     fn("buckets_peak", self.buckets_peak, Agg::kMax);
     fn("rounds_pruned_static", self.rounds_pruned_static, Agg::kSum);
-    fn("cache_step_hits", self.cache_step_hits, Agg::kSum);
-    fn("cache_step_misses", self.cache_step_misses, Agg::kSum);
-    fn("tuples_excluded", self.tuples_excluded, Agg::kSum);
   }
 
   /// Accumulates `other` into this through VisitFields: sums every
@@ -84,7 +77,7 @@ static_assert(sizeof(ExecCounters) ==
               "VisitFields so aggregation and export stay complete");
 
 /// Projects work counters into the ResourceUsage vocabulary (tuples
-/// scanned/produced, cache hits/misses, rounds, and a byte estimate:
+/// scanned/produced, rounds, and a byte estimate:
 /// sizeof(NodeSpan) per scan probe plus a nominal tuple footprint per
 /// materialization). cpu_ms is left at zero — counters carry no time;
 /// callers add the CPU they measured. Deterministic: equal counters give
@@ -134,17 +127,6 @@ class PlanEvaluator {
   /// answers, scores, and every counter are byte-identical to the serial
   /// run at any thread count (DESIGN.md §10).
   ///
-  /// `cache`, when non-null, enables the sub-plan result cache (DESIGN.md
-  /// §12): before executing, the evaluator probes the run-local and
-  /// shared tiers for the deepest cached plan prefix (keyed by step
-  /// fingerprint + corpus generation + mode/scheme/k) and resumes from
-  /// it, storing every step it does compute. With cache->exclude set
-  /// (incremental DPO), tuples whose distinguished binding was already
-  /// answered are dropped at the step that binds it. Answers, penalties
-  /// and relaxation metadata are byte-identical with or without the
-  /// cache; only the work counters differ (cache_step_hits/misses,
-  /// tuples_excluded, and the work the skipped steps never did).
-  ///
   /// `usage`, when non-null, receives this pass's resource accounting:
   /// UsageFromCounters of the pass's counters, plus the thread-CPU time
   /// its pool fan-outs burned on *worker* threads. The calling thread's
@@ -156,7 +138,6 @@ class PlanEvaluator {
                                      ExecCounters* counters,
                                      TraceCollector* trace = nullptr,
                                      ThreadPool* pool = nullptr,
-                                     const EvalCacheContext* cache = nullptr,
                                      ResourceUsage* usage = nullptr);
 
  private:

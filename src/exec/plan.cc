@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "common/hash.h"
-
 namespace flexpath {
 
 Result<JoinPlan> JoinPlan::Build(const Tpq& original, const Tpq& relaxed,
@@ -158,42 +156,6 @@ Result<JoinPlan> JoinPlan::Build(const Tpq& original, const Tpq& relaxed,
         plan.live_after_step_[s].push_back(l);
       }
     }
-  }
-
-  // Step fingerprints (see step_fingerprint in the header). The chain
-  // seeds with the plan-level fields the evaluator's pruning bound and
-  // scoring read, then folds in each step's full definition in order.
-  uint64_t h = 0x666c657850617468ULL;  // "flexPath"
-  h = HashCombine(h, plan.base_score_);
-  h = HashCombine(h, plan.max_keyword_score_);
-  h = HashCombine(h, static_cast<uint64_t>(plan.distinguished_step_));
-  plan.step_fp_.reserve(plan.steps_.size());
-  for (size_t s = 0; s < plan.steps_.size(); ++s) {
-    const PlanStep& step = plan.steps_[s];
-    h = HashCombine(h, static_cast<uint64_t>(step.var));
-    h = HashCombine(h, static_cast<uint64_t>(step.tag));
-    h = HashCombine(h, static_cast<uint64_t>(step.anchor_step));
-    h = HashCombine(h, static_cast<uint64_t>(step.anchor_parent_only));
-    h = HashCombine(h, static_cast<uint64_t>(step.nullable));
-    for (const AttrPred& ap : step.attr_preds) {
-      h = HashCombine(h, static_cast<uint64_t>(ap.attr));
-      h = HashCombine(h, static_cast<uint64_t>(ap.op));
-      h = HashCombine(h, std::string_view(ap.value));
-    }
-    for (const PlanPredicate& pp : step.preds) {
-      h = HashCombine(h, static_cast<uint64_t>(pp.pred.kind));
-      h = HashCombine(h, static_cast<uint64_t>(pp.pred.x));
-      h = HashCombine(h, static_cast<uint64_t>(pp.pred.y));
-      h = HashCombine(h, static_cast<uint64_t>(pp.pred.tag));
-      h = HashCombine(h, std::string_view(pp.pred.expr_key));
-      h = HashCombine(h, static_cast<uint64_t>(pp.optional));
-      h = HashCombine(h, pp.penalty);
-      h = HashCombine(h, static_cast<uint64_t>(pp.mask_bit));
-    }
-    for (int l : plan.live_after_step_[s]) {
-      h = HashCombine(h, static_cast<uint64_t>(l));
-    }
-    plan.step_fp_.push_back(h);
   }
 
   return plan;

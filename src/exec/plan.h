@@ -101,22 +101,6 @@ class JoinPlan {
     return live_after_step_[s];
   }
 
-  /// Canonical fingerprint of the plan prefix [0..s]: a chained hash over
-  /// every plan-side input that determines the tuple set alive after step
-  /// s — each prefix step's tag, anchor, axis, nullability, attribute and
-  /// required/optional predicates (with penalties and mask bits), its
-  /// live set (dominance pruning input), and the plan-level scoring
-  /// fields the pruning bound reads. Because the hash chains, two plans
-  /// that agree on fingerprint(s) agree on the whole prefix — which is
-  /// what lets consecutive DPO rounds (same step order, by construction
-  /// over the original query's variables) share cached prefixes. Corpus
-  /// state, eval mode, scheme and k are *not* included here; the result
-  /// cache folds them into its key (see StepCacheKey).
-  uint64_t step_fingerprint(size_t s) const { return step_fp_[s]; }
-
-  /// Fingerprint of the whole plan (the last step's prefix fingerprint).
-  uint64_t plan_fingerprint() const { return step_fp_.back(); }
-
  private:
   JoinPlan() = default;
 
@@ -129,7 +113,6 @@ class JoinPlan {
   std::vector<double> remaining_after_step_;   ///< See MaxRemainingPenalty.
   std::vector<ContainsChain> contains_chains_;
   std::vector<std::vector<int>> live_after_step_;  ///< See LiveSteps.
-  std::vector<uint64_t> step_fp_;  ///< See step_fingerprint.
 };
 
 }  // namespace flexpath

@@ -106,18 +106,6 @@ const char* AlgorithmName(Algorithm algo) {
   return "unknown";
 }
 
-const char* CacheTierName(CacheTier tier) {
-  switch (tier) {
-    case CacheTier::kOff:
-      return "off";
-    case CacheTier::kRun:
-      return "run";
-    case CacheTier::kShared:
-      return "shared";
-  }
-  return "unknown";
-}
-
 Result<TopKResult> TopKProcessor::Run(const Tpq& q, Algorithm algo,
                                       const TopKOptions& opts) {
   if (opts.k == 0) return Status::InvalidArgument("k must be positive");
@@ -338,30 +326,6 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
     return round == 0 ? 0.0 : schedule[round - 1].cumulative_penalty;
   };
 
-  // Sub-plan result cache (DESIGN.md §12). The run tier lives for this
-  // call; consecutive rounds differ by one dropped predicate, so round
-  // i+1's plan shares a fingerprint-identical prefix with round i and
-  // resumes from it. With incremental_dpo the merged answer set is pushed
-  // into each round's evaluation as an exclusion set — safe to read from
-  // wave workers because merges (the only writes) happen strictly after
-  // the wave's Wait().
-  std::optional<ResultCache> run_cache;
-  EvalCacheContext cache_ctx;
-  const EvalCacheContext* cache = nullptr;
-  // Cache exactness is a certified property (FX304): a scheme whose
-  // ranking is not provably a pure function of (ss, ks) may not reuse
-  // kExact entries, so it runs uncached rather than approximately.
-  if (opts.result_cache.tier != CacheTier::kOff && cert.cache_exact.holds) {
-    run_cache.emplace(opts.result_cache.run_budget_bytes);
-    cache_ctx.run = &*run_cache;
-    if (opts.result_cache.tier == CacheTier::kShared) {
-      cache_ctx.shared = &ResultCache::Global();
-    }
-    cache_ctx.corpus_generation = index_->corpus().generation();
-    if (opts.result_cache.incremental_dpo) cache_ctx.exclude = &seen;
-    cache = &cache_ctx;
-  }
-
   // Annotates a round span (RAII or collector-root) with the round's
   // identity — shared by the serial and worker paths so both produce the
   // same span, in the same annotation order.
@@ -427,7 +391,7 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
     }
     out->answers = evaluator_.Evaluate(*plan, EvalMode::kExact, opts.k,
                                        opts.scheme, round_penalty(round),
-                                       &out->counters, rc, evpool, cache,
+                                       &out->counters, rc, evpool,
                                        &out->usage);
     // Evaluate's usage.cpu_ms holds only its pool-worker time; adding the
     // timer completes the round's bill while the split stays recoverable.
@@ -674,28 +638,6 @@ Result<TopKResult> TopKProcessor::RunEncoded(const Tpq& q,
   };
   skip_provably_empty();
 
-  // Sub-plan result cache: a re-encoded pass differs from the pass
-  // before only in the steps that gained optional predicates, so the run
-  // tier lets the restart loop resume from the unchanged prefix. (The
-  // prune-off retry keys differently on purpose: the threshold bound
-  // changes step outputs, so pruned and unpruned passes must not share
-  // entries.) No exclusion set: encoded modes produce the whole answer
-  // set in one pass.
-  std::optional<ResultCache> run_cache;
-  EvalCacheContext cache_ctx;
-  const EvalCacheContext* cache = nullptr;
-  // As in RunDpo: schemes whose certificate refutes cache exactness
-  // (FX304) run uncached.
-  if (opts.result_cache.tier != CacheTier::kOff && cert.cache_exact.holds) {
-    run_cache.emplace(opts.result_cache.run_budget_bytes);
-    cache_ctx.run = &*run_cache;
-    if (opts.result_cache.tier == CacheTier::kShared) {
-      cache_ctx.shared = &ResultCache::Global();
-    }
-    cache_ctx.corpus_generation = index_->corpus().generation();
-    cache = &cache_ctx;
-  }
-
   bool prune = true;
   for (;;) {
     const Tpq& relaxed = encoded == 0 ? q : schedule[encoded - 1].relaxed;
@@ -727,7 +669,7 @@ Result<TopKResult> TopKProcessor::RunEncoded(const Tpq& q,
     // step out over tuple chunks on the pool.
     result.answers = evaluator_.Evaluate(*plan, mode, prune ? opts.k : 0,
                                          opts.scheme, 0.0, &pass_counters,
-                                         trace, pool, cache, &pass_usage);
+                                         trace, pool, &pass_usage);
     result.counters.Add(pass_counters);
     off_thread_cpu_ms += pass_usage.cpu_ms;  // Worker CPU only, see Evaluate.
     pass_usage.cpu_ms += pass_cpu.ElapsedMs();

@@ -38,42 +38,14 @@ enum class Algorithm : uint8_t {
 
 const char* AlgorithmName(Algorithm algo);
 
-/// Which tiers of the sub-plan result cache a run may use (DESIGN.md
-/// §12). Off by default: caching never changes answers, penalties or
-/// relaxation metadata, but it does change the work counters, and the
-/// default keeps every counter-exact differential guarantee intact.
-enum class CacheTier : uint8_t {
-  kOff,     ///< No caching; every plan step executes from scratch.
-  kRun,     ///< Run-local only: DPO round i+1 reuses round i's shared
-            ///  plan prefix within one TopK call.
-  kShared,  ///< Run-local + the process-wide LRU (ResultCache::Global()),
-            ///  which persists across queries and makes repeats warm.
-};
-
-const char* CacheTierName(CacheTier tier);
-
-struct ResultCacheOptions {
-  CacheTier tier = CacheTier::kOff;
-  /// Byte budget of the run-local tier (it dies with the run; the
-  /// process-wide tier's budget belongs to ResultCache::Global()).
-  size_t run_budget_bytes = size_t{64} << 20;
-  /// DPO only: push the already-answered set into each round's
-  /// evaluation so the round computes only its delta (the paper's
-  /// "reusing prior results", Section 5.1). Answers are identical either
-  /// way — the merge deduplicates by first round — so this is purely a
-  /// work saver. Ignored when tier is kOff.
-  bool incremental_dpo = true;
-};
-
 struct TopKOptions {
   size_t k = 10;
   /// The ranking scheme. Must be registered in SchemeRegistry (the three
   /// built-ins always are; custom values come from Register, which
   /// refuses uncertifiable algebras) — the run consults the scheme's
   /// SchemeCertificate for every optimization decision (threshold
-  /// pruning, DPO stopping rule, cache exactness;
-  /// DESIGN.md §16), and an unregistered value is an InvalidArgument
-  /// error up front.
+  /// pruning, DPO stopping rule; DESIGN.md §16), and an unregistered
+  /// value is an InvalidArgument error up front.
   RankScheme scheme = RankScheme::kStructureFirst;
   Weights weights;
   /// When true, the run assembles a QueryTrace (returned via
@@ -108,10 +80,6 @@ struct TopKOptions {
   /// and counters merge in chunk order. Answers, penalties, counters and
   /// trace structure are identical at any thread count (DESIGN.md §10).
   size_t num_threads = 0;
-  /// Sub-plan result cache knobs (DESIGN.md §12). Answers, penalties and
-  /// relaxation metadata are byte-identical at every tier; work counters
-  /// reflect the work actually done, so cache hits make them drop.
-  ResultCacheOptions result_cache = {};
   /// Soft per-query CPU budget in thread-CPU milliseconds (coordinator +
   /// pool workers), <= 0 to disable (the default). Checked between DPO
   /// rounds / encoded passes — never inside one — so a run that trips it
@@ -180,8 +148,8 @@ class TopKProcessor {
 
  private:
   // `cert` is the certificate of opts.scheme (validated non-null by
-  // Run): the stopping rules and cache decisions below read their
-  // licenses from it instead of switching on the scheme by name.
+  // Run): the stopping rules below read their licenses from it instead
+  // of switching on the scheme by name.
   Result<TopKResult> RunDpo(const Tpq& q, const TopKOptions& opts,
                             const SchemeCertificate& cert,
                             const PenaltyModel& pm, TraceCollector* trace,

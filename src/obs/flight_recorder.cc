@@ -109,8 +109,6 @@ const char* FlightEventTypeName(FlightEventType type) {
       return "round_skip";
     case FlightEventType::kRoundDiscard:
       return "round_discard";
-    case FlightEventType::kCacheEvict:
-      return "cache_evict";
     case FlightEventType::kSlowQuery:
       return "slow_query";
     case FlightEventType::kBudgetTrip:

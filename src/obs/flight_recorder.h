@@ -15,7 +15,6 @@ namespace flexpath {
 ///   kRoundStart   a=round index        b=0                d=penalty
 ///   kRoundSkip    a=round index (statically pruned)       d=penalty
 ///   kRoundDiscard a=round index (speculation past the stopping point)
-///   kCacheEvict   a=entries evicted    b=bytes freed
 ///   kSlowQuery    a=shape fingerprint  b=answers          d=latency_ms
 ///   kBudgetTrip   a=tuples created     b=max_tuples       d=cpu_ms
 enum class FlightEventType : uint8_t {
@@ -24,7 +23,6 @@ enum class FlightEventType : uint8_t {
   kRoundStart,
   kRoundSkip,
   kRoundDiscard,
-  kCacheEvict,
   kSlowQuery,
   kBudgetTrip,
 };

@@ -185,10 +185,6 @@ DerivedRates MetricsHistory::Derived(double window_s) const {
   rates.errors_per_s = get("query.errors").rate_per_s;
   rates.rounds_pruned_per_s = get("query.rounds_pruned_static").rate_per_s;
   rates.cpu_ms_per_s = get("query.cpu_ms").sum_rate_per_s;
-  const double hits = get("cache.hits").delta;
-  const double misses = get("cache.misses").delta;
-  rates.cache_hit_rate =
-      hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
   // Mean latency over the window, across the per-algorithm histograms.
   double lat_count = 0.0;
   double lat_sum = 0.0;
@@ -212,7 +208,6 @@ std::string MetricsHistory::ToJson(double window_s) const {
   out += ",\"window_s\":" + FormatDouble(window_s);
   out += ",\"derived\":{\"qps\":" + FormatDouble(rates.qps);
   out += ",\"errors_per_s\":" + FormatDouble(rates.errors_per_s);
-  out += ",\"cache_hit_rate\":" + FormatDouble(rates.cache_hit_rate);
   out += ",\"rounds_pruned_per_s\":" +
          FormatDouble(rates.rounds_pruned_per_s);
   out += ",\"cpu_ms_per_s\":" + FormatDouble(rates.cpu_ms_per_s);

@@ -47,7 +47,6 @@ struct SeriesWindow {
 struct DerivedRates {
   double qps = 0.0;                 ///< rate(query.count)
   double errors_per_s = 0.0;        ///< rate(query.errors)
-  double cache_hit_rate = 0.0;      ///< Δhits / (Δhits + Δmisses), result cache.
   double rounds_pruned_per_s = 0.0; ///< rate(query.rounds_pruned_static)
   double cpu_ms_per_s = 0.0;        ///< sum-rate(query.cpu_ms)
   double latency_mean_ms = 0.0;     ///< Δsum/Δcount over query.latency_ms.*
@@ -94,7 +93,7 @@ class MetricsHistory {
 
   /// One JSON object:
   ///   {"interval_s":..,"capacity":..,"samples":..,"window_s":..,
-  ///    "derived":{"qps":..,"errors_per_s":..,"cache_hit_rate":..,
+  ///    "derived":{"qps":..,"errors_per_s":..,
   ///               "rounds_pruned_per_s":..,"cpu_ms_per_s":..,
   ///               "latency_mean_ms":..},
   ///    "series":{"query.count":{"kind":"counter","last":..,"delta":..,

@@ -233,7 +233,6 @@ std::string QueryLogRecordToJson(const QueryLogRecord& r) {
   AppendField(out, "scheme", r.scheme, &first);
   AppendField(out, "k", r.k, &first);
   AppendField(out, "threads", r.threads, &first);
-  AppendField(out, "cache_tier", r.cache_tier, &first);
   AppendField(out, "latency_ms", r.latency_ms, &first);
   AppendField(out, "answers", r.answers, &first);
   AppendField(out, "relaxations", r.relaxations, &first);
@@ -274,8 +273,6 @@ bool ParseQueryLogRecord(std::string_view line, QueryLogRecord* out,
       else if (key == "tuples_scanned") u.tuples_scanned = static_cast<uint64_t>(v);
       else if (key == "tuples_produced") u.tuples_produced = static_cast<uint64_t>(v);
       else if (key == "bytes_touched") u.bytes_touched = static_cast<uint64_t>(v);
-      else if (key == "cache_hits") u.cache_hits = static_cast<uint64_t>(v);
-      else if (key == "cache_misses") u.cache_misses = static_cast<uint64_t>(v);
       else if (key == "rounds_executed") u.rounds_executed = static_cast<uint64_t>(v);
       else if (key == "rounds_pruned") u.rounds_pruned = static_cast<uint64_t>(v);
       return true;
@@ -294,7 +291,6 @@ bool ParseQueryLogRecord(std::string_view line, QueryLogRecord* out,
     else if (key == "scheme") out->scheme = std::move(s);
     else if (key == "k") out->k = static_cast<uint64_t>(d);
     else if (key == "threads") out->threads = static_cast<uint64_t>(d);
-    else if (key == "cache_tier") out->cache_tier = std::move(s);
     else if (key == "latency_ms") out->latency_ms = d;
     else if (key == "answers") out->answers = static_cast<uint64_t>(d);
     else if (key == "relaxations") out->relaxations = static_cast<uint64_t>(d);

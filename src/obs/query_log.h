@@ -28,7 +28,6 @@ struct QueryLogRecord {
   std::string scheme;           ///< Ranking scheme name.
   uint64_t k = 0;
   uint64_t threads = 0;         ///< TopKOptions::num_threads as run.
-  std::string cache_tier;       ///< "off" / "run" / "shared".
   double latency_ms = 0.0;
   uint64_t answers = 0;
   uint64_t relaxations = 0;

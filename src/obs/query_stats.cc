@@ -100,8 +100,7 @@ void AppendExecutionJson(std::string* out, const QueryExecution& e) {
 }
 
 /// Mirrors eviction deltas into the global registry as they happen.
-/// Unlike ResultCache (a singleton), many stores may coexist, so the
-/// metrics aggregate across all of them; Counter::Inc is thread-safe.
+/// Many stores may coexist, so the metrics aggregate across all of them; Counter::Inc is thread-safe.
 void ExportEvictionDeltas(uint64_t shapes, uint64_t ring, uint64_t slowlog) {
   static MetricsRegistry& reg = MetricsRegistry::Global();
   static Counter* m_shapes = reg.counter("query_stats.shape_evictions");

@@ -27,7 +27,7 @@ inline constexpr size_t kMaxRankSchemes = 32;
 /// every scheme the engine will execute — the three Section 4.3.2
 /// built-ins and any custom algebra — lives here together with its
 /// SchemeCertificate. The optimization sites (threshold pruning, DPO
-/// stopping rules, result-cache exactness) consult the certificate
+/// stopping rules) consult the certificate
 /// instead of switching on the scheme by name, and Register() refuses
 /// algebras the certifier cannot prove sound, so an uncertified scheme
 /// can never reach an optimized code path.
@@ -41,7 +41,7 @@ class SchemeRegistry {
   /// Certifies `algebra` and installs it under a fresh RankScheme value
   /// (>= 3; the built-in values are pre-registered). Fails with
   /// InvalidArgument — carrying the refuting FX3xx diagnostics — when
-  /// the certifier refutes any of the three properties, when the name is
+  /// the certifier refutes any of its properties, when the name is
   /// empty or already taken, or when the table is full.
   Result<RankScheme> Register(const SchemeAlgebra& algebra);
 

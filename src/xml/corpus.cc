@@ -8,15 +8,8 @@
 
 namespace flexpath {
 
-namespace {
-/// Source of process-unique corpus generations (see Corpus::generation).
-std::atomic<uint64_t> g_corpus_generation{0};
-}  // namespace
-
 DocId Corpus::Add(Document doc) {
   docs_.push_back(std::move(doc));
-  generation_ =
-      g_corpus_generation.fetch_add(1, std::memory_order_relaxed) + 1;
   return static_cast<DocId>(docs_.size() - 1);
 }
 
@@ -38,8 +31,6 @@ void Corpus::AttachBacking(std::shared_ptr<const CorpusBacking> backing) {
     content_loaded_[i].store(false, std::memory_order_relaxed);
   }
   materialize_mu_ = std::make_unique<Mutex>();
-  generation_ =
-      g_corpus_generation.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 void Corpus::MaterializeSlow(DocId id) const {

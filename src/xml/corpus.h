@@ -102,7 +102,6 @@ class Corpus {
   /// Switches this (empty) corpus to lazy mode: `size()` becomes
   /// `backing->DocCount()`, all slots start unmaterialized, and tag
   /// names must already have been interned into tags() by the caller.
-  /// Bumps generation like Add.
   void AttachBacking(std::shared_ptr<const CorpusBacking> backing);
 
   bool backed() const { return backing_ != nullptr; }
@@ -159,14 +158,6 @@ class Corpus {
     return a.doc == d.doc && doc(a.doc).IsParent(a.node, d.node);
   }
 
-  /// Content-state counter for cache invalidation: 0 for an empty corpus,
-  /// and a fresh process-unique value after every Add — so no two
-  /// distinct corpus states, even of different Corpus instances, ever
-  /// share a nonzero generation. Cache entries keyed by generation are
-  /// therefore unreachable the moment the corpus (or any other corpus
-  /// reusing the cache) changes.
-  uint64_t generation() const { return generation_; }
-
  private:
   /// Cold path of doc(): decodes and installs the document under
   /// materialize_mu_, then release-stores the flag the fast path
@@ -184,7 +175,6 @@ class Corpus {
   /// content (under materialize_mu_, published via materialized_[id] and
   /// content_loaded_[id]); logically const.
   mutable std::vector<Document> docs_;
-  uint64_t generation_ = 0;
 
   std::shared_ptr<const CorpusBacking> backing_;
   mutable std::unique_ptr<std::atomic<bool>[]> materialized_;

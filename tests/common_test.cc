@@ -1,8 +1,11 @@
+#include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/lru_cache.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -169,6 +172,43 @@ TEST(StringUtilTest, Join) {
 
 TEST(StringUtilTest, XmlEscape) {
   EXPECT_EQ(XmlEscape("a<b&c>\"d'"), "a&lt;b&amp;c&gt;&quot;d&apos;");
+}
+
+TEST(LruByteCacheTest, LruEvictsLeastRecentlyUsedUnderTinyBudget) {
+  LruByteCache<int, int> cache(/*budget_bytes=*/100);
+  auto put = [&](int key, size_t bytes) {
+    return cache.Put(key, std::make_shared<const int>(key), bytes);
+  };
+  EXPECT_TRUE(put(1, 40));
+  EXPECT_TRUE(put(2, 40));
+  EXPECT_NE(cache.Get(1), nullptr);  // refresh 1: now 2 is the LRU entry
+  EXPECT_TRUE(put(3, 40));           // 120 > 100: evict 2
+  EXPECT_EQ(cache.Get(2), nullptr);
+  EXPECT_NE(cache.Get(1), nullptr);
+  EXPECT_NE(cache.Get(3), nullptr);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.bytes(), 80u);
+  EXPECT_EQ(cache.evictions(), 1u);
+
+  // An entry larger than the whole budget is refused outright.
+  EXPECT_FALSE(put(4, 101));
+  EXPECT_EQ(cache.size(), 2u);
+
+  // Shrinking the budget evicts immediately, oldest first.
+  cache.SetBudget(40);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.Get(1), nullptr);
+  EXPECT_NE(cache.Get(3), nullptr);
+}
+
+TEST(LruByteCacheTest, EvictionDoesNotInvalidateHandedOutEntries) {
+  LruByteCache<int, std::vector<int>> cache(100);
+  cache.Put(1, std::make_shared<const std::vector<int>>(3, 7), 60);
+  std::shared_ptr<const std::vector<int>> held = cache.Get(1);
+  cache.Put(2, std::make_shared<const std::vector<int>>(3, 9), 60);  // evicts 1
+  EXPECT_EQ(cache.Get(1), nullptr);
+  ASSERT_NE(held, nullptr);
+  EXPECT_EQ((*held)[0], 7);  // still alive and intact
 }
 
 }  // namespace

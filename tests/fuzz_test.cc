@@ -147,13 +147,17 @@ TEST(ThreadPoolFuzzTest, TasksSubmittingTasks) {
   constexpr int kChain = 5;
   {
     ThreadPool pool(3);
-    // Recursive lambdas need an explicit holder; keep it alive until the
-    // pool (destroyed first, draining all tasks) is gone.
+    // Recursive lambdas need an explicit holder. The function reaches
+    // itself through a weak_ptr (capturing the shared_ptr would be a
+    // cycle that is never freed); every queued task holds a strong
+    // reference, so the function outlives `spawn`, which is destroyed
+    // before the pool (destroyed last, draining all tasks).
     auto spawn = std::make_shared<std::function<void(int)>>();
-    *spawn = [&pool, &ran, spawn](int remaining) {
+    std::weak_ptr<std::function<void(int)>> self = spawn;
+    *spawn = [&pool, &ran, self](int remaining) {
       ran.fetch_add(1);
       if (remaining > 0) {
-        pool.Submit([spawn, remaining] { (*spawn)(remaining - 1); });
+        pool.Submit([fn = self.lock(), remaining] { (*fn)(remaining - 1); });
       }
     };
     for (int i = 0; i < kRoots; ++i) {

@@ -56,7 +56,6 @@ TEST(MetricsHistoryTest, ZeroTrafficWindowHasZeroRateNotNan) {
 
   const DerivedRates rates = history.Derived(3600.0);
   EXPECT_DOUBLE_EQ(rates.qps, 0.0);
-  EXPECT_DOUBLE_EQ(rates.cache_hit_rate, 0.0);
   EXPECT_DOUBLE_EQ(rates.latency_mean_ms, 0.0);
   EXPECT_TRUE(std::isfinite(rates.cpu_ms_per_s));
 }
@@ -132,21 +131,16 @@ TEST(MetricsHistoryTest, HistogramTracksCountAndSum) {
 TEST(MetricsHistoryTest, DerivedRatesFromStandardMetrics) {
   MetricsRegistry registry;
   Counter* queries = registry.counter("query.count");
-  Counter* hits = registry.counter("cache.hits");
-  Counter* misses = registry.counter("cache.misses");
   Histogram* lat = registry.histogram("query.latency_ms.hybrid");
   MetricsHistory history(&registry);
   history.SampleNow();
   queries->Inc(10);
-  hits->Inc(3);
-  misses->Inc(1);
   lat->Observe(5.0);
   lat->Observe(15.0);
   history.SampleNow();
 
   const DerivedRates rates = history.Derived(3600.0);
   EXPECT_GT(rates.qps, 0.0);
-  EXPECT_DOUBLE_EQ(rates.cache_hit_rate, 0.75);  // 3 / (3 + 1).
   EXPECT_DOUBLE_EQ(rates.latency_mean_ms, 10.0); // (5 + 15) / 2.
 }
 

@@ -22,7 +22,6 @@ QueryLogRecord SampleRecord() {
   r.scheme = "structure-first";
   r.k = 10;
   r.threads = 4;
-  r.cache_tier = "shared";
   r.latency_ms = 1.5;
   r.answers = 7;
   r.relaxations = 2;
@@ -36,8 +35,6 @@ QueryLogRecord SampleRecord() {
   r.usage.tuples_scanned = 100;
   r.usage.tuples_produced = 42;
   r.usage.bytes_touched = 4096;
-  r.usage.cache_hits = 5;
-  r.usage.cache_misses = 6;
   r.usage.rounds_executed = 3;
   r.usage.rounds_pruned = 2;
   return r;
@@ -58,7 +55,6 @@ TEST(QueryLogRecordTest, JsonRoundTrip) {
   EXPECT_EQ(out.scheme, in.scheme);
   EXPECT_EQ(out.k, in.k);
   EXPECT_EQ(out.threads, in.threads);
-  EXPECT_EQ(out.cache_tier, in.cache_tier);
   EXPECT_DOUBLE_EQ(out.latency_ms, in.latency_ms);
   EXPECT_EQ(out.answers, in.answers);
   EXPECT_EQ(out.relaxations, in.relaxations);
@@ -70,8 +66,6 @@ TEST(QueryLogRecordTest, JsonRoundTrip) {
   EXPECT_EQ(out.usage.tuples_scanned, in.usage.tuples_scanned);
   EXPECT_EQ(out.usage.tuples_produced, in.usage.tuples_produced);
   EXPECT_EQ(out.usage.bytes_touched, in.usage.bytes_touched);
-  EXPECT_EQ(out.usage.cache_hits, in.usage.cache_hits);
-  EXPECT_EQ(out.usage.cache_misses, in.usage.cache_misses);
   EXPECT_EQ(out.usage.rounds_executed, in.usage.rounds_executed);
   EXPECT_EQ(out.usage.rounds_pruned, in.usage.rounds_pruned);
 }
@@ -90,10 +84,12 @@ TEST(QueryLogRecordTest, UnknownKeysAreSkipped) {
   QueryLogRecord out;
   ASSERT_TRUE(ParseQueryLogRecord(
       "{\"query\":\"//a\",\"future_field\":\"x\",\"future_num\":1.5,"
-      "\"future_obj\":{\"nested\":true},\"k\":3}",
+      "\"future_obj\":{\"nested\":true},\"k\":3,"
+      "\"usage\":{\"cpu_ms\":2.5,\"future_usage\":7}}",
       &out));
   EXPECT_EQ(out.query, "//a");
   EXPECT_EQ(out.k, 3u);
+  EXPECT_DOUBLE_EQ(out.usage.cpu_ms, 2.5);
 }
 
 TEST(QueryLogRecordTest, MalformedLinesAreRejected) {

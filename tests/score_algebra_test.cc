@@ -45,7 +45,6 @@ TEST(ScoreAlgebraTest, StructureFirstCertifiesWithAtKStop) {
   EXPECT_TRUE(cert.well_formed.holds);
   EXPECT_TRUE(cert.relaxation_monotone.holds);
   EXPECT_TRUE(cert.order_invariant.holds);
-  EXPECT_TRUE(cert.cache_exact.holds);
   // Exactly the directives the engine hard-coded before flexcheck v2:
   // ss strictly dominates, so stop at K and prune with no ks bonus.
   EXPECT_EQ(cert.stop_rule, DpoStopRule::kAtK);
@@ -128,11 +127,9 @@ TEST(ScoreAlgebraTest, EpsilonTiesRefutedWithFx302) {
   EXPECT_TRUE(cert.relaxation_monotone.holds);
   EXPECT_FALSE(cert.order_invariant.holds);
   EXPECT_EQ(cert.order_invariant.code, kDiagSchemeNotOrderInvariant);
-  // Ties are a comparator property; cached tuples stay exact.
-  EXPECT_TRUE(cert.cache_exact.holds);
 }
 
-// An opaque term (external UDF) refutes all three properties.
+// An opaque term (external UDF) refutes both properties.
 TEST(ScoreAlgebraTest, OpaqueTermRefutesEverything) {
   SchemeAlgebra udf;
   udf.name = "udf-scored";
@@ -142,9 +139,8 @@ TEST(ScoreAlgebraTest, OpaqueTermRefutesEverything) {
   EXPECT_FALSE(cert.certified);
   EXPECT_EQ(cert.relaxation_monotone.code, kDiagSchemeNotMonotone);
   EXPECT_EQ(cert.order_invariant.code, kDiagSchemeNotOrderInvariant);
-  EXPECT_EQ(cert.cache_exact.code, kDiagSchemeNotCacheExact);
-  // Three refuted properties, three diagnostics.
-  EXPECT_EQ(cert.Report().diagnostics.size(), 3u);
+  // Two refuted properties, two diagnostics.
+  EXPECT_EQ(cert.Report().diagnostics.size(), 2u);
 }
 
 // Malformed algebras short-circuit: FX305 alone, nothing else evaluated.

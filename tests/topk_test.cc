@@ -301,8 +301,6 @@ TEST_F(TopKTest, UsageFieldsAreDeterministicFunctionsOfCounters) {
   EXPECT_EQ(first->usage.tuples_scanned, second->usage.tuples_scanned);
   EXPECT_EQ(first->usage.tuples_produced, second->usage.tuples_produced);
   EXPECT_EQ(first->usage.bytes_touched, second->usage.bytes_touched);
-  EXPECT_EQ(first->usage.cache_hits, second->usage.cache_hits);
-  EXPECT_EQ(first->usage.cache_misses, second->usage.cache_misses);
   EXPECT_EQ(first->usage.rounds_executed, second->usage.rounds_executed);
   EXPECT_EQ(first->usage.rounds_pruned, second->usage.rounds_pruned);
   // And they are the published function of the counters.

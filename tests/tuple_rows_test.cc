@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "exec/result_cache.h"
 #include "exec/tuple_rows.h"
 
 namespace flexpath {
@@ -168,17 +167,6 @@ TEST(TupleRowsTest, PermuteFollowsLongAndShortCycles) {
       EXPECT_EQ(rows.penalty(j), static_cast<double>(order[j]));
     }
   }
-}
-
-TEST(TupleRowsTest, CacheFootprintIsTheBlocksBytes) {
-  TupleRows rows(4);
-  const NodeRef parent[3] = {{0, 1}, {0, 2}, {0, 3}};
-  for (int i = 0; i < 100; ++i) rows.Append(parent, NodeRef{0, 4}, 0, 0.0);
-  EXPECT_EQ(CachedStepResult::ApproxBytes(rows),
-            sizeof(CachedStepResult) + 100 * 4 * sizeof(NodeRef) +
-                100 * (sizeof(uint64_t) + sizeof(double)));
-  EXPECT_EQ(CachedStepResult::ApproxBytes(TupleRows(4)),
-            sizeof(CachedStepResult));
 }
 
 }  // namespace
