@@ -8,8 +8,9 @@
 #   2. poll /healthz until the endpoint answers, then exercise every
 #      route and validate /metrics with ci/check_prometheus.py
 #   3. push a burst of queries through the REPL and assert that
-#      /timeseriesz reports a nonzero qps over the window and that every
-#      query landed in the JSON-lines log
+#      /timeseriesz reports a nonzero qps over the window, that /varz
+#      accounts every query, and that every query landed in the
+#      JSON-lines log
 #   4. SIGTERM the CLI and assert the graceful path: exit code 143 and a
 #      flight-recorder dump written through the normal (non-signal-safe)
 #      serializer
@@ -135,6 +136,19 @@ stats = json.load(sys.stdin)
 assert len(stats["recent"]) <= 2, "recent=%d" % len(stats["recent"])
 assert stats["shapes"], "no shape aggregates after traffic"
 ' || fail "/statsz?recent=2 malformed"
+
+# /varz folds every successful query's cpu_ms and work counters.
+curl -fsS "$BASE/varz" | python3 -c '
+import json, sys
+v = json.load(sys.stdin)
+assert v["queries"] >= 4, "queries=%r" % v["queries"]
+assert v["errors"] == 0, "errors=%r" % v["errors"]
+assert v["cpu_ms_total"] > 0, "cpu_ms_total=%r" % v["cpu_ms_total"]
+passes = v["counters_total"]["plan_passes"]
+assert passes >= 4, "counters_total.plan_passes=%r" % passes
+print("admin_smoke: /varz queries=%d plan_passes=%d cpu_ms=%.3f"
+      % (v["queries"], passes, v["cpu_ms_total"]))
+' || fail "/varz does not account the burst"
 
 # Graceful shutdown: SIGTERM must land as exit 128+15 and leave a
 # flight-recorder dump written by the normal serializer, not the

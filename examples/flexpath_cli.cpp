@@ -97,7 +97,7 @@
 //   --admin-bind ADDR          admin bind address (default 127.0.0.1;
 //                              loopback-only unless overridden)
 //   --query-log FILE           append one JSON line per query (text,
-//                              options, result metadata, resource usage,
+//                              options, result metadata, cpu_ms,
 //                              answers digest); replay the file with
 //                              flexpath_replay
 //   --stats-shapes N           per-shape statistics table capacity

@@ -1,4 +1,4 @@
-#include "common/resource_usage.h"
+#include "common/cpu_timer.h"
 
 #include <ctime>
 
@@ -13,15 +13,6 @@ double ThreadCpuNowMs() {
 #else
   return 0.0;
 #endif
-}
-
-void ResourceUsage::Add(const ResourceUsage& other) {
-  cpu_ms += other.cpu_ms;
-  tuples_scanned += other.tuples_scanned;
-  tuples_produced += other.tuples_produced;
-  bytes_touched += other.bytes_touched;
-  rounds_executed += other.rounds_executed;
-  rounds_pruned += other.rounds_pruned;
 }
 
 }  // namespace flexpath

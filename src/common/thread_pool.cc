@@ -4,7 +4,7 @@
 #include <cassert>
 #include <utility>
 
-#include "common/resource_usage.h"
+#include "common/cpu_timer.h"
 
 namespace flexpath {
 

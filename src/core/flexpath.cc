@@ -1,5 +1,6 @@
 #include "core/flexpath.h"
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <sstream>
@@ -238,7 +239,8 @@ Result<TopKResult> FlexPath::QueryTpq(const Tpq& q, const TopKOptions& opts,
     if (!result.ok()) {
       ++varz_errors_;
     } else {
-      varz_usage_.Add(result->usage);
+      varz_cpu_ms_ += result->cpu_ms;
+      varz_counters_.Add(result->counters);
     }
   }
   QueryLogWriter* log = query_log_.load(std::memory_order_relaxed);
@@ -261,7 +263,7 @@ Result<TopKResult> FlexPath::QueryTpq(const Tpq& q, const TopKOptions& opts,
     record.penalty = result->penalty_applied;
     record.budget_exhausted = result->budget_exhausted;
     record.answers_digest = AnswersDigest(result->answers);
-    record.usage = result->usage;
+    record.cpu_ms = result->cpu_ms;
     log->Append(record);
   }
   return result;
@@ -293,37 +295,47 @@ void FlexPath::SetQueryLog(QueryLogWriter* log) {
 std::string FlexPath::VarzJson() const {
   uint64_t queries = 0;
   uint64_t errors = 0;
-  ResourceUsage usage;
+  double cpu_ms = 0.0;
+  ExecCounters counters;
   {
     MutexLock lock(varz_mu_);
     queries = varz_queries_;
     errors = varz_errors_;
-    usage = varz_usage_;
+    cpu_ms = varz_cpu_ms_;
+    counters = varz_counters_;
   }
-  const uint64_t succeeded = queries - errors;
+  // Every total is 0 while nothing has succeeded, so dividing by 1 then
+  // renders the 0 means.
+  const double succeeded =
+      static_cast<double>(std::max<uint64_t>(queries - errors, 1));
   std::string out = "{\"queries\":" + std::to_string(queries);
   out += ",\"errors\":" + std::to_string(errors);
-  out += ",\"usage_total\":{";
+  out += ",\"cpu_ms_total\":" + FormatDouble(cpu_ms);
+  out += ",\"cpu_ms_mean\":" + FormatDouble(cpu_ms / succeeded);
   bool first = true;
-  usage.ForEach([&out, &first](const char* name, double value) {
+  auto key = [&out, &first](const char* name) {
     if (!first) out += ',';
     first = false;
     out += '"';
     out += name;
     out += "\":";
-    out += FormatDouble(value);
+  };
+  out += ",\"counters_total\":{";
+  counters.ForEach([&](const char* name, uint64_t value) {
+    key(name);
+    out += std::to_string(value);
   });
-  out += "},\"usage_mean\":{";
+  out += "},\"counters_mean\":{";
   first = true;
-  usage.ForEach([&out, &first, succeeded](const char* name, double value) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += name;
-    out += "\":";
-    out += FormatDouble(
-        succeeded == 0 ? 0.0 : value / static_cast<double>(succeeded));
-  });
+  ExecCounters::VisitFields(
+      counters,
+      [&](const char* name, const uint64_t& value, ExecCounters::Agg agg) {
+        key(name);
+        // A high-water mark has no per-query mean; the peak stands.
+        const double v = static_cast<double>(value);
+        out += FormatDouble(agg == ExecCounters::Agg::kMax ? v
+                                                           : v / succeeded);
+      });
   out += "}}";
   return out;
 }

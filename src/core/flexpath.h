@@ -247,7 +247,7 @@ class FlexPath {
 
   /// Attaches (or detaches, with nullptr) a workload-capture log: every
   /// subsequent QueryTpq/Query run appends one JSON line (query text,
-  /// options, result metadata, resource usage, answers digest) that
+  /// options, result metadata, cpu_ms, answers digest) that
   /// flexpath_replay can re-execute. Non-owning — the writer must outlive
   /// its use; pass nullptr before destroying it. No writer attached means
   /// zero capture cost (one relaxed atomic load per query).
@@ -256,11 +256,13 @@ class FlexPath {
     return query_log_.load(std::memory_order_relaxed);
   }
 
-  /// One JSON object with this instance's cumulative per-query resource
-  /// accounting — query/error counts plus the summed and
-  /// per-query-mean ResourceUsage across every QueryTpq run:
-  ///   {"queries":..,"errors":..,
-  ///    "usage_total":{"cpu_ms":..,...},"usage_mean":{...}}
+  /// One JSON object with this instance's cumulative per-query
+  /// accounting — query/error counts plus the summed and per-query-mean
+  /// cpu_ms and ExecCounters of every successful QueryTpq run. Totals
+  /// fold through ExecCounters::Add, so buckets_peak is a max (and its
+  /// "mean" is that peak):
+  ///   {"queries":..,"errors":..,"cpu_ms_total":..,"cpu_ms_mean":..,
+  ///    "counters_total":{"plan_passes":..,...},"counters_mean":{...}}
   std::string VarzJson() const;
 
   /// One JSON object identifying this build and instance: library
@@ -296,7 +298,8 @@ class FlexPath {
   mutable Mutex varz_mu_;
   uint64_t varz_queries_ GUARDED_BY(varz_mu_) = 0;
   uint64_t varz_errors_ GUARDED_BY(varz_mu_) = 0;
-  ResourceUsage varz_usage_ GUARDED_BY(varz_mu_);
+  double varz_cpu_ms_ GUARDED_BY(varz_mu_) = 0.0;
+  ExecCounters varz_counters_ GUARDED_BY(varz_mu_);
 };
 
 }  // namespace flexpath

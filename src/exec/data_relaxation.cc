@@ -40,11 +40,8 @@ const NodeId* DataRelaxationIndex::EdgesEnd(NodeRef node) const {
 }
 
 std::vector<NodeRef> DataRelaxationIndex::Evaluate(
-    const Tpq& q, IrEngine* ir, ResourceUsage* usage) const {
+    const Tpq& q, IrEngine* ir) const {
   if (q.empty()) return {};
-  const ThreadCpuTimer cpu;
-  uint64_t scanned = 0;
-  uint64_t edges_probed = 0;
   // Downward match sets over the shortcut graph (children before
   // parents), then a top-down validity pass — the naive evaluator's
   // scheme, but every pattern edge matches a shortcut edge.
@@ -58,7 +55,6 @@ std::vector<NodeRef> DataRelaxationIndex::Evaluate(
       const Document& doc = n.attr_preds.empty() ? corpus_->doc(d)
                                                  : corpus_->DocWithContent(d);
       for (NodeId i = 0; i < doc.size(); ++i) {
-        ++scanned;
         if (n.tag != kInvalidTag && doc.node(i).tag != n.tag) continue;
         const NodeRef ref{d, i};
         bool ok = true;
@@ -83,7 +79,6 @@ std::vector<NodeRef> DataRelaxationIndex::Evaluate(
           bool found = false;
           for (const NodeId* edge = EdgesBegin(ref); edge != EdgesEnd(ref);
                ++edge) {
-            ++edges_probed;
             if (std::binary_search(child_set.begin(), child_set.end(),
                                    NodeRef{d, *edge})) {
               found = true;
@@ -126,18 +121,7 @@ std::vector<NodeRef> DataRelaxationIndex::Evaluate(
     }
     valid[v] = std::move(set);
   }
-  std::vector<NodeRef>& answers = valid[q.distinguished()];
-  if (usage != nullptr) {
-    uint64_t produced = 0;
-    for (const auto& [v, set] : down) produced += set.size();
-    usage->tuples_scanned += scanned;
-    usage->tuples_produced += produced;
-    usage->bytes_touched += scanned * sizeof(Element) +
-                            edges_probed * sizeof(NodeId) +
-                            produced * sizeof(NodeRef);
-    usage->cpu_ms += cpu.ElapsedMs();
-  }
-  return answers;
+  return std::move(valid[q.distinguished()]);
 }
 
 }  // namespace flexpath

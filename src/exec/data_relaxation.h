@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/resource_usage.h"
 #include "ir/engine.h"
 #include "query/tpq.h"
 #include "xml/corpus.h"
@@ -50,14 +49,7 @@ class DataRelaxationIndex {
   /// matches a shortcut edge, so the result equals the fully
   /// axis-generalized query's answers. `ir` may be null when the query
   /// has no contains predicates.
-  ///
-  /// `usage`, when non-null, accumulates the evaluation's cost (nodes
-  /// examined as scanned, match-set entries kept as produced, shortcut
-  /// edges probed in the byte estimate) — the accounting the ablation
-  /// bench uses to put numbers on the paper's "fails with large
-  /// databases" verdict.
-  std::vector<NodeRef> Evaluate(const Tpq& q, IrEngine* ir,
-                                ResourceUsage* usage = nullptr) const;
+  std::vector<NodeRef> Evaluate(const Tpq& q, IrEngine* ir) const;
 
  private:
   const Corpus* corpus_;

@@ -122,22 +122,6 @@ void ScoreSortRows(TupleRows* rows) {
 
 }  // namespace
 
-ResourceUsage UsageFromCounters(const ExecCounters& c) {
-  ResourceUsage u;
-  u.tuples_scanned = c.candidates_probed;
-  u.tuples_produced = c.tuples_created;
-  // An estimate, not an allocator count: each probe reads one NodeSpan
-  // record; each materialized tuple writes one row — its parent's
-  // bindings plus the candidate, 8 bytes per bound step — and its mask
-  // and penalty. 64 bytes is the round figure for the common 3-5 step
-  // plans; the point is comparability across queries, not byte-exactness.
-  u.bytes_touched =
-      c.candidates_probed * sizeof(NodeSpan) + c.tuples_created * 64;
-  u.rounds_executed = c.plan_passes;
-  u.rounds_pruned = c.rounds_pruned_static;
-  return u;
-}
-
 void ExecCounters::Add(const ExecCounters& other) {
   // Zip the two VisitFields traversals: both walk in declaration order,
   // so src[i] is the `other` field matching this object's i-th field.
@@ -165,13 +149,13 @@ void ExecCounters::Add(const ExecCounters& other) {
 std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     const JoinPlan& plan, EvalMode mode, size_t k, RankScheme scheme,
     double exact_penalty, ExecCounters* counters, TraceCollector* trace,
-    ThreadPool* pool, ResourceUsage* usage) {
+    ThreadPool* pool, double* worker_cpu_ms) {
   // Work is tallied locally, then folded into the caller's counters and
   // the global registry — so per-call deltas are exact even when the
   // caller accumulates across plan passes.
   ExecCounters ctr;
   ++ctr.plan_passes;
-  double worker_cpu_ms = 0.0;
+  double pass_worker_cpu_ms = 0.0;
 
   const Corpus& corpus = index_->corpus();
   const std::vector<PlanStep>& steps = plan.steps();
@@ -324,7 +308,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     // scans (a plain vector reference would dangle).
     const ScanHandle scan0 = index_->Scan(step0.tag);
     ChunkedExtend(pool, scan0.size(), /*grain=*/1024, &tuples, &ctr,
-                  &worker_cpu_ms,
+                  &pass_worker_cpu_ms,
                   [&](size_t begin, size_t end, TupleRows* out,
                       ExecCounters* c) {
                     for (size_t i = begin; i < end; ++i) {
@@ -486,7 +470,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
         work.insert(work.end(), members.begin(), members.end());
       }
       ChunkedExtend(pool, work.size(), /*grain=*/64, &out, &ctr,
-                    &worker_cpu_ms,
+                    &pass_worker_cpu_ms,
                     [&](size_t begin, size_t end, TupleRows* o,
                         ExecCounters* c) {
                       // Most tuples survive a step (match or
@@ -512,7 +496,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
         ctr.score_sorted_items += 2 * tuples.size();
       }
       ChunkedExtend(pool, tuples.size(), /*grain=*/64, &out, &ctr,
-                    &worker_cpu_ms,
+                    &pass_worker_cpu_ms,
                     [&](size_t begin, size_t end, TupleRows* o,
                         ExecCounters* c) {
                       o->reserve(o->size() + (end - begin));
@@ -588,11 +572,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
   finalize_span.Close();
 
   if (counters != nullptr) counters->Add(ctr);
-  if (usage != nullptr) {
-    ResourceUsage u = UsageFromCounters(ctr);
-    u.cpu_ms = worker_cpu_ms;
-    usage->Add(u);
-  }
+  if (worker_cpu_ms != nullptr) *worker_cpu_ms += pass_worker_cpu_ms;
   // Mirror the work into the process-wide registry (pointers cached once;
   // one relaxed add per field per plan pass).
   static MetricsRegistry& reg = MetricsRegistry::Global();

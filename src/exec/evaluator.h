@@ -4,86 +4,15 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/resource_usage.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "exec/exec_counters.h"
 #include "exec/plan.h"
 #include "ir/engine.h"
 #include "rank/score.h"
 #include "stats/element_index.h"
 
 namespace flexpath {
-
-/// Work counters exposed by the evaluator so benchmarks can report what
-/// each algorithm actually did (passes over data, probes, sorting — the
-/// quantities Section 6 attributes the DPO/SSO/Hybrid differences to).
-struct ExecCounters {
-  uint64_t plan_passes = 0;        ///< Full plan evaluations.
-  uint64_t candidates_probed = 0;  ///< Scan-list entries examined.
-  uint64_t tuples_created = 0;     ///< Intermediate tuples materialized.
-  uint64_t tuples_pruned = 0;      ///< Tuples discarded by the threshold.
-  uint64_t score_sorts = 0;        ///< Score-order sorts (SSO's weakness).
-  uint64_t score_sorted_items = 0; ///< Total items passed through them.
-  uint64_t buckets_peak = 0;       ///< Max live buckets (Hybrid).
-  uint64_t rounds_pruned_static = 0;  ///< Rounds skipped by static analysis.
-
-  /// How a field folds when counters from parallel chunks or rounds are
-  /// combined: totals sum, high-water marks max.
-  enum class Agg : uint8_t { kSum, kMax };
-
-  /// Must equal the number of fields above; the static_assert below
-  /// pins sizeof to it, so adding a field without updating this (and
-  /// VisitFields) fails the build instead of drifting silently.
-  static constexpr size_t kFieldCount = 8;
-
-  /// Reflection visitor: calls fn(name, field, agg) for every counter
-  /// field of `self`, in declaration order — the single source of truth
-  /// for the field list. Add(), ForEach() export (trace annotations,
-  /// bench JSON lines, metrics) and the accounting-lint test all iterate
-  /// through it, so a field listed here aggregates and exports
-  /// automatically, everywhere.
-  template <typename Self, typename Fn>
-  static void VisitFields(Self& self, Fn&& fn) {
-    fn("plan_passes", self.plan_passes, Agg::kSum);
-    fn("candidates_probed", self.candidates_probed, Agg::kSum);
-    fn("tuples_created", self.tuples_created, Agg::kSum);
-    fn("tuples_pruned", self.tuples_pruned, Agg::kSum);
-    fn("score_sorts", self.score_sorts, Agg::kSum);
-    fn("score_sorted_items", self.score_sorted_items, Agg::kSum);
-    fn("buckets_peak", self.buckets_peak, Agg::kMax);
-    fn("rounds_pruned_static", self.rounds_pruned_static, Agg::kSum);
-  }
-
-  /// Accumulates `other` into this through VisitFields: sums every
-  /// kSum field, maxes every kMax field (buckets_peak). Every combine
-  /// path — parallel chunk merge, round totals — goes through here, so
-  /// a field cannot be aggregated in one path and dropped in another.
-  void Add(const ExecCounters& other);
-
-  /// Calls fn(name, value) for every field, in declaration order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    VisitFields(*this, [&fn](const char* name, const uint64_t& value,
-                             Agg /*agg*/) { fn(name, value); });
-  }
-};
-
-// The accounting lint (see VisitFields): a new uint64_t field changes
-// sizeof, failing this until kFieldCount — and, per the runtime check in
-// Add(), the visitor — covers it.
-static_assert(sizeof(ExecCounters) ==
-                  ExecCounters::kFieldCount * sizeof(uint64_t),
-              "ExecCounters field added/removed: update kFieldCount and "
-              "VisitFields so aggregation and export stay complete");
-
-/// Projects work counters into the ResourceUsage vocabulary (tuples
-/// scanned/produced, rounds, and a byte estimate:
-/// sizeof(NodeSpan) per scan probe plus a nominal tuple footprint per
-/// materialization). cpu_ms is left at zero — counters carry no time;
-/// callers add the CPU they measured. Deterministic: equal counters give
-/// equal usage, so the differential byte-identity guarantees extend to
-/// every usage field except cpu_ms.
-ResourceUsage UsageFromCounters(const ExecCounters& c);
 
 /// How the evaluator manages intermediate results (Section 5.2):
 ///  - kExact: evaluate the plan's required predicates only; no optional
@@ -127,9 +56,8 @@ class PlanEvaluator {
   /// answers, scores, and every counter are byte-identical to the serial
   /// run at any thread count (DESIGN.md §10).
   ///
-  /// `usage`, when non-null, receives this pass's resource accounting:
-  /// UsageFromCounters of the pass's counters, plus the thread-CPU time
-  /// its pool fan-outs burned on *worker* threads. The calling thread's
+  /// `worker_cpu_ms`, when non-null, accumulates the thread-CPU time this
+  /// pass's pool fan-outs burned on *worker* threads. The calling thread's
   /// own CPU is deliberately excluded — the caller times itself, so the
   /// two add without double counting.
   std::vector<RankedAnswer> Evaluate(const JoinPlan& plan, EvalMode mode,
@@ -138,7 +66,7 @@ class PlanEvaluator {
                                      ExecCounters* counters,
                                      TraceCollector* trace = nullptr,
                                      ThreadPool* pool = nullptr,
-                                     ResourceUsage* usage = nullptr);
+                                     double* worker_cpu_ms = nullptr);
 
  private:
   const ElementIndex* index_;

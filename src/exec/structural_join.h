@@ -3,8 +3,6 @@
 
 #include <vector>
 
-#include "common/resource_usage.h"
-#include "common/thread_pool.h"
 #include "xml/corpus.h"
 
 namespace flexpath {
@@ -24,33 +22,10 @@ struct JoinPair {
 ///
 /// `parent_only` restricts output to parent-child pairs (the pc predicate);
 /// otherwise all ancestor-descendant pairs are produced.
-///
-/// `usage`, when non-null, accumulates what the join consumed: every
-/// input element examined counts as scanned, every emitted pair as
-/// produced, bytes estimated from both. The parallel variant adds the
-/// thread-CPU time its chunks burned on pool workers (the calling
-/// thread's CPU stays the caller's to measure) — and note the parallel
-/// join's scan count exceeds the serial one's, because each chunk replays
-/// the ancestor prefix to rebuild its stack: usage reports work actually
-/// done, not a thread-count-invariant quantity like ExecCounters.
 std::vector<JoinPair> StructuralJoin(const Corpus& corpus,
                                      const std::vector<NodeRef>& ancestors,
                                      const std::vector<NodeRef>& descendants,
-                                     bool parent_only,
-                                     ResourceUsage* usage = nullptr);
-
-/// Parallel variant: splits the descendant list into contiguous chunks,
-/// joins each against the ancestor list on the pool (each chunk rebuilds
-/// its ancestor stack from the list's prefix), and concatenates per-chunk
-/// outputs in chunk order. A descendant's pairs depend only on the
-/// ancestors containing it, so the result — including pair order — is
-/// identical to the serial join at any thread count. Null `pool` (or one
-/// too small to help) falls through to the serial join.
-std::vector<JoinPair> StructuralJoin(const Corpus& corpus,
-                                     const std::vector<NodeRef>& ancestors,
-                                     const std::vector<NodeRef>& descendants,
-                                     bool parent_only, ThreadPool* pool,
-                                     ResourceUsage* usage = nullptr);
+                                     bool parent_only);
 
 /// Naive O(|A| * |D|) reference implementation, used by tests and the
 /// ablation benchmark as the baseline the stack join is measured against.

@@ -8,6 +8,7 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/score_algebra.h"
+#include "common/cpu_timer.h"
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
@@ -53,20 +54,45 @@ void AnnotateCounters(TraceSpan* span, const ExecCounters& delta) {
   });
 }
 
-/// Attaches a resource-usage breakdown as "usage.<field>" annotations —
-/// what the stage consumed, next to the counters saying what it did.
-void AnnotateUsage(Span* span, const ResourceUsage& usage) {
-  if (!span->active()) return;
-  usage.ForEach([&](const char* name, double value) {
-    span->Annotate(std::string("usage.") + name, value);
-  });
-}
+/// The CPU bill of one algorithm run and its soft budgets
+/// (TopKOptions::max_cpu_ms / max_tuples). The coordinating thread's CPU
+/// comes from the timer; pool-worker CPU is folded in through
+/// AddOffThread as rounds and passes report it. Exhausted() is called
+/// between rounds / encoded passes only, and with no budget set it
+/// returns before reading any clock, so a budget-free run takes exactly
+/// the path of a build without budgets.
+class RunBudget {
+ public:
+  explicit RunBudget(const TopKOptions& opts)
+      : max_cpu_ms_(opts.max_cpu_ms), max_tuples_(opts.max_tuples) {}
 
-void AnnotateUsage(TraceSpan* span, const ResourceUsage& usage) {
-  usage.ForEach([&](const char* name, double value) {
-    span->Annotate(std::string("usage.") + name, value);
-  });
-}
+  void AddOffThread(double cpu_ms) { off_thread_cpu_ms_ += cpu_ms; }
+
+  /// CPU the run burned off the coordinating thread. Run() adds the
+  /// coordinator's own timer on top to form TopKResult::cpu_ms.
+  double off_thread_cpu_ms() const { return off_thread_cpu_ms_; }
+
+  /// True when a budget is spent; then flags `result` as partial and
+  /// records the trip in the flight recorder.
+  bool Exhausted(TopKResult* result) const {
+    if (max_cpu_ms_ <= 0.0 && max_tuples_ == 0) return false;
+    const uint64_t tuples = result->counters.tuples_created;
+    const double cpu_ms = cpu_.ElapsedMs() + off_thread_cpu_ms_;
+    const bool spent = (max_tuples_ > 0 && tuples >= max_tuples_) ||
+                       (max_cpu_ms_ > 0.0 && cpu_ms >= max_cpu_ms_);
+    if (!spent) return false;
+    result->budget_exhausted = true;
+    FlightRecorder::Global().Record(FlightEventType::kBudgetTrip, tuples,
+                                    max_tuples_, cpu_ms);
+    return true;
+  }
+
+ private:
+  const double max_cpu_ms_;
+  const uint64_t max_tuples_;
+  const ThreadCpuTimer cpu_;
+  double off_thread_cpu_ms_ = 0.0;
+};
 
 /// One DPO round evaluated speculatively by a wave worker. Everything a
 /// round produces is buffered here; the merge decides — in round order —
@@ -77,11 +103,10 @@ struct RoundOutput {
   Status status;  ///< Plan-build failure, if any.
   std::vector<RankedAnswer> answers;
   ExecCounters counters;
-  /// The round's full resource bill: counter-derived work plus every
-  /// thread-CPU millisecond it burned — the evaluating thread's own and
-  /// any nested pool fan-out's.
-  ResourceUsage usage;
-  /// The share of usage.cpu_ms spent on threads *other than* the one
+  /// Every thread-CPU millisecond the round burned — the evaluating
+  /// thread's own and any nested pool fan-out's.
+  double cpu_ms = 0.0;
+  /// The share of cpu_ms spent on threads *other than* the one
   /// that called eval_round. The caller needs the split to avoid double
   /// counting: an inline round's own CPU is already inside the
   /// coordinator's timer, a wave-worker round's is not.
@@ -187,15 +212,12 @@ Result<TopKResult> TopKProcessor::Run(const Tpq& q, Algorithm algo,
   if (!result.ok()) {
     m_errors->Inc();
   } else {
-    // The algorithm left only the off-coordinator CPU in usage.cpu_ms;
-    // every other field is recomputed from the merged counters so the
-    // deterministic figures come from exactly the work the result kept.
-    const double worker_cpu_ms = result->usage.cpu_ms;
-    result->usage = UsageFromCounters(result->counters);
-    result->usage.cpu_ms = worker_cpu_ms + query_cpu.ElapsedMs();
+    // The algorithm left only the off-coordinator CPU in cpu_ms.
+    result->cpu_ms += query_cpu.ElapsedMs();
     m_latency[static_cast<size_t>(algo)]->Observe(elapsed_ms);
-    m_cpu->Observe(result->usage.cpu_ms);
-    if (result->rounds_pruned > 0) m_pruned->Inc(result->rounds_pruned);
+    m_cpu->Observe(result->cpu_ms);
+    const uint64_t pruned = result->counters.rounds_pruned_static;
+    if (pruned > 0) m_pruned->Inc(pruned);
     if (result->budget_exhausted) m_budget->Inc();
   }
   FlightRecorder::Global().Record(
@@ -210,7 +232,7 @@ Result<TopKResult> TopKProcessor::Run(const Tpq& q, Algorithm algo,
                      static_cast<uint64_t>(result->relaxations_used));
       root->Annotate("answers",
                      static_cast<uint64_t>(result->answers.size()));
-      AnnotateUsage(root, result->usage);
+      root->Annotate("cpu_ms", result->cpu_ms);
       if (result->budget_exhausted) {
         root->Annotate("budget_exhausted", uint64_t{1});
       }
@@ -237,7 +259,8 @@ Result<TopKResult> TopKProcessor::Run(const Tpq& q, Algorithm algo,
       exec.predicates_dropped = result->predicates_dropped;
       exec.penalty = result->penalty_applied;
       exec.answers = result->answers.size();
-      exec.usage = result->usage;
+      exec.cpu_ms = result->cpu_ms;
+      exec.counters = result->counters;
       exec.budget_exhausted = result->budget_exhausted;
     } else {
       exec.error = true;
@@ -275,27 +298,7 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
                                          TraceCollector* trace,
                                          ThreadPool* pool) {
   TopKResult result;
-  // CPU accounting for the soft budget: this thread's time plus whatever
-  // landed on pool workers so far. The budgeted path reads the clock
-  // between rounds only; with no budget set, nothing below branches on
-  // these, keeping the run byte-identical to a budget-free build.
-  const ThreadCpuTimer algo_cpu;
-  double off_thread_cpu_ms = 0.0;
-  const bool budgeted = opts.max_cpu_ms > 0.0 || opts.max_tuples > 0;
-  auto budget_spent = [&]() -> bool {
-    if (opts.max_tuples > 0 &&
-        result.counters.tuples_created >= opts.max_tuples) {
-      return true;
-    }
-    return opts.max_cpu_ms > 0.0 &&
-           algo_cpu.ElapsedMs() + off_thread_cpu_ms >= opts.max_cpu_ms;
-  };
-  auto trip_budget = [&] {
-    result.budget_exhausted = true;
-    FlightRecorder::Global().Record(
-        FlightEventType::kBudgetTrip, result.counters.tuples_created,
-        opts.max_tuples, algo_cpu.ElapsedMs() + off_thread_cpu_ms);
-  };
+  RunBudget budget(opts);
 
   Span schedule_span(trace, "build_schedule");
   const std::vector<ScheduleEntry> schedule = BuildSchedule(q, pm);
@@ -363,7 +366,7 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
                         RoundOutput* out) {
     // Everything this round costs, starting now: the evaluating thread's
     // CPU comes from this timer; nested pool fan-outs report theirs
-    // through the usage out-param below.
+    // through Evaluate's worker_cpu_ms out-param below.
     const ThreadCpuTimer round_cpu;
     const Tpq& relaxed = round == 0 ? q : schedule[round - 1].relaxed;
     if (opts.static_prune) {
@@ -374,8 +377,7 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
         out->counters.rounds_pruned_static = 1;
         FlightRecorder::Global().Record(FlightEventType::kRoundSkip, round,
                                         0, round_penalty(round));
-        out->usage = UsageFromCounters(out->counters);
-        out->usage.cpu_ms = round_cpu.ElapsedMs();
+        out->cpu_ms = round_cpu.ElapsedMs();
         return;
       }
     }
@@ -386,17 +388,16 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
     build_span.Close();
     if (!plan.ok()) {
       out->status = plan.status();
-      out->usage.cpu_ms = round_cpu.ElapsedMs();
+      out->cpu_ms = round_cpu.ElapsedMs();
       return;
     }
     out->answers = evaluator_.Evaluate(*plan, EvalMode::kExact, opts.k,
                                        opts.scheme, round_penalty(round),
                                        &out->counters, rc, evpool,
-                                       &out->usage);
-    // Evaluate's usage.cpu_ms holds only its pool-worker time; adding the
-    // timer completes the round's bill while the split stays recoverable.
-    out->off_thread_cpu_ms = out->usage.cpu_ms;
-    out->usage.cpu_ms += round_cpu.ElapsedMs();
+                                       &out->off_thread_cpu_ms);
+    // Evaluate reports only its pool-worker time; adding the timer
+    // completes the round's bill while the split stays recoverable.
+    out->cpu_ms = out->off_thread_cpu_ms + round_cpu.ElapsedMs();
   };
 
   // Merges one evaluated round into the result, replaying the serial
@@ -404,7 +405,6 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
   // stopping rule fired); later speculative rounds are then discarded.
   auto merge_round = [&](size_t round, RoundOutput&& out,
                          Span* inline_span) -> bool {
-    if (out.pruned) ++result.rounds_pruned;
     result.counters.Add(out.counters);
     // DPO appends: later rounds never outrank earlier ones
     // (structure-first), so no resorting — answers seen before keep
@@ -472,13 +472,10 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
       if (!out.status.ok()) return out.status;
       if (out.pruned) round_span.Annotate("static_pruned", out.prune_reason);
       AnnotateCounters(&round_span, out.counters);
-      AnnotateUsage(&round_span, out.usage);
-      off_thread_cpu_ms += out.off_thread_cpu_ms;
+      round_span.Annotate("cpu_ms", out.cpu_ms);
+      budget.AddOffThread(out.off_thread_cpu_ms);
       done = merge_round(round, std::move(out), &round_span);
-      if (!done && budgeted && budget_spent()) {
-        trip_budget();
-        done = true;
-      }
+      if (!done && budget.Exhausted(&result)) done = true;
       ++next_round;
     } else {
       // Spawn the wave. Each worker assembles its round's span subtree in
@@ -506,7 +503,7 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
               wc->current()->Annotate("static_pruned", out->prune_reason);
             }
             AnnotateCounters(wc->current(), out->counters);
-            AnnotateUsage(wc->current(), out->usage);
+            wc->current()->Annotate("cpu_ms", out->cpu_ms);
             QueryTrace t = wc->Finish();
             t.root.ShiftBy(offset);
             out->span = std::move(t.root);
@@ -518,7 +515,7 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
       // Every wave round ran off the coordinating thread, so its whole
       // bill — merged or discarded — is off-thread CPU the query burned.
       for (size_t i = 0; i < wave_n; ++i) {
-        off_thread_cpu_ms += outs[i].usage.cpu_ms;
+        budget.AddOffThread(outs[i].cpu_ms);
       }
       size_t merged = 0;
       for (size_t i = 0; i < wave_n && !done; ++i) {
@@ -531,10 +528,7 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
         if (!outs[i].status.ok()) return outs[i].status;
         done = merge_round(round, std::move(outs[i]), nullptr);
         merged = i + 1;
-        if (!done && budgeted && budget_spent()) {
-          trip_budget();
-          done = true;
-        }
+        if (!done && budget.Exhausted(&result)) done = true;
       }
       // Speculation past the stopping point: the rounds ran, their CPU is
       // billed above, but nothing of theirs enters the result.
@@ -551,10 +545,9 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
 
   SortByScheme(&result.answers, opts.scheme);
   if (result.answers.size() > opts.k) result.answers.resize(opts.k);
-  // Hand Run() only the off-coordinator CPU; it recomputes the
-  // deterministic usage fields from the merged counters and adds its own
-  // coordinator timer on top.
-  result.usage.cpu_ms = off_thread_cpu_ms;
+  // Hand Run() only the off-coordinator CPU; it adds its own coordinator
+  // timer on top.
+  result.cpu_ms = budget.off_thread_cpu_ms();
   return result;
 }
 
@@ -566,20 +559,7 @@ Result<TopKResult> TopKProcessor::RunEncoded(const Tpq& q,
                                              TraceCollector* trace,
                                              ThreadPool* pool) {
   TopKResult result;
-  // Budget accounting mirrors RunDpo's: the check sits between encoded
-  // passes (never inside one), and a budget-free run takes no new
-  // branches.
-  const ThreadCpuTimer algo_cpu;
-  double off_thread_cpu_ms = 0.0;
-  const bool budgeted = opts.max_cpu_ms > 0.0 || opts.max_tuples > 0;
-  auto budget_spent = [&]() -> bool {
-    if (opts.max_tuples > 0 &&
-        result.counters.tuples_created >= opts.max_tuples) {
-      return true;
-    }
-    return opts.max_cpu_ms > 0.0 &&
-           algo_cpu.ElapsedMs() + off_thread_cpu_ms >= opts.max_cpu_ms;
-  };
+  RunBudget budget(opts);
   Span schedule_span(trace, "build_schedule");
   const std::vector<ScheduleEntry> schedule = BuildSchedule(q, pm);
   schedule_span.Annotate("entries", static_cast<uint64_t>(schedule.size()));
@@ -632,7 +612,6 @@ Result<TopKResult> TopKProcessor::RunEncoded(const Tpq& q,
       skip_span.Annotate("encoded", static_cast<uint64_t>(encoded));
       skip_span.Annotate("static_pruned", *reason);
       ++encoded;
-      ++result.rounds_pruned;
       ++result.counters.rounds_pruned_static;
     }
   };
@@ -662,19 +641,20 @@ Result<TopKResult> TopKProcessor::RunEncoded(const Tpq& q,
     const uint64_t pruned_before = result.counters.tuples_pruned;
     ExecCounters pass_counters;
     const ThreadCpuTimer pass_cpu;
-    ResourceUsage pass_usage;
+    double pass_worker_cpu_ms = 0.0;
     FlightRecorder::Global().Record(FlightEventType::kRoundStart, encoded);
     // SSO/Hybrid encode the whole relaxation batch into this one plan, so
     // the pass itself is the parallel unit: the evaluator fans each join
     // step out over tuple chunks on the pool.
     result.answers = evaluator_.Evaluate(*plan, mode, prune ? opts.k : 0,
                                          opts.scheme, 0.0, &pass_counters,
-                                         trace, pool, &pass_usage);
+                                         trace, pool, &pass_worker_cpu_ms);
     result.counters.Add(pass_counters);
-    off_thread_cpu_ms += pass_usage.cpu_ms;  // Worker CPU only, see Evaluate.
-    pass_usage.cpu_ms += pass_cpu.ElapsedMs();
+    budget.AddOffThread(pass_worker_cpu_ms);
     AnnotateCounters(&pass_span, pass_counters);
-    AnnotateUsage(&pass_span, pass_usage);
+    if (pass_span.active()) {
+      pass_span.Annotate("cpu_ms", pass_worker_cpu_ms + pass_cpu.ElapsedMs());
+    }
     pass_span.Annotate("answers",
                        static_cast<uint64_t>(result.answers.size()));
     result.relaxations_used = encoded;
@@ -683,13 +663,7 @@ Result<TopKResult> TopKProcessor::RunEncoded(const Tpq& q,
       result.predicates_dropped = schedule[encoded - 1].dropped.size();
     }
     if (result.answers.size() >= opts.k) break;
-    if (budgeted && budget_spent()) {
-      result.budget_exhausted = true;
-      FlightRecorder::Global().Record(
-          FlightEventType::kBudgetTrip, result.counters.tuples_created,
-          opts.max_tuples, algo_cpu.ElapsedMs() + off_thread_cpu_ms);
-      break;
-    }
+    if (budget.Exhausted(&result)) break;
     // Fewer than K answers (SSO line 11). Two possible causes: the
     // threshold pruned tuples whose higher-bound competitors later died
     // (the threshold is optimistic, as in the paper) — retry the same
@@ -706,9 +680,8 @@ Result<TopKResult> TopKProcessor::RunEncoded(const Tpq& q,
   }
 
   if (result.answers.size() > opts.k) result.answers.resize(opts.k);
-  // As in RunDpo: only the off-coordinator CPU travels back; Run()
-  // finalizes the rest from the counters.
-  result.usage.cpu_ms = off_thread_cpu_ms;
+  // As in RunDpo: only the off-coordinator CPU travels back.
+  result.cpu_ms = budget.off_thread_cpu_ms();
   return result;
 }
 

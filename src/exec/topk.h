@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/resource_usage.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
@@ -66,9 +65,9 @@ struct TopKOptions {
   /// pc/ad edge with zero such pairs — is skipped without building or
   /// running its plan. The proof is sound, so answers, penalties and
   /// relaxation metadata are identical with the option on or off; only
-  /// the work counters differ. Skips are observable via
-  /// TopKResult::rounds_pruned, the rounds_pruned_static counter, trace
-  /// span annotations, and the query.rounds_pruned_static metric.
+  /// the work counters differ. Skips are observable via the
+  /// rounds_pruned_static counter, trace span annotations, and the
+  /// query.rounds_pruned_static metric.
   bool static_prune = true;
   /// Worker threads for this run. 0 (the default) means hardware
   /// concurrency; 1 runs the fully serial path (no pool is ever
@@ -104,17 +103,11 @@ struct TopKResult {
   double penalty_applied = 0.0;
   /// Predicates relaxed away at that deepest relaxation.
   uint64_t predicates_dropped = 0;
-  /// Relaxation rounds skipped because static analysis proved them
-  /// empty (TopKOptions::static_prune). Also exported as the
-  /// rounds_pruned_static execution counter.
-  size_t rounds_pruned = 0;
-  /// What the query consumed: thread-CPU ms across the coordinating
-  /// thread and every pool worker that served the run, plus the
-  /// counter-derived work figures (see UsageFromCounters). All fields
-  /// except cpu_ms are deterministic functions of the counters, so the
-  /// byte-identity guarantees cover them; cpu_ms is wall-truth and
-  /// varies run to run.
-  ResourceUsage usage;
+  /// Thread-CPU ms the query burned across the coordinating thread and
+  /// every pool worker that served it (speculative DPO rounds included,
+  /// merged or discarded). Measured, so it varies run to run; what the
+  /// run did is `counters`, which the byte-identity guarantees cover.
+  double cpu_ms = 0.0;
   /// True when a soft budget (max_cpu_ms / max_tuples) stopped the run
   /// early; `answers` then holds the partial result accumulated so far.
   bool budget_exhausted = false;

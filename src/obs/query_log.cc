@@ -10,10 +10,11 @@ namespace flexpath {
 
 namespace {
 
-/// Minimal JSON scanner for the flat (one nested "usage" object) records
-/// this log writes. Not a general JSON parser: tolerates whitespace,
-/// string escapes, numbers, booleans and one object level — exactly the
-/// grammar QueryLogRecordToJson emits, plus unknown keys of those shapes.
+/// Minimal JSON scanner for the flat records this log writes. Not a
+/// general JSON parser: tolerates whitespace, string escapes, numbers,
+/// booleans and one level of nested object — the grammar
+/// QueryLogRecordToJson emits, plus unknown keys of those shapes (such as
+/// the nested "usage" object of logs written before it became cpu_ms).
 class JsonScanner {
  public:
   explicit JsonScanner(std::string_view text) : text_(text) {}
@@ -242,12 +243,8 @@ std::string QueryLogRecordToJson(const QueryLogRecord& r) {
   out += "\"budget_exhausted\":";
   out += r.budget_exhausted ? "true" : "false";
   AppendField(out, "answers_digest", r.answers_digest, &first);
-  out += ",\"usage\":{";
-  bool usage_first = true;
-  r.usage.ForEach([&out, &usage_first](const char* name, double value) {
-    AppendField(out, name, value, &usage_first);
-  });
-  out += "}}";
+  AppendField(out, "cpu_ms", r.cpu_ms, &first);
+  out += '}';
   return out;
 }
 
@@ -261,25 +258,7 @@ bool ParseQueryLogRecord(std::string_view line, QueryLogRecord* out,
                           [](JsonScanner&) { return false; });
     });
   };
-  const auto parse_usage = [out](JsonScanner& s) {
-    return ParseObject(s, [out, &s](const std::string& key) {
-      double v = 0.0;
-      if (!s.ParseValue(nullptr, &v,
-                        [](JsonScanner&) { return false; })) {
-        return false;
-      }
-      ResourceUsage& u = out->usage;
-      if (key == "cpu_ms") u.cpu_ms = v;
-      else if (key == "tuples_scanned") u.tuples_scanned = static_cast<uint64_t>(v);
-      else if (key == "tuples_produced") u.tuples_produced = static_cast<uint64_t>(v);
-      else if (key == "bytes_touched") u.bytes_touched = static_cast<uint64_t>(v);
-      else if (key == "rounds_executed") u.rounds_executed = static_cast<uint64_t>(v);
-      else if (key == "rounds_pruned") u.rounds_pruned = static_cast<uint64_t>(v);
-      return true;
-    });
-  };
   const bool ok = ParseObject(scanner, [&](const std::string& key) {
-    if (key == "usage") return parse_usage(scanner);
     std::string s;
     double d = 0.0;
     if (!scanner.ParseValue(&s, &d, skip_object)) return false;
@@ -300,7 +279,7 @@ bool ParseQueryLogRecord(std::string_view line, QueryLogRecord* out,
     else if (key == "budget_exhausted") out->budget_exhausted = d != 0.0;
     else if (key == "answers_digest") {
       out->answers_digest = ParseU64Token(scanner.last_number_token());
-    }
+    } else if (key == "cpu_ms") out->cpu_ms = d;
     return true;
   });
   if (!ok || !scanner.AtEnd()) {

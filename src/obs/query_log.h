@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/resource_usage.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 
@@ -35,7 +34,7 @@ struct QueryLogRecord {
   double penalty = 0.0;
   bool budget_exhausted = false;
   uint64_t answers_digest = 0;  ///< AnswersDigest over the result list.
-  ResourceUsage usage;
+  double cpu_ms = 0.0;          ///< TopKResult::cpu_ms as run.
 };
 
 /// Renders one record as a single JSON line (no trailing newline).

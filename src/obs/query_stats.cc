@@ -65,16 +65,16 @@ void AppendHistogramJson(std::string* out, const HistogramSnapshot& h) {
   *out += '}';
 }
 
-void AppendUsageJson(std::string* out, const ResourceUsage& u) {
+void AppendCountersJson(std::string* out, const ExecCounters& c) {
   *out += '{';
   bool first = true;
-  u.ForEach([&](const char* name, double value) {
+  c.ForEach([&](const char* name, uint64_t value) {
     if (!first) *out += ',';
     first = false;
     *out += '"';
     *out += name;
     *out += "\":";
-    *out += FormatDouble(value);
+    *out += std::to_string(value);
   });
   *out += '}';
 }
@@ -94,8 +94,9 @@ void AppendExecutionJson(std::string* out, const QueryExecution& e) {
   *out += e.error ? "true" : "false";
   *out += ",\"budget_exhausted\":";
   *out += e.budget_exhausted ? "true" : "false";
-  *out += ",\"usage\":";
-  AppendUsageJson(out, e.usage);
+  *out += ",\"cpu_ms\":" + FormatDouble(e.cpu_ms);
+  *out += ",\"counters\":";
+  AppendCountersJson(out, e.counters);
   *out += '}';
 }
 
@@ -143,9 +144,8 @@ void QueryStatsStore::Record(const QueryExecution& e) {
   s.total_predicates_dropped += e.predicates_dropped;
   s.total_penalty += e.penalty;
   s.total_answers += e.answers;
-  s.total_cpu_ms += e.usage.cpu_ms;
-  s.total_tuples_produced += e.usage.tuples_produced;
-  s.total_bytes_touched += e.usage.bytes_touched;
+  s.total_cpu_ms += e.cpu_ms;
+  s.total_tuples_created += e.counters.tuples_created;
   if (e.budget_exhausted) ++s.budget_exhausted;
   s.last_touched = seq_;
   EvictShapesLocked();
@@ -236,8 +236,7 @@ std::vector<ShapeStatsSnapshot> QueryStatsStore::Shapes() const {
     snap.total_penalty = s.total_penalty;
     snap.total_answers = s.total_answers;
     snap.total_cpu_ms = s.total_cpu_ms;
-    snap.total_tuples_produced = s.total_tuples_produced;
-    snap.total_bytes_touched = s.total_bytes_touched;
+    snap.total_tuples_created = s.total_tuples_created;
     snap.budget_exhausted = s.budget_exhausted;
     out.push_back(std::move(snap));
   }
@@ -311,8 +310,7 @@ std::string QueryStatsStore::ToJson(size_t recent_limit) const {
     out += ",\"penalty_mean\":" + FormatDouble(s.MeanPenalty());
     out += ",\"answers_mean\":" + FormatDouble(s.MeanAnswers());
     out += ",\"cpu_ms_mean\":" + FormatDouble(s.MeanCpuMs());
-    out += ",\"tuples_produced_mean\":" + FormatDouble(s.MeanTuplesProduced());
-    out += ",\"bytes_touched_mean\":" + FormatDouble(s.MeanBytesTouched());
+    out += ",\"tuples_created_mean\":" + FormatDouble(s.MeanTuplesCreated());
     out += ",\"budget_exhausted\":" + std::to_string(s.budget_exhausted);
     out += '}';
   }

@@ -10,9 +10,9 @@
 
 #include "common/metrics.h"
 #include "common/mutex.h"
-#include "common/resource_usage.h"
 #include "common/thread_annotations.h"
 #include "common/trace.h"
+#include "exec/exec_counters.h"
 #include "query/tpq.h"
 #include "xml/tag_dict.h"
 
@@ -48,9 +48,10 @@ struct QueryExecution {
   double penalty = 0.0;            ///< Cumulative structural penalty applied.
   size_t answers = 0;
   bool error = false;
-  /// What the run consumed (TopKResult::usage): thread-CPU ms across the
-  /// coordinator and pool workers, plus the counter-derived work figures.
-  ResourceUsage usage;
+  /// Thread-CPU ms across the coordinator and pool workers
+  /// (TopKResult::cpu_ms).
+  double cpu_ms = 0.0;
+  ExecCounters counters;  ///< What the run did (TopKResult::counters).
   /// True when a soft budget (TopKOptions::max_cpu_ms / max_tuples)
   /// stopped the run early.
   bool budget_exhausted = false;
@@ -68,24 +69,17 @@ struct ShapeStatsSnapshot {
   double total_penalty = 0.0;
   uint64_t total_answers = 0;
   double total_cpu_ms = 0.0;
-  uint64_t total_tuples_produced = 0;
-  uint64_t total_bytes_touched = 0;
+  uint64_t total_tuples_created = 0;
   uint64_t budget_exhausted = 0;  ///< Executions that tripped a budget.
 
   double MeanCpuMs() const {
     return executions == 0 ? 0.0
                            : total_cpu_ms / static_cast<double>(executions);
   }
-  double MeanTuplesProduced() const {
+  double MeanTuplesCreated() const {
     return executions == 0
                ? 0.0
-               : static_cast<double>(total_tuples_produced) /
-                     static_cast<double>(executions);
-  }
-  double MeanBytesTouched() const {
-    return executions == 0
-               ? 0.0
-               : static_cast<double>(total_bytes_touched) /
+               : static_cast<double>(total_tuples_created) /
                      static_cast<double>(executions);
   }
   double MeanRelaxations() const {
@@ -203,8 +197,7 @@ class QueryStatsStore {
     double total_penalty = 0.0;
     uint64_t total_answers = 0;
     double total_cpu_ms = 0.0;
-    uint64_t total_tuples_produced = 0;
-    uint64_t total_bytes_touched = 0;
+    uint64_t total_tuples_created = 0;
     uint64_t budget_exhausted = 0;
     uint64_t last_touched = 0;  ///< Record() sequence, for LRU eviction.
   };

@@ -207,17 +207,6 @@ TEST(DifferentialTest, SerialMatchesParallelForAllAlgorithms) {
           EXPECT_EQ(CounterMap(parallel->counters),
                     CounterMap(serial->counters))
               << label;
-          // Resource usage is derived from the counters, so every field
-          // except thread-CPU time must also be thread-count-invariant.
-          std::map<std::string, double> parallel_usage;
-          parallel->usage.ForEach([&](const char* name, double value) {
-            parallel_usage[name] = value;
-          });
-          serial->usage.ForEach([&](const char* name, double value) {
-            if (std::string(name) == "cpu_ms") return;
-            EXPECT_EQ(parallel_usage.at(name), value)
-                << label << " usage." << name;
-          });
         }
       }
     }

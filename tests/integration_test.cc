@@ -1,3 +1,4 @@
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,56 @@ TEST_F(FlexPathTest, UnknownTagGivesEmptyNotError) {
       fp_.Query("//nonexistent[./alsomissing]", TopKOptions{.k = 5, .scheme = RankScheme::kStructureFirst, .weights = {}});
   ASSERT_TRUE(answers.ok()) << answers.status().ToString();
   EXPECT_TRUE(answers->empty());
+}
+
+/// The number after `"key":` inside `json`, searching from `from`.
+double JsonNumber(const std::string& json, const std::string& key,
+                  size_t from = 0) {
+  const size_t at = json.find("\"" + key + "\":", from);
+  EXPECT_NE(at, std::string::npos) << key << " in " << json;
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(json.c_str() + at + key.size() + 3, nullptr);
+}
+
+TEST_F(FlexPathTest, VarzAccountsEverySuccessfulQuery) {
+  Result<Tpq> q = fp_.Parse(
+      "//article[./section[./algorithm and ./paragraph[.contains(\"XML\" "
+      "and \"streaming\")]]]");
+  ASSERT_TRUE(q.ok());
+  TopKOptions opts;
+  opts.k = 3;
+  opts.num_threads = 1;
+  ExecCounters expected;
+  double cpu_ms = 0.0;
+  // Two Hybrid runs make buckets_peak's max differ from a sum.
+  for (Algorithm algo : {Algorithm::kDpo, Algorithm::kSso,
+                         Algorithm::kHybrid, Algorithm::kHybrid}) {
+    Result<TopKResult> result = fp_.QueryTpq(*q, opts, algo);
+    ASSERT_TRUE(result.ok()) << AlgorithmName(algo);
+    expected.Add(result->counters);
+    cpu_ms += result->cpu_ms;
+  }
+  ASSERT_GT(expected.buckets_peak, 0u);
+  opts.k = 0;  // Rejected up front: counted as an error.
+  EXPECT_FALSE(fp_.QueryTpq(*q, opts).ok());
+
+  const std::string json = fp_.VarzJson();
+  EXPECT_EQ(JsonNumber(json, "queries"), 5.0);
+  EXPECT_EQ(JsonNumber(json, "errors"), 1.0);
+  EXPECT_GT(JsonNumber(json, "cpu_ms_total"), 0.0);
+  EXPECT_NEAR(JsonNumber(json, "cpu_ms_total"), cpu_ms, 1e-6 * cpu_ms);
+  const size_t total = json.find("\"counters_total\":{");
+  ASSERT_NE(total, std::string::npos) << json;
+  expected.ForEach([&](const char* name, uint64_t value) {
+    EXPECT_EQ(JsonNumber(json, name, total), static_cast<double>(value))
+        << name;
+  });
+  const size_t mean = json.find("\"counters_mean\":{");
+  ASSERT_NE(mean, std::string::npos) << json;
+  EXPECT_EQ(JsonNumber(json, "plan_passes", mean),
+            static_cast<double>(expected.plan_passes) / 4.0);
+  EXPECT_EQ(JsonNumber(json, "buckets_peak", mean),
+            static_cast<double>(expected.buckets_peak));
 }
 
 TEST(FlexPathLifecycleTest, BuildRequiredBeforeQuery) {

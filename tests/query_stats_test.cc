@@ -280,16 +280,14 @@ TEST(QueryStatsStoreTest, ToJsonRendersShapesRecentAndSlowLog) {
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos) << json;
 }
 
-TEST(QueryStatsStoreTest, UsageAndBudgetAggregatePerShape) {
+TEST(QueryStatsStoreTest, CpuCountersAndBudgetAggregatePerShape) {
   QueryStatsStore store;
   QueryExecution a = MakeExec(9, 1.0);
-  a.usage.cpu_ms = 2.0;
-  a.usage.tuples_produced = 10;
-  a.usage.bytes_touched = 1000;
+  a.cpu_ms = 2.0;
+  a.counters.tuples_created = 10;
   QueryExecution b = MakeExec(9, 1.0);
-  b.usage.cpu_ms = 4.0;
-  b.usage.tuples_produced = 30;
-  b.usage.bytes_touched = 3000;
+  b.cpu_ms = 4.0;
+  b.counters.tuples_created = 30;
   b.budget_exhausted = true;
   store.Record(a);
   store.Record(b);
@@ -297,17 +295,18 @@ TEST(QueryStatsStoreTest, UsageAndBudgetAggregatePerShape) {
   std::vector<ShapeStatsSnapshot> shapes = store.Shapes();
   ASSERT_EQ(shapes.size(), 1u);
   EXPECT_DOUBLE_EQ(shapes[0].MeanCpuMs(), 3.0);
-  EXPECT_DOUBLE_EQ(shapes[0].MeanTuplesProduced(), 20.0);
-  EXPECT_DOUBLE_EQ(shapes[0].MeanBytesTouched(), 2000.0);
+  EXPECT_DOUBLE_EQ(shapes[0].MeanTuplesCreated(), 20.0);
   EXPECT_EQ(shapes[0].budget_exhausted, 1u);
 
   const std::string json = store.ToJson();
   EXPECT_NE(json.find("\"cpu_ms_mean\":"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"tuples_produced_mean\":"), std::string::npos)
+  EXPECT_NE(json.find("\"tuples_created_mean\":20"), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"budget_exhausted\":1"), std::string::npos) << json;
-  // The recent ring carries each execution's usage block verbatim.
-  EXPECT_NE(json.find("\"usage\":{\"cpu_ms\":"), std::string::npos) << json;
+  // The recent ring carries each execution's cpu_ms and counters.
+  EXPECT_NE(json.find("\"cpu_ms\":4,\"counters\":{\"plan_passes\":0,"),
+            std::string::npos)
+      << json;
 }
 
 TEST(QueryStatsStoreTest, SetOptionsTrimsExistingEntriesToNewCapacities) {

@@ -290,24 +290,27 @@ TEST_F(TopKTest, NoBudgetRunsAreByteIdenticalToDefaults) {
   }
 }
 
-TEST_F(TopKTest, UsageFieldsAreDeterministicFunctionsOfCounters) {
+TEST_F(TopKTest, CountersRepeatExactlyAndCpuIsMeasured) {
   Tpq q = Parse(kQ1);
   TopKOptions opts;
   opts.k = 5;
   Result<TopKResult> first = processor_->Run(q, Algorithm::kDpo, opts);
   Result<TopKResult> second = processor_->Run(q, Algorithm::kDpo, opts);
   ASSERT_TRUE(first.ok() && second.ok());
-  // Everything except cpu_ms (wall truth, varies run to run) must agree.
-  EXPECT_EQ(first->usage.tuples_scanned, second->usage.tuples_scanned);
-  EXPECT_EQ(first->usage.tuples_produced, second->usage.tuples_produced);
-  EXPECT_EQ(first->usage.bytes_touched, second->usage.bytes_touched);
-  EXPECT_EQ(first->usage.rounds_executed, second->usage.rounds_executed);
-  EXPECT_EQ(first->usage.rounds_pruned, second->usage.rounds_pruned);
-  // And they are the published function of the counters.
-  EXPECT_EQ(first->usage.tuples_scanned, first->counters.candidates_probed);
-  EXPECT_EQ(first->usage.tuples_produced, first->counters.tuples_created);
-  EXPECT_EQ(first->usage.rounds_executed, first->counters.plan_passes);
-  EXPECT_GT(first->usage.cpu_ms, 0.0);
+  // What the run did repeats exactly; what it cost (cpu_ms) is measured
+  // and varies run to run, so only its presence is checked.
+  std::vector<uint64_t> first_counters;
+  first->counters.ForEach([&](const char*, uint64_t value) {
+    first_counters.push_back(value);
+  });
+  std::vector<uint64_t> second_counters;
+  second->counters.ForEach([&](const char*, uint64_t value) {
+    second_counters.push_back(value);
+  });
+  EXPECT_EQ(first_counters, second_counters);
+  EXPECT_GT(first->counters.plan_passes, 0u);
+  EXPECT_GT(first->cpu_ms, 0.0);
+  EXPECT_GT(second->cpu_ms, 0.0);
 }
 
 TEST_F(TopKTest, RejectsZeroK) {

@@ -371,7 +371,7 @@ TEST_F(DpoTraceTest, RoundSpansMatchRelaxationsAndCounters) {
   }
 }
 
-TEST_F(DpoTraceTest, RootSpanCarriesResourceUsageAnnotations) {
+TEST_F(DpoTraceTest, RootAndRoundSpansCarryCpuMs) {
   Result<Tpq> q = ParseXPath("//article[./section]", corpus_->tags());
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   TopKOptions opts;
@@ -380,16 +380,23 @@ TEST_F(DpoTraceTest, RootSpanCarriesResourceUsageAnnotations) {
   Result<TopKResult> result = processor_->Run(*q, Algorithm::kDpo, opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_NE(result->trace, nullptr);
-  // Every ResourceUsage field surfaces as a usage.<name> annotation on
-  // the root span, matching the result's own figures.
+  // The root span bills the whole query; each round span its own share.
   const TraceSpan& root = result->trace->root;
-  result->usage.ForEach([&](const char* name, double value) {
-    EXPECT_DOUBLE_EQ(root.NumberOr0(std::string("usage.") + name), value)
-        << name;
-  });
-  EXPECT_GT(result->usage.tuples_scanned, 0u);
-  EXPECT_GT(result->usage.bytes_touched, 0u);
-  EXPECT_EQ(result->usage.rounds_executed, result->counters.plan_passes);
+  EXPECT_DOUBLE_EQ(root.NumberOr0("cpu_ms"), result->cpu_ms);
+  EXPECT_GT(result->cpu_ms, 0.0);
+  std::vector<const TraceSpan*> rounds = root.ChildrenNamed("initial_round");
+  for (const TraceSpan* round : root.ChildrenNamed("relaxation_round")) {
+    rounds.push_back(round);
+  }
+  ASSERT_FALSE(rounds.empty());
+  for (const TraceSpan* round : rounds) {
+    const auto cpu = std::find_if(
+        round->annotations.begin(), round->annotations.end(),
+        [](const TraceAnnotation& a) { return a.key == "cpu_ms"; });
+    ASSERT_NE(cpu, round->annotations.end()) << round->name;
+    EXPECT_TRUE(cpu->is_number);
+    EXPECT_GE(cpu->number, 0.0);
+  }
 }
 
 TEST_F(DpoTraceTest, TraceIsNullUnlessRequested) {
