@@ -314,10 +314,17 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
                     for (size_t i = begin; i < end; ++i) {
                       const NodeRef ref = scan0[i];
                       ++c->candidates_probed;
-                      if (!attrs_ok(step0, ref)) continue;
                       uint64_t mask = 0;
                       double penalty = 0.0;
                       if (!check_preds(0, nullptr, ref, &mask, &penalty)) {
+                        continue;
+                      }
+                      // A document that failed to decode seeds nothing,
+                      // so no row ever probes or binds inside it. Checked
+                      // after the predicates (contains only, at step 0),
+                      // which decode nothing: a seed they reject costs no
+                      // document decode.
+                      if (!corpus.HasNode(ref) || !attrs_ok(step0, ref)) {
                         continue;
                       }
                       ++c->tuples_created;
@@ -385,8 +392,13 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     // work into `c` — chunk-local when running under a pool fan-out, so
     // the chunks never contend and their counters fold back in chunk
     // order. A candidate's row is written only once every required
-    // predicate has passed.
-    auto extend = [&](size_t i, TupleRows* out, ExecCounters* c) {
+    // predicate has passed. `*cursor` is the chunk's probe position in
+    // `scan`, starting at 0: consecutive rows of a chunk mostly anchor at
+    // equal or later nodes, so each probe gallops on from the previous
+    // one. It depends only on the rows the chunk has extended, so serial
+    // and parallel runs agree.
+    auto extend = [&](size_t i, size_t* cursor, TupleRows* out,
+                      ExecCounters* c) {
       const NodeRef* parent = tuples.row(i);
       const NodeRef anchor = parent[step.anchor_step];
       bool matched = false;
@@ -398,8 +410,9 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
         const NodeSpan& anchor_span = doc.span(anchor.node);
         // Scan entries inside the anchor's interval form a contiguous
         // range beginning right after the anchor itself.
-        auto it = std::upper_bound(scan.begin(), scan.end(), anchor);
-        for (; it != scan.end(); ++it) {
+        *cursor = UpperBoundFrom(scan, anchor, *cursor);
+        for (auto it = scan.begin() + static_cast<ptrdiff_t>(*cursor);
+             it != scan.end(); ++it) {
           if (it->doc != anchor.doc) break;
           const NodeSpan& cand_span = doc.span(it->node);
           if (cand_span.start >= anchor_span.end) break;
@@ -477,8 +490,9 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
                       // null-bind), so one-output-per-input is the
                       // right first guess.
                       o->reserve(o->size() + (end - begin));
+                      size_t cursor = 0;
                       for (size_t w = begin; w < end; ++w) {
-                        extend(work[w], o, c);
+                        extend(work[w], &cursor, o, c);
                       }
                     });
       bucket_span.Annotate("buckets",
@@ -500,8 +514,9 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
                     [&](size_t begin, size_t end, TupleRows* o,
                         ExecCounters* c) {
                       o->reserve(o->size() + (end - begin));
+                      size_t cursor = 0;
                       for (size_t i = begin; i < end; ++i) {
-                        extend(i, o, c);
+                        extend(i, &cursor, o, c);
                       }
                     });
     }

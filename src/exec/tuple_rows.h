@@ -18,6 +18,35 @@ inline constexpr NodeRef kNullRef{UINT32_MAX, UINT32_MAX};
 
 inline bool IsNull(NodeRef ref) { return ref == kNullRef; }
 
+/// std::upper_bound over sorted `list` for `key`, as an index, searched
+/// from `cursor` (any index in [0, list.size()], typically the previous
+/// probe's result). When the entry before the cursor is <= key the answer
+/// lies at or after the cursor: gallop forward in steps of 1, 2, 4, ...,
+/// then binary-search the last gap, so a probe landing d entries on costs
+/// O(log d) compares. When the key stepped back, binary-search the
+/// entries before the cursor.
+inline size_t UpperBoundFrom(const std::vector<NodeRef>& list, NodeRef key,
+                             size_t cursor) {
+  assert(cursor <= list.size());
+  const auto first = list.begin();
+  if (cursor > 0 && key < list[cursor - 1]) {
+    return static_cast<size_t>(std::upper_bound(first, first + cursor, key) -
+                               first);
+  }
+  size_t lo = cursor;       // Every entry before lo is <= key.
+  size_t hi = list.size();  // Every entry from hi on is > key.
+  for (size_t step = 1; lo < hi; step *= 2) {
+    const size_t probe = std::min(lo + step, hi) - 1;
+    if (key < list[probe]) {
+      hi = probe;
+      break;
+    }
+    lo = probe + 1;
+  }
+  return static_cast<size_t>(
+      std::upper_bound(first + lo, first + hi, key) - first);
+}
+
 /// A block of intermediate tuples of the join pipeline (DESIGN.md §5):
 /// the tuples alive after plan step s, as fixed-stride rows of bindings —
 /// one NodeRef per step bound so far, so the stride is s + 1 — with the
@@ -138,10 +167,6 @@ class TupleRows {
   std::vector<uint64_t> mask_;     ///< Violated optional predicates.
   std::vector<double> penalty_;    ///< Σ π over the mask.
 };
-
-inline uint64_t PackNodeRef(NodeRef r) {
-  return (static_cast<uint64_t>(r.doc) << 32) | r.node;
-}
 
 /// Hash of one NodeRef key. Goes through HashMix64: the packed
 /// (doc << 32) | node word is near-identity under NodeRefHash, and a

@@ -332,6 +332,9 @@ std::vector<NodeRef> IrEngine::AncestorClosure(
       doc_id = ref.doc;
       path.clear();
     }
+    // A document that failed to decode is empty: its postings match
+    // nothing.
+    if (ref.node >= doc->size()) continue;
     while (!path.empty() && !doc->IsAncestor(path.back(), ref.node)) {
       path.pop_back();
     }
@@ -379,7 +382,10 @@ std::vector<NodeRef> IrEngine::Universe() const {
   std::vector<NodeRef> out;
   out.reserve(corpus_->TotalNodes());
   for (DocId d = 0; d < corpus_->size(); ++d) {
-    const size_t n = corpus_->DocSize(d);  // No materialization needed.
+    // The decoded node count, so a document that failed to decode (and
+    // is empty) adds nothing. The most-specific pass reads the spans of
+    // these nodes, which decodes their documents anyway.
+    const size_t n = corpus_->doc(d).size();
     for (NodeId i = 0; i < n; ++i) out.push_back(NodeRef{d, i});
   }
   return out;

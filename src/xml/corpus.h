@@ -2,6 +2,7 @@
 #define FLEXPATH_XML_CORPUS_H_
 
 #include <atomic>
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -19,23 +20,36 @@ namespace flexpath {
 /// Index of a document within a Corpus.
 using DocId = uint32_t;
 
+struct NodeRef;
+
+/// The (doc << 32) | node word of `r`: ordering these words is ordering
+/// the refs.
+constexpr uint64_t PackNodeRef(NodeRef r);
+
 /// A (document, node) handle identifying one element anywhere in a corpus.
 /// Orders by (doc, node) — i.e., global document order — which is the sort
-/// order the structural join expects.
+/// order the structural join expects. The comparison is one 64-bit compare
+/// of the packed words, which every sort and binary search over NodeRefs
+/// goes through.
 struct NodeRef {
   DocId doc = 0;
   NodeId node = 0;
 
   friend bool operator==(const NodeRef&, const NodeRef&) = default;
-  friend auto operator<=>(const NodeRef&, const NodeRef&) = default;
+  friend constexpr std::strong_ordering operator<=>(NodeRef a, NodeRef b) {
+    return PackNodeRef(a) <=> PackNodeRef(b);
+  }
 };
+
+constexpr uint64_t PackNodeRef(NodeRef r) {
+  return (static_cast<uint64_t>(r.doc) << 32) | r.node;
+}
 
 /// Hash functor for NodeRef keys (answer sets, cache maps). The single
 /// definition used throughout the engine.
 struct NodeRefHash {
   size_t operator()(const NodeRef& r) const {
-    return std::hash<uint64_t>()((static_cast<uint64_t>(r.doc) << 32) |
-                                 r.node);
+    return std::hash<uint64_t>()(PackNodeRef(r));
   }
 };
 
@@ -134,6 +148,12 @@ class Corpus {
   const NodeSpan& span(NodeRef ref) const {
     return doc(ref.doc).span(ref.node);
   }
+
+  /// True iff `ref` is a node of its document. A backed document that
+  /// failed to decode is empty, so this is how it matches nothing: the
+  /// element tables and postings still name its nodes. Materializes the
+  /// document.
+  bool HasNode(NodeRef ref) const { return ref.node < doc(ref.doc).size(); }
 
   /// Element count of document `id` without materializing it.
   size_t DocSize(DocId id) const {

@@ -481,11 +481,11 @@ std::string WithDocDir(std::string file, DocId doc, Edit edit) {
   return file;
 }
 
-// `file` with byte `at` of document 0's stream in `section` (structure or
-// content) overwritten: it must hold `was` and becomes `value`.
-std::string PatchDoc0(std::string file, uint32_t section, size_t at,
-                      char was, char value) {
-  const storage::DocDirRecord rec = DocDirOf(file, 0);
+// `file` with byte `at` of document `doc`'s stream in `section` (structure
+// or content) overwritten: it must hold `was` and becomes `value`.
+std::string PatchDoc(std::string file, DocId doc, uint32_t section, size_t at,
+                     char was, char value) {
+  const storage::DocDirRecord rec = DocDirOf(file, doc);
   const size_t base =
       SectionsOf(file)[section].offset +
       (section == storage::kSecNodeStreams ? rec.offset : rec.content_offset);
@@ -510,7 +510,7 @@ struct CorruptCase {
 // document still decodes, and so does the unpatched file.
 TEST_F(PackedCorruptionTest, RejectsStructureThatBreaksTheLevelRule) {
   auto patch = [&](size_t at, char was, char value) {
-    return PatchDoc0(bytes_, storage::kSecNodeStreams, at, was, value);
+    return PatchDoc(bytes_, 0, storage::kSecNodeStreams, at, was, value);
   };
   const std::vector<CorruptCase> cases = {
       {"root not at level 0", patch(1, 0, 1), "corrupt node record"},
@@ -558,6 +558,46 @@ TEST_F(PackedCorruptionTest, RejectsStructureThatBreaksTheLevelRule) {
   EXPECT_TRUE((*r)->MaterializeDocument(0).ok());
 }
 
+// A document whose structure fails to decode matches nothing. Document
+// 1's root claims level 1, so materializing it fails (with a log line),
+// yet the element tables, the postings and the directory's node counts
+// still name its nodes: no step-0 seed, probe candidate, contains posting
+// or negated-contains universe node may come from it, and every query
+// answers from document 0 alone.
+TEST_F(PackedCorruptionTest, UndecodableDocumentMatchesNothing) {
+  WriteFileBytes(path_,
+                 PatchDoc(bytes_, 1, storage::kSecNodeStreams, 1, 0, 1));
+  std::vector<std::string> logged;
+  Logger::Global().SetCaptureSink(
+      [&](std::string_view line) { logged.emplace_back(line); });
+  FlexPath packed;
+  ASSERT_TRUE(packed.OpenPacked(path_).ok());
+  TopKOptions opts;
+  opts.k = 10;
+  const std::vector<std::pair<std::string, std::vector<NodeRef>>> cases = {
+      {"//item[./name]", {{0, 1}, {0, 3}}},
+      {"//name[.contains(\"coin\")]", {{0, 4}}},
+      {"//name", {{0, 2}, {0, 4}}},
+      {"//item[.contains(not \"ring\")]", {{0, 3}}},
+  };
+  for (const auto& [xpath, want] : cases) {
+    SCOPED_TRACE(xpath);
+    Result<std::vector<QueryAnswer>> answers = packed.Query(xpath, opts);
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    std::vector<NodeRef> got;
+    for (const QueryAnswer& a : *answers) got.push_back(a.node);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want);
+  }
+  Logger::Global().SetCaptureSink(nullptr);
+  size_t failures = 0;
+  for (const std::string& line : logged) {
+    failures += line.find("document materialization failed") !=
+                std::string::npos;
+  }
+  EXPECT_EQ(failures, 1u);
+}
+
 // Doc 0 of the fixture as its content stream, per node the text, the
 // attribute count, then (name, value) per attribute:
 //   site: 00 00 | item: 00 01 02 02 'i' '1' | name: 09 "gold ring" 00 |
@@ -568,7 +608,7 @@ TEST_F(PackedCorruptionTest, RejectsStructureThatBreaksTheLevelRule) {
 // as before.
 TEST_F(PackedCorruptionTest, CorruptContentEmptiesOnlyThatDocument) {
   auto patch = [&](size_t at, char was, char value) {
-    return PatchDoc0(bytes_, storage::kSecNodeContent, at, was, value);
+    return PatchDoc(bytes_, 0, storage::kSecNodeContent, at, was, value);
   };
   const std::vector<CorruptCase> cases = {
       {"bad attribute name", patch(4, 2, 0x7f), "corrupt attribute name"},

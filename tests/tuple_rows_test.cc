@@ -2,7 +2,10 @@
 // that groups them (exec/tuple_rows.h): grouping and winner choice must
 // match a std::unordered_map reference exactly, and probe sequences must
 // stay short on the key distribution that defeats a near-identity hash —
-// many documents sharing the same node ids.
+// many documents sharing the same node ids. The cursor probe of the
+// extend kernel must return std::upper_bound's index from any cursor.
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <numeric>
 #include <unordered_map>
@@ -165,6 +168,79 @@ TEST(TupleRowsTest, PermuteFollowsLongAndShortCycles) {
       EXPECT_EQ(rows.at(j, 0), (NodeRef{order[j], order[j]}));
       EXPECT_EQ(rows.mask(j), order[j]);
       EXPECT_EQ(rows.penalty(j), static_cast<double>(order[j]));
+    }
+  }
+}
+
+// A sorted list of `n` refs over `docs` documents whose node ids collide
+// across documents and repeat within one.
+std::vector<NodeRef> SortedRefs(Rng* rng, size_t n, uint32_t docs) {
+  std::vector<NodeRef> list;
+  for (size_t i = 0; i < n; ++i) {
+    list.push_back(NodeRef{static_cast<uint32_t>(rng->Uniform(docs)),
+                           static_cast<uint32_t>(rng->Uniform(16))});
+  }
+  std::sort(list.begin(), list.end());
+  return list;
+}
+
+size_t Reference(const std::vector<NodeRef>& list, NodeRef key) {
+  return static_cast<size_t>(
+      std::upper_bound(list.begin(), list.end(), key) - list.begin());
+}
+
+// The probe sequence a chunk of the extend kernel feeds the cursor,
+// starting at 0 or at the end: keys that ascend, repeat, step back and
+// jump past the last entry, each probe starting from the previous
+// result. Every result must be std::upper_bound's.
+TEST(UpperBoundFromTest, MatchesUpperBoundAlongKeySequences) {
+  Rng rng(20261018);
+  for (size_t n : {0u, 1u, 2u, 7u, 64u, 1000u}) {
+    for (uint32_t docs : {1u, 3u}) {
+      const std::vector<NodeRef> list = SortedRefs(&rng, n, docs);
+      // Keys range one document and a few node ids past the list.
+      auto key = [&] {
+        return NodeRef{static_cast<uint32_t>(rng.Uniform(docs + 1)),
+                       static_cast<uint32_t>(rng.Uniform(18))};
+      };
+      std::vector<NodeRef> ascending(40);
+      for (NodeRef& k : ascending) k = key();
+      std::sort(ascending.begin(), ascending.end());
+      std::vector<NodeRef> keys;
+      for (NodeRef k : ascending) keys.insert(keys.end(), {k, k});
+      for (int i = 0; i < 40; ++i) keys.push_back(key());
+      keys.insert(keys.end(), {NodeRef{docs, 0}, kNullRef, NodeRef{0, 0},
+                               kNullRef, kNullRef});
+      for (size_t start : {size_t{0}, n}) {
+        size_t cursor = start;
+        for (size_t i = 0; i < keys.size(); ++i) {
+          const size_t got = UpperBoundFrom(list, keys[i], cursor);
+          ASSERT_EQ(got, Reference(list, keys[i]))
+              << "n=" << n << " docs=" << docs << " start=" << start
+              << " probe " << i << " from cursor " << cursor;
+          cursor = got;
+        }
+      }
+    }
+  }
+}
+
+// Every (cursor, key) pair on small lists, whatever the cursor's
+// relation to the key.
+TEST(UpperBoundFromTest, MatchesUpperBoundFromEveryCursor) {
+  Rng rng(7);
+  for (size_t n : {0u, 1u, 3u, 9u, 33u}) {
+    const std::vector<NodeRef> list = SortedRefs(&rng, n, 2);
+    for (size_t cursor = 0; cursor <= n; ++cursor) {
+      for (uint32_t doc = 0; doc <= 2; ++doc) {
+        for (uint32_t node = 0; node <= 17; ++node) {
+          const NodeRef key{doc, node};
+          EXPECT_EQ(UpperBoundFrom(list, key, cursor), Reference(list, key))
+              << "n=" << n << " cursor=" << cursor << " key " << doc << ":"
+              << node;
+        }
+      }
+      EXPECT_EQ(UpperBoundFrom(list, kNullRef, cursor), n);
     }
   }
 }

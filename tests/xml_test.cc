@@ -1,8 +1,12 @@
 #include <algorithm>
+#include <compare>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -277,6 +281,10 @@ TEST(CorpusTest, SharedDictionaryAcrossDocuments) {
   EXPECT_EQ(corpus.doc(1).node(0).tag, a);
 }
 
+// NodeRef compares its packed (doc << 32) | node words; that must be
+// exactly lexicographic (doc, node) order, at the extreme field values
+// too. (UINT32_MAX, UINT32_MAX) — the join's null binding — is the
+// largest ref of all.
 TEST(CorpusTest, NodeRefOrdering) {
   NodeRef a{0, 5};
   NodeRef b{0, 6};
@@ -284,6 +292,29 @@ TEST(CorpusTest, NodeRefOrdering) {
   EXPECT_LT(a, b);
   EXPECT_LT(b, c);
   EXPECT_EQ(a, (NodeRef{0, 5}));
+
+  std::vector<uint32_t> fields = {0,          1,          2,
+                                  0x7fffffff, 0x80000000, UINT32_MAX - 1,
+                                  UINT32_MAX};
+  Rng rng(20261018);
+  for (int i = 0; i < 6; ++i) {
+    fields.push_back(static_cast<uint32_t>(rng.Next()));
+  }
+  std::vector<NodeRef> refs;
+  for (uint32_t doc : fields) {
+    for (uint32_t node : fields) refs.push_back(NodeRef{doc, node});
+  }
+  const NodeRef max{UINT32_MAX, UINT32_MAX};
+  for (const NodeRef& x : refs) {
+    for (const NodeRef& y : refs) {
+      const auto lex = std::tie(x.doc, x.node) <=> std::tie(y.doc, y.node);
+      EXPECT_EQ(x <=> y, lex) << x.doc << ":" << x.node << " vs " << y.doc
+                              << ":" << y.node;
+      EXPECT_EQ(x < y, lex < 0);
+      EXPECT_EQ(x == y, lex == 0);
+    }
+    EXPECT_LE(x, max);
+  }
 }
 
 TEST(CorpusTest, CrossDocumentRelationsAreFalse) {
