@@ -23,11 +23,6 @@
 //                                            # error (unsatisfiable query)
 //   flexpath_cli --xmark 5 --check-json "<xpath>"
 //                                            # same, as a JSON report
-//   flexpath_cli --certify                   # print every rank scheme's
-//                                            # certificate (flexcheck v2,
-//                                            # DESIGN.md §16); exit 1
-//                                            # unless all schemes certify
-//   flexpath_cli --certify-json              # same, as a JSON array
 //
 // Commands (one per line):
 //   <xpath>                    run a top-K query (default settings)
@@ -40,9 +35,6 @@
 //   :analyze <xpath>           run with tracing, print the span tree
 //   :lint <xpath>              static analysis: semantic diagnostics plus
 //                              a Theorem-2 verification of the schedule
-//   :certify [json]            rank-scheme certificates: the statically
-//                              proved properties and the optimization
-//                              directives derived from them
 //   :synonym A B               register B as a synonym of A
 //   :stats                     corpus + per-query-shape statistics
 //   :slowlog                   slow-query log (see --slow-query-ms)
@@ -280,7 +272,6 @@ void PrintHelp() {
       "  :explain <xpath>         closure, operators, schedule\n"
       "  :analyze <xpath>         run with tracing, print the span tree\n"
       "  :lint <xpath>            static diagnostics + schedule verification\n"
-      "  :certify [json]          rank-scheme certificates (flexcheck v2)\n"
       "  :synonym A B             thesaurus entry (B relaxes A)\n"
       "  :stats                   corpus + per-query-shape statistics\n"
       "  :slowlog                 slow-query log\n"
@@ -436,48 +427,6 @@ void Lint(CliState& state, const std::string& xpath) {
   }
 }
 
-// Scheme certification (--certify / :certify): the flexcheck-v2 view of
-// every registered rank scheme — its score-algebra expression, the
-// statically proved/refuted properties (FX305, FX301, FX302; DESIGN.md
-// §16), and the optimization directives the engine derives from the proof.
-// Exit status 1 when any registered scheme fails certification (cannot
-// happen with only the built-ins; a custom scheme can only get in
-// uncertified through the test seam).
-int Certify(bool as_json) {
-  if (as_json) {
-    std::printf("%s\n",
-                flexpath::FlexPath::SchemeCertificatesJson().c_str());
-    return 0;
-  }
-  flexpath::SchemeRegistry& reg = flexpath::SchemeRegistry::Global();
-  int rc = 0;
-  for (flexpath::RankScheme s : reg.Registered()) {
-    const flexpath::SchemeCertificate* cert = reg.Certificate(s);
-    if (cert == nullptr) continue;
-    std::printf("%s: %s  [%s]\n", cert->scheme.c_str(),
-                cert->expression.c_str(),
-                cert->certified ? "certified" : "NOT CERTIFIED");
-    const std::pair<const char*, const flexpath::PropertyVerdict*> props[] = {
-        {"well_formed", &cert->well_formed},
-        {"relaxation_monotone", &cert->relaxation_monotone},
-        {"order_invariant", &cert->order_invariant},
-    };
-    for (const auto& [name, v] : props) {
-      std::string note = v->code.empty() ? "" : "[" + v->code + "] ";
-      std::printf("  %-20s %-8s %s%s\n", name,
-                  v->holds ? "proved" : "refuted", note.c_str(),
-                  v->detail.c_str());
-    }
-    std::printf("  directives: stop_rule=%s threshold_pruning=%s "
-                "prune_ks_factor=%g\n",
-                flexpath::DpoStopRuleName(cert->stop_rule),
-                cert->threshold_pruning ? "on" : "off",
-                cert->prune_ks_factor);
-    if (!cert->certified) rc = 1;
-  }
-  return rc;
-}
-
 // Matches `--flag VALUE` or `--flag=VALUE`; returns the value (advancing
 // *i past a separate-argument value) or null when argv[*i] is a
 // different flag or the value is missing.
@@ -610,10 +559,6 @@ int Repl(CliState& state) {
       std::string rest;
       std::getline(words, rest);
       Lint(state, std::string(flexpath::Trim(rest)));
-    } else if (cmd == ":certify") {
-      std::string arg;
-      words >> arg;
-      Certify(/*as_json=*/arg == "json");
     } else if (cmd == ":synonym") {
       std::string a, b;
       if (words >> a >> b) {
@@ -789,11 +734,6 @@ int main(int argc, char** argv) {
       explain_query = argv[++i];
       continue;
     }
-    if (std::strcmp(argv[i], "--certify") == 0 ||
-        std::strcmp(argv[i], "--certify-json") == 0) {
-      // Corpus independent: certify the registered schemes and exit.
-      return Certify(std::strcmp(argv[i], "--certify-json") == 0);
-    }
     if (std::strcmp(argv[i], "--check") == 0 ||
         std::strcmp(argv[i], "--check-json") == 0) {
       if (i + 1 >= argc) {
@@ -867,7 +807,7 @@ int main(int argc, char** argv) {
                  "usage: %s [--xmark MB] [--packed FILE] "
                  "[--explain \"<xpath>\"] "
                  "[--explain-json \"<xpath>\"] [--check \"<xpath>\"] "
-                 "[--check-json \"<xpath>\"] [--certify] [--certify-json] "
+                 "[--check-json \"<xpath>\"] "
                  "[--subtype SUPER SUB] "
                  "[--log-json] [--log-level L] [--slow-query-ms N] "
                  "[--threads N] [--metrics-prom] "
@@ -880,8 +820,6 @@ int main(int argc, char** argv) {
                  "loads documents, then starts an interactive shell;\n"
                  "--explain runs one traced query and exits;\n"
                  "--check runs the static analyzer and exits (1 on error);\n"
-                 "--certify prints every rank scheme's certificate and "
-                 "exits (1 unless all certify);\n"
                  "--metrics-prom prints Prometheus metrics on exit;\n"
                  "--trace-out writes a Chrome/Perfetto trace of the last "
                  "query on exit\n",

@@ -23,12 +23,12 @@ enum class DiagSeverity : uint8_t {
 
 const char* DiagSeverityName(DiagSeverity severity);
 
-/// Stable diagnostic codes ("flexcheck" pass, DESIGN.md §11/§16). The
+/// Stable diagnostic codes ("flexcheck" pass, DESIGN.md §11). The
 /// code string is part of the tool contract: scripts grep for it, tests
 /// pin it. Numbering: FX0xx structural unsatisfiability / malformedness
 /// (corpus-independent), FX1xx corpus-level unsatisfiability (statistics
-/// prove zero answers), FX2xx redundancy warnings, FX3xx rank-scheme
-/// certification (the score-algebra certifier, DESIGN.md §16).
+/// prove zero answers), FX2xx redundancy warnings. FX3xx is retired
+/// and not reused.
 inline constexpr std::string_view kDiagMalformed = "FX001";
 inline constexpr std::string_view kDiagTagConflict = "FX002";
 inline constexpr std::string_view kDiagStructuralCycle = "FX003";
@@ -38,13 +38,6 @@ inline constexpr std::string_view kDiagEmptyTag = "FX101";
 inline constexpr std::string_view kDiagEmptyContains = "FX102";
 inline constexpr std::string_view kDiagDeadEdge = "FX103";
 inline constexpr std::string_view kDiagRedundantPredicate = "FX201";
-// Scheme certification (src/analysis/score_algebra.h). FX301 and FX302
-// are refutations of the two certified properties, one per optimization
-// they gate; FX305 is a malformed algebra. (The gaps in the numbering
-// are retired codes and are not reused.)
-inline constexpr std::string_view kDiagSchemeNotMonotone = "FX301";
-inline constexpr std::string_view kDiagSchemeNotOrderInvariant = "FX302";
-inline constexpr std::string_view kDiagSchemeMalformed = "FX305";
 
 /// One static-analysis finding.
 struct Diagnostic {

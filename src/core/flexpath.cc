@@ -404,23 +404,6 @@ Result<std::vector<PlanVerdict>> FlexPath::VerifySchedule(
   return flexpath::VerifySchedule(q, schedule, analyzer_context());
 }
 
-Result<SchemeCertificate> FlexPath::CertifyScheme(RankScheme scheme) const {
-  const SchemeCertificate* cert =
-      SchemeRegistry::Global().Certificate(scheme);
-  if (cert == nullptr) {
-    return Status::NotFound(
-        "rank scheme value " +
-        std::to_string(static_cast<unsigned>(scheme)) +
-        " is not registered; custom schemes must pass "
-        "SchemeRegistry::Register certification first");
-  }
-  return *cert;
-}
-
-std::string FlexPath::SchemeCertificatesJson() {
-  return SchemeRegistry::Global().CertificatesJson();
-}
-
 std::string FlexPath::CacheStatsJson() const {
   std::string out = "{\"ir_cache\":";
   if (ir_ != nullptr) {

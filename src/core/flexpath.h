@@ -22,7 +22,6 @@
 #include "ir/tokenizer.h"
 #include "query/tpq.h"
 #include "query/xpath_parser.h"
-#include "rank/scheme_registry.h"
 #include "rank/score.h"
 #include "stats/document_stats.h"
 #include "stats/element_index.h"
@@ -165,19 +164,6 @@ class FlexPath {
   /// Analyze() and the static_prune path consult. Fields are null
   /// before Build() (except the tag dictionary).
   AnalyzerContext analyzer_context() const;
-
-  /// The score-algebra certificate of `scheme` (flexcheck v2, DESIGN.md
-  /// §16): the statically proved/refuted properties — well-formedness,
-  /// relaxation monotonicity, order invariance — plus the
-  /// optimization directives the engine derives from them.
-  /// NotFound for a scheme value the registry has never seen. Corpus
-  /// independent; works before Build().
-  Result<SchemeCertificate> CertifyScheme(RankScheme scheme) const;
-
-  /// JSON array with the certificate of every registered scheme (the
-  /// CLI --certify payload, uploaded as a CI artifact). Process-wide,
-  /// like the registry itself.
-  static std::string SchemeCertificatesJson();
 
   // Component access for advanced use (benchmarks, tests).
   const Corpus& corpus() const { return corpus_; }

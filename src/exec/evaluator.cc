@@ -229,13 +229,13 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
   }
 
   const bool use_optionals = mode != EvalMode::kExact;
-  // Threshold pruning runs only when the scheme's certificate proves it
-  // sound (FX301/FX302, DESIGN.md §16): the bound arithmetic below is in
-  // ss units with an optimistic keyword bonus of prune_ks_factor x the
-  // plan's maximum keyword mass (0 for structure-first, 1 for combined;
-  // keyword-first carries no certificate license and never prunes).
-  // Unknown scheme values — impossible through TopKProcessor, which
-  // validates up front — fall back to the unpruned exact path.
+  // Threshold pruning runs only where the scheme's kSchemeTable row
+  // allows it (DESIGN.md §16): the bound arithmetic below is in ss units
+  // with an optimistic keyword bonus of prune_ks_factor x the plan's
+  // maximum keyword mass (0 for structure-first, 1 for combined;
+  // keyword-first never prunes). Scheme values outside RankScheme —
+  // impossible through TopKProcessor, which validates up front — fall
+  // back to the unpruned exact path.
   const SchemeCertificate* cert = SchemeRegistry::Global().Certificate(scheme);
   const bool prune =
       k > 0 && use_optionals && cert != nullptr && cert->threshold_pruning;

@@ -7,7 +7,6 @@
 #include <unordered_set>
 
 #include "analysis/analyzer.h"
-#include "analysis/score_algebra.h"
 #include "common/cpu_timer.h"
 #include "common/log.h"
 #include "common/metrics.h"
@@ -139,18 +138,15 @@ Result<TopKResult> TopKProcessor::Run(const Tpq& q, Algorithm algo,
     return Status::InvalidArgument(
         "query has contains predicates but no IR engine is attached");
   }
-  // Every optimization below runs on the scheme's certificate; a value
-  // the registry has never seen has no certificate and cannot execute.
-  // (Certified custom schemes come from SchemeRegistry::Register, which
-  // refuses algebras the certifier refutes — DESIGN.md §16.)
+  // Every optimization below reads the scheme's kSchemeTable row.
   const SchemeCertificate* cert =
       SchemeRegistry::Global().Certificate(opts.scheme);
   if (cert == nullptr) {
     return Status::InvalidArgument(
         "unknown rank scheme value " +
         std::to_string(static_cast<unsigned>(opts.scheme)) +
-        "; register custom schemes through SchemeRegistry::Register so "
-        "the certifier can prove the optimizations sound");
+        "; the schemes are structure-first (0), keyword-first (1) and "
+        "combined (2)");
   }
 
   const auto start = std::chrono::steady_clock::now();
@@ -305,7 +301,7 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
   schedule_span.Annotate("entries", static_cast<uint64_t>(schedule.size()));
   schedule_span.Close();
 
-  // Stopping rules (Section 5.1), read from the scheme's certificate:
+  // Stopping rules (Section 5.1), read from the scheme's table row:
   // kAtK stops as soon as K answers exist (structure-first: relaxing
   // only lowers the primary key); kPenaltyMargin keeps going until the
   // best achievable key falls below (K-th round's score − margin),

@@ -22,7 +22,7 @@
 
 namespace flexpath {
 
-struct SchemeCertificate;  // analysis/score_algebra.h
+struct SchemeCertificate;  // rank/scheme_registry.h
 
 /// The three top-K evaluation algorithms of Section 5.
 enum class Algorithm : uint8_t {
@@ -39,12 +39,9 @@ const char* AlgorithmName(Algorithm algo);
 
 struct TopKOptions {
   size_t k = 10;
-  /// The ranking scheme. Must be registered in SchemeRegistry (the three
-  /// built-ins always are; custom values come from Register, which
-  /// refuses uncertifiable algebras) — the run consults the scheme's
-  /// SchemeCertificate for every optimization decision (threshold
-  /// pruning, DPO stopping rule; DESIGN.md §16), and an unregistered
-  /// value is an InvalidArgument error up front.
+  /// The ranking scheme. Its row of kSchemeTable (rank/scheme_registry.h)
+  /// decides threshold pruning and the DPO stopping rule; a value outside
+  /// RankScheme is an InvalidArgument error up front.
   RankScheme scheme = RankScheme::kStructureFirst;
   Weights weights;
   /// When true, the run assembles a QueryTrace (returned via
@@ -140,9 +137,9 @@ class TopKProcessor {
                          const TopKOptions& opts);
 
  private:
-  // `cert` is the certificate of opts.scheme (validated non-null by
-  // Run): the stopping rules below read their licenses from it instead
-  // of switching on the scheme by name.
+  // `cert` is the kSchemeTable row of opts.scheme (validated non-null
+  // by Run): the stopping rules below read it instead of switching on
+  // the scheme by name.
   Result<TopKResult> RunDpo(const Tpq& q, const TopKOptions& opts,
                             const SchemeCertificate& cert,
                             const PenaltyModel& pm, TraceCollector* trace,

@@ -1,7 +1,6 @@
 #include "rank/score.h"
 
 #include "common/hash.h"
-#include "rank/scheme_registry.h"
 
 namespace flexpath {
 
@@ -14,16 +13,11 @@ const char* RankSchemeName(RankScheme scheme) {
     case RankScheme::kCombined:
       return "combined";
   }
-  // Custom schemes minted by SchemeRegistry::Register.
-  const char* name = SchemeRegistry::Global().Name(scheme);
-  return name != nullptr ? name : "unknown";
+  return "unknown";
 }
 
 bool RanksBefore(const AnswerScore& a, const AnswerScore& b,
                  RankScheme scheme) {
-  // The built-ins keep a hand-inlined fast path (this comparator sits in
-  // every sort/merge inner loop); score_algebra_test pins each case to
-  // its registered algebra, so the two can never drift apart.
   switch (scheme) {
     case RankScheme::kStructureFirst:
       if (a.ss != b.ss) return a.ss > b.ss;
@@ -34,8 +28,7 @@ bool RanksBefore(const AnswerScore& a, const AnswerScore& b,
     case RankScheme::kCombined:
       return a.Combined() > b.Combined();
   }
-  // Custom schemes evaluate their registered algebra (lock-free lookup).
-  return SchemeRegistry::RanksBeforeCustom(a, b, scheme);
+  return false;
 }
 
 double BaseStructuralScore(const Tpq& q, const Weights& w) {

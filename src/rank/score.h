@@ -13,13 +13,9 @@ namespace flexpath {
 /// The three general ranking schemes of Section 4.3.2. Structure-first
 /// and keyword-first order lexicographically on (ss, ks) / (ks, ss);
 /// combined orders on ss + ks. All three satisfy relevance scoring and
-/// order invariance (Section 4.2) — no longer by fiat: each is
-/// re-expressed in the score algebra and certified at startup, and the
-/// optimization sites consult the resulting SchemeCertificate (see
-/// rank/scheme_registry.h and DESIGN.md §16).
-///
-/// Values >= 3 denote custom schemes minted by SchemeRegistry::Register;
-/// RanksBefore and RankSchemeName fall through to the registry for them.
+/// order invariance (Section 4.2); what each one licenses the top-K
+/// optimizations to do is one row of kSchemeTable
+/// (rank/scheme_registry.h, DESIGN.md §16).
 enum class RankScheme : uint8_t {
   kStructureFirst,
   kKeywordFirst,

@@ -6,6 +6,7 @@
 
 #include "ir/engine.h"
 #include "query/xpath_parser.h"
+#include "rank/scheme_registry.h"
 #include "rank/score.h"
 #include "relax/penalty.h"
 #include "relax/schedule.h"
@@ -56,6 +57,43 @@ TEST(RankSchemeTest, TiesCompareFalseBothWays) {
                        RankScheme::kKeywordFirst, RankScheme::kCombined}) {
     EXPECT_FALSE(RanksBefore(a, b, s));
     EXPECT_FALSE(RanksBefore(b, a, s));
+  }
+}
+
+// kSchemeTable, row by row (DESIGN.md §16 gives the Theorem 3 argument
+// for each).
+TEST(SchemeTableTest, StructureFirstStopsAtKAndPrunesOnSsAlone) {
+  const SchemeCertificate* row =
+      SchemeRegistry::Global().Certificate(RankScheme::kStructureFirst);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->stop_rule, DpoStopRule::kAtK);
+  EXPECT_TRUE(row->threshold_pruning);
+  EXPECT_EQ(row->prune_ks_factor, 0.0);
+}
+
+TEST(SchemeTableTest, KeywordFirstRunsExhaustiveAndNeverPrunes) {
+  const SchemeCertificate* row =
+      SchemeRegistry::Global().Certificate(RankScheme::kKeywordFirst);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->stop_rule, DpoStopRule::kExhaustive);
+  EXPECT_FALSE(row->threshold_pruning);
+}
+
+TEST(SchemeTableTest, CombinedStopsOnKeywordMassMargin) {
+  const SchemeCertificate* row =
+      SchemeRegistry::Global().Certificate(RankScheme::kCombined);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->stop_rule, DpoStopRule::kPenaltyMargin);
+  EXPECT_EQ(row->stop_margin_factor, 1.0);
+  EXPECT_TRUE(row->threshold_pruning);
+  EXPECT_EQ(row->prune_ks_factor, 1.0);
+}
+
+TEST(SchemeTableTest, OutOfRangeSchemeHasNoRow) {
+  for (unsigned value : {3u, 29u, 255u}) {
+    const auto scheme = static_cast<RankScheme>(value);
+    EXPECT_EQ(SchemeRegistry::Global().Certificate(scheme), nullptr);
+    EXPECT_STREQ(RankSchemeName(scheme), "unknown");
   }
 }
 

@@ -10,6 +10,7 @@
 #include "exec/topk.h"
 #include "ir/engine.h"
 #include "query/xpath_parser.h"
+#include "rank/scheme_registry.h"
 #include "relax/schedule.h"
 #include "stats/document_stats.h"
 #include "stats/element_index.h"
@@ -340,6 +341,23 @@ TEST_F(TopKTest, HybridNeverSortsOnScores) {
   EXPECT_EQ(hybrid->counters.score_sorts, 0u);
 }
 
+TEST_F(TopKTest, UnknownSchemeIsRejectedUpFront) {
+  Tpq q = Parse(kQ1);
+  TopKOptions opts;
+  opts.k = 3;
+  for (unsigned value : {3u, 29u}) {
+    opts.scheme = static_cast<RankScheme>(value);
+    Result<TopKResult> r = processor_->Run(q, Algorithm::kDpo, opts);
+    ASSERT_FALSE(r.ok()) << value;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("unknown rank scheme"),
+              std::string::npos)
+        << r.status().ToString();
+    EXPECT_EQ(r.status().message().find("register"), std::string::npos)
+        << r.status().ToString();
+  }
+}
+
 // --- Pruning soundness sweep (TEST_P) --------------------------------------
 
 struct SweepParam {
@@ -347,26 +365,36 @@ struct SweepParam {
   RankScheme scheme;
 };
 
-class PruningSoundnessTest : public ::testing::TestWithParam<SweepParam> {};
+/// Both sweeps run on one indexed 80 KB XMark document (seed 21).
+class PruningSoundnessTest : public ::testing::TestWithParam<SweepParam> {
+ protected:
+  void SetUp() override {
+    XMarkOptions gopts;
+    gopts.target_bytes = 80000;
+    gopts.seed = 21;
+    Result<Document> doc = GenerateXMark(gopts, corpus_.tags());
+    ASSERT_TRUE(doc.ok());
+    corpus_.Add(std::move(doc).value());
+    index_ = std::make_unique<ElementIndex>(&corpus_);
+    stats_ = std::make_unique<DocumentStats>(&corpus_);
+    ir_ = std::make_unique<IrEngine>(&corpus_);
+    processor_ = std::make_unique<TopKProcessor>(index_.get(), stats_.get(),
+                                                 ir_.get());
+  }
+
+  Corpus corpus_;
+  std::unique_ptr<ElementIndex> index_;
+  std::unique_ptr<DocumentStats> stats_;
+  std::unique_ptr<IrEngine> ir_;
+  std::unique_ptr<TopKProcessor> processor_;
+};
 
 TEST_P(PruningSoundnessTest, PrunedRunMatchesUnprunedTopK) {
   // Evaluating with pruning enabled (k) must return the same top-k
   // prefix as evaluating everything and cutting afterwards.
-  Corpus corpus;
-  XMarkOptions gopts;
-  gopts.target_bytes = 80000;
-  gopts.seed = 21;
-  Result<Document> doc = GenerateXMark(gopts, corpus.tags());
-  ASSERT_TRUE(doc.ok());
-  corpus.Add(std::move(doc).value());
-  ElementIndex index(&corpus);
-  DocumentStats stats(&corpus);
-  IrEngine ir(&corpus);
-  TopKProcessor processor(&index, &stats, &ir);
-
   Result<Tpq> q = ParseXPath(
       "//item[./description/parlist and ./mailbox/mail/text]",
-      corpus.tags());
+      corpus_.tags());
   ASSERT_TRUE(q.ok());
 
   const SweepParam param = GetParam();
@@ -374,13 +402,13 @@ TEST_P(PruningSoundnessTest, PrunedRunMatchesUnprunedTopK) {
   opts.k = param.k;
   opts.scheme = param.scheme;
 
-  Result<TopKResult> pruned = processor.Run(*q, Algorithm::kHybrid, opts);
+  Result<TopKResult> pruned = processor_->Run(*q, Algorithm::kHybrid, opts);
   ASSERT_TRUE(pruned.ok());
 
   // Reference: huge k (no pruning pressure), then truncate.
   TopKOptions all_opts = opts;
   all_opts.k = 100000;
-  Result<TopKResult> full = processor.Run(*q, Algorithm::kHybrid, all_opts);
+  Result<TopKResult> full = processor_->Run(*q, Algorithm::kHybrid, all_opts);
   ASSERT_TRUE(full.ok());
 
   const size_t n = std::min(param.k, full->answers.size());
@@ -393,6 +421,67 @@ TEST_P(PruningSoundnessTest, PrunedRunMatchesUnprunedTopK) {
                 1e-9)
         << "k=" << param.k << " scheme=" << RankSchemeName(param.scheme)
         << " i=" << i;
+  }
+}
+
+// DPO stops relaxing where the scheme's kSchemeTable row says it may:
+// at K answers for structure-first, once the next round cannot beat the
+// K-th answer even with the full keyword mass for combined, never for
+// keyword-first. A row that stopped too early would drop a later
+// round's answer that outranks one the run kept, so the k-run must be
+// exactly the prefix of the exhaustive run under the scheme's full
+// order (ss and ks), position by position.
+TEST_P(PruningSoundnessTest, DpoStopRuleKeepsExactPrefix) {
+  // Q1-Q3 of Section 6, plus three contains queries whose term gives
+  // 44, 70 and 25 answers a non-zero keyword score on this corpus. The
+  // last one fails if combined's stop margin shrinks to 0.
+  const char* queries[] = {
+      "//item[./description/parlist]",
+      "//item[./description/parlist and ./mailbox/mail/text]",
+      "//item[./description/parlist/listitem and ./mailbox/mail/text[./bold "
+      "and ./keyword and ./emph] and ./name and ./incategory]",
+      "//item[./description/parlist and "
+      "./mailbox/mail/text[.contains(\"he\")]]",
+      "//text[./bold and .contains(\"he\")]",
+      "//item[./description/parlist and .contains(\"have\")]",
+  };
+  const SweepParam param = GetParam();
+  const bool may_stop =
+      SchemeRegistry::Global().Certificate(param.scheme)->stop_rule !=
+      DpoStopRule::kExhaustive;
+  size_t stopped_early = 0;
+  for (const char* xpath : queries) {
+    Result<Tpq> q = ParseXPath(xpath, corpus_.tags());
+    ASSERT_TRUE(q.ok()) << xpath;
+    TopKOptions opts;
+    opts.k = param.k;
+    opts.scheme = param.scheme;
+    Result<TopKResult> top = processor_->Run(*q, Algorithm::kDpo, opts);
+    ASSERT_TRUE(top.ok()) << xpath;
+    TopKOptions all_opts = opts;
+    all_opts.k = 100000;
+    Result<TopKResult> full = processor_->Run(*q, Algorithm::kDpo, all_opts);
+    ASSERT_TRUE(full.ok()) << xpath;
+
+    ASSERT_EQ(top->answers.size(), std::min(param.k, full->answers.size()))
+        << xpath;
+    for (size_t i = 0; i < top->answers.size(); ++i) {
+      const AnswerScore& a = top->answers[i].score;
+      const AnswerScore& b = full->answers[i].score;
+      EXPECT_FALSE(RanksBefore(a, b, param.scheme) ||
+                   RanksBefore(b, a, param.scheme))
+          << xpath << " k=" << param.k
+          << " scheme=" << RankSchemeName(param.scheme) << " i=" << i
+          << " got (" << a.ss << ", " << a.ks << ") want (" << b.ss << ", "
+          << b.ks << ")";
+    }
+    if (top->relaxations_used < full->relaxations_used) ++stopped_early;
+  }
+  // The sweep is only worth something if the stop rules actually fire.
+  if (!may_stop) {
+    EXPECT_EQ(stopped_early, 0u);
+  } else if (param.k <= 20) {
+    EXPECT_GT(stopped_early, 0u);
   }
 }
 
