@@ -42,13 +42,6 @@
 //   :trace [FILE]              Chrome-trace JSON of the last traced query
 //                              (stdout, or written to FILE); load it in
 //                              chrome://tracing or ui.perfetto.dev
-//   :flightrec                 dump the crash-safe flight recorder ring
-//                              as JSON (most recent ~4k runtime events)
-//   :watch [SECONDS]           windowed metric rates (QPS, errors/s,
-//                              rounds pruned/s, cpu_ms/s, mean latency)
-//                              over the trailing window
-//                              (default 60s); needs --admin-port or a
-//                              prior :watch to start the sampler
 //   :help / :quit
 //
 // Corpus flags:
@@ -73,17 +66,10 @@
 //                              the last one, in the Chrome Trace Event
 //                              Format, to FILE on exit (falls back to the
 //                              build trace when no query ran)
-//   --flightrec-out FILE       write the flight-recorder JSON dump to
-//                              FILE on exit
-//   --crash-dump FILE          install fatal-signal handlers (SIGSEGV,
-//                              SIGBUS, SIGFPE, SIGILL, SIGABRT) that dump
-//                              the flight-recorder ring to FILE before
-//                              re-raising; SIGTERM/SIGINT also dump there
-//                              (via the normal exit path) before exiting
 //   --admin-port N             serve the embedded admin endpoint on this
 //                              port (0 = ephemeral, printed on stderr);
 //                              routes: /healthz /buildz /metrics /statsz
-//                              /varz /tracez /flightrecz /timeseriesz.
+//                              /varz /cachez /tracez.
 //                              Off by default: without the flag no socket
 //                              is opened and no thread started
 //   --admin-bind ADDR          admin bind address (default 127.0.0.1;
@@ -115,8 +101,6 @@
 #include "common/string_util.h"
 #include "core/flexpath.h"
 #include "obs/admin_server.h"
-#include "obs/flight_recorder.h"
-#include "obs/metrics_history.h"
 #include "obs/query_log.h"
 #include "query/logical.h"
 #include "relax/operators.h"
@@ -127,9 +111,7 @@
 namespace {
 
 // Set by the SIGTERM/SIGINT handlers. The handlers only set this flag;
-// the dump itself runs on the normal exit path in main() (full C++,
-// not the async-signal-safe DumpTo path --crash-dump uses for fatal
-// signals).
+// main() finishes on its normal exit path and returns 128+signal.
 volatile std::sig_atomic_t g_shutdown_signal = 0;
 
 void OnShutdownSignal(int sig) { g_shutdown_signal = sig; }
@@ -147,7 +129,6 @@ void InstallShutdownHandlers() {
 
 struct CliState {
   flexpath::FlexPath fp;
-  flexpath::MetricsHistory history;  ///< Inert until StartHistory().
   size_t k = 10;
   flexpath::Algorithm algo = flexpath::Algorithm::kHybrid;
   flexpath::RankScheme scheme = flexpath::RankScheme::kStructureFirst;
@@ -182,20 +163,15 @@ bool WriteFile(const std::string& path, const std::string& content) {
   return true;
 }
 
-// Starts the metrics-history sampler on first use (admin endpoint or
-// :watch). Idempotent; without either, no sampler thread ever runs.
-void StartHistory(CliState& state) {
-  if (!state.history.running()) state.history.Start();
-}
-
-// Parses ?window=SECONDS (default 60, clamped to something sane).
-double WindowParam(const flexpath::HttpRequest& req) {
-  double window_s = 60.0;
-  if (const std::string* w = req.Param("window")) {
-    window_s = std::atof(w->c_str());
+// Parses a thread count: a non-negative decimal integer. Values above
+// kMaxThreads (an overflow saturates) parse here and fail at query time.
+bool ParseThreads(const std::string& text, size_t* out) {
+  if (text.empty() || text.find_first_not_of("0123456789") !=
+                          std::string::npos) {
+    return false;
   }
-  if (window_s <= 0.0) window_s = 60.0;
-  return std::min(window_s, 86400.0);
+  *out = static_cast<size_t>(std::strtoull(text.c_str(), nullptr, 10));
+  return true;
 }
 
 // Registers every admin route against the engine. The server owns
@@ -240,26 +216,6 @@ void RegisterAdminRoutes(CliState& state, flexpath::AdminServer& server) {
     const std::string chrome = state.fp.LastTraceChromeJson();
     return json(chrome.empty() ? "{\"traceEvents\":[]}" : chrome);
   });
-  server.Handle("/flightrecz", [&state, json](const flexpath::HttpRequest&) {
-    return json(state.fp.FlightRecorderJson());
-  });
-  server.Handle("/timeseriesz",
-                [&state, json](const flexpath::HttpRequest& req) {
-                  return json(state.history.ToJson(WindowParam(req)));
-                });
-}
-
-// :watch — the same derived rates /timeseriesz serves, as one terminal
-// line. Starts the sampler on first use.
-void Watch(CliState& state, double window_s) {
-  StartHistory(state);
-  state.history.SampleNow();
-  const flexpath::DerivedRates rates = state.history.Derived(window_s);
-  std::printf("window %.0fs: qps=%.3f errors/s=%.3f "
-              "rounds_pruned/s=%.3f cpu_ms/s=%.3f mean_latency=%.3fms\n",
-              window_s, rates.qps, rates.errors_per_s,
-              rates.rounds_pruned_per_s, rates.cpu_ms_per_s,
-              rates.latency_mean_ms);
 }
 
 void PrintHelp() {
@@ -277,8 +233,6 @@ void PrintHelp() {
       "  :slowlog                 slow-query log\n"
       "  :cache                   cache statistics\n"
       "  :trace [FILE]            Chrome-trace JSON of the last traced query\n"
-      "  :flightrec               dump the flight-recorder ring as JSON\n"
-      "  :watch [SECONDS]         windowed metric rates (default 60s)\n"
       "  :help, :quit\n");
 }
 
@@ -430,6 +384,23 @@ void Lint(CliState& state, const std::string& xpath) {
 // Matches `--flag VALUE` or `--flag=VALUE`; returns the value (advancing
 // *i past a separate-argument value) or null when argv[*i] is a
 // different flag or the value is missing.
+void PrintUsage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--xmark MB] [--packed FILE] "
+               "[--explain \"<xpath>\"] "
+               "[--explain-json \"<xpath>\"] [--check \"<xpath>\"] "
+               "[--check-json \"<xpath>\"] "
+               "[--subtype SUPER SUB] "
+               "[--log-json] [--log-level L] [--slow-query-ms N] "
+               "[--threads N] [--metrics-prom] "
+               "[--trace-out FILE] [--admin-port N] [--admin-bind ADDR] "
+               "[--query-log FILE] "
+               "[--stats-shapes N] [--stats-ring N] "
+               "[--stats-slowlog N] [--max-cpu-ms N] [--max-tuples N] "
+               "[file.xml ...]\n",
+               argv0);
+}
+
 const char* FlagValue(int argc, char** argv, int* i, const char* flag) {
   const size_t len = std::strlen(flag);
   const char* arg = argv[*i];
@@ -538,8 +509,9 @@ int Repl(CliState& state) {
       }
       std::printf("scheme = %s\n", flexpath::RankSchemeName(state.scheme));
     } else if (cmd == ":threads") {
+      std::string arg;
       size_t n = 0;
-      if (words >> n) {
+      if (words >> arg && ParseThreads(arg, &n)) {
         state.threads = n;
         std::printf("threads = %zu%s\n", state.threads,
                     state.threads == 0 ? " (hardware concurrency)" : "");
@@ -618,12 +590,6 @@ int Repl(CliState& state) {
       } else {
         std::printf("%s\n", chrome.c_str());
       }
-    } else if (cmd == ":flightrec") {
-      std::printf("%s\n", state.fp.FlightRecorderJson().c_str());
-    } else if (cmd == ":watch") {
-      double window_s = 60.0;
-      words >> window_s;
-      Watch(state, window_s > 0.0 ? window_s : 60.0);
     } else {
       std::printf("unknown command %s (:help)\n", cmd.c_str());
     }
@@ -642,8 +608,6 @@ int main(int argc, char** argv) {
   bool explain_json = false;
   const char* check_query = nullptr;
   bool check_json = false;
-  std::string flightrec_out;
-  std::string crash_dump;
   std::string query_log_path;
   bool admin_enabled = false;
   flexpath::AdminServerOptions admin_opts;
@@ -667,8 +631,13 @@ int main(int argc, char** argv) {
       state.slow_query_ms = std::atof(argv[++i]);
       continue;
     }
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      state.threads = static_cast<size_t>(std::atol(argv[++i]));
+    if (const char* v = FlagValue(argc, argv, &i, "--threads")) {
+      if (!ParseThreads(v, &state.threads)) {
+        std::fprintf(stderr, "--threads: expected a non-negative integer, "
+                             "got %s\n", v);
+        PrintUsage(argv[0]);
+        return 2;
+      }
       continue;
     }
     if (std::strcmp(argv[i], "--metrics-prom") == 0) {
@@ -677,15 +646,6 @@ int main(int argc, char** argv) {
     }
     if (const char* v = FlagValue(argc, argv, &i, "--trace-out")) {
       state.trace_out = v;
-      continue;
-    }
-    if (const char* v = FlagValue(argc, argv, &i, "--flightrec-out")) {
-      flightrec_out = v;
-      continue;
-    }
-    if (const char* v = FlagValue(argc, argv, &i, "--crash-dump")) {
-      crash_dump = v;
-      flexpath::FlightRecorder::InstallCrashHandler(v);
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--admin-port")) {
@@ -788,6 +748,12 @@ int main(int argc, char** argv) {
       loaded = true;
       continue;
     }
+    if (std::strncmp(argv[i], "--", 2) == 0) {
+      // Also a value-taking flag given without its value.
+      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      PrintUsage(argv[0]);
+      return 2;
+    }
     flexpath::Result<flexpath::DocId> id = state.fp.AddDocumentFile(argv[i]);
     if (!id.ok()) {
       std::fprintf(stderr, "%s: %s\n", argv[i],
@@ -803,27 +769,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!loaded && packed_path.empty()) {
+    PrintUsage(argv[0]);
     std::fprintf(stderr,
-                 "usage: %s [--xmark MB] [--packed FILE] "
-                 "[--explain \"<xpath>\"] "
-                 "[--explain-json \"<xpath>\"] [--check \"<xpath>\"] "
-                 "[--check-json \"<xpath>\"] "
-                 "[--subtype SUPER SUB] "
-                 "[--log-json] [--log-level L] [--slow-query-ms N] "
-                 "[--threads N] [--metrics-prom] "
-                 "[--trace-out FILE] [--flightrec-out FILE] "
-                 "[--crash-dump FILE] [--admin-port N] [--admin-bind ADDR] "
-                 "[--query-log FILE] "
-                 "[--stats-shapes N] [--stats-ring N] "
-                 "[--stats-slowlog N] [--max-cpu-ms N] [--max-tuples N] "
-                 "[file.xml ...]\n"
                  "loads documents, then starts an interactive shell;\n"
                  "--explain runs one traced query and exits;\n"
                  "--check runs the static analyzer and exits (1 on error);\n"
                  "--metrics-prom prints Prometheus metrics on exit;\n"
                  "--trace-out writes a Chrome/Perfetto trace of the last "
-                 "query on exit\n",
-                 argv[0]);
+                 "query on exit\n");
     return 2;
   }
   if (!packed_path.empty()) {
@@ -852,7 +805,6 @@ int main(int argc, char** argv) {
   }
   flexpath::AdminServer admin(admin_opts);
   if (admin_enabled) {
-    StartHistory(state);
     RegisterAdminRoutes(state, admin);
     if (flexpath::Status st = admin.Start(); !st.ok()) {
       std::fprintf(stderr, "--admin-port: %s\n", st.ToString().c_str());
@@ -873,7 +825,6 @@ int main(int argc, char** argv) {
   }
   if (admin_enabled) admin.Stop();
   state.fp.SetQueryLog(nullptr);
-  state.history.Stop();
   if (!state.trace_out.empty()) {
     std::string chrome = state.fp.LastTraceChromeJson();
     if (chrome.empty() && state.fp.build_trace() != nullptr) {
@@ -887,24 +838,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "trace written to %s\n", state.trace_out.c_str());
     }
   }
-  if (!flightrec_out.empty() && WriteFile(flightrec_out,
-                                          state.fp.FlightRecorderJson())) {
-    std::fprintf(stderr, "flight recorder dumped to %s\n",
-                 flightrec_out.c_str());
-  }
   if (metrics_prom) {
     std::printf("%s", state.fp.MetricsPrometheus().c_str());
   }
-  if (g_shutdown_signal != 0) {
-    // Graceful SIGTERM/SIGINT: dump the flight-recorder ring through the
-    // normal (full-C++) path — same file --crash-dump uses for fatal
-    // signals — then exit with the conventional 128+signal status.
-    if (!crash_dump.empty() &&
-        WriteFile(crash_dump, state.fp.FlightRecorderJson())) {
-      std::fprintf(stderr, "flight recorder dumped to %s (signal %d)\n",
-                   crash_dump.c_str(), static_cast<int>(g_shutdown_signal));
-    }
-    return 128 + static_cast<int>(g_shutdown_signal);
-  }
+  // Graceful SIGTERM/SIGINT: the conventional 128+signal status.
+  if (g_shutdown_signal != 0) return 128 + static_cast<int>(g_shutdown_signal);
   return rc;
 }

@@ -8,7 +8,6 @@
 
 #include "common/json_util.h"
 #include "common/log.h"
-#include "obs/flight_recorder.h"
 #include "relax/schedule.h"
 
 namespace flexpath {
@@ -278,10 +277,6 @@ std::string FlexPath::LastTraceChromeJson() const {
   std::shared_ptr<const QueryTrace> trace = last_query_trace();
   if (trace == nullptr) return "";
   return TraceToChromeJson(*trace);
-}
-
-std::string FlexPath::FlightRecorderJson() const {
-  return FlightRecorder::Global().ToJson();
 }
 
 void FlexPath::SetQueryStatsOptions(const QueryStatsOptions& opts) {

@@ -220,12 +220,6 @@ class FlexPath {
   /// common/trace.h). Empty string when no trace has been collected.
   std::string LastTraceChromeJson() const;
 
-  /// JSON dump of the process-wide crash-safe flight recorder ring
-  /// (FlightRecorder::Global().ToJson()): the most recent ~4k runtime
-  /// events — query start/end, relaxation-round lifecycle, slow queries
-  /// and budget trips.
-  std::string FlightRecorderJson() const;
-
   /// Replaces this instance's query-statistics capacities (shape table,
   /// recent ring, slow-query log) at runtime, trimming immediately if the
   /// new capacities are smaller. See QueryStatsStore::SetOptions.

@@ -11,7 +11,6 @@
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
-#include "obs/flight_recorder.h"
 #include "rank/scheme_registry.h"
 #include "relax/schedule.h"
 
@@ -71,19 +70,15 @@ class RunBudget {
   /// coordinator's own timer on top to form TopKResult::cpu_ms.
   double off_thread_cpu_ms() const { return off_thread_cpu_ms_; }
 
-  /// True when a budget is spent; then flags `result` as partial and
-  /// records the trip in the flight recorder.
+  /// True when a budget is spent; then flags `result` as partial.
   bool Exhausted(TopKResult* result) const {
     if (max_cpu_ms_ <= 0.0 && max_tuples_ == 0) return false;
-    const uint64_t tuples = result->counters.tuples_created;
-    const double cpu_ms = cpu_.ElapsedMs() + off_thread_cpu_ms_;
-    const bool spent = (max_tuples_ > 0 && tuples >= max_tuples_) ||
-                       (max_cpu_ms_ > 0.0 && cpu_ms >= max_cpu_ms_);
-    if (!spent) return false;
-    result->budget_exhausted = true;
-    FlightRecorder::Global().Record(FlightEventType::kBudgetTrip, tuples,
-                                    max_tuples_, cpu_ms);
-    return true;
+    const bool spent =
+        (max_tuples_ > 0 && result->counters.tuples_created >= max_tuples_) ||
+        (max_cpu_ms_ > 0.0 &&
+         cpu_.ElapsedMs() + off_thread_cpu_ms_ >= max_cpu_ms_);
+    if (spent) result->budget_exhausted = true;
+    return spent;
   }
 
  private:
@@ -133,6 +128,11 @@ const char* AlgorithmName(Algorithm algo) {
 Result<TopKResult> TopKProcessor::Run(const Tpq& q, Algorithm algo,
                                       const TopKOptions& opts) {
   if (opts.k == 0) return Status::InvalidArgument("k must be positive");
+  if (opts.num_threads > kMaxThreads) {
+    return Status::InvalidArgument(
+        "num_threads " + std::to_string(opts.num_threads) + " exceeds " +
+        std::to_string(kMaxThreads));
+  }
   FLEXPATH_RETURN_IF_ERROR(q.Validate());
   if (q.ContainsCount() > 0 && ir_ == nullptr) {
     return Status::InvalidArgument(
@@ -153,9 +153,6 @@ Result<TopKResult> TopKProcessor::Run(const Tpq& q, Algorithm algo,
   // Coordinator CPU; pool-worker CPU is measured at task boundaries and
   // folded in below, so the sum never double-counts a thread.
   const ThreadCpuTimer query_cpu;
-  const uint64_t fingerprint = FingerprintTpq(q, index_->corpus().tags());
-  FlightRecorder::Global().Record(FlightEventType::kQueryStart, fingerprint,
-                                  opts.k);
   std::optional<TraceCollector> collector;
   // A slow-query threshold forces collection so the slow log can carry
   // the span tree of the offending run.
@@ -216,9 +213,6 @@ Result<TopKResult> TopKProcessor::Run(const Tpq& q, Algorithm algo,
     if (pruned > 0) m_pruned->Inc(pruned);
     if (result->budget_exhausted) m_budget->Inc();
   }
-  FlightRecorder::Global().Record(
-      FlightEventType::kQueryEnd, fingerprint,
-      result.ok() ? result->answers.size() : 0, elapsed_ms);
 
   std::shared_ptr<const QueryTrace> finished;
   if (trace != nullptr) {
@@ -244,7 +238,7 @@ Result<TopKResult> TopKProcessor::Run(const Tpq& q, Algorithm algo,
   if (query_stats_ != nullptr || slow || log_debug) {
     const TagDict& dict = index_->corpus().tags();
     QueryExecution exec;
-    exec.fingerprint = fingerprint;
+    exec.fingerprint = FingerprintTpq(q, dict);
     exec.query = q.ToString(dict);
     exec.algorithm = AlgorithmName(algo);
     exec.scheme = RankSchemeName(opts.scheme);
@@ -266,8 +260,6 @@ Result<TopKResult> TopKProcessor::Run(const Tpq& q, Algorithm algo,
       if (slow) query_stats_->RecordSlow(exec, opts.slow_query_ms, finished);
     }
     if (slow) {
-      FlightRecorder::Global().Record(FlightEventType::kSlowQuery,
-                                      fingerprint, exec.answers, elapsed_ms);
       FLEXPATH_LOG_WARN(
           "exec", "slow query",
           {"fingerprint", FingerprintHex(exec.fingerprint)},
@@ -371,14 +363,10 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
         out->pruned = true;
         out->prune_reason = *std::move(reason);
         out->counters.rounds_pruned_static = 1;
-        FlightRecorder::Global().Record(FlightEventType::kRoundSkip, round,
-                                        0, round_penalty(round));
         out->cpu_ms = round_cpu.ElapsedMs();
         return;
       }
     }
-    FlightRecorder::Global().Record(FlightEventType::kRoundStart, round, 0,
-                                    round_penalty(round));
     Span build_span(rc, "plan_build");
     Result<JoinPlan> plan = JoinPlan::Build(q, relaxed, {}, pm, opts.weights);
     build_span.Close();
@@ -510,10 +498,11 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
       group.Wait();
       // Every wave round ran off the coordinating thread, so its whole
       // bill — merged or discarded — is off-thread CPU the query burned.
+      // Rounds past the stopping point are speculation: billed here, but
+      // nothing of theirs enters the result.
       for (size_t i = 0; i < wave_n; ++i) {
         budget.AddOffThread(outs[i].cpu_ms);
       }
-      size_t merged = 0;
       for (size_t i = 0; i < wave_n && !done; ++i) {
         const size_t round = next_round + i;
         if (cert.stop_rule == DpoStopRule::kPenaltyMargin &&
@@ -523,16 +512,7 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
         }
         if (!outs[i].status.ok()) return outs[i].status;
         done = merge_round(round, std::move(outs[i]), nullptr);
-        merged = i + 1;
         if (!done && budget.Exhausted(&result)) done = true;
-      }
-      // Speculation past the stopping point: the rounds ran, their CPU is
-      // billed above, but nothing of theirs enters the result.
-      if (done) {
-        for (size_t i = merged; i < wave_n; ++i) {
-          FlightRecorder::Global().Record(FlightEventType::kRoundDiscard,
-                                          next_round + i);
-        }
       }
       next_round += wave_n;
     }
@@ -638,7 +618,6 @@ Result<TopKResult> TopKProcessor::RunEncoded(const Tpq& q,
     ExecCounters pass_counters;
     const ThreadCpuTimer pass_cpu;
     double pass_worker_cpu_ms = 0.0;
-    FlightRecorder::Global().Record(FlightEventType::kRoundStart, encoded);
     // SSO/Hybrid encode the whole relaxation batch into this one plan, so
     // the pass itself is the parallel unit: the evaluator fans each join
     // step out over tuple chunks on the pool.

@@ -37,6 +37,9 @@ enum class Algorithm : uint8_t {
 
 const char* AlgorithmName(Algorithm algo);
 
+/// The largest explicit TopKOptions::num_threads Run() accepts.
+inline constexpr size_t kMaxThreads = 256;
+
 struct TopKOptions {
   size_t k = 10;
   /// The ranking scheme. Its row of kSchemeTable (rank/scheme_registry.h)
@@ -75,6 +78,8 @@ struct TopKOptions {
   /// within one plan, join steps fan out over tuple chunks whose outputs
   /// and counters merge in chunk order. Answers, penalties, counters and
   /// trace structure are identical at any thread count (DESIGN.md §10).
+  /// Run() rejects a value above kMaxThreads with InvalidArgument before
+  /// any pool is built.
   size_t num_threads = 0;
   /// Soft per-query CPU budget in thread-CPU milliseconds (coordinator +
   /// pool workers), <= 0 to disable (the default). Checked between DPO

@@ -73,9 +73,9 @@ TEST(HistogramTest, EmptySnapshotIsZero) {
   EXPECT_DOUBLE_EQ(s.Quantile(0.5), 0.0);
 }
 
-// Edge cases that feed the windowed-rate math (MetricsHistory derives
-// deltas and rates from these snapshots): an empty histogram must yield
-// clean zeros at every quantile — never NaN or a division artifact.
+// /metrics renders quantiles from these snapshots, and every quantile it
+// exposes must be finite: an empty histogram must yield clean zeros at
+// every quantile — never NaN or a division artifact.
 TEST(HistogramTest, EmptyQuantilesAreZeroAcrossTheRange) {
   Histogram h({1.0, 10.0});
   HistogramSnapshot s = h.Snapshot();

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string_view>
 #include <tuple>
@@ -354,6 +355,21 @@ TEST_F(TopKTest, UnknownSchemeIsRejectedUpFront) {
               std::string::npos)
         << r.status().ToString();
     EXPECT_EQ(r.status().message().find("register"), std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+TEST_F(TopKTest, ThreadCountAboveCeilingIsRejectedUpFront) {
+  // Both values fail before PoolFor, so no thread is ever started.
+  Tpq q = Parse(kQ1);
+  TopKOptions opts;
+  opts.k = 3;
+  for (size_t threads : {kMaxThreads + 1, SIZE_MAX}) {
+    opts.num_threads = threads;
+    Result<TopKResult> r = processor_->Run(q, Algorithm::kDpo, opts);
+    ASSERT_FALSE(r.ok()) << threads;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("num_threads"), std::string::npos)
         << r.status().ToString();
   }
 }
