@@ -2,7 +2,8 @@
 # End-to-end smoke test of the admin endpoint and the workload-capture
 # loop, as run by the admin-smoke CI job:
 #
-#   0. assert that an unknown flag is a usage error (exit 2)
+#   0. assert that an unknown flag, an out-of-range port and a negative
+#      capacity are usage errors (exit 2)
 #   1. start flexpath_cli on a generated XMark corpus with --admin-port 0
 #      (ephemeral) and --query-log, keeping the REPL's stdin open on a
 #      FIFO
@@ -48,6 +49,20 @@ grep -q '^unknown flag --crash-dump$' "$OUT_DIR/unknown_flag.log" \
 grep -q '^usage: ' "$OUT_DIR/unknown_flag.log" \
   || fail "unknown flag printed no usage line"
 echo "admin_smoke: unknown flag rejected with exit 2"
+
+# A numeric flag value out of range or not a number is a usage error too,
+# not silently wrapped or zeroed.
+for args in "--admin-port 70000" "--admin-port abc" "--stats-ring -1"; do
+  RC=0
+  # shellcheck disable=SC2086  # $args is two words on purpose
+  "$CLI" $args --xmark 1 >/dev/null 2>"$OUT_DIR/bad_value.log" || RC=$?
+  [ "$RC" -eq 2 ] || fail "$args exited $RC, expected 2"
+  grep -q "^${args%% *}: expected " "$OUT_DIR/bad_value.log" \
+    || fail "$args: flag not named: $(cat "$OUT_DIR/bad_value.log")"
+  grep -q '^usage: ' "$OUT_DIR/bad_value.log" \
+    || fail "$args printed no usage line"
+done
+echo "admin_smoke: out-of-range numeric flags rejected with exit 2"
 
 FIFO="$OUT_DIR/repl_stdin.fifo"
 rm -f "$FIFO"; mkfifo "$FIFO"

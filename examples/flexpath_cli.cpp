@@ -87,7 +87,12 @@
 //                              that trips it stops relaxing and returns
 //                              its partial answers, flagged
 //   --max-tuples N             per-query tuple-creation budget
+//
+// A numeric value outside its flag's range (a port above 65535, a
+// capacity above 1048576, a sign, a suffix, anything not a number) is a
+// usage error: the flag and the usage line go to stderr, exit code 2.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -164,13 +169,11 @@ bool WriteFile(const std::string& path, const std::string& content) {
 }
 
 // Parses a thread count: a non-negative decimal integer. Values above
-// kMaxThreads (an overflow saturates) parse here and fail at query time.
+// kMaxThreads parse here and fail at query time.
 bool ParseThreads(const std::string& text, size_t* out) {
-  if (text.empty() || text.find_first_not_of("0123456789") !=
-                          std::string::npos) {
-    return false;
-  }
-  *out = static_cast<size_t>(std::strtoull(text.c_str(), nullptr, 10));
+  uint64_t n = 0;
+  if (!flexpath::ParseUint64(text, 0, SIZE_MAX, &n)) return false;
+  *out = static_cast<size_t>(n);
   return true;
 }
 
@@ -401,6 +404,17 @@ void PrintUsage(const char* argv0) {
                argv0);
 }
 
+// Reports a flag value that does not parse as the flag takes it, then the
+// usage line; the caller exits 2, as for an unknown flag.
+void BadValue(const char* argv0, const char* flag, const char* expected,
+              const char* value) {
+  std::fprintf(stderr, "%s: expected %s, got %s\n", flag, expected, value);
+  PrintUsage(argv0);
+}
+
+// Value ceiling of the --stats-* capacities.
+constexpr uint64_t kMaxStatsCapacity = uint64_t{1} << 20;
+
 const char* FlagValue(int argc, char** argv, int* i, const char* flag) {
   const size_t len = std::strlen(flag);
   const char* arg = argv[*i];
@@ -473,9 +487,10 @@ int Repl(CliState& state) {
     if (cmd == ":help") {
       PrintHelp();
     } else if (cmd == ":k") {
-      size_t k = 0;
-      if (words >> k && k > 0) {
-        state.k = k;
+      std::string arg;
+      uint64_t k = 0;
+      if (words >> arg && flexpath::ParseUint64(arg, 1, SIZE_MAX, &k)) {
+        state.k = static_cast<size_t>(k);
         std::printf("k = %zu\n", state.k);
       } else {
         std::printf("usage: :k N\n");
@@ -628,14 +643,16 @@ int main(int argc, char** argv) {
       continue;
     }
     if (std::strcmp(argv[i], "--slow-query-ms") == 0 && i + 1 < argc) {
-      state.slow_query_ms = std::atof(argv[++i]);
+      if (!flexpath::ParseNonNegative(argv[++i], &state.slow_query_ms)) {
+        BadValue(argv[0], "--slow-query-ms", "a non-negative number",
+                 argv[i]);
+        return 2;
+      }
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--threads")) {
       if (!ParseThreads(v, &state.threads)) {
-        std::fprintf(stderr, "--threads: expected a non-negative integer, "
-                             "got %s\n", v);
-        PrintUsage(argv[0]);
+        BadValue(argv[0], "--threads", "a non-negative integer", v);
         return 2;
       }
       continue;
@@ -649,8 +666,14 @@ int main(int argc, char** argv) {
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--admin-port")) {
+      uint64_t port = 0;
+      if (!flexpath::ParseUint64(v, 0, 65535, &port)) {
+        BadValue(argv[0], "--admin-port",
+                 "a port in [0, 65535] (0: ephemeral)", v);
+        return 2;
+      }
       admin_enabled = true;
-      admin_opts.port = static_cast<uint16_t>(std::atoi(v));
+      admin_opts.port = static_cast<uint16_t>(port);
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--admin-bind")) {
@@ -662,26 +685,47 @@ int main(int argc, char** argv) {
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--stats-shapes")) {
-      stats_opts.max_shapes = static_cast<size_t>(std::atol(v));
+      uint64_t n = 0;
+      if (!flexpath::ParseUint64(v, 0, kMaxStatsCapacity, &n)) {
+        BadValue(argv[0], "--stats-shapes", "an integer in [0, 1048576]", v);
+        return 2;
+      }
+      stats_opts.max_shapes = static_cast<size_t>(n);
       stats_opts_set = true;
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--stats-ring")) {
-      stats_opts.ring_capacity = static_cast<size_t>(std::atol(v));
+      uint64_t n = 0;
+      if (!flexpath::ParseUint64(v, 0, kMaxStatsCapacity, &n)) {
+        BadValue(argv[0], "--stats-ring", "an integer in [0, 1048576]", v);
+        return 2;
+      }
+      stats_opts.ring_capacity = static_cast<size_t>(n);
       stats_opts_set = true;
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--stats-slowlog")) {
-      stats_opts.slowlog_capacity = static_cast<size_t>(std::atol(v));
+      uint64_t n = 0;
+      if (!flexpath::ParseUint64(v, 0, kMaxStatsCapacity, &n)) {
+        BadValue(argv[0], "--stats-slowlog", "an integer in [0, 1048576]", v);
+        return 2;
+      }
+      stats_opts.slowlog_capacity = static_cast<size_t>(n);
       stats_opts_set = true;
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--max-cpu-ms")) {
-      state.max_cpu_ms = std::atof(v);
+      if (!flexpath::ParseNonNegative(v, &state.max_cpu_ms)) {
+        BadValue(argv[0], "--max-cpu-ms", "a non-negative number", v);
+        return 2;
+      }
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--max-tuples")) {
-      state.max_tuples = static_cast<uint64_t>(std::atoll(v));
+      if (!flexpath::ParseUint64(v, 0, UINT64_MAX, &state.max_tuples)) {
+        BadValue(argv[0], "--max-tuples", "a non-negative integer", v);
+        return 2;
+      }
       continue;
     }
     if (std::strcmp(argv[i], "--explain") == 0 ||
@@ -729,9 +773,13 @@ int main(int argc, char** argv) {
       continue;
     }
     if (std::strcmp(argv[i], "--xmark") == 0 && i + 1 < argc) {
+      double mb = 0.0;
+      if (!flexpath::ParseNonNegative(argv[++i], &mb)) {
+        BadValue(argv[0], "--xmark", "a non-negative number of MB", argv[i]);
+        return 2;
+      }
       flexpath::XMarkOptions opts;
-      opts.target_bytes = static_cast<uint64_t>(
-          std::atof(argv[++i]) * 1024 * 1024);
+      opts.target_bytes = static_cast<uint64_t>(mb * 1024 * 1024);
       opts.seed = 42;
       flexpath::Result<flexpath::Document> doc =
           flexpath::GenerateXMark(opts, state.fp.tags());

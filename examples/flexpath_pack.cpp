@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "core/flexpath.h"
 #include "storage/reader.h"
 #include "xmark/generator.h"
@@ -86,7 +87,11 @@ int main(int argc, char** argv) {
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--xmark")) {
-      xmark_mb = std::atof(v);
+      if (!flexpath::ParseNonNegative(v, &xmark_mb)) {
+        std::fprintf(stderr, "--xmark: expected a non-negative number of "
+                             "MB, got %s\n", v);
+        return Usage(argv[0]);
+      }
       continue;
     }
     if (std::strcmp(argv[i], "--stem") == 0) {

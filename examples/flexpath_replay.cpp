@@ -27,6 +27,7 @@
 //                 change; useful for timing comparisons)
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -34,10 +35,18 @@
 #include <vector>
 
 #include "common/json_util.h"
+#include "common/string_util.h"
 #include "core/flexpath.h"
 #include "xmark/generator.h"
 
 namespace {
+
+void PrintUsage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s --log FILE (--xmark MB | file.xml ...) "
+               "[--check] [--out FILE] [--threads N]\n",
+               argv0);
+}
 
 const char* FlagValue(int argc, char** argv, int* i, const char* flag) {
   const size_t len = std::strlen(flag);
@@ -124,7 +133,8 @@ int main(int argc, char** argv) {
   std::string log_path;
   std::string out_path;
   bool check = false;
-  long threads_override = -1;
+  bool override_threads = false;
+  uint64_t threads_override = 0;
   flexpath::FlexPath fp;
   bool loaded = false;
   for (int i = 1; i < argc; ++i) {
@@ -141,13 +151,25 @@ int main(int argc, char** argv) {
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--threads")) {
-      threads_override = std::atol(v);
+      if (!flexpath::ParseUint64(v, 0, UINT64_MAX, &threads_override)) {
+        std::fprintf(stderr, "--threads: expected a non-negative integer, "
+                             "got %s\n", v);
+        PrintUsage(argv[0]);
+        return 2;
+      }
+      override_threads = true;
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--xmark")) {
+      double mb = 0.0;
+      if (!flexpath::ParseNonNegative(v, &mb)) {
+        std::fprintf(stderr, "--xmark: expected a non-negative number of "
+                             "MB, got %s\n", v);
+        PrintUsage(argv[0]);
+        return 2;
+      }
       flexpath::XMarkOptions opts;
-      opts.target_bytes =
-          static_cast<uint64_t>(std::atof(v) * 1024 * 1024);
+      opts.target_bytes = static_cast<uint64_t>(mb * 1024 * 1024);
       // Same fixed seed as flexpath_cli --xmark: both sides of a
       // capture/replay pair regenerate the identical corpus.
       opts.seed = 42;
@@ -175,12 +197,10 @@ int main(int argc, char** argv) {
     loaded = true;
   }
   if (log_path.empty() || !loaded) {
+    PrintUsage(argv[0]);
     std::fprintf(stderr,
-                 "usage: %s --log FILE (--xmark MB | file.xml ...) "
-                 "[--check] [--out FILE] [--threads N]\n"
                  "re-executes a captured query log and verifies the\n"
-                 "answers still digest identically\n",
-                 argv[0]);
+                 "answers still digest identically\n");
     return 2;
   }
 
@@ -209,7 +229,7 @@ int main(int argc, char** argv) {
     }
     flexpath::TopKOptions opts;
     opts.k = static_cast<size_t>(r.k);
-    opts.num_threads = threads_override >= 0
+    opts.num_threads = override_threads
                            ? static_cast<size_t>(threads_override)
                            : static_cast<size_t>(r.threads);
     flexpath::Algorithm algo = flexpath::Algorithm::kHybrid;

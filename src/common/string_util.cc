@@ -1,7 +1,9 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace flexpath {
 
@@ -49,6 +51,40 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
     out += parts[i];
   }
   return out;
+}
+
+bool ParseUint64(std::string_view s, uint64_t lo, uint64_t hi,
+                 uint64_t* out) {
+  if (s.empty()) return false;
+  uint64_t value = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return false;
+    value = value * 10 + digit;
+  }
+  if (value < lo || value > hi) return false;
+  *out = value;
+  return true;
+}
+
+bool ParseNonNegative(std::string_view s, double* out) {
+  size_t digits = 0;
+  size_t dots = 0;
+  for (char c : s) {
+    if (c >= '0' && c <= '9') {
+      ++digits;
+    } else if (c == '.') {
+      ++dots;
+    } else {
+      return false;
+    }
+  }
+  if (digits == 0 || dots > 1) return false;
+  const double value = std::strtod(std::string(s).c_str(), nullptr);
+  if (!std::isfinite(value)) return false;
+  *out = value;
+  return true;
 }
 
 std::string XmlEscape(std::string_view s) {

@@ -1,6 +1,7 @@
 #ifndef FLEXPATH_COMMON_STRING_UTIL_H_
 #define FLEXPATH_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,6 +26,17 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// Joins `parts` with `sep` between consecutive elements.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
+
+/// Parses `s` as a decimal integer in [lo, hi]: digits only (no sign,
+/// space or suffix) and no overflow. False on anything else, leaving
+/// `*out` untouched.
+bool ParseUint64(std::string_view s, uint64_t lo, uint64_t hi,
+                 uint64_t* out);
+
+/// Parses `s` as a finite, non-negative decimal number (digits with at
+/// most one '.', no sign or exponent). False on anything else, leaving
+/// `*out` untouched.
+bool ParseNonNegative(std::string_view s, double* out);
 
 /// Escapes the five XML special characters (& < > " ') for serialization.
 std::string XmlEscape(std::string_view s);

@@ -58,6 +58,24 @@ void DominancePrune(const std::vector<int>& live_steps, TupleRows* rows) {
   rows->Filter([&](size_t i) { return keep[i]; });
 }
 
+/// Establishes the dominance invariant on the block `rows` produced by
+/// step `s`: hashes only where the plan says a binding died (kGroups).
+/// After a kNone step no two rows can agree on the live bindings, and a
+/// kSiblings step already kept one row per parent while extending; Debug
+/// builds check both claims by pruning a copy.
+void PruneDominated(const JoinPlan& plan, size_t s, TupleRows* rows) {
+  if (plan.DominanceAt(s) == Dominance::kGroups) {
+    DominancePrune(plan.LiveSteps(s), rows);
+    return;
+  }
+#ifndef NDEBUG
+  TupleRows copy = *rows;
+  DominancePrune(plan.LiveSteps(s), &copy);
+  assert(copy.size() == rows->size() &&
+         "a step classified kNone/kSiblings left dominated rows");
+#endif
+}
+
 /// Runs `body(begin, end, out, ctr)` over [0, n) in contiguous chunks on
 /// the pool, then concatenates per-chunk outputs and folds per-chunk
 /// counters *in chunk-index order*. Because chunk boundaries are a pure
@@ -331,7 +349,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
                       out->Append(nullptr, ref, mask, penalty);
                     }
                   });
-    DominancePrune(plan.LiveSteps(0), &tuples);
+    PruneDominated(plan, 0, &tuples);
     scan_span.Annotate("candidates", ctr.candidates_probed);
     scan_span.Annotate("tuples_out", static_cast<uint64_t>(tuples.size()));
   }
@@ -397,11 +415,23 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     // equal or later nodes, so each probe gallops on from the previous
     // one. It depends only on the rows the chunk has extended, so serial
     // and parallel runs agree.
+    //
+    // In a kSiblings step the candidates of one parent all collide under
+    // dominance, so only the best is written: a strictly lower penalty
+    // replaces it, so the first-seen candidate wins ties, as in
+    // DominancePrune. tuples_created still counts every candidate that
+    // passed the predicates and the threshold.
+    const bool best_sibling_only =
+        plan.DominanceAt(s) == Dominance::kSiblings;
     auto extend = [&](size_t i, size_t* cursor, TupleRows* out,
                       ExecCounters* c) {
       const NodeRef* parent = tuples.row(i);
       const NodeRef anchor = parent[step.anchor_step];
       bool matched = false;
+      bool has_best = false;
+      NodeRef best = kNullRef;
+      uint64_t best_mask = 0;
+      double best_penalty = 0.0;
       // In exact mode a variable absent from the round's query needs no
       // binding at all — probing would be wasted work.
       const bool skip_probe = mode == EvalMode::kExact && step.nullable;
@@ -431,8 +461,16 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
             continue;
           }
           ++c->tuples_created;
-          out->Append(parent, *it, mask, penalty);
+          if (!best_sibling_only) {
+            out->Append(parent, *it, mask, penalty);
+          } else if (!has_best || penalty < best_penalty) {
+            has_best = true;
+            best = *it;
+            best_mask = mask;
+            best_penalty = penalty;
+          }
         }
+        if (has_best) out->Append(parent, best, best_mask, best_penalty);
       }
       if (!matched && step.nullable) {
         uint64_t mask = tuples.mask(i);
@@ -520,7 +558,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
                       }
                     });
     }
-    DominancePrune(plan.LiveSteps(s), &out);
+    PruneDominated(plan, s, &out);
     tuples = std::move(out);
     step_span.Annotate("candidates", ctr.candidates_probed - candidates_before);
     step_span.Annotate("pruned", ctr.tuples_pruned - pruned_before);

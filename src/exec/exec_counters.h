@@ -15,7 +15,10 @@ namespace flexpath {
 struct ExecCounters {
   uint64_t plan_passes = 0;        ///< Full plan evaluations.
   uint64_t candidates_probed = 0;  ///< Scan-list entries examined.
-  uint64_t tuples_created = 0;     ///< Intermediate tuples materialized.
+  uint64_t tuples_created = 0;     ///< Candidate tuples that passed the
+                                   ///  required predicates and the
+                                   ///  threshold, before dominance (a
+                                   ///  losing sibling is never written).
   uint64_t tuples_pruned = 0;      ///< Tuples discarded by the threshold.
   uint64_t score_sorts = 0;        ///< Score-order sorts (SSO's weakness).
   uint64_t score_sorted_items = 0; ///< Total items passed through them.

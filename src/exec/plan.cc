@@ -158,6 +158,30 @@ Result<JoinPlan> JoinPlan::Build(const Tpq& original, const Tpq& relaxed,
     }
   }
 
+  // Dominance kernel per step. Live sets only grow going backwards, so
+  // L(s) \ {s} is a subset of L(s-1), with L(-1) empty. When they are
+  // equal no binding died at s: two output tuples that agree on L(s)
+  // agree on L(s-1), which the previous block keeps distinct, so they
+  // extend the same parent. If s itself is live they differ at s (a scan
+  // list holds each node once, and the null binding is appended only
+  // when no candidate matched), so none collide; otherwise all siblings
+  // collide. Step 0's "parent" is the whole scan list, which the pool
+  // splits across chunks, so it never takes the sibling kernel.
+  plan.dominance_.resize(vars.size());
+  for (size_t s = 0; s < vars.size(); ++s) {
+    const std::vector<int>& here = plan.live_after_step_[s];  // Ascending.
+    const bool self_live = !here.empty() && here.back() == static_cast<int>(s);
+    const size_t before = s == 0 ? 0 : plan.live_after_step_[s - 1].size();
+    const bool none_died = here.size() - (self_live ? 1 : 0) == before;
+    if (none_died && self_live) {
+      plan.dominance_[s] = Dominance::kNone;
+    } else if (none_died && s > 0) {
+      plan.dominance_[s] = Dominance::kSiblings;
+    } else {
+      plan.dominance_[s] = Dominance::kGroups;
+    }
+  }
+
   return plan;
 }
 

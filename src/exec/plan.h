@@ -39,6 +39,18 @@ struct PlanStep {
   std::vector<AttrPred> attr_preds;   ///< Value predicates (always filter).
 };
 
+/// The dominance work a plan step needs so that its output block holds no
+/// two tuples that agree on LiveSteps(s) (DESIGN.md §5, "Dominance
+/// pruning"). Chosen once per step by JoinPlan::Build from the live sets.
+///  - kNone: no binding died and the step's own binding is live, so no
+///    two tuples can agree; nothing to do.
+///  - kSiblings: no binding died but the step's binding is dead, so only
+///    the tuples extending one parent collide; keep the lowest-penalty
+///    candidate per parent (first-seen on ties).
+///  - kGroups: a binding died, so tuples of different parents may
+///    collide; group the whole block by its live bindings.
+enum class Dominance : uint8_t { kNone, kSiblings, kGroups };
+
 /// A left-deep join plan over the original query's variables with a set
 /// of relaxations encoded as optional predicates (the SSO/Hybrid plan
 /// form, Section 5.2). Build once per (query, encoded-drop-set); evaluate
@@ -101,6 +113,9 @@ class JoinPlan {
     return live_after_step_[s];
   }
 
+  /// The dominance kernel step `s` needs (see Dominance).
+  Dominance DominanceAt(size_t s) const { return dominance_[s]; }
+
  private:
   JoinPlan() = default;
 
@@ -113,6 +128,7 @@ class JoinPlan {
   std::vector<double> remaining_after_step_;   ///< See MaxRemainingPenalty.
   std::vector<ContainsChain> contains_chains_;
   std::vector<std::vector<int>> live_after_step_;  ///< See LiveSteps.
+  std::vector<Dominance> dominance_;               ///< See DominanceAt.
 };
 
 }  // namespace flexpath

@@ -1,3 +1,4 @@
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
@@ -168,6 +169,43 @@ TEST(StringUtilTest, StartsEndsWith) {
 TEST(StringUtilTest, Join) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(Join({}, ","), "");
+}
+
+TEST(StringUtilTest, ParseUint64AcceptsOnlyDecimalsInRange) {
+  uint64_t v = 7;
+  EXPECT_TRUE(ParseUint64("0", 0, 65535, &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseUint64("65535", 0, 65535, &v));
+  EXPECT_EQ(v, 65535u);
+  EXPECT_TRUE(ParseUint64("18446744073709551615", 0, UINT64_MAX, &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  v = 7;
+  for (const char* bad : {"", "65536", "70000", "abc", "-1", "+1", " 1",
+                          "1 ", "1e3", "0x10", "18446744073709551616"}) {
+    EXPECT_FALSE(ParseUint64(bad, 0, 65535, &v)) << bad;
+  }
+  EXPECT_FALSE(ParseUint64("18446744073709551616", 0, UINT64_MAX, &v));
+  EXPECT_FALSE(ParseUint64("3", 4, 10, &v));
+  EXPECT_EQ(v, 7u);
+}
+
+TEST(StringUtilTest, ParseNonNegativeAcceptsOnlyPlainNumbers) {
+  double v = -1.0;
+  EXPECT_TRUE(ParseNonNegative("0", &v));
+  EXPECT_EQ(v, 0.0);
+  EXPECT_TRUE(ParseNonNegative("2.5", &v));
+  EXPECT_EQ(v, 2.5);
+  EXPECT_TRUE(ParseNonNegative(".5", &v));
+  EXPECT_EQ(v, 0.5);
+  EXPECT_TRUE(ParseNonNegative("3.", &v));
+  EXPECT_EQ(v, 3.0);
+  v = -1.0;
+  for (const char* bad : {"", ".", "abc", "-1", "+1", "1.2.3", "1e3", "inf",
+                          "nan", " 1", "1ms"}) {
+    EXPECT_FALSE(ParseNonNegative(bad, &v)) << bad;
+  }
+  EXPECT_FALSE(ParseNonNegative(std::string(400, '9'), &v));
+  EXPECT_EQ(v, -1.0);
 }
 
 TEST(StringUtilTest, XmlEscape) {
