@@ -38,7 +38,7 @@
 //   :synonym A B               register B as a synonym of A
 //   :stats                     corpus + per-query-shape statistics
 //   :slowlog                   slow-query log (see --slow-query-ms)
-//   :cache                     show cache statistics (JSON)
+//   :cache                     IR contains-result cache statistics (JSON)
 //   :trace [FILE]              Chrome-trace JSON of the last traced query
 //                              (stdout, or written to FILE); load it in
 //                              chrome://tracing or ui.perfetto.dev
@@ -234,7 +234,7 @@ void PrintHelp() {
       "  :synonym A B             thesaurus entry (B relaxes A)\n"
       "  :stats                   corpus + per-query-shape statistics\n"
       "  :slowlog                 slow-query log\n"
-      "  :cache                   cache statistics\n"
+      "  :cache                   IR contains-result cache statistics\n"
       "  :trace [FILE]            Chrome-trace JSON of the last traced query\n"
       "  :help, :quit\n");
 }
@@ -559,34 +559,7 @@ int Repl(CliState& state) {
     } else if (cmd == ":slowlog") {
       PrintSlowLog(state);
     } else if (cmd == ":cache") {
-      // Two distinct cache families live behind one engine: the
-      // query-level IR caches (contains results, merged scans) and —
-      // for a packed corpus — the storage buffer pools, which cache
-      // *decoded file blocks*, not derived results.
-      std::printf("query IR caches:\n  %s\n",
-                  state.fp.CacheStatsJson().c_str());
-      const flexpath::storage::StorageReader* reader =
-          state.fp.packed_reader();
-      if (reader == nullptr) {
-        std::printf("storage buffer pools: (not a packed corpus)\n");
-      } else {
-        const auto print_pool =
-            [](const char* pool_name,
-               const flexpath::storage::StorageReader::PoolStats& s) {
-              std::printf(
-                  "  %-15s %llu hits / %llu misses / %llu evictions, "
-                  "%zu entries, %zu of %zu bytes\n",
-                  pool_name, static_cast<unsigned long long>(s.hits),
-                  static_cast<unsigned long long>(s.misses),
-                  static_cast<unsigned long long>(s.evictions),
-                  s.entries, s.bytes, s.budget);
-            };
-        std::printf(
-            "storage buffer pools (decoded-block pools of the packed "
-            "file, not derived-result caches):\n");
-        print_pool("element tables:", reader->GetElemPoolStats());
-        print_pool("posting lists:", reader->GetPostPoolStats());
-      }
+      std::printf("%s\n", state.fp.CacheStatsJson().c_str());
     } else if (cmd == ":trace") {
       const std::string chrome = state.fp.LastTraceChromeJson();
       if (chrome.empty()) {

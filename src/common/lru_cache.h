@@ -15,8 +15,8 @@ namespace flexpath {
 /// even if the cache evicts it a moment later — eviction can never
 /// invalidate a handed-out result.
 ///
-/// Not thread-safe: callers that share an instance across threads guard
-/// it with their own mutex (see ElementIndex, IrEngine, StorageReader).
+/// Not thread-safe: a caller that shares an instance across threads
+/// guards it with its own mutex (see IrEngine).
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class LruByteCache {
  public:
@@ -55,12 +55,6 @@ class LruByteCache {
     return true;
   }
 
-  /// Shrinks (or grows) the budget, evicting immediately if over.
-  void SetBudget(size_t budget_bytes) {
-    budget_ = budget_bytes;
-    EvictToBudget();
-  }
-
   size_t size() const { return map_.size(); }
   size_t bytes() const { return bytes_; }
   size_t budget() const { return budget_; }
@@ -83,7 +77,7 @@ class LruByteCache {
     }
   }
 
-  size_t budget_;
+  const size_t budget_;
   size_t bytes_ = 0;
   uint64_t evictions_ = 0;
   std::list<Entry> order_;  ///< Front = most recent.

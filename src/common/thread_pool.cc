@@ -162,20 +162,4 @@ std::vector<std::pair<size_t, size_t>> ChunkRanges(const ThreadPool* pool,
   return ranges;
 }
 
-void ParallelFor(ThreadPool* pool, size_t n, size_t grain,
-                 const std::function<void(size_t, size_t)>& body) {
-  const std::vector<std::pair<size_t, size_t>> ranges =
-      ChunkRanges(pool, n, grain);
-  if (ranges.empty()) return;
-  if (ranges.size() == 1) {
-    body(ranges[0].first, ranges[0].second);
-    return;
-  }
-  TaskGroup group(pool);
-  for (const auto& [begin, end] : ranges) {
-    group.Run([&body, begin = begin, end = end] { body(begin, end); });
-  }
-  group.Wait();
-}
-
 }  // namespace flexpath

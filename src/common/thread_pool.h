@@ -18,8 +18,7 @@ namespace flexpath {
 /// the query pipeline's fan-out points (relaxation rounds, per-step tuple
 /// chunks): tasks are small closures over shared *immutable* state, so
 /// the pool provides scheduling only — no per-task results, no futures.
-/// Use TaskGroup or ParallelFor on top for joining and exception
-/// propagation.
+/// Use TaskGroup on top for joining and exception propagation.
 ///
 /// Threads are started in the constructor and joined in the destructor;
 /// destruction drains every task already queued (tasks submitted by
@@ -41,15 +40,14 @@ class ThreadPool {
   /// Enqueues one task. Safe to call from any thread, including pool
   /// workers (a task may submit follow-up tasks). Tasks must not throw —
   /// an escaping exception terminates the process, as from any thread;
-  /// route fallible work through TaskGroup/ParallelFor, which catch and
-  /// re-throw on the joining thread.
+  /// route fallible work through TaskGroup, which catches and re-throws
+  /// on the joining thread.
   void Submit(std::function<void()> task);
 
   /// True when the calling thread is a worker of *any* ThreadPool. Used
-  /// to run nested fan-outs inline: a task that itself calls ParallelFor
-  /// must not block on sub-tasks queued behind it (deadlock when every
-  /// worker waits this way), and the outer fan-out already owns the
-  /// parallelism.
+  /// to run nested fan-outs inline: a task that itself fans out must not
+  /// block on sub-tasks queued behind it (deadlock when every worker
+  /// waits this way), and the outer fan-out already owns the parallelism.
   static bool OnWorkerThread();
 
   /// Index of the calling worker within its pool, or -1 off-pool. Stable
@@ -135,19 +133,6 @@ class TaskGroup {
 /// results independent of thread count and scheduling.
 std::vector<std::pair<size_t, size_t>> ChunkRanges(const ThreadPool* pool,
                                                    size_t n, size_t grain);
-
-/// Splits [0, n) into contiguous chunks of at most `grain` items and runs
-/// `body(begin, end)` over them on the pool, blocking until all chunks
-/// finish. Exceptions propagate like TaskGroup's (first chunk wins).
-/// Chunk boundaries depend only on (n, grain, pool size) and results are
-/// typically concatenated in chunk order, so outputs are independent of
-/// thread scheduling — the caller-side pattern for deterministic merges.
-///
-/// Runs entirely inline (one body(0, n) call) when `pool` is null, has a
-/// single worker, n <= grain, or the caller is itself a pool worker
-/// (nested fan-out; see ThreadPool::OnWorkerThread). n == 0 is a no-op.
-void ParallelFor(ThreadPool* pool, size_t n, size_t grain,
-                 const std::function<void(size_t, size_t)>& body);
 
 }  // namespace flexpath
 

@@ -129,8 +129,7 @@ Status FlexPath::SavePacked(const std::string& path) const {
   return Status::OK();
 }
 
-Status FlexPath::OpenPacked(const std::string& path,
-                            storage::ReaderOptions reader_opts) {
+Status FlexPath::OpenPacked(const std::string& path) {
   if (built_) return Status::InvalidArgument("Build() already called");
   if (corpus_.size() != 0) {
     return Status::InvalidArgument(
@@ -140,7 +139,7 @@ Status FlexPath::OpenPacked(const std::string& path,
   {
     Span span(&collector, "map_and_validate");
     Result<std::shared_ptr<storage::StorageReader>> reader =
-        storage::StorageReader::Open(path, reader_opts);
+        storage::StorageReader::Open(path);
     if (!reader.ok()) return reader.status();
     reader_ = std::move(reader).value();
   }
@@ -407,41 +406,6 @@ std::string FlexPath::CacheStatsJson() const {
     out += ",\"entries\":" + std::to_string(ir.entries);
     out += ",\"bytes\":" + std::to_string(ir.bytes);
     out += ",\"budget\":" + std::to_string(ir.budget);
-    out += '}';
-  } else {
-    out += "null";
-  }
-  out += ",\"merged_scan_cache\":";
-  if (element_index_ != nullptr) {
-    const ElementIndex::MergedCacheStats ms =
-        element_index_->GetMergedCacheStats();
-    out += "{\"hits\":" + std::to_string(ms.hits);
-    out += ",\"misses\":" + std::to_string(ms.misses);
-    out += ",\"evictions\":" + std::to_string(ms.evictions);
-    out += ",\"entries\":" + std::to_string(ms.entries);
-    out += ",\"bytes\":" + std::to_string(ms.bytes);
-    out += ",\"budget\":" + std::to_string(ms.budget);
-    out += '}';
-  } else {
-    out += "null";
-  }
-  // The storage buffer pools are a different animal from the caches
-  // above: they cache *decoded on-disk pages* (element tables, posting
-  // lists), not derived results, and exist only for packed corpora.
-  out += ",\"storage_buffer_pool\":";
-  if (reader_ != nullptr) {
-    auto pool_json = [](const storage::StorageReader::PoolStats& s) {
-      std::string p = "{\"hits\":" + std::to_string(s.hits);
-      p += ",\"misses\":" + std::to_string(s.misses);
-      p += ",\"evictions\":" + std::to_string(s.evictions);
-      p += ",\"entries\":" + std::to_string(s.entries);
-      p += ",\"bytes\":" + std::to_string(s.bytes);
-      p += ",\"budget\":" + std::to_string(s.budget);
-      p += '}';
-      return p;
-    };
-    out += "{\"element_tables\":" + pool_json(reader_->GetElemPoolStats());
-    out += ",\"posting_lists\":" + pool_json(reader_->GetPostPoolStats());
     out += '}';
   } else {
     out += "null";

@@ -107,11 +107,10 @@ class FlexPath {
   /// Must be called on a fresh instance (no documents added, not built);
   /// leaves the instance queryable (built() == true). Populate
   /// type_hierarchy() before calling, as with Build().
-  Status OpenPacked(const std::string& path,
-                    storage::ReaderOptions reader_opts = {});
+  Status OpenPacked(const std::string& path);
 
   /// Non-null after a successful OpenPacked: the mmap-backed reader,
-  /// exposing buffer-pool stats and the file header.
+  /// exposing the file header.
   const storage::StorageReader* packed_reader() const {
     return reader_.get();
   }
@@ -197,11 +196,9 @@ class FlexPath {
   /// and slow-query log; see QueryStatsStore::ToJson() for the schema.
   std::string QueryStatsJson() const { return query_stats_.ToJson(); }
 
-  /// One JSON object with the state of every cache: this instance's IR
-  /// contains-result cache, its merged-scan cache, and — for a packed
-  /// corpus — the storage buffer pools (element tables and posting
-  /// lists; null otherwise). Fields for the instance caches are null
-  /// before Build()/OpenPacked().
+  /// One JSON object with the state of the one budgeted cache, the IR
+  /// contains-result cache: {"ir_cache":{evictions,entries,bytes,
+  /// budget}}, or {"ir_cache":null} before Build()/OpenPacked().
   std::string CacheStatsJson() const;
 
   /// Phase-by-phase trace of the last Build() call (element index,

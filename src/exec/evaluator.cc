@@ -322,9 +322,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     Span scan_span(trace, "scan_step");
     scan_span.Annotate("step", uint64_t{0});
     scan_span.Annotate("tag", corpus.tags().Name(step0.tag));
-    // The handle pins the list against LRU eviction of merged supertype
-    // scans (a plain vector reference would dangle).
-    const ScanHandle scan0 = index_->Scan(step0.tag);
+    const auto& scan0 = index_->Scan(step0.tag);
     ChunkedExtend(pool, scan0.size(), /*grain=*/1024, &tuples, &ctr,
                   &pass_worker_cpu_ms,
                   [&](size_t begin, size_t end, TupleRows* out,
@@ -404,7 +402,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     double bound = -std::numeric_limits<double>::infinity();
     if (prune) bound = prune_bound(s - 1);
 
-    const ScanHandle scan = index_->Scan(step.tag);  // Pins the list.
+    const auto& scan = index_->Scan(step.tag);
 
     // Extends row `i` of `tuples` through this step into `out`, tallying
     // work into `c` — chunk-local when running under a pool fan-out, so

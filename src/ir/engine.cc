@@ -169,11 +169,6 @@ std::shared_ptr<const ContainsResult> IrEngine::Evaluate(const FtExpr& expr) {
   return result;
 }
 
-void IrEngine::SetCacheBudget(size_t budget_bytes) {
-  MutexLock lock(cache_mu_);
-  cache_.SetBudget(budget_bytes);
-}
-
 IrEngine::CacheStats IrEngine::GetCacheStats() const {
   MutexLock lock(cache_mu_);
   CacheStats s;
@@ -227,7 +222,7 @@ std::vector<NodeRef> IrEngine::DirectMatches(const FtExpr& expr) const {
   std::vector<NodeRef> out;
   if (expr.kind() == FtKind::kTerm) {
     if (expr.term().empty()) return out;  // normalized-away stopword
-    const std::shared_ptr<const PostingList> list = index_.Find(expr.term());
+    const PostingList* list = index_.Find(expr.term());
     if (list == nullptr) return out;
     m_scanned->Inc(list->postings.size());
     out.reserve(list->postings.size());
@@ -238,12 +233,11 @@ std::vector<NodeRef> IrEngine::DirectMatches(const FtExpr& expr) const {
   // within each candidate element.
   const std::vector<std::string>& words = expr.phrase();
   if (words.empty()) return out;
-  // The handles pin pooled lists (packed mode) for the whole walk below.
-  std::vector<std::shared_ptr<const PostingList>> lists;
+  std::vector<const PostingList*> lists;
   for (const std::string& w : words) {
-    std::shared_ptr<const PostingList> list = index_.Find(w);
+    const PostingList* list = index_.Find(w);
     if (list == nullptr) return out;
-    lists.push_back(std::move(list));
+    lists.push_back(list);
   }
   m_scanned->Inc(lists[0]->postings.size());
   // Walk the first list; probe the others.
@@ -356,7 +350,7 @@ std::vector<NodeRef> IrEngine::AncestorClosure(
 
 void IrEngine::AddTermScores(const std::string& term,
                              std::vector<ScoredNode>* specific) const {
-  const std::shared_ptr<const PostingList> list = index_.Find(term);
+  const PostingList* list = index_.Find(term);
   if (list == nullptr || specific->empty()) return;
   const double idf = index_.Idf(term);
   // Most-specific nodes are sorted and pairwise disjoint, so one forward

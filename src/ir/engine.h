@@ -78,7 +78,9 @@ class ContainsResult {
 /// The full-text search engine of the FleXPath architecture (Figure 7):
 /// evaluates contains predicates and returns ranked (node, score) lists.
 /// Results are cached by canonical expression text in a byte-budgeted
-/// LRU (the cache used to grow without bound); callers hold results as
+/// LRU, the engine's one budgeted cache: its keys are user expressions,
+/// so unlike the per-tag and per-term lists the indexes keep, their
+/// number is not bounded by the corpus. Callers hold results as
 /// shared_ptr, so eviction never invalidates one in use.
 class IrEngine {
  public:
@@ -102,10 +104,6 @@ class IrEngine {
   /// lock). The returned result stays valid as long as the caller holds
   /// the pointer, even if the LRU evicts the entry meanwhile.
   std::shared_ptr<const ContainsResult> Evaluate(const FtExpr& expr);
-
-  /// Adjusts the contains-result cache budget, evicting immediately if
-  /// over.
-  void SetCacheBudget(size_t budget_bytes);
 
   struct CacheStats {
     uint64_t evictions = 0;

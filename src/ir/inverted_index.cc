@@ -43,15 +43,14 @@ InvertedIndex::InvertedIndex(const Corpus* corpus, TokenizerOptions opts,
       total_elements_(corpus->TotalNodes()),  // Directory-served; no decode.
       source_(std::move(source)) {}
 
-std::shared_ptr<const PostingList> InvertedIndex::Find(
-    const std::string& term) const {
-  if (source_ != nullptr) return source_->FindPostings(term);
+const PostingList* InvertedIndex::Find(const std::string& term) const {
+  MutexLock lock(mu_);
   auto it = index_.find(term);
-  if (it == index_.end()) return nullptr;
-  // Non-owning handle: the index owns the list for its whole lifetime,
-  // so the control block is empty and the deleter a no-op.
-  return std::shared_ptr<const PostingList>(std::shared_ptr<const void>(),
-                                            &it->second);
+  if (it != index_.end()) return &it->second;
+  if (source_ == nullptr) return nullptr;
+  std::optional<PostingList> list = source_->FindPostings(term);
+  if (!list.has_value()) return nullptr;
+  return &index_.emplace(term, std::move(*list)).first->second;
 }
 
 double InvertedIndex::Idf(const std::string& term) const {
@@ -62,22 +61,21 @@ double InvertedIndex::Idf(const std::string& term) const {
     if (source_->TermInfo(term, &df32, &total_tf)) {
       df = static_cast<double>(df32);
     }
-  } else {
-    auto it = index_.find(term);
-    if (it != index_.end()) {
-      df = static_cast<double>(it->second.postings.size());
-    }
+  } else if (const PostingList* list = Find(term)) {
+    df = static_cast<double>(list->postings.size());
   }
   return std::log(1.0 + static_cast<double>(total_elements_) / (1.0 + df));
 }
 
 size_t InvertedIndex::vocabulary_size() const {
-  return source_ != nullptr ? source_->TermCount() : index_.size();
+  if (source_ != nullptr) return source_->TermCount();
+  MutexLock lock(mu_);
+  return index_.size();
 }
 
 uint64_t InvertedIndex::SubtreeTermFrequency(const std::string& term,
                                              NodeRef context) const {
-  const std::shared_ptr<const PostingList> list = Find(term);
+  const PostingList* list = Find(term);
   if (list == nullptr) return 0;
   const NodeSpan& ctx = corpus_->span(context);
   // Subtree postings form a contiguous run: same doc, start in
@@ -101,7 +99,15 @@ uint64_t InvertedIndex::SubtreeTermFrequency(const std::string& term,
 void InvertedIndex::ForEachTerm(
     const std::function<void(const std::string&, const PostingList&)>& fn)
     const {
-  for (const auto& [term, list] : index_) fn(term, list);
+  // Lists never move or change once inserted, so `fn` can run unlocked
+  // (and may itself call Find).
+  std::vector<std::pair<const std::string*, const PostingList*>> entries;
+  {
+    MutexLock lock(mu_);
+    entries.reserve(index_.size());
+    for (const auto& [term, list] : index_) entries.emplace_back(&term, &list);
+  }
+  for (const auto& [term, list] : entries) fn(*term, *list);
 }
 
 }  // namespace flexpath

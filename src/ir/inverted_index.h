@@ -4,11 +4,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "ir/tokenizer.h"
 #include "xml/corpus.h"
 
@@ -30,8 +33,9 @@ struct PostingList {
 /// On-demand provider of posting lists. A packed corpus
 /// (storage/reader.h) implements this over its block-compressed posting
 /// section: term metadata (df, total tf) is answered from the term
-/// directory without decoding, and full lists decode into the buffer
-/// pool. Declared here so ir/ stays independent of storage/.
+/// directory without decoding, and a full list is decoded afresh on
+/// every call (InvertedIndex keeps what it decodes). Declared here so
+/// ir/ stays independent of storage/.
 class PostingSource {
  public:
   virtual ~PostingSource() = default;
@@ -41,9 +45,9 @@ class PostingSource {
   virtual bool TermInfo(const std::string& term, uint32_t* df,
                         uint64_t* total_tf) const = 0;
 
-  /// Full posting list for `term` (decoded or buffer-pool hit), or null
-  /// for unknown terms. The shared_ptr pins the list against eviction.
-  virtual std::shared_ptr<const PostingList> FindPostings(
+  /// Full posting list for `term`, freshly decoded, or nullopt for
+  /// unknown terms.
+  virtual std::optional<PostingList> FindPostings(
       const std::string& term) const = 0;
 
   /// Number of distinct terms in the directory.
@@ -55,9 +59,10 @@ class PostingSource {
 /// statistics are derived at query time from the interval encoding.
 ///
 /// Two modes: the in-memory mode tokenizes the whole corpus at build
-/// time; the packed mode (PostingSource ctor) holds no lists at all and
-/// forwards every lookup to the source. Both return identical data —
-/// the differential suite asserts byte-identical query answers.
+/// time; the packed mode (PostingSource ctor) starts with no lists and
+/// decodes each term's list from the source on its first Find, keeping
+/// it for the index's lifetime. Both return identical data — the
+/// differential suite asserts byte-identical query answers.
 class InvertedIndex {
  public:
   /// Builds the index in one corpus pass. `corpus` must outlive the
@@ -71,11 +76,11 @@ class InvertedIndex {
   InvertedIndex(const InvertedIndex&) = delete;
   InvertedIndex& operator=(const InvertedIndex&) = delete;
 
-  /// Returns the posting list for a normalized term, or null. The
-  /// shared_ptr keeps the list valid even if a packed reader's buffer
-  /// pool evicts it concurrently (in-memory lists are owned by the index
-  /// itself; their handle is non-owning).
-  std::shared_ptr<const PostingList> Find(const std::string& term) const;
+  /// Returns the posting list for a normalized term, or null. The list
+  /// lives as long as the index; in packed mode the first Find of a term
+  /// decodes it, and every later Find returns the same list. Safe to call
+  /// from concurrent query workers.
+  const PostingList* Find(const std::string& term) const;
 
   /// Inverse document frequency of `term` at element granularity:
   /// log(1 + N / (1 + df)). Zero-df terms still get a finite value. In
@@ -108,9 +113,14 @@ class InvertedIndex {
  private:
   const Corpus* corpus_;
   TokenizerOptions opts_;
-  std::unordered_map<std::string, PostingList> index_;
+  /// Guards index_, which packed mode fills on each term's first Find.
+  /// Lists are never erased or modified once inserted, and the map is
+  /// node-based, so a pointer Find hands out stays valid.
+  mutable Mutex mu_;
+  mutable std::unordered_map<std::string, PostingList> index_
+      GUARDED_BY(mu_);
   uint64_t total_elements_ = 0;
-  /// Packed mode: non-null; index_ stays empty.
+  /// Packed mode: non-null; index_ holds the terms decoded so far.
   std::shared_ptr<const PostingSource> source_;
 };
 

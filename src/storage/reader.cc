@@ -41,21 +41,6 @@ Status GetString(std::string_view data, size_t* pos, std::string* out) {
 /// Expected skip-block count for an `n`-key list.
 uint64_t BlocksFor(uint64_t n) { return (n + kBlockKeys - 1) / kBlockKeys; }
 
-/// Charged pool size of a decoded element table.
-size_t TagListBytes(const std::vector<NodeRef>& list) {
-  return sizeof(std::vector<NodeRef>) + list.capacity() * sizeof(NodeRef);
-}
-
-/// Charged pool size of a decoded posting list.
-size_t PostingListBytes(const PostingList& list) {
-  size_t bytes = sizeof(PostingList);
-  bytes += list.postings.capacity() * sizeof(Posting);
-  for (const Posting& p : list.postings) {
-    bytes += p.positions.capacity() * sizeof(uint32_t);
-  }
-  return bytes;
-}
-
 /// Reads a varint of at most 32 bits; false on truncation or overflow.
 /// The structure decode's inner loop: a one-byte value (every tag and
 /// level below 128) takes the fast path.
@@ -91,7 +76,7 @@ Status DecodePairMap(std::string_view data, size_t* pos,
 }  // namespace
 
 Result<std::shared_ptr<StorageReader>> StorageReader::Open(
-    const std::string& path, Options options) {
+    const std::string& path) {
   const auto t0 = std::chrono::steady_clock::now();
   Result<MmapFile> file = MmapFile::Open(path);
   if (!file.ok()) return file.status();
@@ -99,7 +84,6 @@ Result<std::shared_ptr<StorageReader>> StorageReader::Open(
   std::shared_ptr<StorageReader> reader(new StorageReader());
   reader->file_ = std::move(file).value();
   FLEXPATH_RETURN_IF_ERROR(reader->Validate());
-  reader->SetPoolBudgets(options.elem_pool_bytes, options.post_pool_bytes);
   const double open_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)
@@ -416,32 +400,17 @@ size_t StorageReader::TagListCount(TagId tag) const {
              : 0;
 }
 
-std::shared_ptr<const std::vector<NodeRef>> StorageReader::TagList(
-    TagId tag) const {
-  static Counter* m_hits =
-      MetricsRegistry::Global().counter("storage.elem_pool_hits");
-  static Counter* m_misses =
-      MetricsRegistry::Global().counter("storage.elem_pool_misses");
-  if (tag >= header_.tag_count) {
-    return std::make_shared<const std::vector<NodeRef>>();
-  }
-  MutexLock lock(elem_pool_mu_);
-  if (std::shared_ptr<const std::vector<NodeRef>> hit = elem_pool_.Get(tag)) {
-    ++elem_hits_;
-    m_hits->Inc();
-    return hit;
-  }
-  ++elem_misses_;
-  m_misses->Inc();
+std::vector<NodeRef> StorageReader::TagList(TagId tag) const {
+  std::vector<NodeRef> list;
+  if (tag >= header_.tag_count) return list;
   const ElemDirRecord& rec = elem_dir_[tag];
   const std::string_view bytes = Section(kSecElemBlocks)
                                      .substr(static_cast<size_t>(rec.offset),
                                              static_cast<size_t>(rec.length));
   std::vector<uint64_t> keys;
   Status decoded = DecodeKeyBlocks(bytes, rec.count, &keys);
-  auto list = std::make_shared<std::vector<NodeRef>>();
   if (decoded.ok()) {
-    list->reserve(keys.size());
+    list.reserve(keys.size());
     for (uint64_t key : keys) {
       // The evaluator indexes the named document's node arrays with
       // these keys, so each must name a node that exists.
@@ -449,10 +418,10 @@ std::shared_ptr<const std::vector<NodeRef>> StorageReader::TagList(
       if (ref.doc >= header_.doc_count ||
           ref.node >= doc_dir_[ref.doc].node_count) {
         decoded = Status::InvalidArgument("element key out of range");
-        list->clear();
+        list.clear();
         break;
       }
-      list->push_back(ref);
+      list.push_back(ref);
     }
   }
   if (decoded.ok()) {
@@ -464,9 +433,7 @@ std::shared_ptr<const std::vector<NodeRef>> StorageReader::TagList(
                        {"tag", static_cast<uint64_t>(tag)},
                        {"error", decoded.ToString()});
   }
-  std::shared_ptr<const std::vector<NodeRef>> owned = std::move(list);
-  elem_pool_.Put(tag, owned, TagListBytes(*owned));
-  return owned;
+  return list;
 }
 
 std::string_view StorageReader::TermBytes(const TermDirRecord& rec) const {
@@ -564,43 +531,30 @@ Status StorageReader::DecodePostingBlock(std::string_view post_bytes,
   return Status::OK();
 }
 
-std::shared_ptr<const PostingList> StorageReader::FindPostings(
+std::optional<PostingList> StorageReader::FindPostings(
     const std::string& term) const {
-  static Counter* m_hits =
-      MetricsRegistry::Global().counter("storage.post_pool_hits");
-  static Counter* m_misses =
-      MetricsRegistry::Global().counter("storage.post_pool_misses");
   const int64_t idx = FindTermIndex(term);
-  if (idx < 0) return nullptr;
-  MutexLock lock(post_pool_mu_);
-  if (std::shared_ptr<const PostingList> hit =
-          post_pool_.Get(static_cast<uint32_t>(idx))) {
-    ++post_hits_;
-    m_hits->Inc();
-    return hit;
-  }
-  ++post_misses_;
-  m_misses->Inc();
+  if (idx < 0) return std::nullopt;
   const TermDirRecord& rec = term_dir_[idx];
   const std::string_view bytes =
       Section(kSecPostBlocks)
           .substr(static_cast<size_t>(rec.post_offset),
                   static_cast<size_t>(rec.post_length));
-  auto list = std::make_shared<PostingList>();
-  list->postings.reserve(rec.df);
+  PostingList list;
+  list.postings.reserve(rec.df);
   Status decoded = Status::OK();
   for (uint32_t b = 0; b < rec.skip_count && decoded.ok(); ++b) {
-    const size_t first = list->postings.size();
+    const size_t first = list.postings.size();
     decoded = DecodePostingBlock(bytes, post_skips_[rec.skip_index + b],
-                                 &list->postings);
+                                 &list.postings);
     // Keys rise within a block; the list must also rise across blocks,
     // since the IR closure and merges take it as sorted and unique.
-    if (decoded.ok() && first > 0 && first < list->postings.size() &&
-        !(list->postings[first - 1].node < list->postings[first].node)) {
+    if (decoded.ok() && first > 0 && first < list.postings.size() &&
+        !(list.postings[first - 1].node < list.postings[first].node)) {
       decoded = Status::InvalidArgument("posting blocks out of order");
     }
   }
-  if (decoded.ok() && list->postings.size() != rec.df) {
+  if (decoded.ok() && list.postings.size() != rec.df) {
     decoded = Status::InvalidArgument("posting count mismatch");
   }
   if (!decoded.ok()) {
@@ -608,45 +562,9 @@ std::shared_ptr<const PostingList> StorageReader::FindPostings(
     // nothing) list plus a log line, never a crash.
     FLEXPATH_LOG_ERROR("storage", "posting list decode failed",
                        {"term", term}, {"error", decoded.ToString()});
-    list->postings.clear();
+    list.postings.clear();
   }
-  std::shared_ptr<const PostingList> owned = std::move(list);
-  post_pool_.Put(static_cast<uint32_t>(idx), owned, PostingListBytes(*owned));
-  return owned;
-}
-
-StorageReader::PoolStats StorageReader::GetElemPoolStats() const {
-  MutexLock lock(elem_pool_mu_);
-  PoolStats s;
-  s.hits = elem_hits_;
-  s.misses = elem_misses_;
-  s.evictions = elem_pool_.evictions();
-  s.entries = elem_pool_.size();
-  s.bytes = elem_pool_.bytes();
-  s.budget = elem_pool_.budget();
-  return s;
-}
-
-StorageReader::PoolStats StorageReader::GetPostPoolStats() const {
-  MutexLock lock(post_pool_mu_);
-  PoolStats s;
-  s.hits = post_hits_;
-  s.misses = post_misses_;
-  s.evictions = post_pool_.evictions();
-  s.entries = post_pool_.size();
-  s.bytes = post_pool_.bytes();
-  s.budget = post_pool_.budget();
-  return s;
-}
-
-void StorageReader::SetPoolBudgets(size_t elem_pool_bytes,
-                                   size_t post_pool_bytes) {
-  {
-    MutexLock lock(elem_pool_mu_);
-    elem_pool_.SetBudget(elem_pool_bytes);
-  }
-  MutexLock lock(post_pool_mu_);
-  post_pool_.SetBudget(post_pool_bytes);
+  return list;
 }
 
 std::string StorageReader::InspectJson() const {

@@ -3,14 +3,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/lru_cache.h"
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "ir/inverted_index.h"
 #include "ir/tokenizer.h"
 #include "stats/document_stats.h"
@@ -32,34 +30,23 @@ namespace storage {
 ///
 /// Fixed-width structures (directories, skip tables) are *pointed at* in
 /// the mapping — never copied. Variable structures (element tables,
-/// posting lists) decode on first touch into two byte-budgeted LRU buffer
-/// pools; handed-out shared_ptrs pin entries across eviction exactly like
-/// the engine's other caches. Open() validates the header, section table,
-/// and directory bounds and returns a Status — corrupt or truncated files
-/// are an error, never a crash — but does not touch block payloads, which
-/// is why opening a multi-GB corpus is O(directories), not O(data).
+/// posting lists) are decoded afresh on every call: the reader keeps no
+/// decoded state, and each index keeps what it decodes for its session.
+/// Open() validates the header, section table, and directory bounds and
+/// returns a Status — corrupt or truncated files are an error, never a
+/// crash — but does not touch block payloads, which is why opening a
+/// multi-GB corpus is O(directories), not O(data).
 ///
-/// Thread safety: all methods are const and safe for concurrent use; the
-/// pools are internally locked.
-/// Buffer-pool budgets for StorageReader::Open.
-struct ReaderOptions {
-  /// Byte budget of the element-table buffer pool.
-  size_t elem_pool_bytes = size_t{64} << 20;
-  /// Byte budget of the posting-list buffer pool.
-  size_t post_pool_bytes = size_t{64} << 20;
-};
-
+/// Thread safety: all methods are const and safe for concurrent use.
 class StorageReader : public CorpusBacking,
                       public ElementTableSource,
                       public PostingSource {
  public:
-  using Options = ReaderOptions;
-
   /// Maps `path` and validates everything reachable without decoding
   /// blocks: magic, version, endianness, page size, section table, and
   /// all directory records (bounds against their sections).
   static Result<std::shared_ptr<StorageReader>> Open(
-      const std::string& path, Options options = Options());
+      const std::string& path);
 
   ~StorageReader() override = default;
   StorageReader(const StorageReader&) = delete;
@@ -97,35 +84,19 @@ class StorageReader : public CorpusBacking,
 
   // ---- ElementTableSource. ----
   size_t TagListCount(TagId tag) const override;
-  std::shared_ptr<const std::vector<NodeRef>> TagList(
-      TagId tag) const override;
+  std::vector<NodeRef> TagList(TagId tag) const override;
 
   // ---- PostingSource. ----
   bool TermInfo(const std::string& term, uint32_t* df,
                 uint64_t* total_tf) const override;
-  std::shared_ptr<const PostingList> FindPostings(
+  std::optional<PostingList> FindPostings(
       const std::string& term) const override;
   size_t TermCount() const override {
     return static_cast<size_t>(header_.term_count);
   }
 
-  // ---- Buffer-pool introspection (the /metrics + :cache surface). ----
-  struct PoolStats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    size_t entries = 0;
-    size_t bytes = 0;
-    size_t budget = 0;
-  };
-  PoolStats GetElemPoolStats() const;
-  PoolStats GetPostPoolStats() const;
-  void SetPoolBudgets(size_t elem_pool_bytes, size_t post_pool_bytes);
-
  private:
-  StorageReader()
-      : elem_pool_(Options().elem_pool_bytes),
-        post_pool_(Options().post_pool_bytes) {}
+  StorageReader() = default;
 
   /// Section payload bytes (exact length, padding excluded).
   std::string_view Section(uint32_t id) const {
@@ -159,18 +130,6 @@ class StorageReader : public CorpusBacking,
   const TermDirRecord* term_dir_ = nullptr;
   const SkipEntry* post_skips_ = nullptr;
   size_t post_skip_count_ = 0;
-
-  mutable Mutex elem_pool_mu_;
-  mutable LruByteCache<TagId, std::vector<NodeRef>> elem_pool_
-      GUARDED_BY(elem_pool_mu_);
-  mutable uint64_t elem_hits_ GUARDED_BY(elem_pool_mu_) = 0;
-  mutable uint64_t elem_misses_ GUARDED_BY(elem_pool_mu_) = 0;
-
-  mutable Mutex post_pool_mu_;
-  mutable LruByteCache<uint32_t, PostingList> post_pool_
-      GUARDED_BY(post_pool_mu_);
-  mutable uint64_t post_hits_ GUARDED_BY(post_pool_mu_) = 0;
-  mutable uint64_t post_misses_ GUARDED_BY(post_pool_mu_) = 0;
 };
 
 }  // namespace storage

@@ -232,11 +232,13 @@ TEST(LruByteCacheTest, LruEvictsLeastRecentlyUsedUnderTinyBudget) {
   EXPECT_FALSE(put(4, 101));
   EXPECT_EQ(cache.size(), 2u);
 
-  // Shrinking the budget evicts immediately, oldest first.
-  cache.SetBudget(40);
+  // Re-putting a key recharges it and makes it the most recent, so the
+  // growth evicts the other entry.
+  EXPECT_TRUE(put(1, 70));
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.Get(1), nullptr);
-  EXPECT_NE(cache.Get(3), nullptr);
+  EXPECT_EQ(cache.bytes(), 70u);
+  EXPECT_EQ(cache.Get(3), nullptr);
+  EXPECT_NE(cache.Get(1), nullptr);
 }
 
 TEST(LruByteCacheTest, EvictionDoesNotInvalidateHandedOutEntries) {

@@ -2,16 +2,19 @@
 // varint/delta-block codec, writer→reader round trips proving the
 // mmap-backed read path serves exactly what the in-memory build serves,
 // rejection (with a Status, never a crash) of corrupt / truncated /
-// wrong-version files, buffer-pool accounting, and the lazy corpus
-// backing that defers document decodes until a query touches them and
-// content decodes until something reads text or attributes.
+// wrong-version files, the indexes decoding each packed list once per
+// session, and the lazy corpus backing that defers document decodes until
+// a query touches them and content decodes until something reads text or
+// attributes.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "ir/ft_expr.h"
 #include "ir/inverted_index.h"
 #include "stats/document_stats.h"
+#include "stats/element_index.h"
 #include "storage/codec.h"
 #include "storage/format.h"
 #include "storage/reader.h"
@@ -32,6 +36,7 @@
 #include "tests/test_util.h"
 #include "xmark/generator.h"
 #include "xml/corpus.h"
+#include "xml/type_hierarchy.h"
 
 namespace flexpath {
 namespace {
@@ -61,6 +66,14 @@ void WriteFileBytes(const std::string& path, const std::string& data) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
   ASSERT_TRUE(out.good()) << path;
+}
+
+/// Blocks a packed list of `n` keys is stored in, and so the
+/// storage.cold_block_decodes a decode of the whole list adds.
+uint64_t BlocksOf(uint64_t n) { return (n + kBlockKeys - 1) / kBlockKeys; }
+
+Counter* ColdBlockDecodes() {
+  return MetricsRegistry::Global().counter("storage.cold_block_decodes");
 }
 
 // --- Codec -----------------------------------------------------------------
@@ -294,9 +307,7 @@ TEST_F(PackedRoundTripTest, ElementTablesMatchCorpusScan) {
   for (TagId t = 0; t < std::as_const(corpus_).tags().size(); ++t) {
     const std::vector<NodeRef>& want = expect[t];
     EXPECT_EQ(reader_->TagListCount(t), want.size()) << "tag " << t;
-    std::shared_ptr<const std::vector<NodeRef>> got = reader_->TagList(t);
-    ASSERT_NE(got, nullptr) << "tag " << t;
-    EXPECT_EQ(*got, want) << "tag " << t;
+    EXPECT_EQ(reader_->TagList(t), want) << "tag " << t;
   }
 }
 
@@ -314,8 +325,8 @@ TEST_F(PackedRoundTripTest, PostingsMatchInMemoryIndex) {
     for (const Posting& p : list.postings) want_tf += p.tf;
     EXPECT_EQ(total_tf, want_tf) << term;
 
-    std::shared_ptr<const PostingList> got = reader_->FindPostings(term);
-    ASSERT_NE(got, nullptr) << term;
+    std::optional<PostingList> got = reader_->FindPostings(term);
+    ASSERT_TRUE(got.has_value()) << term;
     ASSERT_EQ(got->postings.size(), list.postings.size()) << term;
     for (size_t i = 0; i < list.postings.size(); ++i) {
       EXPECT_EQ(got->postings[i].node, list.postings[i].node) << term;
@@ -328,7 +339,7 @@ TEST_F(PackedRoundTripTest, PostingsMatchInMemoryIndex) {
   uint32_t df = 0;
   uint64_t total_tf = 0;
   EXPECT_FALSE(reader_->TermInfo("no-such-term-anywhere", &df, &total_tf));
-  EXPECT_EQ(reader_->FindPostings("no-such-term-anywhere"), nullptr);
+  EXPECT_FALSE(reader_->FindPostings("no-such-term-anywhere").has_value());
 }
 
 TEST_F(PackedRoundTripTest, StatsTablesMatchExport) {
@@ -343,29 +354,99 @@ TEST_F(PackedRoundTripTest, StatsTablesMatchExport) {
   EXPECT_EQ(got->ad_exists, expect.ad_exists);
 }
 
-TEST_F(PackedRoundTripTest, BufferPoolsCountHitsMissesAndEvict) {
-  StorageReader::PoolStats s0 = reader_->GetElemPoolStats();
-  EXPECT_EQ(s0.hits, 0u);
-  EXPECT_EQ(s0.misses, 0u);
-
-  reader_->TagList(0);
-  reader_->TagList(0);
-  StorageReader::PoolStats s1 = reader_->GetElemPoolStats();
-  EXPECT_EQ(s1.misses, 1u);
-  EXPECT_EQ(s1.hits, 1u);
-  EXPECT_GT(s1.bytes, 0u);
-
-  // A tiny budget forces eviction of unpinned entries; the pool must
-  // keep functioning (decode again on miss) and report the eviction.
-  reader_->SetPoolBudgets(1, 1);
-  for (TagId t = 0; t < std::as_const(corpus_).tags().size(); ++t) {
-    reader_->TagList(t);
+// A packed session decodes each element table and posting list once: the
+// first Scan or Find decodes the list's blocks, every later call returns
+// the same list without decoding, and a query run again decodes nothing.
+TEST_F(PackedRoundTripTest, SessionDecodesEachListOnce) {
+  Counter* decodes = ColdBlockDecodes();
+  Corpus backed;
+  ASSERT_TRUE(reader_->LoadTags(backed.tags()).ok());
+  backed.AttachBacking(reader_);
+  ElementIndex index(&backed, nullptr, reader_);
+  for (TagId t = 0; t < reader_->header().tag_count; ++t) {
+    const uint64_t before = decodes->Value();
+    const std::vector<NodeRef>& first = index.Scan(t);
+    const uint64_t blocks = BlocksOf(first.size());
+    EXPECT_EQ(decodes->Value() - before, blocks) << "tag " << t;
+    EXPECT_EQ(&index.Scan(t), &first) << "tag " << t;
+    EXPECT_EQ(index.Count(t), first.size()) << "tag " << t;
+    EXPECT_EQ(decodes->Value() - before, blocks) << "tag " << t;
   }
-  StorageReader::PoolStats s2 = reader_->GetElemPoolStats();
-  EXPECT_GT(s2.evictions, 0u);
-  EXPECT_EQ(s2.budget, 1u);
-  std::shared_ptr<const std::vector<NodeRef>> again = reader_->TagList(0);
-  ASSERT_NE(again, nullptr);
+
+  InvertedIndex postings(&backed, tok_, reader_);
+  for (const char* term : {"gold", "iron", "salt"}) {
+    const uint64_t before = decodes->Value();
+    const PostingList* first = postings.Find(term);
+    ASSERT_NE(first, nullptr) << term;
+    const uint64_t blocks = BlocksOf(first->postings.size());
+    EXPECT_GT(blocks, 0u) << term;
+    EXPECT_EQ(decodes->Value() - before, blocks) << term;
+    EXPECT_EQ(postings.Find(term), first) << term;
+    (void)postings.SubtreeTermFrequency(term, first->postings[0].node);
+    EXPECT_EQ(decodes->Value() - before, blocks) << term;
+  }
+  EXPECT_EQ(postings.Find("no-such-term-anywhere"), nullptr);
+
+  FlexPath packed;
+  ASSERT_TRUE(packed.OpenPacked(path_).ok());
+  TopKOptions opts;
+  opts.k = 10;
+  opts.num_threads = 1;
+  const char* const queries[] = {"//a[./b and .contains(\"gold\")]",
+                                 "//c[./d and .contains(iron or salt)]"};
+  const uint64_t cold = decodes->Value();
+  for (const char* xpath : queries) {
+    ASSERT_TRUE(packed.Query(xpath, opts).ok()) << xpath;
+  }
+  const uint64_t warm = decodes->Value();
+  EXPECT_GT(warm, cold);
+  for (const char* xpath : queries) {
+    ASSERT_TRUE(packed.Query(xpath, opts).ok()) << xpath;
+  }
+  EXPECT_EQ(decodes->Value(), warm);
+}
+
+// Eight threads scanning the same tags and finding the same terms at once,
+// each in its own order, get one decode of each list and one address for
+// it.
+TEST_F(PackedRoundTripTest, ConcurrentScansAndFindsDecodeEachListOnce) {
+  Corpus backed;
+  ASSERT_TRUE(reader_->LoadTags(backed.tags()).ok());
+  backed.AttachBacking(reader_);
+  ElementIndex index(&backed, nullptr, reader_);
+  InvertedIndex postings(&backed, tok_, reader_);
+  const size_t tags = static_cast<size_t>(reader_->header().tag_count);
+  const std::vector<std::string> terms = {"gold", "iron", "salt", "red"};
+  uint64_t want = 0;
+  for (size_t t = 0; t < tags; ++t) {
+    want += BlocksOf(reader_->TagListCount(static_cast<TagId>(t)));
+  }
+  for (const std::string& term : terms) {
+    uint32_t df = 0;
+    uint64_t total_tf = 0;
+    ASSERT_TRUE(reader_->TermInfo(term, &df, &total_tf)) << term;
+    want += BlocksOf(df);
+  }
+
+  constexpr size_t kThreads = 8;
+  const size_t lists = tags + terms.size();
+  std::vector<std::vector<const void*>> seen(
+      kThreads, std::vector<const void*>(lists));
+  const uint64_t before = ColdBlockDecodes()->Value();
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      for (size_t k = 0; k < lists; ++k) {
+        const size_t j = (k + i * 7) % lists;
+        seen[i][j] = j < tags ? static_cast<const void*>(
+                                    &index.Scan(static_cast<TagId>(j)))
+                              : postings.Find(terms[j - tags]);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(ColdBlockDecodes()->Value() - before, want);
+  for (size_t i = 1; i < kThreads; ++i) EXPECT_EQ(seen[i], seen[0]);
 }
 
 TEST_F(PackedRoundTripTest, InspectJsonNamesEverySection) {
@@ -708,7 +789,7 @@ TEST_F(PackedCorruptionTest, RejectsElementKeysPastTheirDocument) {
   Result<std::shared_ptr<StorageReader>> r = StorageReader::Open(path_);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ((*r)->TagListCount(item), 3u);
-  EXPECT_TRUE((*r)->TagList(item)->empty());
+  EXPECT_TRUE((*r)->TagList(item).empty());
 
   FlexPath packed;
   ASSERT_TRUE(packed.OpenPacked(path_).ok());
@@ -760,8 +841,8 @@ TEST_F(PackedCorruptionTest, RejectsPostingsOutOfOrderOrRange) {
     WriteFileBytes(path_, *m);
     Result<std::shared_ptr<StorageReader>> r = StorageReader::Open(path_);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    std::shared_ptr<const PostingList> list = (*r)->FindPostings("gold");
-    ASSERT_NE(list, nullptr);
+    std::optional<PostingList> list = (*r)->FindPostings("gold");
+    ASSERT_TRUE(list.has_value());
     EXPECT_TRUE(list->postings.empty());
     // A contains predicate over the packed corpus then matches nothing.
     Corpus packed;
@@ -775,8 +856,8 @@ TEST_F(PackedCorruptionTest, RejectsPostingsOutOfOrderOrRange) {
   WriteFileBytes(path_, bytes);
   Result<std::shared_ptr<StorageReader>> r = StorageReader::Open(path_);
   ASSERT_TRUE(r.ok());
-  std::shared_ptr<const PostingList> list = (*r)->FindPostings("gold");
-  ASSERT_NE(list, nullptr);
+  std::optional<PostingList> list = (*r)->FindPostings("gold");
+  ASSERT_TRUE(list.has_value());
   EXPECT_EQ(list->postings.size(), docs.size());
 }
 
@@ -903,6 +984,49 @@ TEST(PackedFlexPathTest, ContentDecodesOnlyWhereQueriesReadIt) {
   }
   EXPECT_EQ(content_decodes->Value() - c0, 4u);
   EXPECT_EQ(content_bytes->Value() - cb0, sum({0, 1}, true));
+  std::remove(path.c_str());
+}
+
+// With a packed subtype hierarchy, a merged supertype scan decodes each
+// member's own list once, also where a member is itself a supertype, and
+// serves exactly the in-memory merged scan.
+TEST(PackedElementIndexTest, MergedSupertypeScanDecodesEachListOnce) {
+  auto corpus = testing_util::CorpusFromXml(
+      {"<lib><pub/><article/><book><novel/></book><article/></lib>",
+       "<lib><novel/><book/><pub><article/></pub></lib>"});
+  const std::string path = TempPath("storage_hierarchy.fxp");
+  ASSERT_TRUE(WritePackedCorpus(*corpus, TokenizerOptions{}, path).ok());
+  Result<std::shared_ptr<StorageReader>> reader = StorageReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  Corpus backed;
+  ASSERT_TRUE((*reader)->LoadTags(backed.tags()).ok());
+  backed.AttachBacking(*reader);
+
+  const TagDict& dict = std::as_const(*corpus).tags();
+  const TagId pub = dict.Lookup("pub");
+  const TagId article = dict.Lookup("article");
+  const TagId book = dict.Lookup("book");
+  const TagId novel = dict.Lookup("novel");
+  TypeHierarchy h;
+  ASSERT_TRUE(h.AddSubtype(pub, article).ok());
+  ASSERT_TRUE(h.AddSubtype(pub, book).ok());
+  ASSERT_TRUE(h.AddSubtype(book, novel).ok());
+  ElementIndex mem(corpus.get(), &h);
+  ElementIndex packed(&backed, &h, *reader);
+
+  // Each of the four tags has under kBlockKeys elements: one block each.
+  const uint64_t before = ColdBlockDecodes()->Value();
+  const std::vector<NodeRef>& all = packed.Scan(pub);
+  EXPECT_EQ(all.size(), 9u);
+  EXPECT_EQ(all, mem.Scan(pub));
+  EXPECT_EQ(ColdBlockDecodes()->Value() - before, 4u);
+  for (TagId t : {pub, article, book, novel}) {
+    EXPECT_EQ(packed.Scan(t), mem.Scan(t)) << dict.Name(t);
+    EXPECT_EQ(packed.Count(t), mem.Count(t)) << dict.Name(t);
+    EXPECT_EQ(&packed.Scan(t), &packed.Scan(t)) << dict.Name(t);
+  }
+  EXPECT_EQ(packed.Count(book), 4u);
+  EXPECT_EQ(ColdBlockDecodes()->Value() - before, 4u);
   std::remove(path.c_str());
 }
 
