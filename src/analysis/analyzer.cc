@@ -198,7 +198,7 @@ AnalysisReport AnalyzeImpl(const LogicalQuery& q, const Tpq* tree,
       if (p.kind != PredKind::kContains) continue;
       auto it = q.exprs.find(p.expr_key);
       if (it == q.exprs.end()) continue;
-      if (!ctx.ir->Evaluate(it->second)->satisfying().empty()) continue;
+      if (ctx.ir->Evaluate(it->second)->count() > 0) continue;
       Add(&report, DiagSeverity::kError, kDiagEmptyContains,
           "contains(" + VarLabel(p.x) + ", " + p.expr_key +
               ") matches no element in the corpus",
@@ -291,7 +291,7 @@ std::optional<std::string> ProvablyEmptyReason(const Tpq& q,
     }
     if (ctx.ir != nullptr) {
       for (const FtExpr& e : n.contains) {
-        if (ctx.ir->Evaluate(e)->satisfying().empty()) {
+        if (ctx.ir->Evaluate(e)->count() == 0) {
           return "contains(" + VarLabel(v) + ", " + e.ToString() +
                  ") matches nothing";
         }

@@ -193,7 +193,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
         std::string key = e.ToString();
         probe_span.Annotate("expr", key);
         probe_span.Annotate("satisfying",
-                            static_cast<uint64_t>(result->satisfying().size()));
+                            static_cast<uint64_t>(result->count()));
         contains_results.emplace(std::move(key), std::move(result));
       }
     }

@@ -1,9 +1,9 @@
 #include "ir/engine.h"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 #include <cmath>
-#include <functional>
+#include <limits>
 
 #include "common/metrics.h"
 
@@ -20,31 +20,33 @@ size_t LowerBoundScored(const std::vector<ScoredNode>& v, NodeRef ref) {
   return static_cast<size_t>(it - v.begin());
 }
 
-}  // namespace
-
-ContainsResult::ContainsResult(const Corpus* corpus,
-                               std::vector<NodeRef> satisfying,
-                               std::vector<ScoredNode> most_specific)
-    : corpus_(corpus),
-      satisfying_(std::move(satisfying)),
-      most_specific_(std::move(most_specific)) {
-  // Build the sparse table for range-max over most-specific scores.
-  const size_t n = most_specific_.size();
-  if (n == 0) return;
-  rmq_.emplace_back(n);
-  for (size_t i = 0; i < n; ++i) rmq_[0][i] = most_specific_[i].score;
-  for (size_t len = 2; len <= n; len *= 2) {
-    const std::vector<double>& prev = rmq_.back();
-    std::vector<double> cur(n - len + 1);
-    for (size_t i = 0; i + len <= n; ++i) {
-      cur[i] = std::max(prev[i], prev[i + len / 2]);
-    }
-    rmq_.push_back(std::move(cur));
+/// Bit of node 0 of each document, then the corpus's node count.
+std::shared_ptr<const std::vector<uint64_t>> DocBase(const Corpus& corpus) {
+  auto base = std::make_shared<std::vector<uint64_t>>(corpus.size() + 1, 0);
+  for (DocId d = 0; d < corpus.size(); ++d) {
+    (*base)[d + 1] = (*base)[d] + corpus.DocSize(d);
   }
+  return base;
 }
 
-bool ContainsResult::Satisfies(NodeRef context) const {
-  return std::binary_search(satisfying_.begin(), satisfying_.end(), context);
+}  // namespace
+
+ContainsResult::ContainsResult(
+    const Corpus* corpus, std::shared_ptr<const std::vector<uint64_t>> doc_base,
+    std::vector<uint64_t> bits, size_t count, std::vector<size_t> tag_counts,
+    std::vector<ScoredNode> most_specific)
+    : corpus_(corpus),
+      doc_base_(std::move(doc_base)),
+      bits_(std::move(bits)),
+      count_(count),
+      tag_counts_(std::move(tag_counts)),
+      most_specific_(std::move(most_specific)) {
+  const size_t n = most_specific_.size();
+  tree_.resize(2 * n);
+  for (size_t i = 0; i < n; ++i) tree_[n + i] = most_specific_[i].score;
+  for (size_t i = n; i-- > 1;) {
+    tree_[i] = std::max(tree_[2 * i], tree_[2 * i + 1]);
+  }
 }
 
 double ContainsResult::BestScoreWithin(NodeRef context) const {
@@ -62,42 +64,33 @@ double ContainsResult::BestScoreWithin(NodeRef context) const {
       });
   size_t hi = static_cast<size_t>(it - most_specific_.begin());
   if (lo >= hi) return 0.0;
-  // Range max via the sparse table.
-  size_t len = hi - lo;
-  size_t level = 0;
-  while ((size_t{2} << level) <= len) ++level;
-  size_t window = size_t{1} << level;
-  return std::max(rmq_[level][lo], rmq_[level][hi - window]);
-}
-
-size_t ContainsResult::CountWithTag(TagId tag) const {
-  MutexLock lock(tag_counts_mu_);
-  auto it = tag_counts_.find(tag);
-  if (it != tag_counts_.end()) return it->second;
-  size_t count = 0;
-  for (NodeRef ref : satisfying_) {
-    if (corpus_->node(ref).tag == tag) ++count;
+  // Range max over the segment tree's leaves [lo, hi).
+  double best = -std::numeric_limits<double>::infinity();
+  const size_t n = most_specific_.size();
+  for (lo += n, hi += n; lo < hi; lo >>= 1, hi >>= 1) {
+    if (lo & 1) best = std::max(best, tree_[lo++]);
+    if (hi & 1) best = std::max(best, tree_[--hi]);
   }
-  tag_counts_.emplace(tag, count);
-  return count;
+  return best;
 }
 
 size_t ContainsResult::ApproxBytes() const {
-  size_t bytes = sizeof(ContainsResult);
-  bytes += satisfying_.capacity() * sizeof(NodeRef);
-  bytes += most_specific_.capacity() * sizeof(ScoredNode);
-  for (const std::vector<double>& level : rmq_) {
-    bytes += level.capacity() * sizeof(double);
-  }
-  return bytes;
+  return sizeof(ContainsResult) + bits_.capacity() * sizeof(uint64_t) +
+         tag_counts_.capacity() * sizeof(size_t) +
+         most_specific_.capacity() * sizeof(ScoredNode) +
+         tree_.capacity() * sizeof(double);
 }
 
 IrEngine::IrEngine(const Corpus* corpus, TokenizerOptions opts)
-    : corpus_(corpus), index_(corpus, opts), cache_(kDefaultCacheBudgetBytes) {}
+    : corpus_(corpus),
+      doc_base_(DocBase(*corpus)),
+      index_(corpus, opts),
+      cache_(kDefaultCacheBudgetBytes) {}
 
 IrEngine::IrEngine(const Corpus* corpus, TokenizerOptions opts,
                    std::shared_ptr<const PostingSource> source)
     : corpus_(corpus),
+      doc_base_(DocBase(*corpus)),
       index_(corpus, opts, std::move(source)),
       cache_(kDefaultCacheBudgetBytes) {}
 
@@ -119,23 +112,43 @@ std::shared_ptr<const ContainsResult> IrEngine::Evaluate(const FtExpr& expr) {
     return hit;
   }
 
-  std::vector<NodeRef> satisfying = SatisfyingSet(expr);
-  m_satisfying->Inc(satisfying.size());
+  std::vector<uint64_t> bits = SatisfyingSet(expr);
 
-  // Most-specific = entries whose immediate successor (the first
-  // descendant in pre-order, if any) is not inside their interval.
+  // One ordered scan of the set bits counts them, per tag too, and keeps
+  // the most-specific ones: a node is most-specific unless the next set
+  // bit (its first descendant in pre-order, if any) is inside its
+  // interval.
+  const std::vector<uint64_t>& base = *doc_base_;
+  size_t count = 0;
+  std::vector<size_t> tag_counts;
   std::vector<ScoredNode> specific;
-  for (size_t i = 0; i < satisfying.size(); ++i) {
-    const NodeRef ref = satisfying[i];
-    if (i + 1 < satisfying.size()) {
-      const NodeRef next = satisfying[i + 1];
-      if (next.doc == ref.doc &&
-          corpus_->span(next).start < corpus_->span(ref).end) {
-        continue;  // has a satisfying descendant
+  const Document* doc = nullptr;
+  DocId doc_id = 0;
+  NodeRef prev;
+  uint32_t prev_end = 0;
+  for (size_t w = 0; w < bits.size(); ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      const uint64_t bit =
+          w * 64 + static_cast<uint64_t>(std::countr_zero(word));
+      if (doc == nullptr || bit >= base[doc_id + 1]) {
+        while (bit >= base[doc_id + 1]) ++doc_id;
+        doc = &corpus_->doc(doc_id);
       }
+      const NodeId node = static_cast<NodeId>(bit - base[doc_id]);
+      const TagId tag = doc->node(node).tag;
+      if (tag >= tag_counts.size()) tag_counts.resize(tag + size_t{1}, 0);
+      ++tag_counts[tag];
+      const NodeSpan& span = doc->span(node);
+      if (count > 0 && !(prev.doc == doc_id && span.start < prev_end)) {
+        specific.push_back(ScoredNode{prev, 0.0});
+      }
+      prev = NodeRef{doc_id, node};
+      prev_end = span.end;
+      ++count;
     }
-    specific.push_back(ScoredNode{ref, 0.0});
   }
+  if (count > 0) specific.push_back(ScoredNode{prev, 0.0});
+  m_satisfying->Inc(count);
 
   // Score most-specific elements: sum over the expression's positive
   // terms of subtree tf * idf, then normalize the batch to [0, 1]. Terms
@@ -152,7 +165,8 @@ std::shared_ptr<const ContainsResult> IrEngine::Evaluate(const FtExpr& expr) {
   }
 
   auto result = std::make_shared<const ContainsResult>(
-      corpus_, std::move(satisfying), std::move(specific));
+      corpus_, doc_base_, std::move(bits), count, std::move(tag_counts),
+      std::move(specific));
   cache_.Put(key, result, result->ApproxBytes());
   static Counter* m_evictions =
       MetricsRegistry::Global().counter("ir.cache_evictions");
@@ -179,35 +193,60 @@ IrEngine::CacheStats IrEngine::GetCacheStats() const {
   return s;
 }
 
-std::vector<NodeRef> IrEngine::SatisfyingSet(const FtExpr& expr) const {
+std::vector<uint64_t> IrEngine::SatisfyingSet(const FtExpr& expr) const {
+  const std::vector<uint64_t>& base = *doc_base_;
   switch (expr.kind()) {
     case FtKind::kTerm:
     case FtKind::kPhrase:
-    case FtKind::kNear:
-      return AncestorClosure(DirectMatches(expr));
-    case FtKind::kAnd: {
-      std::vector<NodeRef> a = SatisfyingSet(expr.children()[0]);
-      std::vector<NodeRef> b = SatisfyingSet(expr.children()[1]);
-      std::vector<NodeRef> out;
-      std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                            std::back_inserter(out));
-      return out;
+    case FtKind::kNear: {
+      // Mark each match, then its ancestors up to the first one already
+      // marked: every node above that one is marked too.
+      std::vector<uint64_t> bits((base.back() + 63) / 64, 0);
+      const Document* doc = nullptr;
+      DocId doc_id = 0;
+      for (const NodeRef ref : DirectMatches(expr)) {
+        if (doc == nullptr || ref.doc != doc_id) {
+          doc = &corpus_->doc(ref.doc);
+          doc_id = ref.doc;
+        }
+        // A document that failed to decode is empty: its postings match
+        // nothing.
+        if (ref.node >= doc->size()) continue;
+        for (NodeId p = ref.node; p != kInvalidNode; p = doc->span(p).parent) {
+          const uint64_t bit = base[doc_id] + p;
+          const uint64_t mask = uint64_t{1} << (bit & 63);
+          if (bits[bit >> 6] & mask) break;
+          bits[bit >> 6] |= mask;
+        }
+      }
+      return bits;
     }
+    case FtKind::kAnd:
     case FtKind::kOr: {
-      std::vector<NodeRef> a = SatisfyingSet(expr.children()[0]);
-      std::vector<NodeRef> b = SatisfyingSet(expr.children()[1]);
-      std::vector<NodeRef> out;
-      std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                     std::back_inserter(out));
-      return out;
+      std::vector<uint64_t> bits = SatisfyingSet(expr.children()[0]);
+      const std::vector<uint64_t> other = SatisfyingSet(expr.children()[1]);
+      const bool is_and = expr.kind() == FtKind::kAnd;
+      for (size_t w = 0; w < bits.size(); ++w) {
+        bits[w] = is_and ? bits[w] & other[w] : bits[w] | other[w];
+      }
+      return bits;
     }
     case FtKind::kNot: {
-      std::vector<NodeRef> child = SatisfyingSet(expr.children()[0]);
-      std::vector<NodeRef> all = Universe();
-      std::vector<NodeRef> out;
-      std::set_difference(all.begin(), all.end(), child.begin(), child.end(),
-                          std::back_inserter(out));
-      return out;
+      std::vector<uint64_t> bits = SatisfyingSet(expr.children()[0]);
+      for (uint64_t& word : bits) word = ~word;
+      // The complement covers decoded nodes only: clear the padding past
+      // the last node and every node of a document that failed to decode
+      // (and is empty). This decodes every document.
+      auto clear = [&](uint64_t lo, uint64_t hi) {
+        for (uint64_t bit = lo; bit < hi; ++bit) {
+          bits[bit >> 6] &= ~(uint64_t{1} << (bit & 63));
+        }
+      };
+      clear(base.back(), bits.size() * 64);
+      for (DocId d = 0; d < corpus_->size(); ++d) {
+        clear(base[d] + corpus_->doc(d).size(), base[d + 1]);
+      }
+      return bits;
     }
   }
   return {};
@@ -305,49 +344,6 @@ bool IrEngine::NearAt(const std::vector<const Posting*>& entry,
   return false;
 }
 
-std::vector<NodeRef> IrEngine::AncestorClosure(
-    const std::vector<NodeRef>& direct) const {
-  assert(std::adjacent_find(direct.begin(), direct.end(),
-                            std::greater_equal<NodeRef>()) == direct.end());
-  // Stack merge: `path` is the root path of the last match, root first.
-  // Each match pops the path down to its deepest ancestor-or-self there,
-  // then pushes the ancestors it adds. A pushed node is not an ancestor
-  // of the previous match, so in pre-order it follows everything already
-  // emitted: the output comes out sorted and unique with no sort.
-  std::vector<NodeRef> out;
-  out.reserve(direct.size());
-  std::vector<NodeId> path;
-  std::vector<NodeId> fresh;
-  const Document* doc = nullptr;
-  DocId doc_id = 0;
-  for (const NodeRef ref : direct) {
-    if (doc == nullptr || ref.doc != doc_id) {
-      doc = &corpus_->doc(ref.doc);
-      doc_id = ref.doc;
-      path.clear();
-    }
-    // A document that failed to decode is empty: its postings match
-    // nothing.
-    if (ref.node >= doc->size()) continue;
-    while (!path.empty() && !doc->IsAncestor(path.back(), ref.node)) {
-      path.pop_back();
-    }
-    const NodeId stop = path.empty() ? kInvalidNode : path.back();
-    fresh.clear();
-    // Readers guarantee that intervals and parent links agree, so the
-    // walk meets `stop`; the root check is only a backstop.
-    for (NodeId p = ref.node; p != stop && p != kInvalidNode;
-         p = doc->span(p).parent) {
-      fresh.push_back(p);
-    }
-    for (auto it = fresh.rbegin(); it != fresh.rend(); ++it) {
-      out.push_back(NodeRef{doc_id, *it});
-      path.push_back(*it);
-    }
-  }
-  return out;
-}
-
 void IrEngine::AddTermScores(const std::string& term,
                              std::vector<ScoredNode>* specific) const {
   const PostingList* list = index_.Find(term);
@@ -370,19 +366,6 @@ void IrEngine::AddTermScores(const std::string& term,
     }
     if (tf > 0) s.score += (1.0 + std::log(static_cast<double>(tf))) * idf;
   }
-}
-
-std::vector<NodeRef> IrEngine::Universe() const {
-  std::vector<NodeRef> out;
-  out.reserve(corpus_->TotalNodes());
-  for (DocId d = 0; d < corpus_->size(); ++d) {
-    // The decoded node count, so a document that failed to decode (and
-    // is empty) adds nothing. The most-specific pass reads the spans of
-    // these nodes, which decodes their documents anyway.
-    const size_t n = corpus_->doc(d).size();
-    for (NodeId i = 0; i < n; ++i) out.push_back(NodeRef{d, i});
-  }
-  return out;
 }
 
 }  // namespace flexpath

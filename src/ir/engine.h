@@ -1,6 +1,7 @@
 #ifndef FLEXPATH_IR_ENGINE_H_
 #define FLEXPATH_IR_ENGINE_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -24,55 +25,72 @@ struct ScoredNode {
 };
 
 /// The materialized answer to one FTExp evaluation:
-///  - `satisfying`: every element whose *subtree* text satisfies the
-///    expression (the semantics of contains($i, FTExp): true if at least
-///    one node under $i matches), sorted in global document order;
+///  - the satisfying set: every element whose *subtree* text satisfies
+///    the expression (the semantics of contains($i, FTExp): true if at
+///    least one node under $i matches), held as one bit per corpus node;
 ///  - `most_specific`: the deepest satisfying elements (no descendant also
 ///    satisfies), with tf-idf scores normalized to [0, 1] — this is what
 ///    the paper's IR engine returns, following XRANK [20] / [29].
+/// Node `n` of document `d` owns bit `doc_base[d] + n`, where `doc_base`
+/// holds the prefix sums of the corpus's document sizes (its last entry
+/// is the corpus's node count), so bit order is global document order.
 /// Most-specific elements have pairwise disjoint intervals, so the ones
-/// inside any context interval form a contiguous run; a sparse table gives
-/// O(1) range-max for keyword scoring of arbitrary contexts.
+/// inside any context interval form a contiguous run; a bottom-up segment
+/// tree over their scores gives the range max for keyword scoring of
+/// arbitrary contexts. Immutable after construction: every method is safe
+/// to call from concurrent query workers without locking.
 class ContainsResult {
  public:
-  ContainsResult(const Corpus* corpus, std::vector<NodeRef> satisfying,
+  /// `bits` is the satisfying set; `count` its size and `tag_counts[t]`
+  /// the number of its elements tagged `t` (tags past the end count 0).
+  ContainsResult(const Corpus* corpus,
+                 std::shared_ptr<const std::vector<uint64_t>> doc_base,
+                 std::vector<uint64_t> bits, size_t count,
+                 std::vector<size_t> tag_counts,
                  std::vector<ScoredNode> most_specific);
 
-  const std::vector<NodeRef>& satisfying() const { return satisfying_; }
+  /// Number of satisfying elements.
+  size_t count() const { return count_; }
   const std::vector<ScoredNode>& most_specific() const {
     return most_specific_;
   }
 
   /// True iff the subtree of `context` satisfies the expression.
-  bool Satisfies(NodeRef context) const;
+  /// `context` must be a node the corpus's DocSize counts (one of a
+  /// document that failed to decode satisfies nothing).
+  bool Satisfies(NodeRef context) const {
+    const std::vector<uint64_t>& base = *doc_base_;
+    assert(context.doc + size_t{1} < base.size());
+    const uint64_t bit = base[context.doc] + context.node;
+    assert(bit < base[context.doc + 1]);
+    return (bits_[bit >> 6] >> (bit & 63)) & 1;
+  }
 
   /// Highest IR score among most-specific matches within the subtree of
   /// `context` (inclusive). Returns 0 when nothing matches there.
   double BestScoreWithin(NodeRef context) const;
 
   /// Number of satisfying elements whose tag is `tag` — the paper's
-  /// #contains(t, FTExp) statistic used in penalties. Cached per tag;
-  /// safe to call from concurrent query workers.
-  size_t CountWithTag(TagId tag) const;
+  /// #contains(t, FTExp) statistic used in penalties.
+  size_t CountWithTag(TagId tag) const {
+    return tag < tag_counts_.size() ? tag_counts_[tag] : 0;
+  }
 
-  /// Charged size of this result in the engine's LRU cache: the node and
-  /// score vectors plus the sparse table (the per-tag count memo is small
-  /// and grows after insertion, so it is not charged).
+  /// Charged size of this result in the engine's LRU cache: the bitmap,
+  /// the per-tag counts, the scored nodes and the segment tree (the
+  /// engine's shared doc_base is not charged).
   size_t ApproxBytes() const;
 
  private:
   const Corpus* corpus_;
-  std::vector<NodeRef> satisfying_;
+  std::shared_ptr<const std::vector<uint64_t>> doc_base_;
+  std::vector<uint64_t> bits_;
+  size_t count_;
+  std::vector<size_t> tag_counts_;
   std::vector<ScoredNode> most_specific_;
-  /// Sparse table over most_specific_ scores: level l holds the max over
-  /// windows of length 2^l.
-  std::vector<std::vector<double>> rmq_;
-  /// Guards tag_counts_ — the only mutable state; everything else is
-  /// read-only after construction, so Satisfies/BestScoreWithin need no
-  /// locking.
-  mutable Mutex tag_counts_mu_;
-  mutable std::unordered_map<TagId, size_t> tag_counts_
-      GUARDED_BY(tag_counts_mu_);
+  /// Range-max segment tree over most_specific_ scores: leaf i at
+  /// tree_[n + i], node j the max of its children 2j and 2j + 1.
+  std::vector<double> tree_;
 };
 
 /// The full-text search engine of the FleXPath architecture (Figure 7):
@@ -116,8 +134,9 @@ class IrEngine {
   const InvertedIndex& index() const { return index_; }
 
  private:
-  /// Computes the sorted satisfying set for `expr` (subtree semantics).
-  std::vector<NodeRef> SatisfyingSet(const FtExpr& expr) const;
+  /// Computes the satisfying set for `expr` (subtree semantics) as a
+  /// bitmap indexed by doc_base_.
+  std::vector<uint64_t> SatisfyingSet(const FtExpr& expr) const;
 
   /// Elements directly matching a term/phrase/near (before closure).
   std::vector<NodeRef> DirectMatches(const FtExpr& expr) const;
@@ -130,21 +149,17 @@ class IrEngine {
   static bool NearAt(const std::vector<const Posting*>& entry,
                      uint32_t window);
 
-  /// Closes `direct` (sorted, unique) under ancestors, returning a sorted
-  /// deduped set.
-  std::vector<NodeRef> AncestorClosure(
-      const std::vector<NodeRef>& direct) const;
-
   /// Adds `term`'s (1 + log tf) * idf to each node of `specific` (sorted,
   /// pairwise disjoint), tf summed over the node's subtree. Nodes whose
   /// subtree lacks the term are left unchanged.
   void AddTermScores(const std::string& term,
                      std::vector<ScoredNode>* specific) const;
 
-  /// All element NodeRefs of the corpus in order (universe for NOT).
-  std::vector<NodeRef> Universe() const;
-
   const Corpus* corpus_;
+  /// Bit of node 0 of each document, then the corpus's node count:
+  /// prefix sums of Corpus::DocSize, which packed mode serves from the
+  /// directory without decoding.
+  std::shared_ptr<const std::vector<uint64_t>> doc_base_;
   InvertedIndex index_;
   mutable Mutex cache_mu_;
   mutable LruByteCache<std::string, ContainsResult> cache_

@@ -134,9 +134,14 @@ QueryStatsStore::QueryStatsStore(QueryStatsOptions opts) : opts_(opts) {}
 
 void QueryStatsStore::Record(const QueryExecution& e) {
   MutexLock lock(mu_);
-  ++seq_;
-  ShapeStats& s = shapes_[e.fingerprint];
-  if (s.executions == 0) s.example_query = e.query;
+  auto [it, inserted] = shapes_.try_emplace(e.fingerprint);
+  ShapeStats& s = it->second;
+  if (inserted) {
+    s.example_query = e.query;
+    s.recency_pos = recency_.insert(recency_.end(), e.fingerprint);
+  } else {
+    recency_.splice(recency_.end(), recency_, s.recency_pos);
+  }
   ++s.executions;
   if (e.error) ++s.errors;
   s.latency_ms.Observe(e.latency_ms);
@@ -147,7 +152,6 @@ void QueryStatsStore::Record(const QueryExecution& e) {
   s.total_cpu_ms += e.cpu_ms;
   s.total_tuples_created += e.counters.tuples_created;
   if (e.budget_exhausted) ++s.budget_exhausted;
-  s.last_touched = seq_;
   EvictShapesLocked();
 
   ring_.push_back(e);
@@ -193,11 +197,8 @@ QueryStatsEvictions QueryStatsStore::Evictions() const {
 void QueryStatsStore::EvictShapesLocked() {
   uint64_t dropped = 0;
   while (shapes_.size() > opts_.max_shapes) {
-    auto victim = shapes_.begin();
-    for (auto it = shapes_.begin(); it != shapes_.end(); ++it) {
-      if (it->second.last_touched < victim->second.last_touched) victim = it;
-    }
-    shapes_.erase(victim);
+    shapes_.erase(recency_.front());
+    recency_.pop_front();
     ++dropped;
   }
   evictions_.shapes += dropped;
@@ -274,9 +275,9 @@ size_t QueryStatsStore::shape_count() const {
 void QueryStatsStore::Reset() {
   MutexLock lock(mu_);
   shapes_.clear();
+  recency_.clear();
   ring_.clear();
   slowlog_.clear();
-  seq_ = 0;
   evictions_ = {};
 }
 

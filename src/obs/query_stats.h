@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -199,7 +200,8 @@ class QueryStatsStore {
     double total_cpu_ms = 0.0;
     uint64_t total_tuples_created = 0;
     uint64_t budget_exhausted = 0;
-    uint64_t last_touched = 0;  ///< Record() sequence, for LRU eviction.
+    /// This shape's entry in recency_, for LRU eviction.
+    std::list<uint64_t>::iterator recency_pos;
   };
 
   void EvictShapesLocked() REQUIRES(mu_);
@@ -208,9 +210,11 @@ class QueryStatsStore {
   mutable Mutex mu_;
   QueryStatsOptions opts_ GUARDED_BY(mu_);
   std::unordered_map<uint64_t, ShapeStats> shapes_ GUARDED_BY(mu_);
+  /// Fingerprints of shapes_, least recently recorded first: eviction
+  /// pops the front, a Record moves its shape to the back.
+  std::list<uint64_t> recency_ GUARDED_BY(mu_);
   std::deque<QueryExecution> ring_ GUARDED_BY(mu_);
   std::deque<SlowQueryEntry> slowlog_ GUARDED_BY(mu_);
-  uint64_t seq_ GUARDED_BY(mu_) = 0;
   QueryStatsEvictions evictions_ GUARDED_BY(mu_);
 };
 

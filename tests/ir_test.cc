@@ -1,8 +1,12 @@
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -341,9 +345,67 @@ TEST_F(IrEngineTest, UnknownTermMatchesNothing) {
   Result<FtExpr> e = ParseFtExpr("zeppelin");
   ASSERT_TRUE(e.ok());
   const std::shared_ptr<const ContainsResult> r = engine_->Evaluate(*e);
-  EXPECT_TRUE(r->satisfying().empty());
+  EXPECT_EQ(r->count(), 0u);
   EXPECT_TRUE(r->most_specific().empty());
   EXPECT_DOUBLE_EQ(r->BestScoreWithin(Ref(0, 0)), 0.0);
+}
+
+// Results carry no lock: once published they are read-only, so workers
+// may probe one result while others evaluate (and cache) further
+// expressions. Every probe must match a serially built engine's answer.
+TEST_F(IrEngineTest, ConcurrentEvaluateAndProbe) {
+  const std::vector<std::string> words = {"gold", "silver", "iron", "ring",
+                                          "coin"};
+  std::vector<FtExpr> exprs;
+  for (const std::string& a : words) {
+    exprs.push_back(FtExpr::Term(a));
+    exprs.push_back(FtExpr::Not(FtExpr::Term(a)));
+    for (const std::string& b : words) {
+      if (a == b) continue;
+      exprs.push_back(FtExpr::And(FtExpr::Term(a), FtExpr::Term(b)));
+      exprs.push_back(
+          FtExpr::Or(FtExpr::Term(a), FtExpr::Not(FtExpr::Term(b))));
+      exprs.push_back(FtExpr::Phrase({a, b}));
+    }
+  }
+  IrEngine serial(corpus_.get());
+  std::vector<std::shared_ptr<const ContainsResult>> want;
+  for (const FtExpr& e : exprs) want.push_back(serial.Evaluate(e));
+
+  const size_t tags = std::as_const(*corpus_).tags().size();
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < 8; ++t) {
+    workers.emplace_back([&, t] {
+      for (size_t round = 0; round < 3; ++round) {
+        for (size_t i = 0; i < exprs.size(); ++i) {
+          // Each worker walks the expressions from its own offset, so
+          // first evaluations (misses) overlap with hits.
+          const size_t x = (i * 7 + t * 11) % exprs.size();
+          const std::shared_ptr<const ContainsResult> got =
+              engine_->Evaluate(exprs[x]);
+          const ContainsResult& w = *want[x];
+          size_t bad = got->count() != w.count();
+          for (DocId d = 0; d < corpus_->size(); ++d) {
+            for (NodeId n = 0; n < corpus_->DocSize(d); ++n) {
+              bad += got->Satisfies(Ref(d, n)) != w.Satisfies(Ref(d, n));
+              bad += got->BestScoreWithin(Ref(d, n)) !=
+                     w.BestScoreWithin(Ref(d, n));
+            }
+          }
+          for (TagId tag = 0; tag < tags; ++tag) {
+            bad += got->CountWithTag(tag) != w.CountWithTag(tag);
+          }
+          mismatches += bad;
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  std::set<std::string> keys;
+  for (const FtExpr& e : exprs) keys.insert(e.ToString());
+  EXPECT_EQ(engine_->GetCacheStats().entries, keys.size());
 }
 
 TEST_F(IrEngineTest, StemmedQueryMatchesInflectedText) {
@@ -484,14 +546,36 @@ TEST(IrPropertyTest, ContainsMatchesBruteForceAndPackedMode) {
           memory_engine.Evaluate(e);
 
       std::vector<NodeRef> expect;
+      std::vector<std::vector<bool>> oracle(docs);
+      std::vector<size_t> expect_tags(std::as_const(corpus).tags().size(), 0);
       for (DocId d = 0; d < docs; ++d) {
         for (NodeId n = 0; n < corpus.doc(d).size(); ++n) {
-          if (SubtreeSatisfies(corpus.doc(d), tokens[d], n, e)) {
+          oracle[d].push_back(SubtreeSatisfies(corpus.doc(d), tokens[d], n, e));
+          if (oracle[d].back()) {
             expect.push_back(NodeRef{d, n});
+            ++expect_tags[corpus.doc(d).node(n).tag];
           }
         }
       }
-      ASSERT_EQ(r->satisfying(), expect);
+      // The satisfying set, its size and its per-tag counts, against the
+      // oracle; in packed mode too.
+      auto check_set = [&](const ContainsResult& res, const char* mode) {
+        SCOPED_TRACE(mode);
+        for (DocId d = 0; d < docs; ++d) {
+          for (NodeId n = 0; n < corpus.doc(d).size(); ++n) {
+            ASSERT_EQ(res.Satisfies(NodeRef{d, n}), oracle[d][n])
+                << "doc " << d << " node " << n;
+          }
+        }
+        ASSERT_EQ(res.count(), expect.size());
+        for (TagId t = 0; t < expect_tags.size(); ++t) {
+          EXPECT_EQ(res.CountWithTag(t), expect_tags[t]) << "tag " << t;
+        }
+        EXPECT_EQ(res.CountWithTag(static_cast<TagId>(expect_tags.size())),
+                  0u);
+        EXPECT_EQ(res.CountWithTag(kInvalidTag), 0u);
+      };
+      check_set(*r, "memory");
 
       const std::vector<std::string> terms = e.PositiveTerms();
       std::vector<NodeRef> expect_specific;
@@ -519,9 +603,29 @@ TEST(IrPropertyTest, ContainsMatchesBruteForceAndPackedMode) {
         EXPECT_EQ(specific[i].score, scores[i]) << "node " << i;
       }
 
+      // BestScoreWithin is the max over the most-specific nodes in the
+      // context's subtree (itself included), 0 when there are none.
+      for (DocId d = 0; d < docs; ++d) {
+        const Document& doc = corpus.doc(d);
+        for (NodeId n = 0; n < doc.size(); ++n) {
+          bool any = false;
+          double best = 0.0;
+          for (const ScoredNode& s : specific) {
+            if (s.node.doc != d || s.node.node < n ||
+                doc.span(s.node.node).start >= doc.span(n).end) {
+              continue;
+            }
+            best = any ? std::max(best, s.score) : s.score;
+            any = true;
+          }
+          EXPECT_EQ(r->BestScoreWithin(NodeRef{d, n}), best)
+              << "doc " << d << " node " << n;
+        }
+      }
+
       const std::shared_ptr<const ContainsResult> p =
           packed_engine.Evaluate(e);
-      ASSERT_EQ(p->satisfying(), r->satisfying());
+      check_set(*p, "packed");
       ASSERT_EQ(p->most_specific().size(), specific.size());
       for (size_t i = 0; i < specific.size(); ++i) {
         EXPECT_EQ(p->most_specific()[i].node, specific[i].node);

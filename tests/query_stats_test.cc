@@ -1,9 +1,12 @@
 #include "obs/query_stats.h"
 
 #include <atomic>
+#include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -235,6 +238,48 @@ TEST(QueryStatsStoreTest, ShapeMapEvictsLeastRecentlyTouched) {
   ASSERT_EQ(shapes.size(), 2u);
   EXPECT_EQ(shapes[0].fingerprint, 1u);
   EXPECT_EQ(shapes[1].fingerprint, 3u);
+}
+
+TEST(QueryStatsStoreTest, ShapeEvictionMatchesARecencyModel) {
+  // 1,000 distinct shapes, each new one followed on odd steps by a
+  // re-touch of some earlier shape (live or already evicted). The model
+  // keeps fingerprints least recently recorded first, with each one's
+  // executions since it last entered the store.
+  QueryStatsOptions opts;
+  opts.max_shapes = 256;
+  QueryStatsStore store(opts);
+  std::vector<std::pair<uint64_t, uint64_t>> model;  // (fingerprint, runs)
+  uint64_t evicted = 0;
+  auto record = [&](uint64_t fp) {
+    store.Record(MakeExec(fp, 1.0));
+    uint64_t runs = 0;
+    for (auto it = model.begin(); it != model.end(); ++it) {
+      if (it->first == fp) {
+        runs = it->second;
+        model.erase(it);
+        break;
+      }
+    }
+    model.emplace_back(fp, runs + 1);
+    if (model.size() > opts.max_shapes) {
+      model.erase(model.begin());
+      ++evicted;
+    }
+  };
+  std::mt19937_64 rng(29);
+  for (uint64_t fp = 0; fp < 1000; ++fp) {
+    record(fp);
+    if (fp % 2 == 1) record(rng() % (fp + 1));
+  }
+
+  ASSERT_EQ(store.shape_count(), model.size());
+  EXPECT_EQ(store.Evictions().shapes, evicted);
+  std::map<uint64_t, uint64_t> want(model.begin(), model.end());
+  std::map<uint64_t, uint64_t> got;
+  for (const ShapeStatsSnapshot& s : store.Shapes()) {
+    got[s.fingerprint] = s.executions;
+  }
+  EXPECT_EQ(got, want);
 }
 
 TEST(QueryStatsStoreTest, SlowLogIsBoundedAndOldestFirst) {

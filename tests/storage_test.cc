@@ -679,6 +679,33 @@ TEST_F(PackedCorruptionTest, UndecodableDocumentMatchesNothing) {
   EXPECT_EQ(failures, 1u);
 }
 
+// NOT complements over decoded nodes only: document 1 fails to decode, so
+// none of its nodes satisfies a negation, though none of them holds the
+// negated term ("gold") or only its unreadable postings do ("silver").
+TEST_F(PackedCorruptionTest, NegationSetsNoBitOfAnUndecodableDocument) {
+  WriteFileBytes(path_,
+                 PatchDoc(bytes_, 1, storage::kSecNodeStreams, 1, 0, 1));
+  Logger::Global().SetCaptureSink([](std::string_view) {});
+  Result<std::shared_ptr<StorageReader>> r = StorageReader::Open(path_);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  Corpus packed;
+  ASSERT_TRUE((*r)->LoadTags(packed.tags()).ok());
+  packed.AttachBacking(*r);
+  IrEngine engine(&packed, TokenizerOptions{}, *r);
+  ASSERT_EQ(packed.DocSize(1), 3u);
+  for (const char* term : {"gold", "silver", "zeppelin"}) {
+    SCOPED_TRACE(term);
+    const std::shared_ptr<const ContainsResult> result =
+        engine.Evaluate(FtExpr::Not(FtExpr::Term(term)));
+    for (NodeId n = 0; n < packed.DocSize(1); ++n) {
+      EXPECT_FALSE(result->Satisfies(NodeRef{1, n})) << "node " << n;
+    }
+    EXPECT_EQ(result->count(), std::string(term) == "gold" ? 0u : 5u);
+  }
+  EXPECT_TRUE(packed.doc(1).empty());
+  Logger::Global().SetCaptureSink(nullptr);
+}
+
 // Doc 0 of the fixture as its content stream, per node the text, the
 // attribute count, then (name, value) per attribute:
 //   site: 00 00 | item: 00 01 02 02 'i' '1' | name: 09 "gold ring" 00 |
@@ -849,7 +876,7 @@ TEST_F(PackedCorruptionTest, RejectsPostingsOutOfOrderOrRange) {
     ASSERT_TRUE((*r)->LoadTags(packed.tags()).ok());
     packed.AttachBacking(*r);
     IrEngine engine(&packed, TokenizerOptions{}, *r);
-    EXPECT_TRUE(engine.Evaluate(FtExpr::Term("gold"))->satisfying().empty());
+    EXPECT_EQ(engine.Evaluate(FtExpr::Term("gold"))->count(), 0u);
   }
 
   // The unpatched file decodes the whole list.
