@@ -1,7 +1,8 @@
-// Ablation: the stack-based structural join of Al-Khalifa et al. [1]
-// (the primitive under every FleXPath plan) vs a nested-loop baseline,
-// on real XMark tag lists of growing size. Justifies the design choice
-// called out in DESIGN.md ("interval encoding + merge joins").
+// Ablation: the stack-based structural join of Al-Khalifa et al. [1] vs
+// a nested-loop baseline, on real XMark tag lists of growing size. It
+// times StructuralJoin on its own: no FleXPath plan calls it. A plan
+// joins in PlanEvaluator::Evaluate, by probing each anchor's interval
+// in the step's sorted scan list (UpperBoundFrom).
 #include <benchmark/benchmark.h>
 
 #include <chrono>

@@ -38,23 +38,29 @@ class PlanEvaluator {
       : index_(index), ir_(ir) {}
 
   /// Runs `plan`, returning answers deduplicated by distinguished node
-  /// (best score kept), sorted best-first under `scheme`.
+  /// (best score kept), sorted best-first under `scheme`. The pass runs
+  /// in stages: resolve the predicates and contains results, seed from
+  /// the first scan list, then for each later step fix the prune bound
+  /// and extend every live tuple, and finalize the scores.
   ///   `k`             — pruning target; 0 disables threshold pruning.
   ///   `exact_penalty` — kExact only: the uniform structural penalty of
   ///                     this relaxation round (DPO scores all of a
   ///                     round's answers identically, Section 5.2.1).
-  /// `counters` may be null. `trace`, when non-null, receives one span
-  /// per pipeline stage (contains resolution, each join step, sorts,
-  /// finalize) annotated with that stage's work.
+  /// The pass's work is added to `counters` (may be null) and nowhere
+  /// else: TopKProcessor mirrors the counters of the rounds and passes a
+  /// query merges into the metrics registry. `trace`, when non-null,
+  /// receives one span per stage (contains resolution, each join step,
+  /// sorts, finalize) annotated with that stage's work.
   ///
   /// `pool`, when non-null, data-parallelizes the scan and every join
-  /// step: sibling pattern branches make per-tuple probe work mutually
-  /// independent, so the tuple stream splits into contiguous chunks,
-  /// each worker extends its chunk against the shared immutable indexes
-  /// with chunk-local counters, and outputs/counters merge in chunk
-  /// order. The pruning bound is fixed per step before the fan-out, so
-  /// answers, scores, and every counter are byte-identical to the serial
-  /// run at any thread count (DESIGN.md §10).
+  /// step: the tuple stream splits into contiguous chunks, each worker
+  /// extends its chunk against the shared immutable indexes with
+  /// chunk-local counters, and outputs/counters merge in chunk order.
+  /// The pruning bound is fixed per step before the fan-out, so answers,
+  /// scores, and every counter are byte-identical to the serial run at
+  /// any thread count (DESIGN.md §10). DPO passes the pool only for a
+  /// round that runs on the calling thread; a worker's round runs with
+  /// a null pool.
   ///
   /// `worker_cpu_ms`, when non-null, accumulates the thread-CPU time this
   /// pass's pool fan-outs burned on *worker* threads. The calling thread's

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "analysis/analyzer.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -71,23 +72,24 @@ struct TopKOptions {
   bool static_prune = true;
   /// Worker threads for this run. 0 (the default) means hardware
   /// concurrency; 1 runs the fully serial path (no pool is ever
-  /// touched). Parallelism never changes results: DPO evaluates
-  /// relaxation rounds speculatively in waves and a deterministic merge
-  /// replays the serial stopping rules in round order (discarding
-  /// speculative rounds past the stopping point, counters included);
-  /// within one plan, join steps fan out over tuple chunks whose outputs
-  /// and counters merge in chunk order. Answers, penalties, counters and
-  /// trace structure are identical at any thread count (DESIGN.md §10).
-  /// Run() rejects a value above kMaxThreads with InvalidArgument before
-  /// any pool is built.
+  /// touched). Parallelism never changes results. DPO evaluates its
+  /// relaxation rounds in waves of 1, 2, 4, ... rounds: a wave of one
+  /// runs on the calling thread and fans its join steps out over tuple
+  /// chunks, a larger wave runs one round per worker. A deterministic
+  /// merge replays the serial stopping rules in round order and discards
+  /// the rounds past the stopping point, counters included. Within one
+  /// plan, chunk outputs and counters merge in chunk order. Answers,
+  /// penalties, counters and trace structure are identical at any thread
+  /// count (DESIGN.md §10). Run() rejects a value above kMaxThreads with
+  /// InvalidArgument before any pool is built.
   size_t num_threads = 0;
-  /// Soft per-query CPU budget in thread-CPU milliseconds (coordinator +
-  /// pool workers), <= 0 to disable (the default). Checked between DPO
-  /// rounds / encoded passes — never inside one — so a run that trips it
-  /// stops relaxing and returns what it has, flagged budget_exhausted.
-  /// The budget is advisory ("soft"): one round always runs to
-  /// completion, so the overshoot is bounded by a single round's cost.
-  /// With both budgets disabled the execution path is unchanged —
+  /// Soft per-query CPU budget in thread-CPU milliseconds, the quantity
+  /// TopKResult::cpu_ms reports, <= 0 to disable (the default). Checked
+  /// after each merged DPO round / encoded pass, never inside one, so a
+  /// run that trips it stops relaxing and returns what it has, flagged
+  /// budget_exhausted. The budget is advisory ("soft"): a round always
+  /// runs to completion, so the overshoot is bounded by one wave of
+  /// rounds. With both budgets disabled the execution path is unchanged:
   /// answers, counters and traces stay byte-identical to a build without
   /// budgets (the differential harness checks this).
   double max_cpu_ms = 0.0;
@@ -131,6 +133,7 @@ class TopKProcessor {
         stats_(stats),
         ir_(ir),
         query_stats_(query_stats),
+        actx_{index, stats, ir, &index->corpus().tags()},
         evaluator_(index, ir) {}
 
   /// Evaluates the top-K answers of `q` and all its relaxations
@@ -142,17 +145,19 @@ class TopKProcessor {
                          const TopKOptions& opts);
 
  private:
-  // `cert` is the kSchemeTable row of opts.scheme (validated non-null
-  // by Run): the stopping rules below read it instead of switching on
-  // the scheme by name.
-  Result<TopKResult> RunDpo(const Tpq& q, const TopKOptions& opts,
-                            const SchemeCertificate& cert,
-                            const PenaltyModel& pm, TraceCollector* trace,
-                            ThreadPool* pool);
-  Result<TopKResult> RunEncoded(const Tpq& q, const TopKOptions& opts,
-                                const SchemeCertificate& cert,
-                                const PenaltyModel& pm, EvalMode mode,
-                                TraceCollector* trace, ThreadPool* pool);
+  /// One run's query, options, relaxation schedule, trace, pool and CPU
+  /// bill, shared by the algorithm loops (defined in topk.cc).
+  struct RunContext;
+
+  Result<TopKResult> RunDpo(const RunContext& ctx);
+  Result<TopKResult> RunEncoded(const RunContext& ctx, EvalMode mode);
+
+  /// Run()'s observability tail: the registry metrics, the trace root's
+  /// closing annotations, the per-shape statistics and the slow-query
+  /// log. Finishes `trace` when non-null and hands it to `result`.
+  void Record(const Tpq& q, Algorithm algo, const TopKOptions& opts,
+              double elapsed_ms, TraceCollector* trace,
+              Result<TopKResult>* result);
 
   /// The pool serving `opts.num_threads`, or null for a serial run.
   /// Pools are created on first use and cached per size for the
@@ -164,6 +169,8 @@ class TopKProcessor {
   const DocumentStats* stats_;
   IrEngine* ir_;
   QueryStatsStore* query_stats_;
+  /// The corpus statistics static pruning proves rounds empty with.
+  const AnalyzerContext actx_;
   PlanEvaluator evaluator_;
   Mutex pools_mu_;
   std::map<size_t, std::unique_ptr<ThreadPool>> pools_ GUARDED_BY(pools_mu_);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "exec/naive_evaluator.h"
 #include "exec/topk.h"
 #include "ir/engine.h"
@@ -202,6 +203,27 @@ TEST_F(TopKTest, CombinedSchemeOrdersBySum) {
   }
 }
 
+/// The process-wide registry's view of the ExecCounters fields, in
+/// VisitFields order: the counter "exec.<field>" for a summed field
+/// (query.rounds_pruned_static for the static pruning count) and the
+/// gauge "exec.<field>" for the high-water mark.
+std::vector<int64_t> RegistryCounters() {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  std::vector<int64_t> out;
+  const ExecCounters fields;
+  ExecCounters::VisitFields(fields, [&](const char* name, const uint64_t&,
+                                        ExecCounters::Agg agg) {
+    const std::string field = name;
+    if (agg == ExecCounters::Agg::kMax) {
+      out.push_back(reg.gauge("exec." + field)->Value());
+    } else {
+      const char* layer = field == "rounds_pruned_static" ? "query." : "exec.";
+      out.push_back(static_cast<int64_t>(reg.counter(layer + field)->Value()));
+    }
+  });
+  return out;
+}
+
 TEST_F(TopKTest, DpoCountersIdenticalAcrossThreadCounts) {
   // Regression test for the Run() counter race: DPO rounds used to bump
   // shared counters from worker threads directly, so an 8-thread run
@@ -209,31 +231,57 @@ TEST_F(TopKTest, DpoCountersIdenticalAcrossThreadCounts) {
   // would never have executed). Counters are now accumulated per round
   // and aggregated by the deterministic merge, in round order, only for
   // the rounds the serial stopping rules accept — every field must match
-  // the serial run exactly.
-  Tpq q = Parse(kQ1);
-  for (RankScheme scheme :
-       {RankScheme::kStructureFirst, RankScheme::kCombined}) {
-    TopKOptions opts;
-    opts.k = 5;
-    opts.scheme = scheme;
-    opts.num_threads = 1;
-    Result<TopKResult> serial = processor_->Run(q, Algorithm::kDpo, opts);
-    ASSERT_TRUE(serial.ok());
+  // the serial run exactly. The registry mirrors the merged counters
+  // once per query, so its deltas around each run equal the result's
+  // counters too: a speculative round the merge discards counts nowhere.
+  auto run = [&](const Tpq& q, const TopKOptions& opts) {
+    const std::vector<int64_t> before = RegistryCounters();
+    Result<TopKResult> result = processor_->Run(q, Algorithm::kDpo, opts);
+    const std::vector<int64_t> after = RegistryCounters();
+    if (!result.ok()) return result;
+    size_t i = 0;
+    ExecCounters::VisitFields(
+        result->counters,
+        [&](const char* name, const uint64_t& value, ExecCounters::Agg agg) {
+          if (agg == ExecCounters::Agg::kMax) {
+            EXPECT_GE(after[i], static_cast<int64_t>(value)) << name;
+          } else {
+            EXPECT_EQ(after[i] - before[i], static_cast<int64_t>(value))
+                << name << " at " << opts.num_threads << " threads";
+          }
+          ++i;
+        });
+    return result;
+  };
+  // Q1 at K = 5 stops after its first rounds; the deep query needs every
+  // wave of an 8-thread run and stops inside the last one.
+  for (const char* xpath :
+       {kQ1, "//article[./section[./algorithm and ./paragraph]]"}) {
+    Tpq q = Parse(xpath);
+    for (RankScheme scheme :
+         {RankScheme::kStructureFirst, RankScheme::kCombined}) {
+      TopKOptions opts;
+      opts.k = 5;
+      opts.scheme = scheme;
+      opts.num_threads = 1;
+      Result<TopKResult> serial = run(q, opts);
+      ASSERT_TRUE(serial.ok());
 
-    opts.num_threads = 8;
-    Result<TopKResult> parallel = processor_->Run(q, Algorithm::kDpo, opts);
-    ASSERT_TRUE(parallel.ok());
+      opts.num_threads = 8;
+      Result<TopKResult> parallel = run(q, opts);
+      ASSERT_TRUE(parallel.ok());
 
-    const ExecCounters& s = serial->counters;
-    parallel->counters.ForEach([&s](const char* name, uint64_t value) {
-      uint64_t expected = 0;
-      s.ForEach([&](const char* sname, uint64_t svalue) {
-        if (std::string_view(sname) == name) expected = svalue;
+      const ExecCounters& s = serial->counters;
+      parallel->counters.ForEach([&s](const char* name, uint64_t value) {
+        uint64_t expected = 0;
+        s.ForEach([&](const char* sname, uint64_t svalue) {
+          if (std::string_view(sname) == name) expected = svalue;
+        });
+        EXPECT_EQ(value, expected) << name;
       });
-      EXPECT_EQ(value, expected) << name;
-    });
-    EXPECT_EQ(parallel->relaxations_used, serial->relaxations_used);
-    EXPECT_EQ(parallel->penalty_applied, serial->penalty_applied);
+      EXPECT_EQ(parallel->relaxations_used, serial->relaxations_used);
+      EXPECT_EQ(parallel->penalty_applied, serial->penalty_applied);
+    }
   }
 }
 

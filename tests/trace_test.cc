@@ -399,6 +399,59 @@ TEST_F(DpoTraceTest, RootAndRoundSpansCarryCpuMs) {
   }
 }
 
+/// Asserts that two span trees have the same shape: span names, nesting
+/// and every "counters.*" annotation. Times, cpu_ms and the wave-worker
+/// index legitimately differ between thread counts and are ignored.
+void ExpectSameShape(const TraceSpan& a, const TraceSpan& b,
+                     const std::string& path) {
+  const std::string here = path + "/" + a.name;
+  ASSERT_EQ(a.name, b.name) << path;
+  auto counters = [](const TraceSpan& span) {
+    std::vector<std::pair<std::string, double>> out;
+    for (const TraceAnnotation& ann : span.annotations) {
+      if (ann.key.rfind("counters.", 0) == 0) {
+        out.emplace_back(ann.key, ann.number);
+      }
+    }
+    return out;
+  };
+  EXPECT_EQ(counters(a), counters(b)) << here;
+  ASSERT_EQ(a.children.size(), b.children.size()) << here;
+  for (size_t i = 0; i < a.children.size(); ++i) {
+    ExpectSameShape(*a.children[i], *b.children[i], here);
+  }
+}
+
+TEST_F(DpoTraceTest, SpanTreeIdenticalAcrossThreadCounts) {
+  // DPO at 4 threads evaluates rounds in waves of 1, 2 and 4, the first on
+  // the calling thread and the rest one round per worker; the merged
+  // trace must be the serial run's, round for round. SSO's one plan
+  // fans its join steps out over tuple chunks instead.
+  Result<Tpq> q = ParseXPath(
+      "//article[./section[./algorithm and ./paragraph[.contains(\"XML\" "
+      "and \"streaming\")]]]",
+      corpus_->tags());
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  for (Algorithm algo : {Algorithm::kDpo, Algorithm::kSso}) {
+    TopKOptions opts;
+    opts.k = 50;
+    opts.collect_trace = true;
+    opts.num_threads = 1;
+    Result<TopKResult> serial = processor_->Run(*q, algo, opts);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    opts.num_threads = 4;
+    Result<TopKResult> parallel = processor_->Run(*q, algo, opts);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    if (algo == Algorithm::kDpo) {
+      ASSERT_GE(serial->relaxations_used, 3u);
+      ASSERT_EQ(serial->trace->root.ChildrenNamed("relaxation_round").size(),
+                serial->relaxations_used);
+    }
+    ExpectSameShape(serial->trace->root, parallel->trace->root,
+                    AlgorithmName(algo));
+  }
+}
+
 TEST_F(DpoTraceTest, TraceIsNullUnlessRequested) {
   Result<Tpq> q = ParseXPath("//article[./section]", corpus_->tags());
   ASSERT_TRUE(q.ok()) << q.status().ToString();
