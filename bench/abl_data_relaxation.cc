@@ -9,7 +9,7 @@
 #include <chrono>
 
 #include "bench/bench_util.h"
-#include "exec/data_relaxation.h"
+#include "bench/data_relaxation.h"
 #include "exec/evaluator.h"
 #include "exec/plan.h"
 #include "relax/relaxation.h"

@@ -33,8 +33,7 @@
 //                              results are identical either way)
 //   :explain <xpath>           show closure, operators and the schedule
 //   :analyze <xpath>           run with tracing, print the span tree
-//   :lint <xpath>              static analysis: semantic diagnostics plus
-//                              a Theorem-2 verification of the schedule
+//   :lint <xpath>              static analysis: semantic diagnostics
 //   :synonym A B               register B as a synonym of A
 //   :stats                     corpus + per-query-shape statistics
 //   :slowlog                   slow-query log (see --slow-query-ms)
@@ -230,7 +229,7 @@ void PrintHelp() {
       "  :threads N               worker threads (0 = all cores, 1 = serial)\n"
       "  :explain <xpath>         closure, operators, schedule\n"
       "  :analyze <xpath>         run with tracing, print the span tree\n"
-      "  :lint <xpath>            static diagnostics + schedule verification\n"
+      "  :lint <xpath>            static diagnostics\n"
       "  :synonym A B             thesaurus entry (B relaxes A)\n"
       "  :stats                   corpus + per-query-shape statistics\n"
       "  :slowlog                 slow-query log\n"
@@ -331,10 +330,11 @@ int ExplainAnalyze(CliState& state, const std::string& xpath,
   return 0;
 }
 
-// Static analysis (--check / --check-json): parses the query and runs
-// the semantic analyzer — closure-based structural checks plus
-// corpus-level unsatisfiability. Exit status 1 when the report carries
-// an error (the query, or some relaxation round, is provably useless).
+// Static analysis (--check / --check-json, and :lint in the REPL):
+// parses the query and runs the semantic analyzer — closure-based
+// structural checks plus corpus-level unsatisfiability. Exit status 1
+// when the report carries an error (the query, or some relaxation round,
+// is provably useless).
 int Check(CliState& state, const std::string& xpath, bool as_json) {
   flexpath::Result<flexpath::AnalysisReport> report =
       state.fp.AnalyzeXPath(xpath);
@@ -352,36 +352,6 @@ int Check(CliState& state, const std::string& xpath, bool as_json) {
     }
   }
   return report->ErrorCount() > 0 ? 1 : 0;
-}
-
-// :lint — the --check diagnostics plus the relaxation-plan verifier:
-// every schedule entry is checked against Theorem 2 (V001-V006) and
-// provably-empty rounds are called out; those are exactly the rounds
-// TopKOptions::static_prune skips at execution time.
-void Lint(CliState& state, const std::string& xpath) {
-  flexpath::Result<flexpath::Tpq> q = state.fp.Parse(xpath);
-  if (!q.ok()) {
-    std::printf("error: %s\n", q.status().ToString().c_str());
-    return;
-  }
-  flexpath::AnalysisReport report = state.fp.Analyze(*q);
-  if (report.diagnostics.empty()) {
-    std::printf("no diagnostics\n");
-  } else {
-    for (const flexpath::Diagnostic& d : report.diagnostics) {
-      std::printf("%s\n", d.ToString().c_str());
-    }
-  }
-  flexpath::Result<std::vector<flexpath::PlanVerdict>> verdicts =
-      state.fp.VerifySchedule(*q);
-  if (!verdicts.ok()) {
-    std::printf("error: %s\n", verdicts.status().ToString().c_str());
-    return;
-  }
-  std::printf("schedule: %zu relaxations\n", verdicts->size());
-  for (size_t i = 0; i < verdicts->size(); ++i) {
-    std::printf("  %2zu. %s\n", i + 1, (*verdicts)[i].ToString().c_str());
-  }
 }
 
 // Matches `--flag VALUE` or `--flag=VALUE`; returns the value (advancing
@@ -545,7 +515,7 @@ int Repl(CliState& state) {
     } else if (cmd == ":lint") {
       std::string rest;
       std::getline(words, rest);
-      Lint(state, std::string(flexpath::Trim(rest)));
+      Check(state, std::string(flexpath::Trim(rest)), /*as_json=*/false);
     } else if (cmd == ":synonym") {
       std::string a, b;
       if (words >> a >> b) {

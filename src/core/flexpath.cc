@@ -8,7 +8,6 @@
 
 #include "common/json_util.h"
 #include "common/log.h"
-#include "relax/schedule.h"
 
 namespace flexpath {
 
@@ -387,15 +386,6 @@ Result<AnalysisReport> FlexPath::AnalyzeXPath(std::string_view xpath) const {
   Result<Tpq> q = Parse(xpath);
   if (!q.ok()) return q.status();
   return Analyze(*q);
-}
-
-Result<std::vector<PlanVerdict>> FlexPath::VerifySchedule(
-    const Tpq& q) const {
-  if (!built_) return Status::InvalidArgument("call Build() first");
-  FLEXPATH_RETURN_IF_ERROR(q.Validate());
-  PenaltyModel pm(q, stats_.get(), ir_.get(), Weights{});
-  const std::vector<ScheduleEntry> schedule = BuildSchedule(q, pm);
-  return flexpath::VerifySchedule(q, schedule, analyzer_context());
 }
 
 std::string FlexPath::CacheStatsJson() const {

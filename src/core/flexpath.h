@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "analysis/analyzer.h"
-#include "analysis/plan_verifier.h"
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/status.h"
@@ -152,12 +151,6 @@ class FlexPath {
   /// when the query does not parse; semantic problems come back as
   /// diagnostics in the report.
   Result<AnalysisReport> AnalyzeXPath(std::string_view xpath) const;
-
-  /// Statically verifies the full relaxation schedule BuildSchedule
-  /// emits for `q` against Theorem 2 (see analysis/plan_verifier.h for
-  /// the V001-V006 verdict codes). Requires Build(); the verdicts carry
-  /// the static-selectivity result used by TopKOptions::static_prune.
-  Result<std::vector<PlanVerdict>> VerifySchedule(const Tpq& q) const;
 
   /// The analyzer context over this instance's index/stats/IR — what
   /// Analyze() and the static_prune path consult. Fields are null

@@ -42,8 +42,7 @@ Result<JoinPlan> JoinPlan::Build(const Tpq& original, const Tpq& relaxed,
     step.tag = original.node(vars[i]).tag;
     if (step.tag == kInvalidTag) {
       return Status::Unimplemented(
-          "wildcard (*) steps are not supported by the join-plan engine; "
-          "use NaiveEvaluate for wildcard patterns");
+          "wildcard (*) steps are not supported by the join-plan engine");
     }
     step.attr_preds = original.node(vars[i]).attr_preds;
     step.nullable = !relaxed.HasVar(vars[i]);

@@ -1,29 +1,12 @@
 #include "relax/relaxation.h"
 
-#include <algorithm>
 #include <deque>
+#include <string>
 #include <unordered_set>
 
-namespace flexpath {
+#include "relax/operators.h"
 
-std::vector<RelaxStep> EnumerateSteps(const Tpq& q, const PenaltyModel& pm) {
-  const LogicalQuery closure = TreeClosure(q);
-  std::vector<RelaxStep> steps;
-  for (const RelaxOp& op : ApplicableOps(q)) {
-    RelaxStep step;
-    step.op = op;
-    step.dropped = DroppedPredicates(q, closure, op);
-    if (step.dropped.empty()) continue;
-    step.penalty = pm.Sum(step.dropped);
-    steps.push_back(std::move(step));
-  }
-  std::sort(steps.begin(), steps.end(),
-            [](const RelaxStep& a, const RelaxStep& b) {
-              if (a.penalty != b.penalty) return a.penalty < b.penalty;
-              return a.op < b.op;
-            });
-  return steps;
-}
+namespace flexpath {
 
 std::vector<Tpq> RelaxationSpace(const Tpq& q, size_t limit) {
   std::vector<Tpq> out;

@@ -1,39 +1,17 @@
 #ifndef FLEXPATH_RELAX_RELAXATION_H_
 #define FLEXPATH_RELAX_RELAXATION_H_
 
-#include <set>
-#include <string>
+#include <cstddef>
 #include <vector>
 
-#include "query/logical.h"
 #include "query/tpq.h"
-#include "relax/operators.h"
-#include "relax/penalty.h"
 
 namespace flexpath {
-
-/// One atomic relaxation step: an operator application together with the
-/// set of closure predicates it drops and the resulting penalty. DPO and
-/// SSO consume steps in increasing-penalty order ("drop the next
-/// predicate with the lowest penalty", Section 5.1).
-struct RelaxStep {
-  RelaxOp op;
-  std::set<Predicate> dropped;
-  double penalty = 0.0;
-};
-
-/// Enumerates the atomic steps applicable to the *original* query,
-/// sorted by increasing penalty (ties broken by the op's canonical
-/// order, so the sequence is deterministic). Subsumed steps — whose drop
-/// set adds nothing beyond an earlier (cheaper) step, e.g. γ(x) when
-/// λ(x) already fired — are kept; cumulative application unions the drop
-/// sets, so re-drops are harmless.
-std::vector<RelaxStep> EnumerateSteps(const Tpq& q, const PenaltyModel& pm);
 
 /// All distinct relaxations reachable from `q` by composing operators,
 /// including `q` itself, deduplicated by canonical form. Breadth-first;
 /// stops after `limit` distinct queries (the space is exponential in the
-/// pattern size). Used by the DPO rewriting path, examples and tests.
+/// pattern size). Used by examples and tests.
 std::vector<Tpq> RelaxationSpace(const Tpq& q, size_t limit = 256);
 
 }  // namespace flexpath

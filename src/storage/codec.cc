@@ -13,9 +13,7 @@ void PutVarint(uint64_t value, std::string* out) {
   out->push_back(static_cast<char>(value));
 }
 
-Status EncodeKeyBlocks(const std::vector<uint64_t>& keys, std::string* out,
-                       std::vector<SkipEntry>* skips) {
-  const size_t base = out->size();
+Status EncodeKeyBlocks(const std::vector<uint64_t>& keys, std::string* out) {
   for (size_t i = 0; i < keys.size(); i += kBlockKeys) {
     const size_t block_end = std::min(keys.size(), i + kBlockKeys);
     if (i > 0 && keys[i] <= keys[i - 1]) {
@@ -23,11 +21,6 @@ Status EncodeKeyBlocks(const std::vector<uint64_t>& keys, std::string* out,
           "key sequence is not strictly increasing at position " +
           std::to_string(i));
     }
-    SkipEntry skip;
-    skip.first_key = keys[i];
-    skip.offset = out->size() - base;
-    skip.count = static_cast<uint32_t>(block_end - i);
-    skips->push_back(skip);
     PutVarint(keys[i], out);
     for (size_t j = i + 1; j < block_end; ++j) {
       if (keys[j] <= keys[j - 1]) {

@@ -13,9 +13,9 @@ namespace flexpath {
 namespace storage {
 
 /// Low-level byte codec shared by the packed-corpus writer and reader
-/// (DESIGN.md §17): LEB128 varints plus delta-compressed blocks of
-/// strictly increasing uint64 keys with a fixed-width skip table that
-/// locates each block.
+/// (DESIGN.md §17): LEB128 varints, delta-compressed blocks of strictly
+/// increasing uint64 keys, and the fixed-width skip entry that locates a
+/// posting block.
 
 /// Appends `value` as a LEB128 varint (1-10 bytes).
 void PutVarint(uint64_t value, std::string* out);
@@ -43,8 +43,8 @@ inline Status GetVarint(std::string_view data, size_t* pos, uint64_t* out) {
 }
 
 /// Number of keys per delta block. Small enough that a point lookup
-/// decodes little; large enough that the skip table stays tiny (one
-/// 24-byte entry per block).
+/// decodes little; large enough that a posting skip table stays tiny
+/// (one 24-byte entry per block).
 inline constexpr size_t kBlockKeys = 128;
 
 /// One skip-table entry, fixed width so the reader can index the mmap'd
@@ -61,11 +61,9 @@ static_assert(sizeof(SkipEntry) == 24, "SkipEntry layout is part of the format")
 
 /// Encodes a strictly increasing key sequence as delta blocks of up to
 /// kBlockKeys keys: each block is [varint first_key][varint delta]*,
-/// deltas >= 1. Appends the encoded bytes to `out` and one SkipEntry per
-/// block to `skips` (offsets relative to the first appended byte).
-/// Returns InvalidArgument if the keys are not strictly increasing.
-Status EncodeKeyBlocks(const std::vector<uint64_t>& keys, std::string* out,
-                       std::vector<SkipEntry>* skips);
+/// deltas >= 1. Appends the encoded bytes to `out`. Returns
+/// InvalidArgument if the keys are not strictly increasing.
+Status EncodeKeyBlocks(const std::vector<uint64_t>& keys, std::string* out);
 
 /// Decodes the blocks of EncodeKeyBlocks back into keys. `expect` is the
 /// expected key count (from the directory); a mismatch, a non-positive

@@ -150,7 +150,7 @@ Status WritePackedCorpus(const Corpus& corpus, const TokenizerOptions& opts,
   }
 
   // Per-tag element tables: the by-(doc, start) lists ElementIndex
-  // serves, as delta key blocks with a shared skip table.
+  // serves, as delta key blocks.
   {
     std::vector<std::vector<uint64_t>> by_tag(tag_count);
     for (DocId d = 0; d < corpus.size(); ++d) {
@@ -162,22 +162,14 @@ Status WritePackedCorpus(const Corpus& corpus, const TokenizerOptions& opts,
     }
     std::string& blocks = sections[kSecElemBlocks];
     std::string& dir = sections[kSecElemDir];
-    std::vector<SkipEntry> skips;
     for (TagId t = 0; t < tag_count; ++t) {
       ElemDirRecord rec;
       rec.count = by_tag[t].size();
       rec.offset = blocks.size();
-      rec.skip_index = skips.size();
-      std::vector<SkipEntry> tag_skips;
-      FLEXPATH_RETURN_IF_ERROR(
-          EncodeKeyBlocks(by_tag[t], &blocks, &tag_skips));
+      FLEXPATH_RETURN_IF_ERROR(EncodeKeyBlocks(by_tag[t], &blocks));
       rec.length = blocks.size() - rec.offset;
-      rec.skip_count = static_cast<uint32_t>(tag_skips.size());
-      skips.insert(skips.end(), tag_skips.begin(), tag_skips.end());
       AppendPod(rec, &dir);
     }
-    std::string& skip_sec = sections[kSecElemSkips];
-    for (const SkipEntry& s : skips) AppendPod(s, &skip_sec);
   }
 
   // Statistics tables.
@@ -243,7 +235,7 @@ Status WritePackedCorpus(const Corpus& corpus, const TokenizerOptions& opts,
   std::vector<SectionRecord> table;
   uint64_t cursor =
       PageAlign(sizeof(FileHeader) + kSectionCount * sizeof(SectionRecord));
-  for (uint32_t id = 1; id <= kSectionCount; ++id) {
+  for (const SectionId id : kSectionIds) {
     SectionRecord rec;
     rec.id = id;
     rec.offset = cursor;

@@ -17,7 +17,6 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/diagnostic.h"
-#include "analysis/plan_verifier.h"
 #include "common/random.h"
 #include "core/flexpath.h"
 #include "exec/topk.h"
@@ -28,6 +27,7 @@
 #include "relax/schedule.h"
 #include "stats/document_stats.h"
 #include "stats/element_index.h"
+#include "tests/plan_verifier.h"
 #include "tests/test_util.h"
 #include "xml/corpus.h"
 
@@ -275,13 +275,14 @@ TEST_F(AnalysisTest, SchedulerOutputVerifiesOnRealCorpus) {
       "//article[./section[./algorithm and ./paragraph[.contains(\"XML\" "
       "and \"streaming\")]]]");
   ASSERT_TRUE(q.ok());
-  Result<std::vector<PlanVerdict>> verdicts = fp_.VerifySchedule(*q);
-  ASSERT_TRUE(verdicts.ok()) << verdicts.status().ToString();
-  ASSERT_FALSE(verdicts->empty());
-  for (size_t i = 0; i < verdicts->size(); ++i) {
-    EXPECT_TRUE((*verdicts)[i].ok)
-        << "entry " << i << ": " << (*verdicts)[i].ToString();
-    EXPECT_FALSE((*verdicts)[i].op_path.empty()) << "entry " << i;
+  PenaltyModel pm(*q, fp_.stats(), fp_.ir_engine(), Weights{});
+  const std::vector<PlanVerdict> verdicts =
+      VerifySchedule(*q, BuildSchedule(*q, pm), fp_.analyzer_context());
+  ASSERT_FALSE(verdicts.empty());
+  for (size_t i = 0; i < verdicts.size(); ++i) {
+    EXPECT_TRUE(verdicts[i].ok)
+        << "entry " << i << ": " << verdicts[i].ToString();
+    EXPECT_FALSE(verdicts[i].op_path.empty()) << "entry " << i;
   }
 }
 

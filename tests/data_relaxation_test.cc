@@ -3,12 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/data_relaxation.h"
 #include "common/random.h"
-#include "exec/data_relaxation.h"
-#include "exec/naive_evaluator.h"
 #include "ir/engine.h"
 #include "query/xpath_parser.h"
 #include "stats/element_index.h"
+#include "tests/naive_evaluator.h"
 #include "tests/test_util.h"
 
 namespace flexpath {

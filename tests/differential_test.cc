@@ -21,7 +21,6 @@
 #include "common/random.h"
 #include "core/flexpath.h"
 #include "exec/evaluator.h"
-#include "exec/naive_evaluator.h"
 #include "exec/plan.h"
 #include "exec/topk.h"
 #include "ir/engine.h"
@@ -30,6 +29,7 @@
 #include "relax/schedule.h"
 #include "stats/document_stats.h"
 #include "stats/element_index.h"
+#include "tests/naive_evaluator.h"
 #include "tests/test_util.h"
 #include "xml/corpus.h"
 

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "exec/evaluator.h"
-#include "exec/naive_evaluator.h"
 #include "exec/plan.h"
 #include "exec/topk.h"
 #include "ir/engine.h"
@@ -12,6 +11,7 @@
 #include "relax/schedule.h"
 #include "stats/document_stats.h"
 #include "stats/element_index.h"
+#include "tests/naive_evaluator.h"
 #include "tests/test_util.h"
 
 namespace flexpath {
@@ -168,6 +168,10 @@ TEST(EvaluatorEdgeTest, WildcardPlanRejectedGracefully) {
   Result<TopKResult> result = rig.processor.Run(q, Algorithm::kHybrid, opts);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnimplemented);
+  // The message points at nothing a library user can call.
+  EXPECT_EQ(result.status().message().find("NaiveEvaluate"),
+            std::string::npos)
+      << result.status().ToString();
 }
 
 TEST(EvaluatorEdgeTest, AttrPredsFilterInsideRelaxedPlans) {

@@ -7,10 +7,8 @@
 
 #include "common/random.h"
 #include "exec/evaluator.h"
-#include "exec/naive_evaluator.h"
 #include "exec/plan.h"
 #include "exec/selectivity.h"
-#include "exec/structural_join.h"
 #include "exec/topk.h"
 #include "ir/engine.h"
 #include "query/xpath_parser.h"
@@ -18,83 +16,12 @@
 #include "relax/schedule.h"
 #include "stats/document_stats.h"
 #include "stats/element_index.h"
+#include "tests/naive_evaluator.h"
 #include "tests/test_util.h"
 #include "xmark/generator.h"
 
 namespace flexpath {
 namespace {
-
-// --- Structural join ------------------------------------------------------
-
-std::set<std::pair<NodeRef, NodeRef>> PairSet(
-    const std::vector<JoinPair>& pairs) {
-  std::set<std::pair<NodeRef, NodeRef>> out;
-  for (const JoinPair& p : pairs) out.emplace(p.anc, p.desc);
-  return out;
-}
-
-TEST(StructuralJoinTest, SimpleAncestorDescendant) {
-  auto corpus = testing_util::CorpusFromXml(
-      {"<a><b><a><b/></a></b><b/></a>"});
-  ElementIndex index(corpus.get());
-  const TagDict& dict = std::as_const(*corpus).tags();
-  const auto& as = index.Scan(dict.Lookup("a"));
-  const auto& bs = index.Scan(dict.Lookup("b"));
-  ASSERT_EQ(as.size(), 2u);
-  ASSERT_EQ(bs.size(), 3u);
-
-  std::vector<JoinPair> ad = StructuralJoin(*corpus, as, bs, false);
-  // a0 contains b1, b3, b4; a2 contains b3. Total 4 pairs.
-  EXPECT_EQ(ad.size(), 4u);
-  std::vector<JoinPair> pc = StructuralJoin(*corpus, as, bs, true);
-  // parents: a0->b1, a0->b4, a2->b3.
-  EXPECT_EQ(pc.size(), 3u);
-}
-
-TEST(StructuralJoinTest, MatchesNestedLoopOnRandomDocs) {
-  Rng rng(505);
-  for (int iter = 0; iter < 30; ++iter) {
-    Corpus corpus;
-    corpus.Add(testing_util::RandomDocument(&rng, corpus.tags(), 80));
-    corpus.Add(testing_util::RandomDocument(&rng, corpus.tags(), 80));
-    ElementIndex index(&corpus);
-    const TagDict& dict = std::as_const(corpus).tags();
-    for (const char* anc_tag : {"a", "b", "c"}) {
-      for (const char* desc_tag : {"b", "d"}) {
-        const TagId at = dict.Lookup(anc_tag);
-        const TagId dt = dict.Lookup(desc_tag);
-        if (at == kInvalidTag || dt == kInvalidTag) continue;
-        const auto& as = index.Scan(at);
-        const auto& ds = index.Scan(dt);
-        for (bool parent_only : {false, true}) {
-          EXPECT_EQ(
-              PairSet(StructuralJoin(corpus, as, ds, parent_only)),
-              PairSet(NestedLoopJoin(corpus, as, ds, parent_only)))
-              << anc_tag << "/" << desc_tag << " parent=" << parent_only;
-        }
-      }
-    }
-  }
-}
-
-TEST(StructuralJoinTest, EmptyInputs) {
-  auto corpus = testing_util::CorpusFromXml({"<a><b/></a>"});
-  ElementIndex index(corpus.get());
-  std::vector<NodeRef> empty;
-  const auto& as = index.Scan(std::as_const(*corpus).tags().Lookup("a"));
-  EXPECT_TRUE(StructuralJoin(*corpus, empty, as, false).empty());
-  EXPECT_TRUE(StructuralJoin(*corpus, as, empty, false).empty());
-}
-
-TEST(StructuralJoinTest, SameListSelfJoin) {
-  auto corpus = testing_util::CorpusFromXml({"<a><a><a/></a></a>"});
-  ElementIndex index(corpus.get());
-  const auto& as = index.Scan(std::as_const(*corpus).tags().Lookup("a"));
-  std::vector<JoinPair> ad = StructuralJoin(*corpus, as, as, false);
-  EXPECT_EQ(ad.size(), 3u);  // (0,1),(0,2),(1,2)
-  std::vector<JoinPair> pc = StructuralJoin(*corpus, as, as, true);
-  EXPECT_EQ(pc.size(), 2u);
-}
 
 // --- Naive evaluator -------------------------------------------------------
 

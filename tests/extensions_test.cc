@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "exec/evaluator.h"
-#include "exec/naive_evaluator.h"
 #include "exec/plan.h"
 #include "ir/engine.h"
 #include "ir/thesaurus.h"
@@ -12,6 +11,7 @@
 #include "relax/extensions.h"
 #include "stats/document_stats.h"
 #include "stats/element_index.h"
+#include "tests/naive_evaluator.h"
 #include "tests/test_util.h"
 #include "xml/type_hierarchy.h"
 

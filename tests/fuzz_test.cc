@@ -218,8 +218,7 @@ TEST(ThreadPoolFuzzTest, ChunkRangesTileEveryLength) {
 // Codec round-trip fuzzing with adversarial delta shapes: runs of
 // delta 1 (worst case for the strict-increase check), huge jumps
 // (multi-byte varints), keys starting at 0, and sequences ending at
-// uint64 max. Whatever encodes must decode back exactly, and each skip
-// entry must name its block's first key.
+// uint64 max. Whatever encodes must decode back exactly.
 TEST(FuzzTest, StorageKeyBlocksRoundTripAdversarialDeltas) {
   Rng rng(1007);
   for (int iter = 0; iter < 300; ++iter) {
@@ -243,21 +242,13 @@ TEST(FuzzTest, StorageKeyBlocksRoundTripAdversarialDeltas) {
       k += delta;
     }
     std::string bytes;
-    std::vector<storage::SkipEntry> skips;
-    ASSERT_TRUE(storage::EncodeKeyBlocks(keys, &bytes, &skips).ok())
+    ASSERT_TRUE(storage::EncodeKeyBlocks(keys, &bytes).ok())
         << "iter " << iter;
     std::vector<uint64_t> back;
     ASSERT_TRUE(
         storage::DecodeKeyBlocks(bytes, keys.size(), &back).ok())
         << "iter " << iter;
     EXPECT_EQ(back, keys) << "iter " << iter;
-    size_t first = 0;
-    for (const storage::SkipEntry& s : skips) {
-      ASSERT_LT(first, keys.size()) << "iter " << iter;
-      EXPECT_EQ(s.first_key, keys[first]) << "iter " << iter;
-      first += s.count;
-    }
-    EXPECT_EQ(first, keys.size()) << "iter " << iter;
   }
 }
 
@@ -267,8 +258,7 @@ TEST(FuzzTest, StorageKeyBlockDecoderSurvivesMutation) {
   std::vector<uint64_t> keys;
   for (uint64_t i = 0; i < 500; ++i) keys.push_back(i * 7 + 3);
   std::string bytes;
-  std::vector<storage::SkipEntry> skips;
-  ASSERT_TRUE(storage::EncodeKeyBlocks(keys, &bytes, &skips).ok());
+  ASSERT_TRUE(storage::EncodeKeyBlocks(keys, &bytes).ok());
   for (int iter = 0; iter < 400; ++iter) {
     const std::string mutated = Mutate(bytes, &rng);
     std::vector<uint64_t> out;

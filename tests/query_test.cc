@@ -6,11 +6,11 @@
 
 #include <gtest/gtest.h>
 
-#include "query/containment.h"
 #include "query/logical.h"
 #include "query/predicate.h"
 #include "query/tpq.h"
 #include "query/xpath_parser.h"
+#include "tests/containment.h"
 #include "xml/tag_dict.h"
 
 namespace flexpath {

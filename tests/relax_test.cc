@@ -5,9 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/naive_evaluator.h"
 #include "ir/engine.h"
-#include "query/containment.h"
 #include "query/logical.h"
 #include "query/xpath_parser.h"
 #include "relax/operators.h"
@@ -16,6 +14,8 @@
 #include "relax/schedule.h"
 #include "stats/document_stats.h"
 #include "stats/element_index.h"
+#include "tests/containment.h"
+#include "tests/naive_evaluator.h"
 #include "tests/test_util.h"
 #include "xmark/generator.h"
 
@@ -375,20 +375,6 @@ TEST_F(PenaltyTest, ScheduleAnswersGrowMonotonically) {
         std::includes(cur.begin(), cur.end(), prev.begin(), prev.end()))
         << entry.op.ToString();
     prev = std::move(cur);
-  }
-}
-
-TEST_F(PenaltyTest, EnumerateStepsSortedByPenalty) {
-  Tpq q1 = Parse(kQ1, corpus_->tags());
-  PenaltyModel pm(q1, stats_.get(), ir_.get(), Weights{});
-  std::vector<RelaxStep> steps = EnumerateSteps(q1, pm);
-  ASSERT_FALSE(steps.empty());
-  for (size_t i = 1; i < steps.size(); ++i) {
-    EXPECT_LE(steps[i - 1].penalty, steps[i].penalty);
-  }
-  for (const RelaxStep& s : steps) {
-    EXPECT_FALSE(s.dropped.empty());
-    EXPECT_GE(s.penalty, 0.0);
   }
 }
 

@@ -12,10 +12,10 @@
 
 #include <gtest/gtest.h>
 
-#include "query/containment.h"
 #include "query/logical.h"
 #include "query/xpath_parser.h"
 #include "relax/relaxation.h"
+#include "tests/containment.h"
 
 namespace flexpath {
 namespace {

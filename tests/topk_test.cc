@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
-#include "exec/naive_evaluator.h"
 #include "exec/topk.h"
 #include "ir/engine.h"
 #include "query/xpath_parser.h"
