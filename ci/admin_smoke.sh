@@ -2,17 +2,18 @@
 # End-to-end smoke test of the admin endpoint and the workload-capture
 # loop, as run by the admin-smoke CI job:
 #
-#   0. assert that an unknown flag, an out-of-range port and a negative
-#      capacity are usage errors (exit 2)
+#   0. assert that an unknown flag, a retired --stats-* flag, an
+#      out-of-range port and a negative budget are usage errors (exit 2)
 #   1. start flexpath_cli on a generated XMark corpus with --admin-port 0
 #      (ephemeral) and --query-log, keeping the REPL's stdin open on a
 #      FIFO
 #   2. poll /healthz until the endpoint answers, then exercise every
-#      route, check that retired routes are 404, and validate /metrics
-#      with ci/check_prometheus.py
+#      route, check that retired routes are 404, that /statsz refuses a
+#      recent=N that is not a number, and validate /metrics with
+#      ci/check_prometheus.py
 #   3. push a burst of queries through the REPL and assert that a
-#      /metrics scrape counts them, that /varz accounts every query, and
-#      that every query landed in the JSON-lines log
+#      /metrics scrape counts them and their cpu_ms and work counters,
+#      and that every query landed in the JSON-lines log
 #   4. SIGTERM the CLI and assert the graceful path: exit code 143
 #   5. re-execute the captured log with flexpath_replay --check, which
 #      exits nonzero unless every answer set is byte-identical
@@ -50,9 +51,18 @@ grep -q '^usage: ' "$OUT_DIR/unknown_flag.log" \
   || fail "unknown flag printed no usage line"
 echo "admin_smoke: unknown flag rejected with exit 2"
 
+# The stats capacities are constants now; their old flags are unknown.
+RC=0
+"$CLI" --stats-ring 5 --xmark 1 >/dev/null 2>"$OUT_DIR/retired_flag.log" \
+  || RC=$?
+[ "$RC" -eq 2 ] || fail "--stats-ring exited $RC, expected 2"
+grep -q '^unknown flag --stats-ring$' "$OUT_DIR/retired_flag.log" \
+  || fail "--stats-ring not refused: $(cat "$OUT_DIR/retired_flag.log")"
+echo "admin_smoke: retired --stats-ring rejected as an unknown flag"
+
 # A numeric flag value out of range or not a number is a usage error too,
 # not silently wrapped or zeroed.
-for args in "--admin-port 70000" "--admin-port abc" "--stats-ring -1"; do
+for args in "--admin-port 70000" "--admin-port abc" "--max-tuples -1"; do
   RC=0
   # shellcheck disable=SC2086  # $args is two words on purpose
   "$CLI" $args --xmark 1 >/dev/null 2>"$OUT_DIR/bad_value.log" || RC=$?
@@ -101,20 +111,29 @@ curl -fsS "$BASE/healthz" | grep -q '"status":"ok"' || fail "/healthz not ok"
 echo "admin_smoke: /healthz ok on port $PORT"
 
 # Every route answers 200 and nontrivial JSON (or Prometheus text).
-for route in /buildz /statsz /statsz?recent=2 /varz /cachez /tracez; do
+for route in /buildz /statsz /statsz?recent=2 /tracez; do
   BODY=$(curl -fsS "$BASE$route") || fail "GET $route failed"
   [ -n "$BODY" ] || fail "GET $route returned an empty body"
 done
 # Unknown and retired routes are 404, and the index lists neither.
-for route in /definitely-not-a-route /flightrecz /timeseriesz; do
+for route in /definitely-not-a-route /flightrecz /timeseriesz /varz \
+    /cachez; do
   CODE=$(curl -sS -o /dev/null -w '%{http_code}' "$BASE$route")
   [ "$CODE" = "404" ] || fail "GET $route returned $CODE, expected 404"
 done
 INDEX=$(curl -fsS "$BASE/") || fail "GET / failed"
 echo "$INDEX" | grep -q '/metrics' || fail "GET / lists no /metrics"
-if echo "$INDEX" | grep -qE 'flightrecz|timeseriesz'; then
+if echo "$INDEX" | grep -qE 'flightrecz|timeseriesz|varz|cachez'; then
   fail "GET / still lists a retired route"
 fi
+# /statsz?recent=N takes a non-negative integer, capped at 1024; anything
+# else is a 400, not a silent 0 or an overflow.
+for arg in abc 99999999999999999999 -1; do
+  CODE=$(curl -sS -o /dev/null -w '%{http_code}' "$BASE/statsz?recent=$arg")
+  [ "$CODE" = "400" ] || fail "GET /statsz?recent=$arg returned $CODE, expected 400"
+done
+CODE=$(curl -sS -o /dev/null -w '%{http_code}' "$BASE/statsz?recent=5000")
+[ "$CODE" = "200" ] || fail "GET /statsz?recent=5000 returned $CODE, expected 200"
 
 # Prometheus exposition: correct content type and a structurally valid
 # scrape (name syntax, le monotonicity, +Inf == _count).
@@ -160,18 +179,24 @@ assert len(stats["recent"]) <= 2, "recent=%d" % len(stats["recent"])
 assert stats["shapes"], "no shape aggregates after traffic"
 ' || fail "/statsz?recent=2 malformed"
 
-# /varz folds every successful query's cpu_ms and work counters.
-curl -fsS "$BASE/varz" | python3 -c '
-import json, sys
-v = json.load(sys.stdin)
-assert v["queries"] >= 4, "queries=%r" % v["queries"]
-assert v["errors"] == 0, "errors=%r" % v["errors"]
-assert v["cpu_ms_total"] > 0, "cpu_ms_total=%r" % v["cpu_ms_total"]
-passes = v["counters_total"]["plan_passes"]
-assert passes >= 4, "counters_total.plan_passes=%r" % passes
-print("admin_smoke: /varz queries=%d plan_passes=%d cpu_ms=%.3f"
-      % (v["queries"], passes, v["cpu_ms_total"]))
-' || fail "/varz does not account the burst"
+# /metrics accounts every query of the burst: no errors, and the cpu_ms
+# histogram and the plan_passes counter saw each one.
+curl -fsS "$BASE/metrics" | python3 -c '
+import sys
+m = {}
+for line in sys.stdin:
+    if line and not line.startswith("#"):
+        name, _, value = line.rpartition(" ")
+        m[name] = float(value)
+errors = m["flexpath_query_errors_total"]
+cpu_count = m["flexpath_query_cpu_ms_count"]
+passes = m["flexpath_exec_plan_passes_total"]
+assert errors == 0, "errors=%r" % errors
+assert cpu_count >= 4, "query_cpu_ms_count=%r" % cpu_count
+assert passes >= 4, "exec_plan_passes_total=%r" % passes
+print("admin_smoke: /metrics errors=%d cpu_ms_count=%d plan_passes=%d"
+      % (errors, cpu_count, passes))
+' || fail "/metrics does not account the burst"
 
 # Graceful shutdown: SIGTERM must land as exit 128+15.
 kill -TERM "$CLI_PID"

@@ -37,7 +37,6 @@
 //   :synonym A B               register B as a synonym of A
 //   :stats                     corpus + per-query-shape statistics
 //   :slowlog                   slow-query log (see --slow-query-ms)
-//   :cache                     IR contains-result cache statistics (JSON)
 //   :trace [FILE]              Chrome-trace JSON of the last traced query
 //                              (stdout, or written to FILE); load it in
 //                              chrome://tracing or ui.perfetto.dev
@@ -68,7 +67,8 @@
 //   --admin-port N             serve the embedded admin endpoint on this
 //                              port (0 = ephemeral, printed on stderr);
 //                              routes: /healthz /buildz /metrics /statsz
-//                              /varz /cachez /tracez.
+//                              /tracez. /metrics carries every counter,
+//                              gauge and histogram, the IR cache's too.
 //                              Off by default: without the flag no socket
 //                              is opened and no thread started
 //   --admin-bind ADDR          admin bind address (default 127.0.0.1;
@@ -77,9 +77,6 @@
 //                              options, result metadata, cpu_ms,
 //                              answers digest); replay the file with
 //                              flexpath_replay
-//   --stats-shapes N           per-shape statistics table capacity
-//   --stats-ring N             recent-executions ring capacity
-//   --stats-slowlog N          slow-query log capacity
 //
 // Budget flags (soft, checked between relaxation rounds):
 //   --max-cpu-ms N             per-query thread-CPU budget in ms; a run
@@ -87,9 +84,9 @@
 //                              its partial answers, flagged
 //   --max-tuples N             per-query tuple-creation budget
 //
-// A numeric value outside its flag's range (a port above 65535, a
-// capacity above 1048576, a sign, a suffix, anything not a number) is a
-// usage error: the flag and the usage line go to stderr, exit code 2.
+// A numeric value outside its flag's range (a port above 65535, a sign,
+// a suffix, anything not a number) is a usage error: the flag and the
+// usage line go to stderr, exit code 2.
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -200,19 +197,20 @@ void RegisterAdminRoutes(CliState& state, flexpath::AdminServer& server) {
   });
   server.Handle("/statsz", [&state, json](const flexpath::HttpRequest& req) {
     // ?recent=N caps the recent/slow_log arrays; the explicit ceiling
-    // keeps a scrape from asking for an unbounded render.
-    size_t recent = 1024;
+    // keeps a scrape from asking for an unbounded render. N that is not
+    // a non-negative decimal integer is a 400.
+    constexpr uint64_t kMaxRecent = 1024;
+    uint64_t recent = kMaxRecent;
     if (const std::string* n = req.Param("recent")) {
-      recent = std::min<size_t>(
-          static_cast<size_t>(std::max(0L, std::atol(n->c_str()))), 1024);
+      if (!flexpath::ParseUint64(*n, 0, UINT64_MAX, &recent)) {
+        flexpath::HttpResponse resp =
+            json("{\"error\":\"recent must be a non-negative integer\"}");
+        resp.status = 400;
+        return resp;
+      }
+      recent = std::min(recent, kMaxRecent);
     }
-    return json(state.fp.query_stats()->ToJson(recent));
-  });
-  server.Handle("/varz", [&state, json](const flexpath::HttpRequest&) {
-    return json(state.fp.VarzJson());
-  });
-  server.Handle("/cachez", [&state, json](const flexpath::HttpRequest&) {
-    return json(state.fp.CacheStatsJson());
+    return json(state.fp.query_stats()->ToJson(static_cast<size_t>(recent)));
   });
   server.Handle("/tracez", [&state, json](const flexpath::HttpRequest&) {
     const std::string chrome = state.fp.LastTraceChromeJson();
@@ -233,7 +231,6 @@ void PrintHelp() {
       "  :synonym A B             thesaurus entry (B relaxes A)\n"
       "  :stats                   corpus + per-query-shape statistics\n"
       "  :slowlog                 slow-query log\n"
-      "  :cache                   IR contains-result cache statistics\n"
       "  :trace [FILE]            Chrome-trace JSON of the last traced query\n"
       "  :help, :quit\n");
 }
@@ -367,9 +364,7 @@ void PrintUsage(const char* argv0) {
                "[--log-json] [--log-level L] [--slow-query-ms N] "
                "[--threads N] [--metrics-prom] "
                "[--trace-out FILE] [--admin-port N] [--admin-bind ADDR] "
-               "[--query-log FILE] "
-               "[--stats-shapes N] [--stats-ring N] "
-               "[--stats-slowlog N] [--max-cpu-ms N] [--max-tuples N] "
+               "[--query-log FILE] [--max-cpu-ms N] [--max-tuples N] "
                "[file.xml ...]\n",
                argv0);
 }
@@ -381,9 +376,6 @@ void BadValue(const char* argv0, const char* flag, const char* expected,
   std::fprintf(stderr, "%s: expected %s, got %s\n", flag, expected, value);
   PrintUsage(argv0);
 }
-
-// Value ceiling of the --stats-* capacities.
-constexpr uint64_t kMaxStatsCapacity = uint64_t{1} << 20;
 
 const char* FlagValue(int argc, char** argv, int* i, const char* flag) {
   const size_t len = std::strlen(flag);
@@ -399,7 +391,6 @@ void PrintStats(CliState& state) {
   std::printf("documents: %zu, elements: %zu, distinct tags: %zu\n",
               corpus.size(), corpus.TotalNodes(),
               std::as_const(corpus).tags().size());
-  std::printf("caches: %s\n", state.fp.CacheStatsJson().c_str());
   const std::vector<flexpath::ShapeStatsSnapshot> shapes =
       state.fp.query_stats()->Shapes();
   if (shapes.empty()) return;
@@ -528,8 +519,6 @@ int Repl(CliState& state) {
       PrintStats(state);
     } else if (cmd == ":slowlog") {
       PrintSlowLog(state);
-    } else if (cmd == ":cache") {
-      std::printf("%s\n", state.fp.CacheStatsJson().c_str());
     } else if (cmd == ":trace") {
       const std::string chrome = state.fp.LastTraceChromeJson();
       if (chrome.empty()) {
@@ -569,8 +558,6 @@ int main(int argc, char** argv) {
   std::string query_log_path;
   bool admin_enabled = false;
   flexpath::AdminServerOptions admin_opts;
-  flexpath::QueryStatsOptions stats_opts;
-  bool stats_opts_set = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--log-json") == 0) {
       flexpath::Logger::Global().SetJsonOutput(true);
@@ -625,36 +612,6 @@ int main(int argc, char** argv) {
     }
     if (const char* v = FlagValue(argc, argv, &i, "--query-log")) {
       query_log_path = v;
-      continue;
-    }
-    if (const char* v = FlagValue(argc, argv, &i, "--stats-shapes")) {
-      uint64_t n = 0;
-      if (!flexpath::ParseUint64(v, 0, kMaxStatsCapacity, &n)) {
-        BadValue(argv[0], "--stats-shapes", "an integer in [0, 1048576]", v);
-        return 2;
-      }
-      stats_opts.max_shapes = static_cast<size_t>(n);
-      stats_opts_set = true;
-      continue;
-    }
-    if (const char* v = FlagValue(argc, argv, &i, "--stats-ring")) {
-      uint64_t n = 0;
-      if (!flexpath::ParseUint64(v, 0, kMaxStatsCapacity, &n)) {
-        BadValue(argv[0], "--stats-ring", "an integer in [0, 1048576]", v);
-        return 2;
-      }
-      stats_opts.ring_capacity = static_cast<size_t>(n);
-      stats_opts_set = true;
-      continue;
-    }
-    if (const char* v = FlagValue(argc, argv, &i, "--stats-slowlog")) {
-      uint64_t n = 0;
-      if (!flexpath::ParseUint64(v, 0, kMaxStatsCapacity, &n)) {
-        BadValue(argv[0], "--stats-slowlog", "an integer in [0, 1048576]", v);
-        return 2;
-      }
-      stats_opts.slowlog_capacity = static_cast<size_t>(n);
-      stats_opts_set = true;
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--max-cpu-ms")) {
@@ -780,7 +737,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "build failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  if (stats_opts_set) state.fp.SetQueryStatsOptions(stats_opts);
   std::unique_ptr<flexpath::QueryLogWriter> query_log;
   if (!query_log_path.empty()) {
     flexpath::Result<std::unique_ptr<flexpath::QueryLogWriter>> writer =

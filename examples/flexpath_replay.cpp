@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
   }
 
   size_t truncated = 0;
-  flexpath::Result<std::vector<flexpath::QueryLogRecord>> records =
+  flexpath::Result<std::vector<flexpath::QueryExecution>> records =
       flexpath::ReadQueryLog(log_path, &truncated);
   if (!records.ok()) {
     std::fprintf(stderr, "%s\n", records.status().ToString().c_str());
@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
   ReplayReport report;
   report.records = records->size();
   report.truncated = truncated;
-  for (const flexpath::QueryLogRecord& r : *records) {
+  for (const flexpath::QueryExecution& r : *records) {
     flexpath::Result<flexpath::Tpq> q = fp.Parse(r.query);
     if (!q.ok()) {
       ++report.parse_failures;
@@ -228,10 +228,10 @@ int main(int argc, char** argv) {
       continue;
     }
     flexpath::TopKOptions opts;
-    opts.k = static_cast<size_t>(r.k);
+    opts.k = r.k;
     opts.num_threads = override_threads
                            ? static_cast<size_t>(threads_override)
-                           : static_cast<size_t>(r.threads);
+                           : r.threads;
     flexpath::Algorithm algo = flexpath::Algorithm::kHybrid;
     // Unknown names (a log from a newer build) fall back to defaults
     // rather than failing: the digest check still validates the answers.

@@ -1,6 +1,5 @@
 #include "core/flexpath.h"
 
-#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <sstream>
@@ -91,8 +90,8 @@ Status FlexPath::Build() {
     Span span(&collector, "ir_engine");
     ir_ = std::make_unique<IrEngine>(&corpus_, tokenizer_opts_);
   }
-  processor_ = std::make_unique<TopKProcessor>(
-      element_index_.get(), stats_.get(), ir_.get(), &query_stats_);
+  processor_ = std::make_unique<TopKProcessor>(element_index_.get(),
+                                               stats_.get(), ir_.get());
   QueryTrace trace = collector.Finish();
   static Histogram* m_build =
       MetricsRegistry::Global().histogram("build.total_ms");
@@ -166,8 +165,8 @@ Status FlexPath::OpenPacked(const std::string& path) {
     Span span(&collector, "ir_engine");
     ir_ = std::make_unique<IrEngine>(&corpus_, tokenizer_opts_, reader_);
   }
-  processor_ = std::make_unique<TopKProcessor>(
-      element_index_.get(), stats_.get(), ir_.get(), &query_stats_);
+  processor_ = std::make_unique<TopKProcessor>(element_index_.get(),
+                                               stats_.get(), ir_.get());
   QueryTrace trace = collector.Finish();
   FLEXPATH_LOG_INFO("core", "packed corpus opened",
                     {"path", path},
@@ -226,43 +225,53 @@ Result<TopKResult> FlexPath::QueryTpq(const Tpq& q, const TopKOptions& opts,
     }
     return processor_->Run(q, algo, opts);
   }();
-  if (result.ok() && result->trace != nullptr) {
-    MutexLock lock(trace_mu_);
-    last_query_trace_ = result->trace;
+  QueryExecution exec;
+  exec.latency_ms = MsSince(wall_start);
+  exec.ts_unix_s = std::chrono::duration<double>(
+                       std::chrono::system_clock::now().time_since_epoch())
+                       .count();
+  exec.fingerprint = FingerprintTpq(q, std::as_const(corpus_).tags());
+  exec.query = query_text.empty() ? Describe(q) : std::string(query_text);
+  exec.algorithm = AlgorithmName(algo);
+  exec.scheme = RankSchemeName(opts.scheme);
+  exec.k = opts.k;
+  exec.threads = opts.num_threads;
+  if (result.ok()) {
+    exec.relaxations = result->relaxations_used;
+    exec.predicates_dropped = result->predicates_dropped;
+    exec.penalty = result->penalty_applied;
+    exec.answers = result->answers.size();
+    exec.answers_digest = AnswersDigest(result->answers);
+    exec.cpu_ms = result->cpu_ms;
+    exec.counters = result->counters;
+    exec.budget_exhausted = result->budget_exhausted;
+  } else {
+    exec.error = true;
   }
-  {
-    MutexLock lock(varz_mu_);
-    ++varz_queries_;
-    if (!result.ok()) {
-      ++varz_errors_;
-    } else {
-      varz_cpu_ms_ += result->cpu_ms;
-      varz_counters_.Add(result->counters);
-    }
+  const std::shared_ptr<const QueryTrace> trace =
+      result.ok() ? result->trace : nullptr;
+  if (trace != nullptr) {
+    MutexLock lock(trace_mu_);
+    last_query_trace_ = trace;
+  }
+  query_stats_.Record(exec);
+  if (opts.slow_query_ms >= 0.0 && exec.latency_ms >= opts.slow_query_ms) {
+    query_stats_.RecordSlow(exec, opts.slow_query_ms, trace);
+    FLEXPATH_LOG_WARN(
+        "exec", "slow query", {"fingerprint", FingerprintHex(exec.fingerprint)},
+        {"query", exec.query}, {"algorithm", exec.algorithm},
+        {"latency_ms", exec.latency_ms}, {"threshold_ms", opts.slow_query_ms},
+        {"relaxations", exec.relaxations}, {"answers", exec.answers});
+  } else {
+    FLEXPATH_LOG_DEBUG(
+        "exec", exec.error ? "query failed" : "query executed",
+        {"fingerprint", FingerprintHex(exec.fingerprint)},
+        {"query", exec.query}, {"algorithm", exec.algorithm},
+        {"latency_ms", exec.latency_ms}, {"relaxations", exec.relaxations},
+        {"answers", exec.answers});
   }
   QueryLogWriter* log = query_log_.load(std::memory_order_relaxed);
-  if (log != nullptr && result.ok()) {
-    QueryLogRecord record;
-    record.ts_unix_s =
-        std::chrono::duration<double>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count();
-    record.query = query_text.empty() ? Describe(q) : std::string(query_text);
-    record.fingerprint = FingerprintTpq(q, std::as_const(corpus_).tags());
-    record.algorithm = AlgorithmName(algo);
-    record.scheme = RankSchemeName(opts.scheme);
-    record.k = opts.k;
-    record.threads = opts.num_threads;
-    record.latency_ms = MsSince(wall_start);
-    record.answers = result->answers.size();
-    record.relaxations = result->relaxations_used;
-    record.predicates_dropped = result->predicates_dropped;
-    record.penalty = result->penalty_applied;
-    record.budget_exhausted = result->budget_exhausted;
-    record.answers_digest = AnswersDigest(result->answers);
-    record.cpu_ms = result->cpu_ms;
-    log->Append(record);
-  }
+  if (log != nullptr && result.ok()) log->Append(exec);
   return result;
 }
 
@@ -277,60 +286,8 @@ std::string FlexPath::LastTraceChromeJson() const {
   return TraceToChromeJson(*trace);
 }
 
-void FlexPath::SetQueryStatsOptions(const QueryStatsOptions& opts) {
-  query_stats_.SetOptions(opts);
-}
-
 void FlexPath::SetQueryLog(QueryLogWriter* log) {
   query_log_.store(log, std::memory_order_relaxed);
-}
-
-std::string FlexPath::VarzJson() const {
-  uint64_t queries = 0;
-  uint64_t errors = 0;
-  double cpu_ms = 0.0;
-  ExecCounters counters;
-  {
-    MutexLock lock(varz_mu_);
-    queries = varz_queries_;
-    errors = varz_errors_;
-    cpu_ms = varz_cpu_ms_;
-    counters = varz_counters_;
-  }
-  // Every total is 0 while nothing has succeeded, so dividing by 1 then
-  // renders the 0 means.
-  const double succeeded =
-      static_cast<double>(std::max<uint64_t>(queries - errors, 1));
-  std::string out = "{\"queries\":" + std::to_string(queries);
-  out += ",\"errors\":" + std::to_string(errors);
-  out += ",\"cpu_ms_total\":" + FormatDouble(cpu_ms);
-  out += ",\"cpu_ms_mean\":" + FormatDouble(cpu_ms / succeeded);
-  bool first = true;
-  auto key = [&out, &first](const char* name) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += name;
-    out += "\":";
-  };
-  out += ",\"counters_total\":{";
-  counters.ForEach([&](const char* name, uint64_t value) {
-    key(name);
-    out += std::to_string(value);
-  });
-  out += "},\"counters_mean\":{";
-  first = true;
-  ExecCounters::VisitFields(
-      counters,
-      [&](const char* name, const uint64_t& value, ExecCounters::Agg agg) {
-        key(name);
-        // A high-water mark has no per-query mean; the peak stands.
-        const double v = static_cast<double>(value);
-        out += FormatDouble(agg == ExecCounters::Agg::kMax ? v
-                                                           : v / succeeded);
-      });
-  out += "}}";
-  return out;
 }
 
 std::string FlexPath::BuildInfoJson() const {
@@ -386,26 +343,6 @@ Result<AnalysisReport> FlexPath::AnalyzeXPath(std::string_view xpath) const {
   Result<Tpq> q = Parse(xpath);
   if (!q.ok()) return q.status();
   return Analyze(*q);
-}
-
-std::string FlexPath::CacheStatsJson() const {
-  std::string out = "{\"ir_cache\":";
-  if (ir_ != nullptr) {
-    const IrEngine::CacheStats ir = ir_->GetCacheStats();
-    out += "{\"evictions\":" + std::to_string(ir.evictions);
-    out += ",\"entries\":" + std::to_string(ir.entries);
-    out += ",\"bytes\":" + std::to_string(ir.bytes);
-    out += ",\"budget\":" + std::to_string(ir.budget);
-    out += '}';
-  } else {
-    out += "null";
-  }
-  out += '}';
-  return out;
-}
-
-std::string FlexPath::MetricsJson() const {
-  return MetricsToJson(MetricsRegistry::Global().Snapshot());
 }
 
 std::string FlexPath::MetricsPrometheus() const {

@@ -126,8 +126,11 @@ class FlexPath {
                                          Algorithm algo = Algorithm::kHybrid);
 
   /// Same, for an already-parsed query; also exposes execution counters.
-  /// `query_text`, when non-empty, is the original query string — it is
-  /// what the workload-capture log records (a Tpq rendering is for
+  /// Every run that reaches the processor is recorded once, as one
+  /// QueryExecution: into query_stats(), the slow-query WARN (or debug)
+  /// log line, and, for a successful run, the query log. `query_text`,
+  /// when non-empty, is the original query string and becomes the
+  /// record's query; otherwise Describe(q) does (a Tpq rendering is for
   /// diagnostics and need not re-parse). Query() passes its XPath through
   /// automatically.
   Result<TopKResult> QueryTpq(const Tpq& q, const TopKOptions& opts = {},
@@ -166,33 +169,16 @@ class FlexPath {
 
   // --- Observability ----------------------------------------------------
 
-  /// The process-wide metrics registry (counters, gauges, latency
-  /// histograms recorded by every pipeline stage).
-  MetricsRegistry& metrics() const { return MetricsRegistry::Global(); }
-
-  /// One JSON object with a snapshot of every metric; see MetricsToJson()
-  /// in common/metrics.h for the schema.
-  std::string MetricsJson() const;
-
-  /// The same snapshot in the Prometheus text exposition format
+  /// A snapshot of every metric in the Prometheus text exposition format
   /// (MetricsToPrometheus in common/metrics.h).
   std::string MetricsPrometheus() const;
 
-  /// Per-query-shape cumulative statistics for this instance: every
-  /// QueryTpq/Query run is folded into its shape's aggregate (keyed by
-  /// FingerprintTpq), the recent-queries ring, and — when
-  /// TopKOptions::slow_query_ms is set — the slow-query log.
+  /// Per-query-shape cumulative statistics for this instance: QueryTpq
+  /// builds one QueryExecution per run and folds it into its shape's
+  /// aggregate (keyed by FingerprintTpq), the recent-queries ring, and,
+  /// when TopKOptions::slow_query_ms is set, the slow-query log.
   QueryStatsStore* query_stats() { return &query_stats_; }
   const QueryStatsStore* query_stats() const { return &query_stats_; }
-
-  /// One JSON object with the per-shape aggregates, recent executions
-  /// and slow-query log; see QueryStatsStore::ToJson() for the schema.
-  std::string QueryStatsJson() const { return query_stats_.ToJson(); }
-
-  /// One JSON object with the state of the one budgeted cache, the IR
-  /// contains-result cache: {"ir_cache":{evictions,entries,bytes,
-  /// budget}}, or {"ir_cache":null} before Build()/OpenPacked().
-  std::string CacheStatsJson() const;
 
   /// Phase-by-phase trace of the last Build() call (element index,
   /// statistics, IR engine); null before Build().
@@ -210,30 +196,13 @@ class FlexPath {
   /// common/trace.h). Empty string when no trace has been collected.
   std::string LastTraceChromeJson() const;
 
-  /// Replaces this instance's query-statistics capacities (shape table,
-  /// recent ring, slow-query log) at runtime, trimming immediately if the
-  /// new capacities are smaller. See QueryStatsStore::SetOptions.
-  void SetQueryStatsOptions(const QueryStatsOptions& opts);
-
   /// Attaches (or detaches, with nullptr) a workload-capture log: every
-  /// subsequent QueryTpq/Query run appends one JSON line (query text,
-  /// options, result metadata, cpu_ms, answers digest) that
-  /// flexpath_replay can re-execute. Non-owning — the writer must outlive
-  /// its use; pass nullptr before destroying it. No writer attached means
-  /// zero capture cost (one relaxed atomic load per query).
+  /// subsequent successful QueryTpq/Query run appends its QueryExecution
+  /// as one JSON line that flexpath_replay can re-execute. Non-owning —
+  /// the writer must outlive its use; pass nullptr before destroying it.
+  /// No writer attached means zero capture cost (one relaxed atomic load
+  /// per query).
   void SetQueryLog(QueryLogWriter* log);
-  QueryLogWriter* query_log() const {
-    return query_log_.load(std::memory_order_relaxed);
-  }
-
-  /// One JSON object with this instance's cumulative per-query
-  /// accounting — query/error counts plus the summed and per-query-mean
-  /// cpu_ms and ExecCounters of every successful QueryTpq run. Totals
-  /// fold through ExecCounters::Add, so buckets_peak is a max (and its
-  /// "mean" is that peak):
-  ///   {"queries":..,"errors":..,"cpu_ms_total":..,"cpu_ms_mean":..,
-  ///    "counters_total":{"plan_passes":..,...},"counters_mean":{...}}
-  std::string VarzJson() const;
 
   /// One JSON object identifying this build and instance: library
   /// version, compiler, build mode, and corpus summary (documents,
@@ -265,11 +234,6 @@ class FlexPath {
   mutable Mutex trace_mu_;
   std::shared_ptr<const QueryTrace> last_query_trace_ GUARDED_BY(trace_mu_);
   std::atomic<QueryLogWriter*> query_log_{nullptr};
-  mutable Mutex varz_mu_;
-  uint64_t varz_queries_ GUARDED_BY(varz_mu_) = 0;
-  uint64_t varz_errors_ GUARDED_BY(varz_mu_) = 0;
-  double varz_cpu_ms_ GUARDED_BY(varz_mu_) = 0.0;
-  ExecCounters varz_counters_ GUARDED_BY(varz_mu_);
 };
 
 }  // namespace flexpath

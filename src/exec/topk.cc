@@ -8,7 +8,6 @@
 
 #include "analysis/analyzer.h"
 #include "common/cpu_timer.h"
-#include "common/log.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "rank/scheme_registry.h"
@@ -227,26 +226,32 @@ const char* AlgorithmName(Algorithm algo) {
 
 Result<TopKResult> TopKProcessor::Run(const Tpq& q, Algorithm algo,
                                       const TopKOptions& opts) {
-  if (opts.k == 0) return Status::InvalidArgument("k must be positive");
+  // A run refused up front still counts as a query and an error.
+  const auto reject = [&](Status status) {
+    Result<TopKResult> rejected = std::move(status);
+    Record(algo, 0.0, nullptr, &rejected);
+    return rejected;
+  };
+  if (opts.k == 0) return reject(Status::InvalidArgument("k must be positive"));
   if (opts.num_threads > kMaxThreads) {
-    return Status::InvalidArgument(
+    return reject(Status::InvalidArgument(
         "num_threads " + std::to_string(opts.num_threads) + " exceeds " +
-        std::to_string(kMaxThreads));
+        std::to_string(kMaxThreads)));
   }
-  FLEXPATH_RETURN_IF_ERROR(q.Validate());
+  if (Status st = q.Validate(); !st.ok()) return reject(std::move(st));
   if (q.ContainsCount() > 0 && ir_ == nullptr) {
-    return Status::InvalidArgument(
-        "query has contains predicates but no IR engine is attached");
+    return reject(Status::InvalidArgument(
+        "query has contains predicates but no IR engine is attached"));
   }
   // Every optimization below reads the scheme's kSchemeTable row.
   const SchemeCertificate* cert =
       SchemeRegistry::Global().Certificate(opts.scheme);
   if (cert == nullptr) {
-    return Status::InvalidArgument(
+    return reject(Status::InvalidArgument(
         "unknown rank scheme value " +
         std::to_string(static_cast<unsigned>(opts.scheme)) +
         "; the schemes are structure-first (0), keyword-first (1) and "
-        "combined (2)");
+        "combined (2)"));
   }
 
   const auto start = std::chrono::steady_clock::now();
@@ -295,12 +300,11 @@ Result<TopKResult> TopKProcessor::Run(const Tpq& q, Algorithm algo,
   const double elapsed_ms = std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() - start)
                                 .count();
-  Record(q, algo, opts, elapsed_ms, trace, &result);
+  Record(algo, elapsed_ms, trace, &result);
   return result;
 }
 
-void TopKProcessor::Record(const Tpq& q, Algorithm algo,
-                           const TopKOptions& opts, double elapsed_ms,
+void TopKProcessor::Record(Algorithm algo, double elapsed_ms,
                            TraceCollector* trace,
                            Result<TopKResult>* result) {
   static MetricsRegistry& reg = MetricsRegistry::Global();
@@ -316,73 +320,20 @@ void TopKProcessor::Record(const Tpq& q, Algorithm algo,
   m_queries->Inc();
   if (!result->ok()) {
     m_errors->Inc();
-  } else {
-    m_latency[static_cast<size_t>(algo)]->Observe(elapsed_ms);
-    m_cpu->Observe((*result)->cpu_ms);
-    MirrorCounters((*result)->counters);
-    if ((*result)->budget_exhausted) m_budget->Inc();
+    return;
   }
-
-  std::shared_ptr<const QueryTrace> finished;
-  if (trace != nullptr) {
-    TraceSpan* root = trace->current();
-    if (result->ok()) {
-      root->Annotate("relaxations_used",
-                     static_cast<uint64_t>((*result)->relaxations_used));
-      root->Annotate("answers",
-                     static_cast<uint64_t>((*result)->answers.size()));
-      root->Annotate("cpu_ms", (*result)->cpu_ms);
-      if ((*result)->budget_exhausted) {
-        root->Annotate("budget_exhausted", uint64_t{1});
-      }
-    }
-    finished = std::make_shared<const QueryTrace>(trace->Finish());
-    if (result->ok() && opts.collect_trace) (*result)->trace = finished;
-  }
-
-  const bool slow =
-      opts.slow_query_ms >= 0.0 && elapsed_ms >= opts.slow_query_ms;
-  const bool log_debug =
-      Logger::Global().Enabled(LogLevel::kDebug, "exec");
-  if (query_stats_ == nullptr && !slow && !log_debug) return;
-  const TagDict& dict = index_->corpus().tags();
-  QueryExecution exec;
-  exec.fingerprint = FingerprintTpq(q, dict);
-  exec.query = q.ToString(dict);
-  exec.algorithm = AlgorithmName(algo);
-  exec.scheme = RankSchemeName(opts.scheme);
-  exec.k = opts.k;
-  exec.latency_ms = elapsed_ms;
-  if (result->ok()) {
-    const TopKResult& r = **result;
-    exec.relaxations = r.relaxations_used;
-    exec.predicates_dropped = r.predicates_dropped;
-    exec.penalty = r.penalty_applied;
-    exec.answers = r.answers.size();
-    exec.cpu_ms = r.cpu_ms;
-    exec.counters = r.counters;
-    exec.budget_exhausted = r.budget_exhausted;
-  } else {
-    exec.error = true;
-  }
-  if (query_stats_ != nullptr) {
-    query_stats_->Record(exec);
-    if (slow) query_stats_->RecordSlow(exec, opts.slow_query_ms, finished);
-  }
-  if (slow) {
-    FLEXPATH_LOG_WARN(
-        "exec", "slow query", {"fingerprint", FingerprintHex(exec.fingerprint)},
-        {"query", exec.query}, {"algorithm", exec.algorithm},
-        {"latency_ms", exec.latency_ms}, {"threshold_ms", opts.slow_query_ms},
-        {"relaxations", exec.relaxations}, {"answers", exec.answers});
-  } else if (log_debug) {
-    FLEXPATH_LOG_DEBUG(
-        "exec", exec.error ? "query failed" : "query executed",
-        {"fingerprint", FingerprintHex(exec.fingerprint)},
-        {"query", exec.query}, {"algorithm", exec.algorithm},
-        {"latency_ms", exec.latency_ms}, {"relaxations", exec.relaxations},
-        {"answers", exec.answers});
-  }
+  TopKResult& r = **result;
+  m_latency[static_cast<size_t>(algo)]->Observe(elapsed_ms);
+  m_cpu->Observe(r.cpu_ms);
+  MirrorCounters(r.counters);
+  if (r.budget_exhausted) m_budget->Inc();
+  if (trace == nullptr) return;
+  TraceSpan* root = trace->current();
+  root->Annotate("relaxations_used", static_cast<uint64_t>(r.relaxations_used));
+  root->Annotate("answers", static_cast<uint64_t>(r.answers.size()));
+  root->Annotate("cpu_ms", r.cpu_ms);
+  if (r.budget_exhausted) root->Annotate("budget_exhausted", uint64_t{1});
+  r.trace = std::make_shared<const QueryTrace>(trace->Finish());
 }
 
 Result<TopKResult> TopKProcessor::RunDpo(const RunContext& ctx) {

@@ -14,7 +14,6 @@
 #include "exec/evaluator.h"
 #include "exec/selectivity.h"
 #include "ir/engine.h"
-#include "obs/query_stats.h"
 #include "query/tpq.h"
 #include "rank/score.h"
 #include "relax/penalty.h"
@@ -53,11 +52,12 @@ struct TopKOptions {
   /// with plan-build, join-step and sort sub-spans. Off by default — the
   /// disabled path costs one pointer test per would-be span.
   bool collect_trace = false;
-  /// Slow-query threshold in milliseconds. When >= 0, a run at least this
-  /// slow is logged at WARN and appended (with its trace) to the
-  /// processor's QueryStatsStore slow-query log; trace collection is
-  /// forced on for such runs so the log can carry the span tree.
-  /// Negative (the default) disables the slow-query log.
+  /// Slow-query threshold in milliseconds. When >= 0, FlexPath::QueryTpq
+  /// logs a query at least this slow at WARN and appends it, with its
+  /// trace, to the facade's slow-query log. The processor forces trace
+  /// collection on for every run while a threshold is set, so the trace
+  /// exists by the time the run is known to be slow. Negative (the
+  /// default) disables the slow-query log.
   double slow_query_ms = -1.0;
   /// When true (the default), each relaxation round is first checked
   /// against the corpus statistics (analysis::ProvablyEmptyReason): a
@@ -115,7 +115,9 @@ struct TopKResult {
   /// True when a soft budget (max_cpu_ms / max_tuples) stopped the run
   /// early; `answers` then holds the partial result accumulated so far.
   bool budget_exhausted = false;
-  /// Execution trace; null unless TopKOptions::collect_trace was set.
+  /// The run's execution trace: set whenever the run collected one
+  /// (TopKOptions::collect_trace, or a slow_query_ms threshold), null
+  /// otherwise.
   std::shared_ptr<const QueryTrace> trace;
 };
 
@@ -125,14 +127,12 @@ struct TopKResult {
 class TopKProcessor {
  public:
   /// All dependencies must outlive the processor. `ir` may be null when
-  /// queries carry no contains predicates; `query_stats` may be null to
-  /// skip per-shape statistics collection.
+  /// queries carry no contains predicates.
   TopKProcessor(const ElementIndex* index, const DocumentStats* stats,
-                IrEngine* ir, QueryStatsStore* query_stats = nullptr)
+                IrEngine* ir)
       : index_(index),
         stats_(stats),
         ir_(ir),
-        query_stats_(query_stats),
         actx_{index, stats, ir, &index->corpus().tags()},
         evaluator_(index, ir) {}
 
@@ -152,11 +152,10 @@ class TopKProcessor {
   Result<TopKResult> RunDpo(const RunContext& ctx);
   Result<TopKResult> RunEncoded(const RunContext& ctx, EvalMode mode);
 
-  /// Run()'s observability tail: the registry metrics, the trace root's
-  /// closing annotations, the per-shape statistics and the slow-query
-  /// log. Finishes `trace` when non-null and hands it to `result`.
-  void Record(const Tpq& q, Algorithm algo, const TopKOptions& opts,
-              double elapsed_ms, TraceCollector* trace,
+  /// Run()'s process-wide observability tail: the registry metrics and
+  /// the trace root's closing annotations. Finishes `trace` when non-null
+  /// and hands it to a successful `result`.
+  void Record(Algorithm algo, double elapsed_ms, TraceCollector* trace,
               Result<TopKResult>* result);
 
   /// The pool serving `opts.num_threads`, or null for a serial run.
@@ -168,7 +167,6 @@ class TopKProcessor {
   const ElementIndex* index_;
   const DocumentStats* stats_;
   IrEngine* ir_;
-  QueryStatsStore* query_stats_;
   /// The corpus statistics static pruning proves rounds empty with.
   const AnalyzerContext actx_;
   PlanEvaluator evaluator_;

@@ -13,7 +13,7 @@ namespace {
 /// Minimal JSON scanner for the flat records this log writes. Not a
 /// general JSON parser: tolerates whitespace, string escapes, numbers,
 /// booleans and one level of nested object — the grammar
-/// QueryLogRecordToJson emits, plus unknown keys of those shapes (such as
+/// AppendExecutionJson emits, plus unknown keys of those shapes (such as
 /// the nested "usage" object of logs written before it became cpu_ms).
 class JsonScanner {
  public:
@@ -124,9 +124,9 @@ class JsonScanner {
     return true;
   }
 
-  /// Raw text of the most recent number parsed — lets callers re-read
-  /// full-width uint64 fields (digests) that a double round-trip would
-  /// truncate past 2^53.
+  /// Raw text of the number the last ParseValue read (empty when the
+  /// value was not a number) — lets callers re-read full-width uint64
+  /// fields (digests) that a double round-trip would truncate past 2^53.
   const std::string& last_number_token() const { return last_number_token_; }
 
   /// Parses any value of the writer's grammar, keeping only what the
@@ -134,6 +134,7 @@ class JsonScanner {
   /// `*d`. Nested objects are handed to `object_cb(key-scanner)`.
   template <typename ObjectFn>
   bool ParseValue(std::string* s, double* d, ObjectFn&& object_cb) {
+    last_number_token_.clear();
     const char c = Peek();
     if (c == '"') {
       std::string tmp;
@@ -166,7 +167,8 @@ class JsonScanner {
 };
 
 /// Exact uint64 from a number token (digests use all 64 bits; the double
-/// path would round them).
+/// path would round them, and casting an out-of-range double to an
+/// integer is undefined). An empty token reads as 0.
 uint64_t ParseU64Token(const std::string& token) {
   return std::strtoull(token.c_str(), nullptr, 10);
 }
@@ -191,66 +193,11 @@ bool ParseObject(JsonScanner& scanner, FieldFn&& field_cb) {
   }
 }
 
-void AppendField(std::string& out, const char* key, const std::string& value,
-                 bool* first) {
-  if (!*first) out += ',';
-  *first = false;
-  out += '"';
-  out += key;
-  out += "\":\"";
-  out += JsonEscape(value);
-  out += '"';
-}
-
-void AppendField(std::string& out, const char* key, double value,
-                 bool* first) {
-  if (!*first) out += ',';
-  *first = false;
-  out += '"';
-  out += key;
-  out += "\":";
-  out += FormatDouble(value);
-}
-
-void AppendField(std::string& out, const char* key, uint64_t value,
-                 bool* first) {
-  if (!*first) out += ',';
-  *first = false;
-  out += '"';
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
-}
-
 }  // namespace
 
-std::string QueryLogRecordToJson(const QueryLogRecord& r) {
-  std::string out = "{";
-  bool first = true;
-  AppendField(out, "ts", r.ts_unix_s, &first);
-  AppendField(out, "query", r.query, &first);
-  AppendField(out, "fingerprint", r.fingerprint, &first);
-  AppendField(out, "algorithm", r.algorithm, &first);
-  AppendField(out, "scheme", r.scheme, &first);
-  AppendField(out, "k", r.k, &first);
-  AppendField(out, "threads", r.threads, &first);
-  AppendField(out, "latency_ms", r.latency_ms, &first);
-  AppendField(out, "answers", r.answers, &first);
-  AppendField(out, "relaxations", r.relaxations, &first);
-  AppendField(out, "predicates_dropped", r.predicates_dropped, &first);
-  AppendField(out, "penalty", r.penalty, &first);
-  if (!first) out += ',';
-  out += "\"budget_exhausted\":";
-  out += r.budget_exhausted ? "true" : "false";
-  AppendField(out, "answers_digest", r.answers_digest, &first);
-  AppendField(out, "cpu_ms", r.cpu_ms, &first);
-  out += '}';
-  return out;
-}
-
-bool ParseQueryLogRecord(std::string_view line, QueryLogRecord* out,
-                         std::string* error) {
-  *out = QueryLogRecord();
+bool ParseQueryLogLine(std::string_view line, QueryExecution* out,
+                       std::string* error) {
+  *out = QueryExecution();
   JsonScanner scanner(line);
   const auto skip_object = [](JsonScanner& s) {
     return ParseObject(s, [&s](const std::string&) {
@@ -258,28 +205,47 @@ bool ParseQueryLogRecord(std::string_view line, QueryLogRecord* out,
                           [](JsonScanner&) { return false; });
     });
   };
+  // The counters object maps each ExecCounters field by name.
+  const auto parse_counters = [out](JsonScanner& s) {
+    return ParseObject(s, [&s, out](const std::string& name) {
+      if (!s.ParseValue(nullptr, nullptr,
+                        [](JsonScanner&) { return false; })) {
+        return false;
+      }
+      ExecCounters::VisitFields(
+          out->counters,
+          [&](const char* field, uint64_t& value, ExecCounters::Agg) {
+            if (name == field) value = ParseU64Token(s.last_number_token());
+          });
+      return true;
+    });
+  };
   const bool ok = ParseObject(scanner, [&](const std::string& key) {
     std::string s;
     double d = 0.0;
+    const char first = scanner.Peek();
+    if (key == "counters" && first == '{') return parse_counters(scanner);
     if (!scanner.ParseValue(&s, &d, skip_object)) return false;
+    const uint64_t n = ParseU64Token(scanner.last_number_token());
     if (key == "ts") out->ts_unix_s = d;
     else if (key == "query") out->query = std::move(s);
     else if (key == "fingerprint") {
-      out->fingerprint = ParseU64Token(scanner.last_number_token());
+      // Hex digits in a string; older logs wrote a decimal number.
+      out->fingerprint =
+          first == '"' ? std::strtoull(s.c_str(), nullptr, 16) : n;
     } else if (key == "algorithm") out->algorithm = std::move(s);
     else if (key == "scheme") out->scheme = std::move(s);
-    else if (key == "k") out->k = static_cast<uint64_t>(d);
-    else if (key == "threads") out->threads = static_cast<uint64_t>(d);
+    else if (key == "k") out->k = n;
+    else if (key == "threads") out->threads = n;
     else if (key == "latency_ms") out->latency_ms = d;
-    else if (key == "answers") out->answers = static_cast<uint64_t>(d);
-    else if (key == "relaxations") out->relaxations = static_cast<uint64_t>(d);
-    else if (key == "predicates_dropped") {
-      out->predicates_dropped = static_cast<uint64_t>(d);
-    } else if (key == "penalty") out->penalty = d;
+    else if (key == "answers") out->answers = n;
+    else if (key == "relaxations") out->relaxations = n;
+    else if (key == "predicates_dropped") out->predicates_dropped = n;
+    else if (key == "penalty") out->penalty = d;
+    else if (key == "error") out->error = d != 0.0;
     else if (key == "budget_exhausted") out->budget_exhausted = d != 0.0;
-    else if (key == "answers_digest") {
-      out->answers_digest = ParseU64Token(scanner.last_number_token());
-    } else if (key == "cpu_ms") out->cpu_ms = d;
+    else if (key == "answers_digest") out->answers_digest = n;
+    else if (key == "cpu_ms") out->cpu_ms = d;
     return true;
   });
   if (!ok || !scanner.AtEnd()) {
@@ -291,23 +257,23 @@ bool ParseQueryLogRecord(std::string_view line, QueryLogRecord* out,
   return true;
 }
 
-Result<std::vector<QueryLogRecord>> ReadQueryLog(const std::string& path,
+Result<std::vector<QueryExecution>> ReadQueryLog(const std::string& path,
                                                  size_t* truncated_lines) {
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) {
     return Status::NotFound("cannot open query log: " + path);
   }
   if (truncated_lines != nullptr) *truncated_lines = 0;
-  std::vector<QueryLogRecord> records;
+  std::vector<QueryExecution> records;
   std::string line;
   size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
     const bool had_newline = !in.eof();
     if (line.empty()) continue;
-    QueryLogRecord record;
+    QueryExecution record;
     std::string error;
-    if (!ParseQueryLogRecord(line, &record, &error)) {
+    if (!ParseQueryLogLine(line, &record, &error)) {
       if (!had_newline) {
         // Partial final line: a capture cut off mid-append (crash or
         // kill -9). Drop it rather than fail the whole replay.
@@ -330,14 +296,14 @@ Result<std::unique_ptr<QueryLogWriter>> QueryLogWriter::Open(
                                    path);
   }
   return std::unique_ptr<QueryLogWriter>(
-      new QueryLogWriter(path, std::move(out)));
+      new QueryLogWriter(std::move(out)));
 }
 
-QueryLogWriter::QueryLogWriter(std::string path, std::ofstream out)
-    : path_(std::move(path)), out_(std::move(out)) {}
+QueryLogWriter::QueryLogWriter(std::ofstream out) : out_(std::move(out)) {}
 
-void QueryLogWriter::Append(const QueryLogRecord& record) {
-  const std::string line = QueryLogRecordToJson(record);
+void QueryLogWriter::Append(const QueryExecution& record) {
+  std::string line;
+  AppendExecutionJson(&line, record);
   MutexLock lock(mu_);
   out_ << line << '\n';
   out_.flush();

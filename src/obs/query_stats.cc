@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 
 #include "common/json_util.h"
 
@@ -65,41 +64,6 @@ void AppendHistogramJson(std::string* out, const HistogramSnapshot& h) {
   *out += '}';
 }
 
-void AppendCountersJson(std::string* out, const ExecCounters& c) {
-  *out += '{';
-  bool first = true;
-  c.ForEach([&](const char* name, uint64_t value) {
-    if (!first) *out += ',';
-    first = false;
-    *out += '"';
-    *out += name;
-    *out += "\":";
-    *out += std::to_string(value);
-  });
-  *out += '}';
-}
-
-void AppendExecutionJson(std::string* out, const QueryExecution& e) {
-  *out += "{\"fingerprint\":\"" + FingerprintHex(e.fingerprint);
-  *out += "\",\"query\":\"" + JsonEscape(e.query);
-  *out += "\",\"algorithm\":\"" + JsonEscape(e.algorithm);
-  *out += "\",\"scheme\":\"" + JsonEscape(e.scheme);
-  *out += "\",\"k\":" + std::to_string(e.k);
-  *out += ",\"latency_ms\":" + FormatDouble(e.latency_ms);
-  *out += ",\"relaxations\":" + std::to_string(e.relaxations);
-  *out += ",\"predicates_dropped\":" + std::to_string(e.predicates_dropped);
-  *out += ",\"penalty\":" + FormatDouble(e.penalty);
-  *out += ",\"answers\":" + std::to_string(e.answers);
-  *out += ",\"error\":";
-  *out += e.error ? "true" : "false";
-  *out += ",\"budget_exhausted\":";
-  *out += e.budget_exhausted ? "true" : "false";
-  *out += ",\"cpu_ms\":" + FormatDouble(e.cpu_ms);
-  *out += ",\"counters\":";
-  AppendCountersJson(out, e.counters);
-  *out += '}';
-}
-
 /// Mirrors eviction deltas into the global registry as they happen.
 /// Many stores may coexist, so the metrics aggregate across all of them; Counter::Inc is thread-safe.
 void ExportEvictionDeltas(uint64_t shapes, uint64_t ring, uint64_t slowlog) {
@@ -130,7 +94,37 @@ std::string FingerprintHex(uint64_t fingerprint) {
   return buf;
 }
 
-QueryStatsStore::QueryStatsStore(QueryStatsOptions opts) : opts_(opts) {}
+void AppendExecutionJson(std::string* out, const QueryExecution& e) {
+  *out += "{\"ts\":" + FormatDouble(e.ts_unix_s);
+  *out += ",\"fingerprint\":\"" + FingerprintHex(e.fingerprint);
+  *out += "\",\"query\":\"" + JsonEscape(e.query);
+  *out += "\",\"algorithm\":\"" + JsonEscape(e.algorithm);
+  *out += "\",\"scheme\":\"" + JsonEscape(e.scheme);
+  *out += "\",\"k\":" + std::to_string(e.k);
+  *out += ",\"threads\":" + std::to_string(e.threads);
+  *out += ",\"latency_ms\":" + FormatDouble(e.latency_ms);
+  *out += ",\"relaxations\":" + std::to_string(e.relaxations);
+  *out += ",\"predicates_dropped\":" + std::to_string(e.predicates_dropped);
+  *out += ",\"penalty\":" + FormatDouble(e.penalty);
+  *out += ",\"answers\":" + std::to_string(e.answers);
+  *out += ",\"answers_digest\":" + std::to_string(e.answers_digest);
+  *out += ",\"error\":";
+  *out += e.error ? "true" : "false";
+  *out += ",\"budget_exhausted\":";
+  *out += e.budget_exhausted ? "true" : "false";
+  *out += ",\"cpu_ms\":" + FormatDouble(e.cpu_ms);
+  *out += ",\"counters\":{";
+  bool first = true;
+  e.counters.ForEach([&](const char* name, uint64_t value) {
+    if (!first) *out += ',';
+    first = false;
+    *out += '"';
+    *out += name;
+    *out += "\":";
+    *out += std::to_string(value);
+  });
+  *out += "}}";
+}
 
 void QueryStatsStore::Record(const QueryExecution& e) {
   MutexLock lock(mu_);
@@ -156,7 +150,7 @@ void QueryStatsStore::Record(const QueryExecution& e) {
 
   ring_.push_back(e);
   uint64_t dropped = 0;
-  while (ring_.size() > opts_.ring_capacity) {
+  while (ring_.size() > kRecentCapacity) {
     ring_.pop_front();
     ++dropped;
   }
@@ -169,24 +163,12 @@ void QueryStatsStore::RecordSlow(const QueryExecution& e, double threshold_ms,
   MutexLock lock(mu_);
   slowlog_.push_back(SlowQueryEntry{e, threshold_ms, std::move(trace)});
   uint64_t dropped = 0;
-  while (slowlog_.size() > opts_.slowlog_capacity) {
+  while (slowlog_.size() > kSlowLogCapacity) {
     slowlog_.pop_front();
     ++dropped;
   }
   evictions_.slowlog += dropped;
   ExportEvictionDeltas(0, 0, dropped);
-}
-
-void QueryStatsStore::SetOptions(const QueryStatsOptions& opts) {
-  MutexLock lock(mu_);
-  opts_ = opts;
-  EvictShapesLocked();
-  TrimRingsLocked();
-}
-
-QueryStatsOptions QueryStatsStore::options() const {
-  MutexLock lock(mu_);
-  return opts_;
 }
 
 QueryStatsEvictions QueryStatsStore::Evictions() const {
@@ -196,29 +178,13 @@ QueryStatsEvictions QueryStatsStore::Evictions() const {
 
 void QueryStatsStore::EvictShapesLocked() {
   uint64_t dropped = 0;
-  while (shapes_.size() > opts_.max_shapes) {
+  while (shapes_.size() > kMaxShapes) {
     shapes_.erase(recency_.front());
     recency_.pop_front();
     ++dropped;
   }
   evictions_.shapes += dropped;
   ExportEvictionDeltas(dropped, 0, 0);
-}
-
-void QueryStatsStore::TrimRingsLocked() {
-  uint64_t ring_dropped = 0;
-  while (ring_.size() > opts_.ring_capacity) {
-    ring_.pop_front();
-    ++ring_dropped;
-  }
-  uint64_t slow_dropped = 0;
-  while (slowlog_.size() > opts_.slowlog_capacity) {
-    slowlog_.pop_front();
-    ++slow_dropped;
-  }
-  evictions_.ring += ring_dropped;
-  evictions_.slowlog += slow_dropped;
-  ExportEvictionDeltas(0, ring_dropped, slow_dropped);
 }
 
 std::vector<ShapeStatsSnapshot> QueryStatsStore::Shapes() const {
@@ -251,11 +217,6 @@ std::vector<ShapeStatsSnapshot> QueryStatsStore::Shapes() const {
   return out;
 }
 
-std::vector<QueryExecution> QueryStatsStore::Recent() const {
-  MutexLock lock(mu_);
-  return {ring_.begin(), ring_.end()};
-}
-
 std::vector<QueryExecution> QueryStatsStore::Recent(size_t limit) const {
   MutexLock lock(mu_);
   const size_t n = std::min(limit, ring_.size());
@@ -279,10 +240,6 @@ void QueryStatsStore::Reset() {
   ring_.clear();
   slowlog_.clear();
   evictions_ = {};
-}
-
-std::string QueryStatsStore::ToJson() const {
-  return ToJson(std::numeric_limits<size_t>::max());
 }
 
 std::string QueryStatsStore::ToJson(size_t recent_limit) const {

@@ -36,18 +36,27 @@ uint64_t FingerprintTpq(const Tpq& q, const TagDict& dict);
 /// integers don't survive a double round-trip).
 std::string FingerprintHex(uint64_t fingerprint);
 
-/// One finished query execution, as reported by the top-K processor.
+/// One finished query: the one record FlexPath::QueryTpq builds per
+/// run. It feeds the per-shape aggregate, the recent ring, the slow-query
+/// log, the slow/debug log line and the workload-capture log, and
+/// AppendExecutionJson is its one JSON form (a /statsz entry and a
+/// query-log line alike).
 struct QueryExecution {
+  double ts_unix_s = 0.0;  ///< Wall-clock finish time (Unix seconds).
   uint64_t fingerprint = 0;
-  std::string query;       ///< Human-readable pattern (Tpq::ToString).
+  /// The query text as submitted (re-parseable), or the pattern's
+  /// rendering (Tpq::ToString) when the caller gave no text.
+  std::string query;
   std::string algorithm;   ///< "DPO" / "SSO" / "Hybrid".
   std::string scheme;      ///< Ranking scheme name.
   size_t k = 0;
+  size_t threads = 0;      ///< TopKOptions::num_threads as run.
   double latency_ms = 0.0;
   size_t relaxations = 0;          ///< Relaxation rounds applied/encoded.
   uint64_t predicates_dropped = 0; ///< Predicates relaxed away.
   double penalty = 0.0;            ///< Cumulative structural penalty applied.
   size_t answers = 0;
+  uint64_t answers_digest = 0;     ///< AnswersDigest over the answer list.
   bool error = false;
   /// Thread-CPU ms across the coordinator and pool workers
   /// (TopKResult::cpu_ms).
@@ -57,6 +66,11 @@ struct QueryExecution {
   /// stopped the run early.
   bool budget_exhausted = false;
 };
+
+/// Appends `e` to `out` as one JSON object on one line: "ts", the
+/// fingerprint as 16 hex digits, every other field under its own name,
+/// and "counters" as an object of ExecCounters fields.
+void AppendExecutionJson(std::string* out, const QueryExecution& e);
 
 /// Aggregated statistics for one query shape (a Snapshot copy).
 struct ShapeStatsSnapshot {
@@ -114,17 +128,11 @@ struct SlowQueryEntry {
   std::shared_ptr<const QueryTrace> trace;  ///< May be null.
 };
 
-struct QueryStatsOptions {
-  size_t max_shapes = 256;       ///< LRU-evicted beyond this.
-  size_t ring_capacity = 128;    ///< Recent-executions ring buffer.
-  size_t slowlog_capacity = 64;  ///< Slow-query log ring buffer.
-};
-
 /// How many entries each bounded structure has dropped since construction
 /// (or the last Reset). Monotone; also mirrored as query_stats.*
 /// eviction counters in the global metrics registry.
 struct QueryStatsEvictions {
-  uint64_t shapes = 0;   ///< LRU shape evictions past max_shapes.
+  uint64_t shapes = 0;   ///< LRU shape evictions past kMaxShapes.
   uint64_t ring = 0;     ///< Recent-ring entries displaced.
   uint64_t slowlog = 0;  ///< Slow-log entries displaced.
 };
@@ -136,7 +144,11 @@ struct QueryStatsEvictions {
 /// per query).
 class QueryStatsStore {
  public:
-  explicit QueryStatsStore(QueryStatsOptions opts = {});
+  static constexpr size_t kMaxShapes = 256;        ///< LRU-evicted beyond.
+  static constexpr size_t kRecentCapacity = 128;   ///< Recent ring.
+  static constexpr size_t kSlowLogCapacity = 64;   ///< Slow-query log.
+
+  QueryStatsStore() = default;
 
   QueryStatsStore(const QueryStatsStore&) = delete;
   QueryStatsStore& operator=(const QueryStatsStore&) = delete;
@@ -149,27 +161,17 @@ class QueryStatsStore {
   void RecordSlow(const QueryExecution& e, double threshold_ms,
                   std::shared_ptr<const QueryTrace> trace);
 
-  /// Replaces the capacity options at runtime, trimming each structure
-  /// (oldest-first; least-recently-touched shapes first) if the new
-  /// capacities are smaller. Trims count as evictions.
-  void SetOptions(const QueryStatsOptions& opts);
-  QueryStatsOptions options() const;
-
   /// Cumulative eviction counts (shapes / recent ring / slow log).
   QueryStatsEvictions Evictions() const;
 
   /// Per-shape aggregates, most-executed first.
   std::vector<ShapeStatsSnapshot> Shapes() const;
 
-  /// Recent executions, oldest first; at most ring_capacity entries.
-  std::vector<QueryExecution> Recent() const;
+  /// The newest `limit` recent executions (by default all of them, at
+  /// most kRecentCapacity), oldest first.
+  std::vector<QueryExecution> Recent(size_t limit = kRecentCapacity) const;
 
-  /// The newest `limit` recent executions, oldest first. The admin
-  /// endpoint's /statsz?recent=N path — callers cap N so a scrape can't
-  /// ask for an unbounded render.
-  std::vector<QueryExecution> Recent(size_t limit) const;
-
-  /// Slow-query entries, oldest first; at most slowlog_capacity entries.
+  /// Slow-query entries, oldest first; at most kSlowLogCapacity entries.
   std::vector<SlowQueryEntry> SlowLog() const;
 
   size_t shape_count() const;
@@ -180,12 +182,12 @@ class QueryStatsStore {
   ///               "errors":...,"latency_ms":{count,sum,mean,p50,p99,min,
   ///               max},"relaxations_mean":...,"predicates_dropped_mean":
   ///               ...,"penalty_mean":...,"answers_mean":...}],
-  ///    "recent":[...], "slow_log":[...]}
-  std::string ToJson() const;
-
-  /// Same, but the "recent" and "slow_log" arrays keep only the newest
-  /// `recent_limit` entries each (still rendered oldest first).
-  std::string ToJson(size_t recent_limit) const;
+  ///    "evictions":{...}, "recent":[...], "slow_log":[...]}
+  /// The "recent" and "slow_log" arrays keep only the newest
+  /// `recent_limit` entries each (still rendered oldest first); the
+  /// admin endpoint's /statsz?recent=N caps N so a scrape cannot ask for
+  /// an unbounded render.
+  std::string ToJson(size_t recent_limit = kRecentCapacity) const;
 
  private:
   struct ShapeStats {
@@ -205,10 +207,8 @@ class QueryStatsStore {
   };
 
   void EvictShapesLocked() REQUIRES(mu_);
-  void TrimRingsLocked() REQUIRES(mu_);
 
   mutable Mutex mu_;
-  QueryStatsOptions opts_ GUARDED_BY(mu_);
   std::unordered_map<uint64_t, ShapeStats> shapes_ GUARDED_BY(mu_);
   /// Fingerprints of shapes_, least recently recorded first: eviction
   /// pops the front, a Record moves its shape to the back.

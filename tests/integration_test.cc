@@ -1,4 +1,3 @@
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -90,16 +89,9 @@ TEST_F(FlexPathTest, UnknownTagGivesEmptyNotError) {
   EXPECT_TRUE(answers->empty());
 }
 
-/// The number after `"key":` inside `json`, searching from `from`.
-double JsonNumber(const std::string& json, const std::string& key,
-                  size_t from = 0) {
-  const size_t at = json.find("\"" + key + "\":", from);
-  EXPECT_NE(at, std::string::npos) << key << " in " << json;
-  if (at == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + at + key.size() + 3, nullptr);
-}
-
-TEST_F(FlexPathTest, VarzAccountsEverySuccessfulQuery) {
+// The facade's accounting as a /metrics scraper reads it: the registry
+// deltas around the queries.
+TEST_F(FlexPathTest, RegistryAccountsEverySuccessfulQuery) {
   Result<Tpq> q = fp_.Parse(
       "//article[./section[./algorithm and ./paragraph[.contains(\"XML\" "
       "and \"streaming\")]]]");
@@ -109,6 +101,7 @@ TEST_F(FlexPathTest, VarzAccountsEverySuccessfulQuery) {
   opts.num_threads = 1;
   ExecCounters expected;
   double cpu_ms = 0.0;
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
   // Two Hybrid runs make buckets_peak's max differ from a sum.
   for (Algorithm algo : {Algorithm::kDpo, Algorithm::kSso,
                          Algorithm::kHybrid, Algorithm::kHybrid}) {
@@ -120,24 +113,37 @@ TEST_F(FlexPathTest, VarzAccountsEverySuccessfulQuery) {
   ASSERT_GT(expected.buckets_peak, 0u);
   opts.k = 0;  // Rejected up front: counted as an error.
   EXPECT_FALSE(fp_.QueryTpq(*q, opts).ok());
+  const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
 
-  const std::string json = fp_.VarzJson();
-  EXPECT_EQ(JsonNumber(json, "queries"), 5.0);
-  EXPECT_EQ(JsonNumber(json, "errors"), 1.0);
-  EXPECT_GT(JsonNumber(json, "cpu_ms_total"), 0.0);
-  EXPECT_NEAR(JsonNumber(json, "cpu_ms_total"), cpu_ms, 1e-6 * cpu_ms);
-  const size_t total = json.find("\"counters_total\":{");
-  ASSERT_NE(total, std::string::npos) << json;
-  expected.ForEach([&](const char* name, uint64_t value) {
-    EXPECT_EQ(JsonNumber(json, name, total), static_cast<double>(value))
-        << name;
-  });
-  const size_t mean = json.find("\"counters_mean\":{");
-  ASSERT_NE(mean, std::string::npos) << json;
-  EXPECT_EQ(JsonNumber(json, "plan_passes", mean),
-            static_cast<double>(expected.plan_passes) / 4.0);
-  EXPECT_EQ(JsonNumber(json, "buckets_peak", mean),
-            static_cast<double>(expected.buckets_peak));
+  // A counter missing from `before` was registered by these queries.
+  auto delta = [&](const std::string& name) {
+    const auto it = before.counters.find(name);
+    return after.counters.at(name) -
+           (it == before.counters.end() ? 0 : it->second);
+  };
+  EXPECT_EQ(delta("query.count"), 5u);
+  EXPECT_EQ(delta("query.errors"), 1u);
+  const HistogramSnapshot& cpu = after.histograms.at("query.cpu_ms");
+  const auto cpu_before = before.histograms.find("query.cpu_ms");
+  const bool fresh = cpu_before == before.histograms.end();
+  EXPECT_EQ(cpu.count - (fresh ? 0 : cpu_before->second.count), 4u);
+  EXPECT_GT(cpu_ms, 0.0);
+  EXPECT_NEAR(cpu.sum - (fresh ? 0.0 : cpu_before->second.sum), cpu_ms,
+              1e-6 * cpu_ms);
+  ExecCounters::VisitFields(
+      expected,
+      [&](const char* name, const uint64_t& value, ExecCounters::Agg agg) {
+        const std::string field = name;
+        if (agg == ExecCounters::Agg::kMax) {
+          // A process-wide high-water gauge: at least this run's peak.
+          EXPECT_GE(after.gauges.at("exec." + field),
+                    static_cast<int64_t>(value));
+        } else {
+          const char* layer =
+              field == "rounds_pruned_static" ? "query." : "exec.";
+          EXPECT_EQ(delta(layer + field), value) << name;
+        }
+      });
 }
 
 TEST(FlexPathLifecycleTest, BuildRequiredBeforeQuery) {

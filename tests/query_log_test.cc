@@ -13,8 +13,8 @@
 namespace flexpath {
 namespace {
 
-QueryLogRecord SampleRecord() {
-  QueryLogRecord r;
+QueryExecution SampleRecord() {
+  QueryExecution r;
   r.ts_unix_s = 1754600000.25;
   r.query = "//item[.contains(\"gold\")]";
   r.fingerprint = 0xdeadbeefcafef00dULL;
@@ -35,8 +35,8 @@ QueryLogRecord SampleRecord() {
   return r;
 }
 
-/// Every field but cpu_ms.
-void ExpectSameRun(const QueryLogRecord& out, const QueryLogRecord& in) {
+/// Every field but cpu_ms and counters.
+void ExpectSameRun(const QueryExecution& out, const QueryExecution& in) {
   EXPECT_DOUBLE_EQ(out.ts_unix_s, in.ts_unix_s);
   EXPECT_EQ(out.query, in.query);
   EXPECT_EQ(out.fingerprint, in.fingerprint);
@@ -49,35 +49,67 @@ void ExpectSameRun(const QueryLogRecord& out, const QueryLogRecord& in) {
   EXPECT_EQ(out.relaxations, in.relaxations);
   EXPECT_EQ(out.predicates_dropped, in.predicates_dropped);
   EXPECT_DOUBLE_EQ(out.penalty, in.penalty);
+  EXPECT_EQ(out.error, in.error);
   EXPECT_EQ(out.budget_exhausted, in.budget_exhausted);
   EXPECT_EQ(out.answers_digest, in.answers_digest);
 }
 
-TEST(QueryLogRecordTest, JsonRoundTrip) {
-  const QueryLogRecord in = SampleRecord();
-  const std::string line = QueryLogRecordToJson(in);
-  EXPECT_EQ(line.find('\n'), std::string::npos);  // One line per record.
-
-  QueryLogRecord out;
-  std::string error;
-  ASSERT_TRUE(ParseQueryLogRecord(line, &out, &error)) << error;
-  ExpectSameRun(out, in);
-  EXPECT_DOUBLE_EQ(out.cpu_ms, in.cpu_ms);
+std::string ToLine(const QueryExecution& e) {
+  std::string line;
+  AppendExecutionJson(&line, e);
+  return line;
 }
 
-TEST(QueryLogRecordTest, EscapesSurviveRoundTrip) {
-  QueryLogRecord in;
+TEST(QueryLogLineTest, JsonRoundTrip) {
+  QueryExecution in = SampleRecord();
+  // A digest above 2^53 that is not all ones, and non-zero counters.
+  in.answers_digest = (uint64_t{1} << 53) + 12345;
+  uint64_t n = 1;
+  ExecCounters::VisitFields(
+      in.counters, [&n](const char*, uint64_t& value, ExecCounters::Agg) {
+        value = (uint64_t{1} << 40) + n++;
+      });
+  const std::string line = ToLine(in);
+  EXPECT_EQ(line.find('\n'), std::string::npos);  // One line per record.
+  EXPECT_NE(line.find("\"fingerprint\":\"deadbeefcafef00d\""),
+            std::string::npos)
+      << line;
+
+  QueryExecution out;
+  std::string error;
+  ASSERT_TRUE(ParseQueryLogLine(line, &out, &error)) << error;
+  ExpectSameRun(out, in);
+  EXPECT_DOUBLE_EQ(out.cpu_ms, in.cpu_ms);
+  std::vector<uint64_t> want;
+  std::vector<uint64_t> got;
+  in.counters.ForEach([&want](const char*, uint64_t v) { want.push_back(v); });
+  out.counters.ForEach([&got](const char*, uint64_t v) { got.push_back(v); });
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(ToLine(out), line);  // Nothing lost: it renders back the same.
+}
+
+TEST(QueryLogLineTest, ErrorFlagRoundTrips) {
+  QueryExecution in;
+  in.query = "//a";
+  in.error = true;
+  QueryExecution out;
+  ASSERT_TRUE(ParseQueryLogLine(ToLine(in), &out));
+  EXPECT_TRUE(out.error);
+}
+
+TEST(QueryLogLineTest, EscapesSurviveRoundTrip) {
+  QueryExecution in;
   in.query = "//a[.contains(\"x\\\"y\")]\twith\ncontrol\x01chars";
-  const std::string line = QueryLogRecordToJson(in);
+  const std::string line = ToLine(in);
   EXPECT_EQ(line.find('\n'), std::string::npos);
-  QueryLogRecord out;
-  ASSERT_TRUE(ParseQueryLogRecord(line, &out));
+  QueryExecution out;
+  ASSERT_TRUE(ParseQueryLogLine(line, &out));
   EXPECT_EQ(out.query, in.query);
 }
 
-TEST(QueryLogRecordTest, UnknownKeysAreSkipped) {
-  QueryLogRecord out;
-  ASSERT_TRUE(ParseQueryLogRecord(
+TEST(QueryLogLineTest, UnknownKeysAreSkipped) {
+  QueryExecution out;
+  ASSERT_TRUE(ParseQueryLogLine(
       "{\"query\":\"//a\",\"future_field\":\"x\",\"future_num\":1.5,"
       "\"future_obj\":{\"nested\":true},\"k\":3,\"cpu_ms\":2.5}",
       &out));
@@ -89,7 +121,7 @@ TEST(QueryLogRecordTest, UnknownKeysAreSkipped) {
   // object: the object is skipped like any unknown key, so old capture
   // logs still replay, with cpu_ms left at its zero default.
   std::string error;
-  ASSERT_TRUE(ParseQueryLogRecord(
+  ASSERT_TRUE(ParseQueryLogLine(
       "{\"ts\":1754600000.25,\"query\":\"//item[.contains(\\\"gold\\\")]\","
       "\"fingerprint\":16045690984503111693,\"algorithm\":\"Hybrid\","
       "\"scheme\":\"structure-first\",\"k\":10,\"threads\":4,"
@@ -105,14 +137,39 @@ TEST(QueryLogRecordTest, UnknownKeysAreSkipped) {
   EXPECT_DOUBLE_EQ(out.cpu_ms, 0.0);
 }
 
-TEST(QueryLogRecordTest, MalformedLinesAreRejected) {
-  QueryLogRecord out;
+// A line verbatim as flexpath_cli --query-log wrote it while the log had
+// its own record type (QueryLogRecordToJson): a decimal fingerprint and
+// no counters object. It still yields every replay input.
+TEST(QueryLogLineTest, LegacyLineYieldsTheReplayInputs) {
+  constexpr const char* kLine =
+      R"({"ts":1792446355.9594848,"query":"//item[./name and .contains(\"gold\")]",)"
+      R"("fingerprint":99002651350665346,"algorithm":"DPO",)"
+      R"("scheme":"structure-first","k":5,"threads":2,"latency_ms":0.484749,)"
+      R"("answers":5,"relaxations":0,"predicates_dropped":0,"penalty":0,)"
+      R"("budget_exhausted":false,"answers_digest":13686399723756637719,)"
+      R"("cpu_ms":0.44500300000004245})";
+  QueryExecution out;
   std::string error;
-  EXPECT_FALSE(ParseQueryLogRecord("", &out, &error));
-  EXPECT_FALSE(ParseQueryLogRecord("not json", &out, &error));
-  EXPECT_FALSE(ParseQueryLogRecord("{\"query\":\"unterminated", &out,
-                                   &error));
-  EXPECT_FALSE(ParseQueryLogRecord("{\"k\":1}trailing", &out, &error));
+  ASSERT_TRUE(ParseQueryLogLine(kLine, &out, &error)) << error;
+  EXPECT_EQ(out.query, "//item[./name and .contains(\"gold\")]");
+  EXPECT_EQ(out.algorithm, "DPO");
+  EXPECT_EQ(out.scheme, "structure-first");
+  EXPECT_EQ(out.k, 5u);
+  EXPECT_EQ(out.threads, 2u);
+  EXPECT_DOUBLE_EQ(out.latency_ms, 0.484749);
+  EXPECT_EQ(out.answers_digest, 13686399723756637719ULL);
+  EXPECT_EQ(out.fingerprint, 99002651350665346ULL);
+  EXPECT_EQ(out.answers, 5u);
+  EXPECT_FALSE(out.error);
+}
+
+TEST(QueryLogLineTest, MalformedLinesAreRejected) {
+  QueryExecution out;
+  std::string error;
+  EXPECT_FALSE(ParseQueryLogLine("", &out, &error));
+  EXPECT_FALSE(ParseQueryLogLine("not json", &out, &error));
+  EXPECT_FALSE(ParseQueryLogLine("{\"query\":\"unterminated", &out, &error));
+  EXPECT_FALSE(ParseQueryLogLine("{\"k\":1}trailing", &out, &error));
   EXPECT_FALSE(error.empty());
 }
 
@@ -133,7 +190,7 @@ class QueryLogFileTest : public ::testing::Test {
 TEST_F(QueryLogFileTest, WriterAppendsAndReaderRoundTrips) {
   auto writer = QueryLogWriter::Open(path_);
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-  QueryLogRecord r = SampleRecord();
+  QueryExecution r = SampleRecord();
   (*writer)->Append(r);
   r.query = "//person[./name]";
   r.answers_digest = 42;
@@ -156,7 +213,7 @@ TEST_F(QueryLogFileTest, ConcurrentAppendsNeverInterleave) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&writer, t] {
-      QueryLogRecord r;
+      QueryExecution r;
       r.query = "//t" + std::to_string(t);
       for (int i = 0; i < 50; ++i) (*writer)->Append(r);
     });

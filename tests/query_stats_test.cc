@@ -212,32 +212,31 @@ TEST(QueryStatsStoreTest, ErrorsAreCountedSeparately) {
 }
 
 TEST(QueryStatsStoreTest, RecentRingEvictsOldestAndKeepsNewest) {
-  QueryStatsOptions opts;
-  opts.ring_capacity = 4;
-  QueryStatsStore store(opts);
-  for (int i = 0; i < 10; ++i) {
-    store.Record(MakeExec(static_cast<uint64_t>(i), static_cast<double>(i)));
+  QueryStatsStore store;
+  const size_t n = QueryStatsStore::kRecentCapacity + 1;  // 129.
+  for (size_t i = 0; i < n; ++i) {
+    store.Record(MakeExec(i, static_cast<double>(i)));
   }
   std::vector<QueryExecution> recent = store.Recent();
-  ASSERT_EQ(recent.size(), 4u);
-  EXPECT_EQ(recent.front().fingerprint, 6u);  // Oldest surviving entry.
-  EXPECT_EQ(recent.back().fingerprint, 9u);   // Newest kept.
+  ASSERT_EQ(recent.size(), QueryStatsStore::kRecentCapacity);
+  EXPECT_EQ(recent.front().fingerprint, 1u);     // Oldest surviving entry.
+  EXPECT_EQ(recent.back().fingerprint, n - 1);   // Newest kept.
 }
 
 TEST(QueryStatsStoreTest, ShapeMapEvictsLeastRecentlyTouched) {
-  QueryStatsOptions opts;
-  opts.max_shapes = 2;
-  QueryStatsStore store(opts);
-  store.Record(MakeExec(1, 1.0));
-  store.Record(MakeExec(2, 1.0));
+  QueryStatsStore store;
+  const uint64_t full = QueryStatsStore::kMaxShapes;  // Shapes 1..256.
+  for (uint64_t fp = 1; fp <= full; ++fp) store.Record(MakeExec(fp, 1.0));
   store.Record(MakeExec(1, 1.0));  // Touch 1 so 2 is the LRU shape.
-  store.Record(MakeExec(3, 1.0));  // Evicts 2.
+  store.Record(MakeExec(full + 1, 1.0));  // The 257th shape evicts 2.
 
-  EXPECT_EQ(store.shape_count(), 2u);
+  EXPECT_EQ(store.shape_count(), QueryStatsStore::kMaxShapes);
+  EXPECT_EQ(store.Evictions().shapes, 1u);
   std::vector<ShapeStatsSnapshot> shapes = store.Shapes();
-  ASSERT_EQ(shapes.size(), 2u);
-  EXPECT_EQ(shapes[0].fingerprint, 1u);
-  EXPECT_EQ(shapes[1].fingerprint, 3u);
+  ASSERT_EQ(shapes.size(), QueryStatsStore::kMaxShapes);
+  EXPECT_EQ(shapes[0].fingerprint, 1u);  // Two executions sort first.
+  EXPECT_EQ(shapes[0].executions, 2u);
+  for (const ShapeStatsSnapshot& s : shapes) EXPECT_NE(s.fingerprint, 2u);
 }
 
 TEST(QueryStatsStoreTest, ShapeEvictionMatchesARecencyModel) {
@@ -245,9 +244,7 @@ TEST(QueryStatsStoreTest, ShapeEvictionMatchesARecencyModel) {
   // re-touch of some earlier shape (live or already evicted). The model
   // keeps fingerprints least recently recorded first, with each one's
   // executions since it last entered the store.
-  QueryStatsOptions opts;
-  opts.max_shapes = 256;
-  QueryStatsStore store(opts);
+  QueryStatsStore store;
   std::vector<std::pair<uint64_t, uint64_t>> model;  // (fingerprint, runs)
   uint64_t evicted = 0;
   auto record = [&](uint64_t fp) {
@@ -261,7 +258,7 @@ TEST(QueryStatsStoreTest, ShapeEvictionMatchesARecencyModel) {
       }
     }
     model.emplace_back(fp, runs + 1);
-    if (model.size() > opts.max_shapes) {
+    if (model.size() > QueryStatsStore::kMaxShapes) {
       model.erase(model.begin());
       ++evicted;
     }
@@ -283,16 +280,15 @@ TEST(QueryStatsStoreTest, ShapeEvictionMatchesARecencyModel) {
 }
 
 TEST(QueryStatsStoreTest, SlowLogIsBoundedAndOldestFirst) {
-  QueryStatsOptions opts;
-  opts.slowlog_capacity = 2;
-  QueryStatsStore store(opts);
-  for (int i = 0; i < 5; ++i) {
-    store.RecordSlow(MakeExec(static_cast<uint64_t>(i), 10.0), 5.0, nullptr);
+  QueryStatsStore store;
+  const size_t n = QueryStatsStore::kSlowLogCapacity + 1;  // 65.
+  for (size_t i = 0; i < n; ++i) {
+    store.RecordSlow(MakeExec(i, 10.0), 5.0, nullptr);
   }
   std::vector<SlowQueryEntry> slow = store.SlowLog();
-  ASSERT_EQ(slow.size(), 2u);
-  EXPECT_EQ(slow[0].execution.fingerprint, 3u);
-  EXPECT_EQ(slow[1].execution.fingerprint, 4u);
+  ASSERT_EQ(slow.size(), QueryStatsStore::kSlowLogCapacity);
+  EXPECT_EQ(slow.front().execution.fingerprint, 1u);
+  EXPECT_EQ(slow.back().execution.fingerprint, n - 1);
   EXPECT_DOUBLE_EQ(slow[0].threshold_ms, 5.0);
   EXPECT_EQ(slow[0].trace, nullptr);
 }
@@ -354,54 +350,25 @@ TEST(QueryStatsStoreTest, CpuCountersAndBudgetAggregatePerShape) {
       << json;
 }
 
-TEST(QueryStatsStoreTest, SetOptionsTrimsExistingEntriesToNewCapacities) {
-  QueryStatsStore store;  // Default capacities: plenty of room.
-  for (int i = 0; i < 6; ++i) {
-    store.Record(MakeExec(static_cast<uint64_t>(i), 1.0));
-    store.RecordSlow(MakeExec(static_cast<uint64_t>(i), 10.0), 5.0,
-                     nullptr);
-  }
-  ASSERT_EQ(store.shape_count(), 6u);
-
-  QueryStatsOptions shrunk;
-  shrunk.max_shapes = 2;
-  shrunk.ring_capacity = 3;
-  shrunk.slowlog_capacity = 1;
-  store.SetOptions(shrunk);
-
-  EXPECT_EQ(store.options().max_shapes, 2u);
-  // Shrinking retroactively evicts: oldest-touched shapes, oldest ring
-  // and slow-log entries go first, newest survive.
-  EXPECT_EQ(store.shape_count(), 2u);
-  std::vector<QueryExecution> recent = store.Recent();
-  ASSERT_EQ(recent.size(), 3u);
-  EXPECT_EQ(recent.front().fingerprint, 3u);
-  EXPECT_EQ(recent.back().fingerprint, 5u);
-  std::vector<SlowQueryEntry> slow = store.SlowLog();
-  ASSERT_EQ(slow.size(), 1u);
-  EXPECT_EQ(slow[0].execution.fingerprint, 5u);
-}
-
 TEST(QueryStatsStoreTest, EvictionsAreCountedPerStructure) {
-  QueryStatsOptions opts;
-  opts.max_shapes = 2;
-  opts.ring_capacity = 2;
-  opts.slowlog_capacity = 2;
-  QueryStatsStore store(opts);
-  for (int i = 0; i < 5; ++i) {
-    store.Record(MakeExec(static_cast<uint64_t>(i), 1.0));
-    store.RecordSlow(MakeExec(static_cast<uint64_t>(i), 10.0), 5.0,
-                     nullptr);
+  QueryStatsStore store;
+  // 257 distinct shapes into 256 slots and a ring of 128; 65 slow
+  // entries into a slow log of 64.
+  for (uint64_t i = 0; i <= QueryStatsStore::kMaxShapes; ++i) {
+    store.Record(MakeExec(i, 1.0));
+  }
+  for (uint64_t i = 0; i <= QueryStatsStore::kSlowLogCapacity; ++i) {
+    store.RecordSlow(MakeExec(i, 10.0), 5.0, nullptr);
   }
 
   const QueryStatsEvictions ev = store.Evictions();
-  EXPECT_EQ(ev.shapes, 3u);   // 5 distinct shapes into 2 slots.
-  EXPECT_EQ(ev.ring, 3u);     // 5 executions into a ring of 2.
-  EXPECT_EQ(ev.slowlog, 3u);  // Same for the slow log.
+  EXPECT_EQ(ev.shapes, 1u);
+  EXPECT_EQ(ev.ring, 129u);
+  EXPECT_EQ(ev.slowlog, 1u);
 
   const std::string json = store.ToJson();
-  EXPECT_NE(json.find("\"evictions\":{\"shapes\":3,\"ring\":3,"
-                      "\"slowlog\":3}"),
+  EXPECT_NE(json.find("\"evictions\":{\"shapes\":1,\"ring\":129,"
+                      "\"slowlog\":1}"),
             std::string::npos)
       << json;
 
@@ -458,10 +425,33 @@ TEST_F(QueryStatsIntegrationTest,
   ASSERT_NE(slow[0].trace, nullptr);
   EXPECT_FALSE(slow[0].trace->root.name.empty());
 
-  const std::string json = fp_.QueryStatsJson();
+  const std::string json = fp_.query_stats()->ToJson();
   EXPECT_NE(json.find(FingerprintHex(shapes[0].fingerprint)),
             std::string::npos)
       << json;
+}
+
+// A slow-query threshold forces a trace even with collect_trace off; that
+// trace is the run's: the result carries it, it becomes the last query
+// trace (what /tracez and :trace serve), and the slow-log entry holds the
+// same one.
+TEST_F(QueryStatsIntegrationTest, SlowQueryTraceBecomesTheLastQueryTrace) {
+  Result<Tpq> q = fp_.Parse("//article[./section/paragraph]");
+  ASSERT_TRUE(q.ok());
+  TopKOptions opts;
+  opts.k = 5;
+  opts.collect_trace = false;
+  opts.slow_query_ms = 0.0;
+  Result<TopKResult> r = fp_.QueryTpq(*q, opts, Algorithm::kDpo);
+  ASSERT_TRUE(r.ok());
+
+  const std::shared_ptr<const QueryTrace> last = fp_.last_query_trace();
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(r->trace, last);
+  const std::vector<SlowQueryEntry> slow = fp_.query_stats()->SlowLog();
+  ASSERT_EQ(slow.size(), 1u);
+  EXPECT_EQ(slow[0].trace, last);
+  EXPECT_FALSE(fp_.LastTraceChromeJson().empty());
 }
 
 TEST_F(QueryStatsIntegrationTest, DifferentShapesGetDifferentFingerprints) {
@@ -501,17 +491,13 @@ TEST(QueryStatsStoreTest, RecentLimitKeepsNewestOldestFirst) {
   EXPECT_NE(json.find("//q9"), std::string::npos);
 }
 
-// Run under TSan by the sanitizer CI job: one thread records, one thread
-// resizes the store via SetOptions (shrink + grow, trimming as it goes),
-// and one thread scrapes like the admin endpoint does. The invariant
-// checked after the dust settles: every execution ever recorded is either
-// still in the ring or counted in evictions.ring — trims and
-// displacements must never double- or under-count.
+// Run under TSan by the sanitizer CI job: one thread records while
+// another scrapes like the admin endpoint does. The invariant checked
+// after the dust settles: every execution ever recorded is either still
+// in the ring or counted in evictions.ring — displacements must never
+// double- or under-count.
 TEST(QueryStatsStoreTest, EvictionCountsStayConsistentUnderConcurrency) {
-  QueryStatsOptions opts;
-  opts.ring_capacity = 32;
-  opts.max_shapes = 8;
-  QueryStatsStore store(opts);
+  QueryStatsStore store;
 
   constexpr int kRecords = 2000;
   std::atomic<bool> stop{false};
@@ -519,23 +505,10 @@ TEST(QueryStatsStoreTest, EvictionCountsStayConsistentUnderConcurrency) {
     QueryExecution e;
     e.algorithm = "DPO";
     for (int i = 0; i < kRecords; ++i) {
-      e.fingerprint = static_cast<uint64_t>(i % 11);
-      e.query = "//r" + std::to_string(i % 11);
+      e.fingerprint = static_cast<uint64_t>(i % 300);
+      e.query = "//r" + std::to_string(i % 300);
       e.latency_ms = static_cast<double>(i % 5);
       store.Record(e);
-    }
-  });
-  std::thread resizer([&store, &stop] {
-    QueryStatsOptions small;
-    small.ring_capacity = 4;
-    small.max_shapes = 2;
-    small.slowlog_capacity = 2;
-    QueryStatsOptions big;
-    big.ring_capacity = 64;
-    big.max_shapes = 32;
-    while (!stop.load(std::memory_order_relaxed)) {
-      store.SetOptions(small);
-      store.SetOptions(big);
     }
   });
   std::thread scraper([&store, &stop] {
@@ -547,7 +520,6 @@ TEST(QueryStatsStoreTest, EvictionCountsStayConsistentUnderConcurrency) {
   });
   recorder.join();
   stop.store(true, std::memory_order_relaxed);
-  resizer.join();
   scraper.join();
 
   const QueryStatsEvictions evictions = store.Evictions();
@@ -558,7 +530,7 @@ TEST(QueryStatsStoreTest, EvictionCountsStayConsistentUnderConcurrency) {
   for (const ShapeStatsSnapshot& s : store.Shapes()) {
     executions += s.executions;
   }
-  EXPECT_LE(store.shape_count(), store.options().max_shapes);
+  EXPECT_LE(store.shape_count(), QueryStatsStore::kMaxShapes);
   EXPECT_LE(executions, static_cast<uint64_t>(kRecords));
 }
 
