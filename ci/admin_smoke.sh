@@ -3,7 +3,9 @@
 # loop, as run by the admin-smoke CI job:
 #
 #   0. assert that an unknown flag, a retired --stats-* flag, an
-#      out-of-range port and a negative budget are usage errors (exit 2)
+#      out-of-range port and a negative budget are usage errors (exit 2),
+#      and pin the static analyzer's --check / --check-json / :lint
+#      output byte for byte
 #   1. start flexpath_cli on a generated XMark corpus with --admin-port 0
 #      (ephemeral) and --query-log, keeping the REPL's stdin open on a
 #      FIFO
@@ -73,6 +75,44 @@ for args in "--admin-port 70000" "--admin-port abc" "--max-tuples -1"; do
     || fail "$args printed no usage line"
 done
 echo "admin_smoke: out-of-range numeric flags rejected with exit 2"
+
+# The static analyzer: --check prints one diagnostic per line and exits
+# 1 on an error, --check-json prints the report as one JSON object. Both
+# outputs are pinned byte for byte.
+RC=0
+"$CLI" --xmark 1 --check '//item/ghosttag' >"$OUT_DIR/check_ghost.txt" \
+  2>/dev/null || RC=$?
+[ "$RC" -eq 1 ] || fail "--check of a ghost tag exited $RC, expected 1"
+diff - "$OUT_DIR/check_ghost.txt" <<'EXPECTED' \
+  || fail "--check of a ghost tag printed other diagnostics"
+error [FX101] tag <ghosttag> matches no element in the corpus at $2 (/item/ghosttag)
+error [FX103] no <item> has a <ghosttag> child anywhere in the corpus at $2 (/item/ghosttag)
+EXPECTED
+RC=0
+"$CLI" --xmark 1 --check-json '//item[./name and .contains("gold")]' \
+  >"$OUT_DIR/check_clean.json" 2>/dev/null || RC=$?
+[ "$RC" -eq 0 ] || fail "--check-json of a clean query exited $RC, expected 0"
+diff - "$OUT_DIR/check_clean.json" <<'EXPECTED' \
+  || fail "--check-json of a clean query printed diagnostics"
+{"errors":0,"warnings":0,"unsatisfiable":false,"diagnostics":[]}
+EXPECTED
+RC=0
+"$CLI" --xmark 1 \
+  --check '//item[.contains("gold")]//description[.contains("gold")]' \
+  >"$OUT_DIR/check_redundant.txt" 2>/dev/null || RC=$?
+[ "$RC" -eq 0 ] || fail "--check of a redundant contains exited $RC, expected 0"
+diff - "$OUT_DIR/check_redundant.txt" <<'EXPECTED' \
+  || fail "--check of a redundant contains printed another warning"
+warning [FX201] predicate contains($1,"gold") is implied by the rest of the query; dropping it is a no-op relaxation at $1 (/item)
+EXPECTED
+# :lint checks the query the engine runs: a word absent from the corpus
+# is not reported empty once a synonym that occurs expands it.
+printf ':synonym zyzzyva gold\n:lint //item[.contains("zyzzyva")]\n' \
+  | "$CLI" --xmark 1 >"$OUT_DIR/lint_synonym.txt" 2>/dev/null \
+  || fail "REPL :synonym / :lint run failed"
+grep -qx 'flexpath> no diagnostics' "$OUT_DIR/lint_synonym.txt" \
+  || fail ":lint after :synonym: $(cat "$OUT_DIR/lint_synonym.txt")"
+echo "admin_smoke: --check, --check-json and :lint output as pinned"
 
 FIFO="$OUT_DIR/repl_stdin.fifo"
 rm -f "$FIFO"; mkfifo "$FIFO"

@@ -277,8 +277,7 @@ void Explain(CliState& state, const std::string& xpath) {
   }
   const flexpath::TagDict& dict = std::as_const(state.fp.corpus()).tags();
   std::printf("pattern: %s\n", state.fp.Describe(*q).c_str());
-  flexpath::LogicalQuery closure =
-      flexpath::Closure(flexpath::ToLogical(*q));
+  flexpath::LogicalQuery closure = flexpath::TreeClosure(*q);
   std::printf("closure: %s\n", closure.ToString(&dict).c_str());
   std::printf("operators:\n");
   for (const flexpath::RelaxOp& op : flexpath::ApplicableOps(*q)) {
@@ -328,10 +327,10 @@ int ExplainAnalyze(CliState& state, const std::string& xpath,
 }
 
 // Static analysis (--check / --check-json, and :lint in the REPL):
-// parses the query and runs the semantic analyzer — closure-based
-// structural checks plus corpus-level unsatisfiability. Exit status 1
-// when the report carries an error (the query, or some relaxation round,
-// is provably useless).
+// parses the query and runs the semantic analyzer on it as it would run
+// (contains expanded through the thesaurus) — redundant contains
+// predicates plus corpus-level unsatisfiability. Exit status 1 when the
+// report carries an error (the query is provably answerless).
 int Check(CliState& state, const std::string& xpath, bool as_json) {
   flexpath::Result<flexpath::AnalysisReport> report =
       state.fp.AnalyzeXPath(xpath);

@@ -50,7 +50,7 @@ int main() {
 
   // 1. Logical form and closure (Figures 2 and 4 of the paper).
   flexpath::LogicalQuery logical = flexpath::ToLogical(*q);
-  flexpath::LogicalQuery closure = flexpath::Closure(logical);
+  flexpath::LogicalQuery closure = flexpath::TreeClosure(*q);
   std::printf("\nlogical form (%zu predicates):\n  %s\n",
               logical.preds.size(), logical.ToString(&dict).c_str());
   std::printf("\nclosure (%zu predicates):\n  %s\n", closure.preds.size(),

@@ -6,7 +6,6 @@
 
 #include "analysis/diagnostic.h"
 #include "ir/engine.h"
-#include "query/logical.h"
 #include "query/tpq.h"
 #include "stats/document_stats.h"
 #include "stats/element_index.h"
@@ -15,8 +14,8 @@
 namespace flexpath {
 
 /// Corpus-side inputs of the analysis passes. Every pointer may be null:
-/// the analyzer then runs the corpus-independent checks only (FX0xx and
-/// FX2xx), which is what pre-Build linting gets. `dict` is used for
+/// the analyzer then runs the corpus-independent checks only (FX001 and
+/// FX201), which is what pre-Build linting gets. `dict` is used for
 /// rendering paths; without it, variables print as bare `$n`.
 struct AnalyzerContext {
   const ElementIndex* index = nullptr;  ///< FX101 tag-emptiness.
@@ -25,25 +24,16 @@ struct AnalyzerContext {
   const TagDict* dict = nullptr;         ///< Path / message rendering.
 };
 
-/// The TPQ semantic analyzer ("flexcheck" pass 1): runs the closure
-/// inference rules of Figure 3 to completion and reports structured
-/// diagnostics — unsatisfiable structure (tag conflicts, pc/ad
-/// contradictions), predicates already implied by the rest of the query
-/// (whose drop is a no-op relaxation that wastes a DPO round), dangling
-/// contains targets, answer-node reachability, and — when `ctx` carries
-/// corpus statistics — tags, edges and contains expressions that
-/// provably match nothing. Diagnostics come in a deterministic order
-/// (by code, then variable).
+/// The TPQ semantic analyzer ("flexcheck"), read off the tree. Reports a
+/// pattern that fails Tpq::Validate (FX001); contains predicates a
+/// descendant already implies, whose drop is a no-op relaxation that
+/// wastes a DPO round (FX201); and, when `ctx` carries corpus
+/// statistics, every proof that the query matches nothing (the FX1xx
+/// errors of ProvablyEmptyReason). Diagnostics come in a deterministic
+/// order (by code, then variable, then message).
 AnalysisReport AnalyzeTpq(const Tpq& q, const AnalyzerContext& ctx);
 
-/// Same checks over a raw logical form, for inputs that never were a
-/// tree (hand-built predicate sets, mutated plans). Structural
-/// malformedness that Tpq construction rules out (conflicting tags on
-/// one variable, cycles, disconnected components) is reachable here.
-AnalysisReport AnalyzeLogical(const LogicalQuery& q,
-                              const AnalyzerContext& ctx);
-
-/// Sound corpus-level emptiness test: returns a reason string when the
+/// Sound corpus-level emptiness test: returns a reason when the
 /// statistics *prove* `q` has no answers on the indexed corpus —
 ///  - a node's tag occurs in zero elements (subtype-aware via the
 ///    element index, so sound under a TypeHierarchy);
@@ -51,10 +41,13 @@ AnalysisReport AnalyzeLogical(const LogicalQuery& q,
 ///  - a pc/ad edge between tags with zero such pairs in the corpus
 ///    (checked only without a TypeHierarchy, where pair counts are
 ///    exact).
-/// nullopt means "cannot prove empty" — never "non-empty". Wildcard
-/// nodes and attribute predicates are conservatively ignored. This is
-/// the predicate behind TopKOptions::static_prune: a provably-empty
-/// relaxation round can be skipped with byte-identical answers.
+/// The reason is the message of AnalyzeTpq's first FX1xx diagnostic in
+/// tree order: both walk the same proofs, and this one stops at the
+/// first. nullopt means "cannot prove empty" — never "non-empty".
+/// Wildcard nodes and attribute predicates are conservatively ignored.
+/// This is the predicate behind TopKOptions::static_prune: a
+/// provably-empty relaxation round can be skipped with byte-identical
+/// answers.
 std::optional<std::string> ProvablyEmptyReason(const Tpq& q,
                                                const AnalyzerContext& ctx);
 

@@ -11,8 +11,6 @@ const char* DiagSeverityName(DiagSeverity severity) {
       return "error";
     case DiagSeverity::kWarning:
       return "warning";
-    case DiagSeverity::kNote:
-      return "note";
   }
   return "unknown";
 }
@@ -96,12 +94,6 @@ void LogReport(const AnalysisReport& report, std::string_view query) {
                           {"code", d.code}, {"severity", "warning"},
                           {"message", d.message}, {"path", d.path},
                           {"query", query});
-        break;
-      case DiagSeverity::kNote:
-        FLEXPATH_LOG_DEBUG("analysis", "query diagnostic",
-                           {"code", d.code}, {"severity", "note"},
-                           {"message", d.message}, {"path", d.path},
-                           {"query", query});
         break;
     }
   }

@@ -13,27 +13,22 @@ namespace flexpath {
 /// Severity of a static-analysis finding.
 ///  - kError:   the query (or plan) cannot produce answers / is invalid;
 ///  - kWarning: legal but wasteful — e.g. a predicate whose drop is a
-///              no-op relaxation that costs a DPO round;
-///  - kNote:    informational (schedule shape, estimates).
+///              no-op relaxation that costs a DPO round.
 enum class DiagSeverity : uint8_t {
   kError = 0,
   kWarning = 1,
-  kNote = 2,
 };
 
 const char* DiagSeverityName(DiagSeverity severity);
 
 /// Stable diagnostic codes ("flexcheck" pass, DESIGN.md §11). The
 /// code string is part of the tool contract: scripts grep for it, tests
-/// pin it. Numbering: FX0xx structural unsatisfiability / malformedness
-/// (corpus-independent), FX1xx corpus-level unsatisfiability (statistics
-/// prove zero answers), FX2xx redundancy warnings. FX3xx is retired
-/// and not reused.
+/// pin it. Numbering: FX001 a malformed pattern, FX1xx corpus-level
+/// unsatisfiability (statistics prove zero answers), FX2xx redundancy
+/// warnings. FX002-FX005 (tag conflicts, pc/ad cycles and nodes cut off
+/// from the answer) are retired with the logical-form input: a validated
+/// tree cannot fail them. FX3xx is retired too; neither is reused.
 inline constexpr std::string_view kDiagMalformed = "FX001";
-inline constexpr std::string_view kDiagTagConflict = "FX002";
-inline constexpr std::string_view kDiagStructuralCycle = "FX003";
-inline constexpr std::string_view kDiagDanglingContains = "FX004";
-inline constexpr std::string_view kDiagUnreachableAnswer = "FX005";
 inline constexpr std::string_view kDiagEmptyTag = "FX101";
 inline constexpr std::string_view kDiagEmptyContains = "FX102";
 inline constexpr std::string_view kDiagDeadEdge = "FX103";
@@ -45,8 +40,7 @@ struct Diagnostic {
   std::string code;     ///< Stable code, e.g. "FX101".
   std::string message;  ///< Human-readable explanation.
   /// Offending node path: the variable plus its spine from the query
-  /// root, e.g. "$3 (/article//section)"; "$3" alone when the input is a
-  /// logical form with no tree to walk. Empty for whole-query findings.
+  /// root, e.g. "$3 (/article//section)". Empty for whole-query findings.
   std::string path;
   VarId var = kInvalidVar;  ///< Offending variable; kInvalidVar if none.
 
@@ -61,7 +55,7 @@ struct AnalysisReport {
   size_t WarningCount() const;
 
   /// True when any error-severity diagnostic proves the query can return
-  /// no answers (every FX0xx/FX1xx error implies that).
+  /// no answers (every FX001/FX1xx error implies that).
   bool unsatisfiable() const { return ErrorCount() > 0; }
 
   /// True when the report contains a diagnostic with this code.
@@ -78,7 +72,7 @@ struct AnalysisReport {
 std::string DiagnosticsJson(const AnalysisReport& report);
 
 /// Renders each diagnostic through the structured logger (module
-/// "analysis"): errors at WARN, warnings at INFO, notes at DEBUG.
+/// "analysis"): errors at WARN, warnings at INFO.
 /// `query` labels the records with the analyzed pattern.
 void LogReport(const AnalysisReport& report, std::string_view query);
 

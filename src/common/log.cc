@@ -1,7 +1,7 @@
 #include "common/log.h"
 
-#include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <ctime>
 
@@ -82,45 +82,7 @@ Logger& Logger::Global() {
 }
 
 void Logger::SetLevel(LogLevel level) {
-  std::lock_guard<std::mutex> lock(mu_);
   level_.store(static_cast<int>(level), std::memory_order_relaxed);
-  RecomputeFloorLocked();
-}
-
-void Logger::SetModuleLevel(std::string module, LogLevel level) {
-  std::lock_guard<std::mutex> lock(mu_);
-  overrides_[std::move(module)] = static_cast<int>(level);
-  has_overrides_.store(true, std::memory_order_relaxed);
-  RecomputeFloorLocked();
-}
-
-void Logger::ClearModuleLevels() {
-  std::lock_guard<std::mutex> lock(mu_);
-  overrides_.clear();
-  has_overrides_.store(false, std::memory_order_relaxed);
-  RecomputeFloorLocked();
-}
-
-void Logger::RecomputeFloorLocked() {
-  int floor = level_.load(std::memory_order_relaxed);
-  for (const auto& [module, level] : overrides_) {
-    floor = std::min(floor, level);
-  }
-  floor_.store(floor, std::memory_order_relaxed);
-}
-
-bool Logger::EnabledSlow(LogLevel level, std::string_view module) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = overrides_.find(module);
-  const int threshold = it != overrides_.end()
-                            ? it->second
-                            : level_.load(std::memory_order_relaxed);
-  return static_cast<int>(level) >= threshold;
-}
-
-void Logger::SetSink(std::FILE* sink) {
-  std::lock_guard<std::mutex> lock(mu_);
-  sink_ = sink;
 }
 
 void Logger::SetCaptureSink(std::function<void(std::string_view)> fn) {
@@ -189,9 +151,8 @@ void Logger::Log(LogLevel level, std::string_view module,
     capture_(line);
     return;
   }
-  std::FILE* out = sink_ != nullptr ? sink_ : stderr;
-  std::fwrite(line.data(), 1, line.size(), out);
-  std::fflush(out);
+  std::fwrite(line.data(), 1, line.size(), stderr);
+  std::fflush(stderr);
 }
 
 }  // namespace flexpath

@@ -2,10 +2,8 @@
 #define FLEXPATH_COMMON_LOG_H_
 
 #include <atomic>
-#include <cstdio>
 #include <functional>
 #include <initializer_list>
-#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -54,8 +52,6 @@ struct LogField {
 ///
 /// Hot-path cost: a disabled record is one relaxed atomic load plus an
 /// integer compare (see Enabled()); the record is never formatted.
-/// Per-module level overrides (e.g. debug just "exec") only add a mutex
-/// acquisition for records that pass that first gate.
 class Logger {
  public:
   static Logger& Global();
@@ -70,12 +66,6 @@ class Logger {
     return static_cast<LogLevel>(level_.load(std::memory_order_relaxed));
   }
 
-  /// Per-module override: records from `module` use `level` as their
-  /// threshold instead of the global one. Overrides may be more or less
-  /// verbose than the global level.
-  void SetModuleLevel(std::string module, LogLevel level);
-  void ClearModuleLevels();
-
   /// When true, records render as one JSON object per line; otherwise as
   /// a human-readable text line. Default text.
   void SetJsonOutput(bool json) {
@@ -83,23 +73,14 @@ class Logger {
   }
   bool json_output() const { return json_.load(std::memory_order_relaxed); }
 
-  /// Output stream for rendered lines (default stderr).
-  void SetSink(std::FILE* sink);
-
-  /// Test hook: when set, rendered lines go to `fn` instead of the FILE
-  /// sink. Pass nullptr to restore the FILE sink.
+  /// Test hook: when set, rendered lines go to `fn` instead of stderr.
+  /// Pass nullptr to restore stderr.
   void SetCaptureSink(std::function<void(std::string_view)> fn);
 
-  /// Cheap front gate: false means a record at `level` from `module`
-  /// would be dropped. The common no-override path is one relaxed load.
-  bool Enabled(LogLevel level, std::string_view module) const {
-    // floor_ is min(global, every module override), so a level below it
-    // is disabled for every module — the one-load fast path.
-    if (static_cast<int>(level) < floor_.load(std::memory_order_relaxed)) {
-      return false;
-    }
-    if (!has_overrides_.load(std::memory_order_relaxed)) return true;
-    return EnabledSlow(level, module);
+  /// Cheap front gate: false means a record at `level` would be
+  /// dropped. One relaxed load and a compare.
+  bool Enabled(LogLevel level) const {
+    return static_cast<int>(level) >= level_.load(std::memory_order_relaxed);
   }
 
   /// Formats and emits one record. Call Enabled() first (the macros do).
@@ -107,47 +88,31 @@ class Logger {
            std::initializer_list<LogField> fields = {});
 
  private:
-  bool EnabledSlow(LogLevel level, std::string_view module) const;
-  void RecomputeFloorLocked();
-
   std::atomic<int> level_{static_cast<int>(LogLevel::kInfo)};
-  std::atomic<int> floor_{static_cast<int>(LogLevel::kInfo)};
-  std::atomic<bool> has_overrides_{false};
   std::atomic<bool> json_{false};
-  mutable std::mutex mu_;  ///< Guards overrides_, sink_, capture_, writes.
-  std::map<std::string, int, std::less<>> overrides_;
-  std::FILE* sink_ = nullptr;  ///< nullptr means stderr.
+  std::mutex mu_;  ///< Guards capture_ and writes.
   std::function<void(std::string_view)> capture_;
 };
 
-// Records below FLEXPATH_MIN_LOG_LEVEL compile to nothing (the argument
-// expressions are never evaluated), for shaving even the Enabled() load
-// off hot paths. Values match LogLevel. Default: keep everything.
-#ifndef FLEXPATH_MIN_LOG_LEVEL
-#define FLEXPATH_MIN_LOG_LEVEL 0
-#endif
-
-#define FLEXPATH_LOG_IMPL(level_int, level_enum, module, message, ...)   \
-  do {                                                                   \
-    if constexpr ((level_int) >= FLEXPATH_MIN_LOG_LEVEL) {               \
-      ::flexpath::Logger& flexpath_logger = ::flexpath::Logger::Global(); \
-      if (flexpath_logger.Enabled((level_enum), (module))) {             \
-        flexpath_logger.Log((level_enum), (module), (message),           \
-                            {__VA_ARGS__});                              \
-      }                                                                  \
-    }                                                                    \
+#define FLEXPATH_LOG_IMPL(level_enum, module, message, ...)            \
+  do {                                                                 \
+    ::flexpath::Logger& flexpath_logger = ::flexpath::Logger::Global(); \
+    if (flexpath_logger.Enabled((level_enum))) {                       \
+      flexpath_logger.Log((level_enum), (module), (message),           \
+                          {__VA_ARGS__});                              \
+    }                                                                  \
   } while (0)
 
 #define FLEXPATH_LOG_TRACE(module, message, ...) \
-  FLEXPATH_LOG_IMPL(0, ::flexpath::LogLevel::kTrace, module, message, __VA_ARGS__)
+  FLEXPATH_LOG_IMPL(::flexpath::LogLevel::kTrace, module, message, __VA_ARGS__)
 #define FLEXPATH_LOG_DEBUG(module, message, ...) \
-  FLEXPATH_LOG_IMPL(1, ::flexpath::LogLevel::kDebug, module, message, __VA_ARGS__)
+  FLEXPATH_LOG_IMPL(::flexpath::LogLevel::kDebug, module, message, __VA_ARGS__)
 #define FLEXPATH_LOG_INFO(module, message, ...) \
-  FLEXPATH_LOG_IMPL(2, ::flexpath::LogLevel::kInfo, module, message, __VA_ARGS__)
+  FLEXPATH_LOG_IMPL(::flexpath::LogLevel::kInfo, module, message, __VA_ARGS__)
 #define FLEXPATH_LOG_WARN(module, message, ...) \
-  FLEXPATH_LOG_IMPL(3, ::flexpath::LogLevel::kWarn, module, message, __VA_ARGS__)
+  FLEXPATH_LOG_IMPL(::flexpath::LogLevel::kWarn, module, message, __VA_ARGS__)
 #define FLEXPATH_LOG_ERROR(module, message, ...) \
-  FLEXPATH_LOG_IMPL(4, ::flexpath::LogLevel::kError, module, message, __VA_ARGS__)
+  FLEXPATH_LOG_IMPL(::flexpath::LogLevel::kError, module, message, __VA_ARGS__)
 
 }  // namespace flexpath
 

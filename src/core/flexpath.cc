@@ -217,14 +217,9 @@ Result<TopKResult> FlexPath::QueryTpq(const Tpq& q, const TopKOptions& opts,
                                       std::string_view query_text) {
   if (!built_) return Status::InvalidArgument("call Build() first");
   const auto wall_start = std::chrono::steady_clock::now();
-  Result<TopKResult> result = [&]() -> Result<TopKResult> {
-    if (thesaurus_.size() > 0 && q.ContainsCount() > 0) {
-      Tpq expanded = q;
-      ExpandContains(&expanded);
-      return processor_->Run(expanded, algo, opts);
-    }
-    return processor_->Run(q, algo, opts);
-  }();
+  Tpq expanded;
+  Result<TopKResult> result =
+      processor_->Run(WithThesaurus(q, &expanded), algo, opts);
   QueryExecution exec;
   exec.latency_ms = MsSince(wall_start);
   exec.ts_unix_s = std::chrono::duration<double>(
@@ -312,12 +307,15 @@ std::string FlexPath::BuildInfoJson() const {
   return out + '}';
 }
 
-void FlexPath::ExpandContains(Tpq* q) const {
-  for (VarId v : q->Vars()) {
-    for (FtExpr& e : q->mutable_node(v).contains) {
+const Tpq& FlexPath::WithThesaurus(const Tpq& q, Tpq* expanded) const {
+  if (thesaurus_.size() == 0 || q.ContainsCount() == 0) return q;
+  *expanded = q;
+  for (VarId v : expanded->Vars()) {
+    for (FtExpr& e : expanded->mutable_node(v).contains) {
       e = ExpandWithThesaurus(e, thesaurus_);
     }
   }
+  return *expanded;
 }
 
 std::string FlexPath::Describe(const Tpq& q) const {
@@ -334,7 +332,9 @@ AnalyzerContext FlexPath::analyzer_context() const {
 }
 
 AnalysisReport FlexPath::Analyze(const Tpq& q) const {
-  AnalysisReport report = AnalyzeTpq(q, analyzer_context());
+  Tpq expanded;
+  AnalysisReport report =
+      AnalyzeTpq(WithThesaurus(q, &expanded), analyzer_context());
   LogReport(report, q.ToString(corpus_.tags()));
   return report;
 }

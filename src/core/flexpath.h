@@ -142,12 +142,13 @@ class FlexPath {
 
   // --- Static analysis (flexcheck) --------------------------------------
 
-  /// Runs the semantic analyzer on a parsed query: closure-based
-  /// structural checks always, plus corpus-level unsatisfiability
-  /// (empty tags, dead edges, unmatched contains) after Build(). The
-  /// diagnostics are also emitted through the structured logger under
-  /// the "analysis" module. See src/analysis/ and DESIGN.md §11 for the
-  /// diagnostic-code table.
+  /// Runs the semantic analyzer on a parsed query, as QueryTpq would run
+  /// it (contains expanded through the thesaurus): redundant contains
+  /// predicates always, plus corpus-level unsatisfiability (empty tags,
+  /// dead edges, unmatched contains) after Build(). The diagnostics are
+  /// also emitted through the structured logger under the "analysis"
+  /// module. See src/analysis/ and DESIGN.md §11 for the diagnostic-code
+  /// table.
   AnalysisReport Analyze(const Tpq& q) const;
 
   /// Parse + Analyze in one call (the CLI's --check path). Fails only
@@ -214,8 +215,10 @@ class FlexPath {
   /// OK while documents may still be added: not built, not opened.
   Status CheckAcceptsDocuments() const;
 
-  /// Applies the thesaurus to every contains predicate of `q` in place.
-  void ExpandContains(Tpq* q) const;
+  /// The query QueryTpq runs and Analyze checks for `q`: a copy in
+  /// `*expanded` with every contains expression expanded through the
+  /// thesaurus, or `q` itself when there is nothing to expand.
+  const Tpq& WithThesaurus(const Tpq& q, Tpq* expanded) const;
 
   TokenizerOptions tokenizer_opts_;
   Corpus corpus_;

@@ -63,7 +63,7 @@ class JoinPlan {
   ///                logical form gives the *required* predicates. Pass
   ///                `original` itself to encode no relaxation.
   ///   `dropped`  — cumulative dropped closure predicates (must equal
-  ///                Closure(original) − Closure(relaxed)).
+  ///                TreeClosure(original) − TreeClosure(relaxed)).
   /// Fails if more than 64 droppable predicates are encoded (mask width).
   static Result<JoinPlan> Build(const Tpq& original, const Tpq& relaxed,
                                 const std::set<Predicate>& dropped,

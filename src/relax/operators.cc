@@ -95,17 +95,4 @@ Result<Tpq> ApplyOp(const Tpq& q, const RelaxOp& op) {
   return Status::Internal("unknown operator");
 }
 
-std::set<Predicate> DroppedPredicates(const Tpq& q,
-                                      const LogicalQuery& closure,
-                                      const RelaxOp& op) {
-  std::set<Predicate> dropped;
-  Result<Tpq> relaxed = ApplyOp(q, op);
-  if (!relaxed.ok()) return dropped;
-  const LogicalQuery relaxed_closure = TreeClosure(*relaxed);
-  for (const Predicate& p : closure.preds) {
-    if (relaxed_closure.preds.count(p) == 0) dropped.insert(p);
-  }
-  return dropped;
-}
-
 }  // namespace flexpath

@@ -47,20 +47,6 @@ std::vector<RelaxOp> ApplicableOps(const Tpq& q);
 /// Fails if the op is not applicable to `q`.
 Result<Tpq> ApplyOp(const Tpq& q, const RelaxOp& op);
 
-/// The set of closure predicates that applying `op` to `q` drops — the S
-/// of Definition 1, computed exactly as
-///   Closure(q).preds − Closure(ApplyOp(q, op)).preds.
-/// Typical shapes: γ(x) drops {pc(parent,x)}; κ(x,E) drops
-/// {contains(x,E)}; σ(x) drops the pc/ad predicates tying x's subtree to
-/// x's old parent; λ(x) drops every predicate involving x plus any
-/// derived contains predicates that no longer have a derivation.
-/// `closure` must be the closure of q — TreeClosure(q), or equivalently
-/// Closure(ToLogical(q)); the relaxed query's closure is read off its
-/// tree with TreeClosure. Returns an empty set if the op is inapplicable.
-std::set<Predicate> DroppedPredicates(const Tpq& q,
-                                      const LogicalQuery& closure,
-                                      const RelaxOp& op);
-
 }  // namespace flexpath
 
 #endif  // FLEXPATH_RELAX_OPERATORS_H_

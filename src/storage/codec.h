@@ -13,9 +13,8 @@ namespace flexpath {
 namespace storage {
 
 /// Low-level byte codec shared by the packed-corpus writer and reader
-/// (DESIGN.md §17): LEB128 varints, delta-compressed blocks of strictly
-/// increasing uint64 keys, and the fixed-width skip entry that locates a
-/// posting block.
+/// (DESIGN.md §17): LEB128 varints and delta-compressed blocks of
+/// strictly increasing uint64 keys.
 
 /// Appends `value` as a LEB128 varint (1-10 bytes).
 void PutVarint(uint64_t value, std::string* out);
@@ -42,22 +41,10 @@ inline Status GetVarint(std::string_view data, size_t* pos, uint64_t* out) {
   return Status::OK();
 }
 
-/// Number of keys per delta block. Small enough that a point lookup
-/// decodes little; large enough that a posting skip table stays tiny
-/// (one 24-byte entry per block).
+/// Number of keys per delta block: each block restarts the delta chain
+/// with an absolute key. Lists are decoded whole, block after block, so
+/// the count is what the storage.cold_block_decodes counter counts in.
 inline constexpr size_t kBlockKeys = 128;
-
-/// One skip-table entry, fixed width so the reader can index the mmap'd
-/// table directly. `first_key` is the first key of the block, `offset`
-/// the block's byte offset within the list's encoded region, and `count`
-/// the number of keys in the block.
-struct SkipEntry {
-  uint64_t first_key = 0;
-  uint64_t offset = 0;
-  uint32_t count = 0;
-  uint32_t reserved = 0;
-};
-static_assert(sizeof(SkipEntry) == 24, "SkipEntry layout is part of the format");
 
 /// Encodes a strictly increasing key sequence as delta blocks of up to
 /// kBlockKeys keys: each block is [varint first_key][varint delta]*,

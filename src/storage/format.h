@@ -21,18 +21,19 @@ namespace storage {
 ///   sections, each page-aligned, in kSectionIds order.
 
 inline constexpr uint64_t kMagic = 0x50524F434B505846ULL;  // "FXPKCORP" LE
-/// Version 3: (tag, level) node streams, text and attributes in
-/// kSecNodeContent, and element tables without a skip table. Version 1
-/// and 2 files must be re-packed.
-inline constexpr uint32_t kFormatVersion = 3;
+/// Version 4: (tag, level) node streams, text and attributes in
+/// kSecNodeContent, and element tables and posting lists without skip
+/// tables. Version 1-3 files must be re-packed.
+inline constexpr uint32_t kFormatVersion = 4;
 /// Written as a native u32; reads back as this value only on a
 /// same-endianness machine (the mmap'd directories are raw memory, so a
 /// cross-endian file is rejected rather than misread).
 inline constexpr uint32_t kEndianTag = 0x01020304;
 inline constexpr uint32_t kPageSize = 4096;
 
-/// Section identifiers; the section table is sorted by id. Id 7 (v2's
-/// element skip table) is retired, and the others keep their numbers.
+/// Section identifiers; the section table is sorted by id. Ids 7 (v2's
+/// element skip table) and 12 (v3's posting skip table) are retired, and
+/// the others keep their numbers.
 enum SectionId : uint32_t {
   kSecTagNames = 1,      ///< tag_count varint-prefixed names.
   kSecDocDir = 2,        ///< doc_count × DocDirRecord.
@@ -44,15 +45,14 @@ enum SectionId : uint32_t {
   kSecTermDir = 9,       ///< term_count × TermDirRecord, term-sorted.
   kSecTermStrings = 10,  ///< raw term bytes, referenced by TermDirRecord.
   kSecPostBlocks = 11,   ///< block-compressed postings.
-  kSecPostSkips = 12,    ///< SkipEntry table for kSecPostBlocks.
 };
 /// The sections a file holds, in table (and file) order.
 inline constexpr SectionId kSectionIds[] = {
     kSecTagNames,    kSecDocDir,     kSecNodeStreams, kSecNodeContent,
     kSecElemDir,     kSecElemBlocks, kSecStats,       kSecTermDir,
-    kSecTermStrings, kSecPostBlocks, kSecPostSkips};
+    kSecTermStrings, kSecPostBlocks};
 inline constexpr uint32_t kSectionCount = std::size(kSectionIds);
-static_assert(kSectionCount == 11);
+static_assert(kSectionCount == 10);
 /// The largest id in kSectionIds; a reader's by-id table has this + 1 slots.
 inline constexpr uint32_t kMaxSectionId = [] {
   uint32_t max_id = 0;
@@ -110,7 +110,8 @@ static_assert(sizeof(ElemDirRecord) == 24, "ElemDirRecord layout");
 
 /// One term: its bytes in kSecTermStrings, document frequency and total
 /// term frequency (so Idf and stats need no posting decode), and its
-/// block-compressed postings + skip entries.
+/// block-compressed postings: `df` postings in blocks of kBlockKeys, the
+/// last one short, decoded in sequence.
 struct TermDirRecord {
   uint64_t str_offset = 0;
   uint32_t str_length = 0;
@@ -118,11 +119,8 @@ struct TermDirRecord {
   uint64_t total_tf = 0;
   uint64_t post_offset = 0;  ///< Into kSecPostBlocks.
   uint64_t post_length = 0;
-  uint64_t skip_index = 0;
-  uint32_t skip_count = 0;
-  uint32_t reserved = 0;
 };
-static_assert(sizeof(TermDirRecord) == 56, "TermDirRecord layout");
+static_assert(sizeof(TermDirRecord) == 40, "TermDirRecord layout");
 
 /// Rounds `n` up to the next page boundary.
 inline uint64_t PageAlign(uint64_t n) {

@@ -208,23 +208,17 @@ Status StorageReader::Validate() {
     return Status::InvalidArgument("term directory length mismatch");
   }
   term_dir_ = reinterpret_cast<const TermDirRecord*>(term_dir.data());
-  const std::string_view post_skips = Section(kSecPostSkips);
-  if (post_skips.size() % sizeof(SkipEntry) != 0) {
-    return Status::InvalidArgument("posting skip table length mismatch");
-  }
-  post_skips_ = reinterpret_cast<const SkipEntry*>(post_skips.data());
-  post_skip_count_ = post_skips.size() / sizeof(SkipEntry);
   const std::string_view strings = Section(kSecTermStrings);
   const std::string_view post_blocks = Section(kSecPostBlocks);
   for (uint64_t t = 0; t < header_.term_count; ++t) {
     const TermDirRecord& rec = term_dir_[t];
+    // Every posting costs at least three bytes (key, tf, one position),
+    // which bounds the list a decode allocates by the file size.
     if (rec.str_offset > strings.size() ||
         rec.str_length > strings.size() - rec.str_offset ||
         rec.post_offset > post_blocks.size() ||
         rec.post_length > post_blocks.size() - rec.post_offset ||
-        rec.df == 0 || rec.skip_count != BlocksFor(rec.df) ||
-        rec.skip_index > post_skip_count_ ||
-        rec.skip_count > post_skip_count_ - rec.skip_index) {
+        rec.df == 0 || rec.df > rec.post_length / 3) {
       return Status::InvalidArgument("term directory entry " +
                                      std::to_string(t) + " out of bounds");
     }
@@ -465,19 +459,12 @@ bool StorageReader::TermInfo(const std::string& term, uint32_t* df,
 }
 
 Status StorageReader::DecodePostingBlock(std::string_view post_bytes,
-                                         const SkipEntry& skip,
+                                         size_t* pos, size_t count,
                                          std::vector<Posting>* out) const {
-  if (skip.offset > post_bytes.size()) {
-    return Status::InvalidArgument("posting skip offset out of bounds");
-  }
-  if (skip.count > kBlockKeys) {
-    return Status::InvalidArgument("implausible posting block count");
-  }
-  size_t pos = static_cast<size_t>(skip.offset);
   uint64_t key = 0;
-  for (uint32_t j = 0; j < skip.count; ++j) {
+  for (size_t j = 0; j < count; ++j) {
     uint64_t v = 0;
-    FLEXPATH_RETURN_IF_ERROR(GetVarint(post_bytes, &pos, &v));
+    FLEXPATH_RETURN_IF_ERROR(GetVarint(post_bytes, pos, &v));
     if (j == 0) {
       key = v;
     } else {
@@ -490,10 +477,10 @@ Status StorageReader::DecodePostingBlock(std::string_view post_bytes,
       key += v;
     }
     uint64_t tf = 0;
-    FLEXPATH_RETURN_IF_ERROR(GetVarint(post_bytes, &pos, &tf));
+    FLEXPATH_RETURN_IF_ERROR(GetVarint(post_bytes, pos, &tf));
     // Each position costs >= 1 byte, so tf can never exceed the bytes
     // left — rejects corrupt tf values before they drive an allocation.
-    if (tf == 0 || tf > post_bytes.size() - pos + 1) {
+    if (tf == 0 || tf > post_bytes.size() - *pos + 1) {
       return Status::InvalidArgument("implausible posting tf");
     }
     Posting p;
@@ -507,7 +494,7 @@ Status StorageReader::DecodePostingBlock(std::string_view post_bytes,
     uint64_t position = 0;
     for (uint64_t k = 0; k < tf; ++k) {
       uint64_t pv = 0;
-      FLEXPATH_RETURN_IF_ERROR(GetVarint(post_bytes, &pos, &pv));
+      FLEXPATH_RETURN_IF_ERROR(GetVarint(post_bytes, pos, &pv));
       if (k == 0) {
         position = pv;
       } else {
@@ -539,19 +526,21 @@ std::optional<PostingList> StorageReader::FindPostings(
   PostingList list;
   list.postings.reserve(rec.df);
   Status decoded = Status::OK();
-  for (uint32_t b = 0; b < rec.skip_count && decoded.ok(); ++b) {
+  size_t pos = 0;
+  while (decoded.ok() && list.postings.size() < rec.df) {
     const size_t first = list.postings.size();
-    decoded = DecodePostingBlock(bytes, post_skips_[rec.skip_index + b],
-                                 &list.postings);
+    decoded = DecodePostingBlock(
+        bytes, &pos, std::min<size_t>(kBlockKeys, rec.df - first),
+        &list.postings);
     // Keys rise within a block; the list must also rise across blocks,
     // since the IR closure and merges take it as sorted and unique.
-    if (decoded.ok() && first > 0 && first < list.postings.size() &&
+    if (decoded.ok() && first > 0 &&
         !(list.postings[first - 1].node < list.postings[first].node)) {
       decoded = Status::InvalidArgument("posting blocks out of order");
     }
   }
-  if (decoded.ok() && list.postings.size() != rec.df) {
-    decoded = Status::InvalidArgument("posting count mismatch");
+  if (decoded.ok() && pos != bytes.size()) {
+    decoded = Status::InvalidArgument("trailing bytes after posting list");
   }
   if (!decoded.ok()) {
     // Same contract as TagList: corruption yields an empty (matches
@@ -583,7 +572,7 @@ std::string StorageReader::InspectJson() const {
   static constexpr const char* kSectionNames[] = {
       "tag_names",    "doc_dir",     "node_streams", "node_content",
       "elem_dir",     "elem_blocks", "stats",        "term_dir",
-      "term_strings", "post_blocks", "post_skips"};
+      "term_strings", "post_blocks"};
   static_assert(std::size(kSectionNames) == kSectionCount);
   for (uint32_t i = 0; i < kSectionCount; ++i) {
     const SectionRecord& rec = sections_[kSectionIds[i]];

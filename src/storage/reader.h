@@ -29,7 +29,7 @@ namespace storage {
 ///  - the PostingSource a packed InvertedIndex resolves terms against,
 /// so one object (and one mapping) serves the whole read path.
 ///
-/// Fixed-width structures (directories, skip tables) are *pointed at* in
+/// Fixed-width structures (the directories) are *pointed at* in
 /// the mapping — never copied. Variable structures (element tables,
 /// posting lists) are decoded afresh on every call: the reader keeps no
 /// decoded state, and each index keeps what it decodes for its session.
@@ -113,11 +113,10 @@ class StorageReader : public CorpusBacking,
   int64_t FindTermIndex(std::string_view term) const;
   std::string_view TermBytes(const TermDirRecord& rec) const;
 
-  /// Decodes one posting block (posting `skip.count` entries starting at
-  /// `skip.offset` of `post_bytes`) appending to `out`.
-  Status DecodePostingBlock(std::string_view post_bytes,
-                            const SkipEntry& skip,
-                            std::vector<Posting>* out) const;
+  /// Decodes the posting block at `*pos` of `post_bytes` (`count`
+  /// entries) appending to `out`, and advances `*pos` past it.
+  Status DecodePostingBlock(std::string_view post_bytes, size_t* pos,
+                            size_t count, std::vector<Posting>* out) const;
 
   MmapFile file_;
   FileHeader header_;
@@ -128,8 +127,6 @@ class StorageReader : public CorpusBacking,
   const DocDirRecord* doc_dir_ = nullptr;
   const ElemDirRecord* elem_dir_ = nullptr;
   const TermDirRecord* term_dir_ = nullptr;
-  const SkipEntry* post_skips_ = nullptr;
-  size_t post_skip_count_ = 0;
 };
 
 }  // namespace storage

@@ -62,18 +62,10 @@ void EncodePairMap(const std::unordered_map<uint64_t, uint64_t>& m,
 
 /// Encodes one posting list as interleaved delta blocks: per posting a
 /// key (absolute for the block's first posting, delta otherwise), the
-/// tf, then tf position values (first absolute, rest deltas). One
-/// SkipEntry per block.
-Status EncodePostingBlocks(const PostingList& list, std::string* out,
-                           std::vector<SkipEntry>* skips) {
-  const size_t base = out->size();
+/// tf, then tf position values (first absolute, rest deltas).
+Status EncodePostingBlocks(const PostingList& list, std::string* out) {
   for (size_t i = 0; i < list.postings.size(); i += kBlockKeys) {
     const size_t block_end = std::min(list.postings.size(), i + kBlockKeys);
-    SkipEntry skip;
-    skip.first_key = KeyOf(list.postings[i].node);
-    skip.offset = out->size() - base;
-    skip.count = static_cast<uint32_t>(block_end - i);
-    skips->push_back(skip);
     for (size_t j = i; j < block_end; ++j) {
       const Posting& p = list.postings[j];
       const uint64_t key = KeyOf(p.node);
@@ -185,7 +177,7 @@ Status WritePackedCorpus(const Corpus& corpus, const TokenizerOptions& opts,
   }
 
   // Term directory (sorted by term bytes, so the reader binary-searches
-  // the mmap'd records), term strings, posting blocks, posting skips.
+  // the mmap'd records), term strings, posting blocks.
   uint64_t term_count = 0;
   {
     std::vector<std::pair<std::string, const PostingList*>> terms;
@@ -199,7 +191,6 @@ Status WritePackedCorpus(const Corpus& corpus, const TokenizerOptions& opts,
     std::string& dir = sections[kSecTermDir];
     std::string& strings = sections[kSecTermStrings];
     std::string& blocks = sections[kSecPostBlocks];
-    std::vector<SkipEntry> skips;
     for (const auto& [term, list] : terms) {
       TermDirRecord rec;
       rec.str_offset = strings.size();
@@ -209,17 +200,10 @@ Status WritePackedCorpus(const Corpus& corpus, const TokenizerOptions& opts,
       rec.total_tf = 0;
       for (const Posting& p : list->postings) rec.total_tf += p.tf;
       rec.post_offset = blocks.size();
-      rec.skip_index = skips.size();
-      std::vector<SkipEntry> term_skips;
-      FLEXPATH_RETURN_IF_ERROR(
-          EncodePostingBlocks(*list, &blocks, &term_skips));
+      FLEXPATH_RETURN_IF_ERROR(EncodePostingBlocks(*list, &blocks));
       rec.post_length = blocks.size() - rec.post_offset;
-      rec.skip_count = static_cast<uint32_t>(term_skips.size());
-      skips.insert(skips.end(), term_skips.begin(), term_skips.end());
       AppendPod(rec, &dir);
     }
-    std::string& skip_sec = sections[kSecPostSkips];
-    for (const SkipEntry& s : skips) AppendPod(s, &skip_sec);
   }
 
   // ---- Lay out the file: header, section table, page-aligned data. ----

@@ -1,5 +1,6 @@
 // The flexcheck subsystem end to end: the semantic analyzer (one
-// positive and one negative case per diagnostic code), the
+// positive and one negative case per diagnostic code, and its tree
+// rules checked against the logical-form reference), the
 // relaxation-plan verifier (every scheduler-emitted relaxation over
 // 1000 random queries verifies; hand-mutated plans are rejected with
 // the right V-code), the static-emptiness proofs behind
@@ -27,6 +28,7 @@
 #include "relax/schedule.h"
 #include "stats/document_stats.h"
 #include "stats/element_index.h"
+#include "tests/logical_reference.h"
 #include "tests/plan_verifier.h"
 #include "tests/test_util.h"
 #include "xml/corpus.h"
@@ -84,78 +86,6 @@ TEST_F(AnalysisTest, Fx001MalformedPattern) {
   EXPECT_FALSE(Check("//article").Has(kDiagMalformed));
 }
 
-TEST_F(AnalysisTest, Fx002ConflictingTags) {
-  // Unreachable through a Tpq (one tag per node) but expressible in a
-  // raw logical form — e.g. a mutated plan.
-  TagDict dict;
-  const TagId a = dict.Intern("a");
-  const TagId b = dict.Intern("b");
-  LogicalQuery q;
-  q.distinguished = 1;
-  q.preds.insert(Predicate::Tag(1, a));
-  q.preds.insert(Predicate::Tag(1, b));
-  AnalyzerContext ctx;
-  ctx.dict = &dict;
-  const AnalysisReport report = AnalyzeLogical(q, ctx);
-  ASSERT_TRUE(report.Has(kDiagTagConflict)) << DiagnosticsJson(report);
-  EXPECT_TRUE(report.unsatisfiable());
-
-  LogicalQuery ok;
-  ok.distinguished = 1;
-  ok.preds.insert(Predicate::Tag(1, a));
-  EXPECT_FALSE(AnalyzeLogical(ok, ctx).Has(kDiagTagConflict));
-}
-
-TEST_F(AnalysisTest, Fx003StructuralCycle) {
-  LogicalQuery q;
-  q.distinguished = 1;
-  q.preds.insert(Predicate::Pc(1, 2));
-  q.preds.insert(Predicate::Pc(2, 1));
-  const AnalysisReport report = AnalyzeLogical(q, {});
-  ASSERT_TRUE(report.Has(kDiagStructuralCycle)) << DiagnosticsJson(report);
-  EXPECT_TRUE(report.unsatisfiable());
-
-  LogicalQuery chain;
-  chain.distinguished = 1;
-  chain.preds.insert(Predicate::Pc(1, 2));
-  chain.preds.insert(Predicate::Ad(1, 3));
-  EXPECT_FALSE(AnalyzeLogical(chain, {}).Has(kDiagStructuralCycle));
-}
-
-TEST_F(AnalysisTest, Fx004DanglingContains) {
-  LogicalQuery q;
-  q.distinguished = 1;
-  q.preds.insert(Predicate::Pc(1, 2));
-  q.preds.insert(Predicate::ContainsKey(7, "\"xml\""));  // $7 floats free.
-  const AnalysisReport report = AnalyzeLogical(q, {});
-  ASSERT_TRUE(report.Has(kDiagDanglingContains)) << DiagnosticsJson(report);
-
-  LogicalQuery attached;
-  attached.distinguished = 1;
-  attached.preds.insert(Predicate::Pc(1, 2));
-  attached.preds.insert(Predicate::ContainsKey(2, "\"xml\""));
-  EXPECT_FALSE(AnalyzeLogical(attached, {}).Has(kDiagDanglingContains));
-}
-
-TEST_F(AnalysisTest, Fx005UnreachableAnswer) {
-  LogicalQuery q;
-  q.distinguished = 1;
-  q.preds.insert(Predicate::Pc(1, 2));
-  q.preds.insert(Predicate::Pc(3, 4));  // Island, no contains.
-  const AnalysisReport report = AnalyzeLogical(q, {});
-  ASSERT_TRUE(report.Has(kDiagUnreachableAnswer)) << DiagnosticsJson(report);
-
-  LogicalQuery no_dist;
-  no_dist.preds.insert(Predicate::Pc(1, 2));
-  EXPECT_TRUE(AnalyzeLogical(no_dist, {}).Has(kDiagUnreachableAnswer));
-
-  LogicalQuery connected;
-  connected.distinguished = 1;
-  connected.preds.insert(Predicate::Pc(1, 2));
-  connected.preds.insert(Predicate::Ad(2, 3));
-  EXPECT_FALSE(AnalyzeLogical(connected, {}).Has(kDiagUnreachableAnswer));
-}
-
 TEST_F(AnalysisTest, Fx101EmptyTag) {
   const AnalysisReport report = Check("//article[./ghosttag]");
   ASSERT_TRUE(report.Has(kDiagEmptyTag)) << DiagnosticsJson(report);
@@ -201,22 +131,54 @@ TEST_F(AnalysisTest, Fx103GatedOffUnderTypeHierarchy) {
 TEST_F(AnalysisTest, Fx201RedundantPredicate) {
   // ad(1,2) ∧ contains(2,E) derives contains(1,E): stating it is a
   // wasted DPO round.
-  LogicalQuery q;
-  q.distinguished = 1;
-  q.preds.insert(Predicate::Ad(1, 2));
-  q.preds.insert(Predicate::ContainsKey(1, "\"xml\""));
-  q.preds.insert(Predicate::ContainsKey(2, "\"xml\""));
-  const AnalysisReport report = AnalyzeLogical(q, {});
+  const AnalysisReport report = Check(
+      "//article[.contains(\"xml\")]//paragraph[.contains(\"xml\")]");
   ASSERT_TRUE(report.Has(kDiagRedundantPredicate))
       << DiagnosticsJson(report);
-  EXPECT_EQ(report.Find(kDiagRedundantPredicate)->severity,
-            DiagSeverity::kWarning);
+  const Diagnostic& d = *report.Find(kDiagRedundantPredicate);
+  EXPECT_EQ(d.severity, DiagSeverity::kWarning);
+  EXPECT_EQ(d.path, "$1 (/article)");
+  EXPECT_FALSE(report.unsatisfiable());
 
-  LogicalQuery minimal;
-  minimal.distinguished = 1;
-  minimal.preds.insert(Predicate::Ad(1, 2));
-  minimal.preds.insert(Predicate::ContainsKey(2, "\"xml\""));
-  EXPECT_FALSE(AnalyzeLogical(minimal, {}).Has(kDiagRedundantPredicate));
+  // The same expression on the descendant alone, or different
+  // expressions on both nodes, derive nothing.
+  EXPECT_FALSE(Check("//article//paragraph[.contains(\"xml\")]")
+                   .Has(kDiagRedundantPredicate));
+  EXPECT_FALSE(Check("//article[.contains(\"engines\")]"
+                     "//paragraph[.contains(\"xml\")]")
+                   .Has(kDiagRedundantPredicate));
+}
+
+// FX201 reads the tree: a contains predicate is redundant exactly when a
+// proper descendant states the same expression. Over random patterns it
+// names the same predicates as the reference Derivable over the logical
+// form, which runs the Figure 3 rules to a fixpoint.
+TEST(AnalysisTreeRules, Fx201MatchesFixpointDerivable) {
+  Rng rng(20261020);
+  TagDict dict;
+  AnalyzerContext ctx;
+  ctx.dict = &dict;
+  size_t flagged = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    const Tpq q = testing_util::RandomTpq(&rng, &dict, 7);
+    const LogicalQuery logical = ToLogical(q);
+    std::vector<std::pair<VarId, std::string>> want;
+    for (const Predicate& p : logical.preds) {
+      if (p.kind == PredKind::kTag || !Derivable(logical.preds, p)) continue;
+      want.emplace_back(p.x, "predicate " + p.ToString(&dict));
+    }
+    std::vector<std::pair<VarId, std::string>> got;
+    for (const Diagnostic& d : AnalyzeTpq(q, ctx).diagnostics) {
+      ASSERT_EQ(d.code, kDiagRedundantPredicate) << d.ToString();
+      got.emplace_back(d.var, d.message.substr(0, d.message.find(" is ")));
+    }
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got, want) << "iter " << iter << ": " << q.ToString(dict);
+    flagged += want.empty() ? 0 : 1;
+  }
+  // Sanity: the rule fired often enough to mean something.
+  EXPECT_GT(flagged, 50u);
 }
 
 TEST_F(AnalysisTest, DiagnosticsJsonSchema) {
@@ -266,6 +228,98 @@ TEST_F(AnalysisTest, ProvablyEmptyReasonCases) {
       fp_.Query("//article[./section[./algorithm]]");
   ASSERT_TRUE(answers.ok());
   ASSERT_FALSE(answers->empty());
+}
+
+// AnalyzeTpq and ProvablyEmptyReason walk the same proofs: a query gets
+// an FX1xx error exactly when static pruning may skip it, and the
+// pruning reason is the message of the first proof in tree order (by
+// node, then tag, contains in stated order, parent edge).
+TEST_F(AnalysisTest, EmptinessErrorsMatchProvablyEmptyReason) {
+  // The fixture's tags, and two that no element carries.
+  static constexpr const char* kTags[] = {"article",   "title",
+                                          "section",   "algorithm",
+                                          "paragraph", "abstract"};
+  static constexpr const char* kGhosts[] = {"ghost", "phantom"};
+  static constexpr const char* kWords[] = {"streaming", "xml", "engines",
+                                           "zyzzyva", "evaluation"};
+  const AnalyzerContext ctx = fp_.analyzer_context();
+  TagDict& dict = *fp_.tags();
+  Rng rng(4242);
+  auto tag = [&] {
+    return dict.Intern(rng.Bernoulli(0.1) ? kGhosts[rng.Uniform(2)]
+                                          : kTags[rng.Uniform(6)]);
+  };
+  size_t empty = 0;
+  constexpr size_t kQueries = 1000;
+  for (size_t iter = 0; iter < kQueries; ++iter) {
+    Tpq q;
+    std::vector<VarId> vars = {q.AddRoot(tag())};
+    const size_t n = 1 + rng.Uniform(4);
+    for (size_t i = 1; i < n; ++i) {
+      vars.push_back(q.AddChild(
+          vars[rng.Uniform(vars.size())],
+          rng.Bernoulli(0.5) ? Axis::kChild : Axis::kDescendant, tag()));
+    }
+    for (VarId v : vars) {
+      while (rng.Bernoulli(0.25)) {
+        q.AddContains(v, FtExpr::Term(kWords[rng.Uniform(5)]));
+      }
+    }
+    q.SetDistinguished(vars[0]);
+    ASSERT_TRUE(q.Validate().ok());
+
+    const AnalysisReport report = AnalyzeTpq(q, ctx);
+    const std::optional<std::string> reason = ProvablyEmptyReason(q, ctx);
+    const std::string label = "iter " + std::to_string(iter) + ": " +
+                              q.ToString(dict) + " " +
+                              DiagnosticsJson(report);
+    // The first proof in tree order, read back from the sorted report.
+    auto proof = [&](std::string_view code, VarId v,
+                     const std::string& needle) -> const Diagnostic* {
+      for (const Diagnostic& d : report.diagnostics) {
+        if (d.code == code && d.var == v &&
+            d.message.find(needle) != std::string::npos) {
+          return &d;
+        }
+      }
+      return nullptr;
+    };
+    const Diagnostic* first = nullptr;
+    for (VarId v : q.Vars()) {
+      first = proof(kDiagEmptyTag, v, "");
+      for (const FtExpr& e : q.node(v).contains) {
+        if (first == nullptr) {
+          first = proof(kDiagEmptyContains, v, e.ToString());
+        }
+      }
+      if (first == nullptr) first = proof(kDiagDeadEdge, v, "");
+      if (first != nullptr) break;
+    }
+    ASSERT_EQ(report.unsatisfiable(), reason.has_value()) << label;
+    ASSERT_EQ(first != nullptr, reason.has_value()) << label;
+    if (reason.has_value()) {
+      EXPECT_EQ(*reason, first->message) << label;
+      ++empty;
+    }
+  }
+  // Sanity: both sides of the equivalence were exercised.
+  EXPECT_GT(empty, kQueries / 10);
+  EXPECT_GT(kQueries - empty, kQueries / 10);
+}
+
+// The analyzer checks the query the engine runs: with a synonym
+// registered, a contains word absent from the corpus is expanded to one
+// that occurs, so it is neither reported empty nor answerless.
+TEST_F(AnalysisTest, AnalyzeExpandsThroughThesaurus) {
+  const std::string xpath = "//article[.contains(\"motor\")]";
+  EXPECT_TRUE(Check(xpath).Has(kDiagEmptyContains));
+  fp_.thesaurus()->AddSynonym("motor", "engines");
+  const AnalysisReport report = Check(xpath);
+  EXPECT_FALSE(report.Has(kDiagEmptyContains)) << DiagnosticsJson(report);
+  EXPECT_FALSE(report.unsatisfiable()) << DiagnosticsJson(report);
+  Result<std::vector<QueryAnswer>> answers = fp_.Query(xpath);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_FALSE(answers->empty());
 }
 
 // --- Plan verifier: scheduler output always passes --------------------

@@ -5,6 +5,8 @@
 #include <set>
 #include <vector>
 
+#include "tests/logical_reference.h"
+
 namespace flexpath {
 
 namespace {

@@ -16,6 +16,7 @@
 #include "relax/schedule.h"
 #include "stats/document_stats.h"
 #include "stats/element_index.h"
+#include "tests/logical_reference.h"
 #include "tests/naive_evaluator.h"
 #include "tests/test_util.h"
 #include "xmark/generator.h"

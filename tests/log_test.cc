@@ -21,7 +21,6 @@ class CapturedLogger {
     Logger::Global().SetCaptureSink(nullptr);
     Logger::Global().SetJsonOutput(false);
     Logger::Global().SetLevel(LogLevel::kInfo);
-    Logger::Global().ClearModuleLevels();
   }
 
   const std::vector<std::string>& lines() const { return lines_; }
@@ -58,31 +57,9 @@ TEST(LoggerTest, DisabledCheckIsCheap) {
   // without side effects and respects the level.
   Logger& logger = Logger::Global();
   logger.SetLevel(LogLevel::kError);
-  EXPECT_FALSE(logger.Enabled(LogLevel::kDebug, "any"));
-  EXPECT_TRUE(logger.Enabled(LogLevel::kError, "any"));
+  EXPECT_FALSE(logger.Enabled(LogLevel::kDebug));
+  EXPECT_TRUE(logger.Enabled(LogLevel::kError));
   logger.SetLevel(LogLevel::kInfo);
-}
-
-TEST(LoggerTest, ModuleOverrideMoreVerboseThanGlobal) {
-  CapturedLogger cap;
-  Logger::Global().SetLevel(LogLevel::kWarn);
-  Logger::Global().SetModuleLevel("exec", LogLevel::kDebug);
-  EXPECT_TRUE(Logger::Global().Enabled(LogLevel::kDebug, "exec"));
-  EXPECT_FALSE(Logger::Global().Enabled(LogLevel::kDebug, "ir"));
-  FLEXPATH_LOG_DEBUG("exec", "exec debug");
-  FLEXPATH_LOG_DEBUG("ir", "ir debug");
-  ASSERT_EQ(cap.lines().size(), 1u);
-  EXPECT_NE(cap.lines()[0].find("exec debug"), std::string::npos);
-}
-
-TEST(LoggerTest, ModuleOverrideLessVerboseThanGlobal) {
-  CapturedLogger cap;
-  Logger::Global().SetLevel(LogLevel::kDebug);
-  Logger::Global().SetModuleLevel("noisy", LogLevel::kError);
-  FLEXPATH_LOG_INFO("noisy", "suppressed");
-  FLEXPATH_LOG_INFO("other", "kept");
-  ASSERT_EQ(cap.lines().size(), 1u);
-  EXPECT_NE(cap.lines()[0].find("kept"), std::string::npos);
 }
 
 TEST(LoggerTest, TextLineCarriesFields) {
@@ -146,13 +123,6 @@ TEST(LoggerTest, ConcurrentLoggingKeepsLinesIntact) {
     EXPECT_NE(line.find("[mt] line"), std::string::npos) << line;
     EXPECT_EQ(line.back(), '\n');
   }
-}
-
-TEST(LoggerTest, CompileTimeFloorConstantExists) {
-  // The compile-out gate must accept every runtime level.
-  static_assert(FLEXPATH_MIN_LOG_LEVEL <=
-                static_cast<int>(LogLevel::kError));
-  SUCCEED();
 }
 
 }  // namespace

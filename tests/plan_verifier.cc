@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "relax/operators.h"
+#include "tests/logical_reference.h"
 
 namespace flexpath {
 

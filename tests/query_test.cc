@@ -11,6 +11,7 @@
 #include "query/tpq.h"
 #include "query/xpath_parser.h"
 #include "tests/containment.h"
+#include "tests/logical_reference.h"
 #include "xml/tag_dict.h"
 
 namespace flexpath {

@@ -11,6 +11,7 @@
 #include "relax/penalty.h"
 #include "relax/schedule.h"
 #include "stats/document_stats.h"
+#include "tests/logical_reference.h"
 #include "tests/test_util.h"
 
 namespace flexpath {

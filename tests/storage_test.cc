@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -46,7 +47,6 @@ using storage::EncodeKeyBlocks;
 using storage::GetVarint;
 using storage::kBlockKeys;
 using storage::PutVarint;
-using storage::SkipEntry;
 using storage::StorageReader;
 using storage::WritePackedCorpus;
 
@@ -429,12 +429,12 @@ TEST_F(PackedRoundTripTest, InspectJsonNamesEverySection) {
   for (const char* field :
        {"\"magic\"", "\"version\"", "\"page_size\"", "\"sections\"",
         "tag_names", "doc_dir", "node_streams", "node_content", "elem_dir",
-        "elem_blocks", "stats", "term_dir", "term_strings", "post_blocks",
-        "post_skips"}) {
+        "elem_blocks", "stats", "term_dir", "term_strings", "post_blocks"}) {
     EXPECT_NE(json.find(field), std::string::npos) << field;
   }
-  // Format v3 has no element skip table.
+  // Format v4 has no element or posting skip table.
   EXPECT_EQ(json.find("elem_skips"), std::string::npos);
+  EXPECT_EQ(json.find("post_skips"), std::string::npos);
 }
 
 // --- Corrupt / truncated / wrong-version files -----------------------------
@@ -754,11 +754,12 @@ TEST_F(PackedCorruptionTest, CorruptContentEmptiesOnlyThatDocument) {
   }
 }
 
-// A v1 file (seven varints, text and attributes per node) or a v2 file
-// (with the element skip table) cannot be read as v3; the reader says to
-// re-pack it rather than misreading it.
+// A v1 file (seven varints, text and attributes per node), a v2 file
+// (with the element skip table) or a v3 file (with the posting skip
+// table) cannot be read as v4; the reader says to re-pack it rather than
+// misreading it.
 TEST_F(PackedCorruptionTest, RejectsVersion1WithRepackMessage) {
-  for (const uint32_t version : {1u, 2u}) {
+  for (const uint32_t version : {1u, 2u, 3u}) {
     std::string m = bytes_;
     std::memcpy(&m[offsetof(storage::FileHeader, version)], &version,
                 sizeof(version));
@@ -832,6 +833,24 @@ TEST_F(PackedCorruptionTest, RejectsElementCountPastItsBlocks) {
   }
 }
 
+// Likewise a term's df beyond its posting bytes (each posting takes at
+// least a key, a tf and one position byte) would make FindPostings
+// reserve an unbounded vector.
+TEST_F(PackedCorruptionTest, RejectsDocumentFrequencyPastItsPostings) {
+  std::map<uint32_t, storage::SectionRecord> sections = SectionsOf(bytes_);
+  storage::TermDirRecord term;
+  std::memcpy(&term, bytes_.data() + sections[storage::kSecTermDir].offset,
+              sizeof(term));
+  const size_t at = sections[storage::kSecTermDir].offset +
+                    offsetof(storage::TermDirRecord, df);
+  const uint32_t just_past = static_cast<uint32_t>(term.post_length / 3 + 1);
+  for (const uint32_t df : {uint32_t{UINT32_MAX}, just_past}) {
+    std::string m = bytes_;
+    std::memcpy(&m[at], &df, sizeof(df));
+    ExpectOpenFails(m, "term directory entry 0 out of bounds");
+  }
+}
+
 TEST_F(PackedCorruptionTest, RejectsPostingsOutOfOrderOrRange) {
   // One term, "gold", with three posting blocks.
   std::vector<std::string> docs;
@@ -847,25 +866,47 @@ TEST_F(PackedCorruptionTest, RejectsPostingsOutOfOrderOrRange) {
   storage::TermDirRecord term;
   std::memcpy(&term, bytes.data() + sections[storage::kSecTermDir].offset,
               sizeof(term));
-  ASSERT_EQ(term.skip_count, 3u);
-  const size_t skip0 = sections[storage::kSecPostSkips].offset +
-                       term.skip_index * sizeof(SkipEntry);
+  ASSERT_EQ(term.df, docs.size());
+  const std::string_view postings(
+      bytes.data() + sections[storage::kSecPostBlocks].offset +
+          term.post_offset,
+      term.post_length);
 
-  // Swapping two skip entries keeps each block valid but puts the list
-  // out of order.
-  std::string swapped = bytes;
-  std::swap_ranges(swapped.begin() + skip0,
-                   swapped.begin() + skip0 + sizeof(SkipEntry),
-                   swapped.begin() + skip0 + sizeof(SkipEntry));
-  // The first key is (doc 0, node 2), the name element, stored as the
-  // single-byte varint 2; node 5 is past the end of document 0.
+  // Each posting is at node 2 of its document, the name element. The
+  // second block starts with (doc 128, node 2), stored absolute; writing
+  // (doc 127, node 1) there in as many bytes keeps the block valid but
+  // puts the list out of order.
+  std::string second_start;
+  PutVarint((uint64_t{kBlockKeys} << 32) | 2, &second_start);
+  std::string backwards_key;
+  PutVarint((uint64_t{kBlockKeys - 1} << 32) | 1, &backwards_key);
+  ASSERT_EQ(second_start.size(), backwards_key.size());
+  const size_t second = postings.find(second_start);
+  ASSERT_NE(second, std::string_view::npos);
+  std::string backwards = bytes;
+  backwards.replace(sections[storage::kSecPostBlocks].offset +
+                        term.post_offset + second,
+                    backwards_key.size(), backwards_key);
+  // The first key is (doc 0, node 2), stored as the single-byte varint 2;
+  // node 5 is past the end of document 0.
   std::string past_end = bytes;
   const size_t first_key = sections[storage::kSecPostBlocks].offset +
                            term.post_offset;
   ASSERT_EQ(past_end[first_key], 2);
   past_end[first_key] = 5;
+  // Blocks are decoded in sequence until df postings are read: the list
+  // must end exactly there, neither short of bytes nor with bytes left.
+  const size_t term_at = sections[storage::kSecTermDir].offset;
+  std::string run_out = bytes;
+  const uint64_t short_length = term.post_length - 1;
+  std::memcpy(&run_out[term_at + offsetof(storage::TermDirRecord, post_length)],
+              &short_length, sizeof(short_length));
+  std::string left_over = bytes;
+  const uint32_t fewer = term.df - 1;
+  std::memcpy(&left_over[term_at + offsetof(storage::TermDirRecord, df)],
+              &fewer, sizeof(fewer));
 
-  for (const std::string* m : {&swapped, &past_end}) {
+  for (const std::string* m : {&backwards, &past_end, &run_out, &left_over}) {
     WriteFileBytes(path_, *m);
     Result<std::shared_ptr<StorageReader>> r = StorageReader::Open(path_);
     ASSERT_TRUE(r.ok()) << r.status().ToString();

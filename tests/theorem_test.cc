@@ -16,6 +16,7 @@
 #include "query/xpath_parser.h"
 #include "relax/relaxation.h"
 #include "tests/containment.h"
+#include "tests/logical_reference.h"
 
 namespace flexpath {
 namespace {
