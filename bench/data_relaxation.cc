@@ -55,7 +55,7 @@ std::vector<NodeRef> DataRelaxationIndex::Evaluate(
       const Document& doc = n.attr_preds.empty() ? corpus_->doc(d)
                                                  : corpus_->DocWithContent(d);
       for (NodeId i = 0; i < doc.size(); ++i) {
-        if (n.tag != kInvalidTag && doc.node(i).tag != n.tag) continue;
+        if (n.tag != kInvalidTag && doc.tag(i) != n.tag) continue;
         const NodeRef ref{d, i};
         bool ok = true;
         for (const AttrPred& ap : n.attr_preds) {

@@ -261,7 +261,7 @@ void RunQuery(CliState& state, const std::string& xpath) {
   int rank = 1;
   for (const flexpath::RankedAnswer& a : result->answers) {
     const std::string& tag =
-        std::as_const(corpus).tags().Name(corpus.node(a.node).tag);
+        std::as_const(corpus).tags().Name(corpus.tag(a.node));
     std::string snippet =
         corpus.DocWithContent(a.node.doc).SubtreeText(a.node.node);
     std::printf("%3d. <%s> ss=%.3f ks=%.3f  %.70s\n", rank++, tag.c_str(),
@@ -350,9 +350,6 @@ int Check(CliState& state, const std::string& xpath, bool as_json) {
   return report->ErrorCount() > 0 ? 1 : 0;
 }
 
-// Matches `--flag VALUE` or `--flag=VALUE`; returns the value (advancing
-// *i past a separate-argument value) or null when argv[*i] is a
-// different flag or the value is missing.
 void PrintUsage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--xmark MB] [--packed FILE] "
@@ -376,6 +373,9 @@ void BadValue(const char* argv0, const char* flag, const char* expected,
   PrintUsage(argv0);
 }
 
+// Matches `--flag VALUE` or `--flag=VALUE`; returns the value (advancing
+// *i past a separate-argument value) or null when argv[*i] is a
+// different flag or the value is missing.
 const char* FlagValue(int argc, char** argv, int* i, const char* flag) {
   const size_t len = std::strlen(flag);
   const char* arg = argv[*i];

@@ -55,7 +55,7 @@ void EmptinessProofs(const Tpq& q, const AnalyzerContext& ctx, Emit emit) {
   for (VarId v : q.Vars()) {
     const TpqNode& n = q.node(v);
     if (n.tag != kInvalidTag && ctx.index != nullptr &&
-        ctx.index->Count(n.tag) == 0 &&
+        ctx.index->Scan(n.tag).empty() &&
         !emit(kDiagEmptyTag, v,
               "tag <" + TagName(n.tag, ctx.dict) +
                   "> matches no element in the corpus")) {

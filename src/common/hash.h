@@ -28,14 +28,19 @@ inline uint64_t HashCombine(uint64_t h, double v) {
   return HashCombine(h, std::bit_cast<uint64_t>(v));
 }
 
-/// Folds a byte string in via FNV-1a.
-inline uint64_t HashCombine(uint64_t h, std::string_view s) {
+/// The 64-bit FNV-1a hash of a byte string.
+inline uint64_t Fnv1a64(std::string_view s) {
   uint64_t f = 0xcbf29ce484222325ULL;
   for (unsigned char c : s) {
     f ^= c;
     f *= 0x100000001b3ULL;
   }
-  return HashCombine(h, f);
+  return f;
+}
+
+/// Folds a byte string in via FNV-1a.
+inline uint64_t HashCombine(uint64_t h, std::string_view s) {
+  return HashCombine(h, Fnv1a64(s));
 }
 
 }  // namespace flexpath

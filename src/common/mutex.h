@@ -1,7 +1,6 @@
 #ifndef FLEXPATH_COMMON_MUTEX_H_
 #define FLEXPATH_COMMON_MUTEX_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -61,15 +60,6 @@ class CondVar {
   template <typename Pred>
   void Wait(MutexLock& lock, Pred&& pred) {
     cv_.wait(lock.lock_, std::forward<Pred>(pred));
-  }
-
-  /// Waits until notified (or spuriously woken) or `timeout` elapses;
-  /// returns true when the wait timed out. No predicate overload — an
-  /// explicit wait loop keeps guarded reads where the thread-safety
-  /// analysis can see the mutex held (see ThreadPool::WorkerLoop).
-  template <typename Rep, typename Period>
-  bool WaitFor(MutexLock& lock, std::chrono::duration<Rep, Period> timeout) {
-    return cv_.wait_for(lock.lock_, timeout) == std::cv_status::timeout;
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -79,17 +79,4 @@ uint64_t Rng::Zipf(uint64_t n, double s) {
   return n - 1;
 }
 
-size_t Rng::Weighted(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) total += w;
-  assert(total > 0.0);
-  double u = NextDouble() * total;
-  double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (u <= acc) return i;
-  }
-  return weights.size() - 1;
-}
-
 }  // namespace flexpath

@@ -34,10 +34,6 @@ class Rng {
   /// Lower ranks are more likely; used to draw skewed term frequencies.
   uint64_t Zipf(uint64_t n, double s);
 
-  /// Returns a uniformly chosen element index weighted by `weights`
-  /// (weights need not be normalized; all must be >= 0, sum > 0).
-  size_t Weighted(const std::vector<double>& weights);
-
  private:
   uint64_t state_[4];
 };

@@ -15,18 +15,6 @@ std::string ToLowerAscii(std::string_view s) {
   return out;
 }
 
-std::vector<std::string> Split(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 std::string_view Trim(std::string_view s) {
   size_t b = 0;
   size_t e = s.size();
@@ -37,11 +25,6 @@ std::string_view Trim(std::string_view s) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 std::string Join(const std::vector<std::string>& parts, std::string_view sep) {

@@ -12,17 +12,11 @@ namespace flexpath {
 /// this library are ASCII).
 std::string ToLowerAscii(std::string_view s);
 
-/// Splits `s` on `sep`, keeping empty fields.
-std::vector<std::string> Split(std::string_view s, char sep);
-
 /// Strips leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
 
 /// True if `s` begins with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
-
-/// True if `s` ends with `suffix`.
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// Joins `parts` with `sep` between consecutive elements.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);

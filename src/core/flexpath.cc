@@ -199,7 +199,7 @@ Result<std::vector<QueryAnswer>> FlexPath::Query(std::string_view xpath,
     QueryAnswer qa;
     qa.node = a.node;
     qa.score = a.score;
-    qa.tag = std::as_const(corpus_).tags().Name(corpus_.node(a.node).tag);
+    qa.tag = std::as_const(corpus_).tags().Name(corpus_.tag(a.node));
     std::string text =
         corpus_.DocWithContent(a.node.doc).SubtreeText(a.node.node);
     if (text.size() > 120) {

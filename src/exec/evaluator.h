@@ -58,9 +58,9 @@ class PlanEvaluator {
   /// chunk-local counters, and outputs/counters merge in chunk order.
   /// The pruning bound is fixed per step before the fan-out, so answers,
   /// scores, and every counter are byte-identical to the serial run at
-  /// any thread count (DESIGN.md §10). DPO passes the pool only for a
-  /// round that runs on the calling thread; a worker's round runs with
-  /// a null pool.
+  /// any thread count (DESIGN.md §10). Only SSO and Hybrid pass a pool:
+  /// DPO runs in parallel through its waves of rounds alone, so no
+  /// fan-out ever nests inside another.
   ///
   /// `worker_cpu_ms`, when non-null, accumulates the thread-CPU time this
   /// pass's pool fan-outs burned on *worker* threads. The calling thread's

@@ -148,14 +148,10 @@ struct RoundOutput {
   Status status;  ///< Plan-build failure, if any.
   std::vector<RankedAnswer> answers;
   ExecCounters counters;
-  /// Every thread-CPU millisecond the round burned: the evaluating
-  /// thread's own and any nested pool fan-out's.
+  /// The thread CPU the round burned on the thread that evaluated it. A
+  /// worker round bills it; a round on the calling thread is already
+  /// inside the coordinator's timer.
   double cpu_ms = 0.0;
-  /// The share of cpu_ms spent on threads other than the one that
-  /// evaluated the round. A round on the calling thread bills only this
-  /// share (its own CPU is inside the coordinator's timer); a worker
-  /// round bills all of cpu_ms.
-  double off_thread_cpu_ms = 0.0;
   TraceSpan span;  ///< The round's finished span subtree, when tracing.
 };
 
@@ -343,18 +339,15 @@ Result<TopKResult> TopKProcessor::RunDpo(const RunContext& ctx) {
   DpoStop stop(ctx.cert, ctx.q, opts.weights);
   auto past_stop = [&](size_t round) { return stop.Past(ctx.Penalty(round)); };
 
-  // Builds and evaluates one round's plan into `out`. A round on the
-  // calling thread passes the pool to Evaluate, which fans its join
-  // steps out over tuple chunks; a worker round has its worker to itself.
-  // When tracing, the round records into its own collector, whose root
-  // span (shifted onto the query's timeline by the wave's launch
-  // `offset`) the merge adopts in round order. With static_prune, a
-  // round the corpus statistics prove empty is answered without a plan.
+  // Builds and evaluates one round's plan into `out`, serially on the
+  // thread that runs it: DPO runs in parallel only through its waves, so
+  // no round fans out under a wave. When tracing, the round records
+  // into its own collector, whose root span (shifted onto the query's
+  // timeline by the wave's launch `offset`) the merge adopts in round
+  // order. With static_prune, a round the corpus statistics prove empty
+  // is answered without a plan.
   auto eval_round = [&](size_t round, bool on_worker, double offset,
                         RoundOutput* out) {
-    // Everything this round costs, starting now: the evaluating thread's
-    // CPU comes from this timer; nested pool fan-outs report theirs
-    // through Evaluate's worker_cpu_ms out-param.
     const ThreadCpuTimer round_cpu;
     std::optional<TraceCollector> rc;
     if (ctx.trace != nullptr) {
@@ -389,12 +382,11 @@ Result<TopKResult> TopKProcessor::RunDpo(const RunContext& ctx) {
         out->status = plan.status();
         return;
       }
-      out->answers = evaluator_.Evaluate(
-          *plan, EvalMode::kExact, opts.k, opts.scheme, ctx.Penalty(round),
-          &out->counters, trace, on_worker ? nullptr : ctx.pool,
-          &out->off_thread_cpu_ms);
+      out->answers = evaluator_.Evaluate(*plan, EvalMode::kExact, opts.k,
+                                         opts.scheme, ctx.Penalty(round),
+                                         &out->counters, trace);
     }
-    out->cpu_ms = out->off_thread_cpu_ms + round_cpu.ElapsedMs();
+    out->cpu_ms = round_cpu.ElapsedMs();
     if (trace != nullptr) {
       if (pruned.has_value()) rc->current()->Annotate("static_pruned", *pruned);
       AnnotateCounters(rc->current(), out->counters);
@@ -446,7 +438,6 @@ Result<TopKResult> TopKProcessor::RunDpo(const RunContext& ctx) {
     std::vector<RoundOutput> outs(wave_n);
     if (wave_n == 1) {
       eval_round(next, /*on_worker=*/false, offset, &outs[0]);
-      ctx.budget.AddOffThread(outs[0].off_thread_cpu_ms);
     } else {
       TaskGroup group(ctx.pool);
       for (size_t i = 0; i < wave_n; ++i) {

@@ -135,7 +135,7 @@ std::shared_ptr<const ContainsResult> IrEngine::Evaluate(const FtExpr& expr) {
         doc = &corpus_->doc(doc_id);
       }
       const NodeId node = static_cast<NodeId>(bit - base[doc_id]);
-      const TagId tag = doc->node(node).tag;
+      const TagId tag = doc->tag(node);
       if (tag >= tag_counts.size()) tag_counts.resize(tag + size_t{1}, 0);
       ++tag_counts[tag];
       const NodeSpan& span = doc->span(node);

@@ -1,6 +1,5 @@
 #include "ir/inverted_index.h"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -8,7 +7,6 @@ namespace flexpath {
 
 InvertedIndex::InvertedIndex(const Corpus* corpus, TokenizerOptions opts)
     : corpus_(corpus), opts_(opts) {
-  total_elements_ = corpus_->TotalNodes();
   for (DocId d = 0; d < corpus_->size(); ++d) {
     const Document& doc = corpus_->DocWithContent(d);
     for (NodeId n = 0; n < doc.size(); ++n) {
@@ -40,7 +38,6 @@ InvertedIndex::InvertedIndex(const Corpus* corpus, TokenizerOptions opts,
                              std::shared_ptr<const PostingSource> source)
     : corpus_(corpus),
       opts_(opts),
-      total_elements_(corpus->TotalNodes()),  // Directory-served; no decode.
       source_(std::move(source)) {}
 
 const PostingList* InvertedIndex::Find(const std::string& term) const {
@@ -57,43 +54,15 @@ double InvertedIndex::Idf(const std::string& term) const {
   double df = 0.0;
   if (source_ != nullptr) {
     uint32_t df32 = 0;
-    uint64_t total_tf = 0;
-    if (source_->TermInfo(term, &df32, &total_tf)) {
+    if (source_->TermInfo(term, &df32)) {
       df = static_cast<double>(df32);
     }
   } else if (const PostingList* list = Find(term)) {
     df = static_cast<double>(list->postings.size());
   }
-  return std::log(1.0 + static_cast<double>(total_elements_) / (1.0 + df));
-}
-
-size_t InvertedIndex::vocabulary_size() const {
-  if (source_ != nullptr) return source_->TermCount();
-  MutexLock lock(mu_);
-  return index_.size();
-}
-
-uint64_t InvertedIndex::SubtreeTermFrequency(const std::string& term,
-                                             NodeRef context) const {
-  const PostingList* list = Find(term);
-  if (list == nullptr) return 0;
-  const NodeSpan& ctx = corpus_->span(context);
-  // Subtree postings form a contiguous run: same doc, start in
-  // [ctx.start, ctx.end). Binary-search the run boundaries.
-  auto lower = std::lower_bound(
-      list->postings.begin(), list->postings.end(), context,
-      [](const Posting& p, const NodeRef& c) { return p.node < c; });
-  // Postings inside the subtree are exactly those in the same doc with
-  // start < ctx.end (start is monotone in NodeId), so the end of the run
-  // can be binary-searched as well.
-  auto upper = std::partition_point(
-      lower, list->postings.end(), [&](const Posting& p) {
-        return p.node.doc == context.doc &&
-               corpus_->span(p.node).start < ctx.end;
-      });
-  uint64_t sum = 0;
-  for (auto p = lower; p != upper; ++p) sum += p->tf;
-  return sum;
+  // N, the corpus's element count, is directory-served: no decode.
+  const double n = static_cast<double>(corpus_->TotalNodes());
+  return std::log(1.0 + n / (1.0 + df));
 }
 
 void InvertedIndex::ForEachTerm(

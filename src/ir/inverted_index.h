@@ -31,27 +31,23 @@ struct PostingList {
 };
 
 /// On-demand provider of posting lists. A packed corpus
-/// (storage/reader.h) implements this over its block-compressed posting
-/// section: term metadata (df, total tf) is answered from the term
-/// directory without decoding, and a full list is decoded afresh on
-/// every call (InvertedIndex keeps what it decodes). Declared here so
-/// ir/ stays independent of storage/.
+/// (storage/reader.h) implements this over its delta-coded posting
+/// section: a term's df is answered from the term directory without
+/// decoding, and a full list is decoded afresh on every call
+/// (InvertedIndex keeps what it decodes). Declared here so ir/ stays
+/// independent of storage/.
 class PostingSource {
  public:
   virtual ~PostingSource() = default;
 
   /// Looks up `term` in the directory. Returns false for unknown terms;
-  /// otherwise fills df (posting count) and total_tf without decoding.
-  virtual bool TermInfo(const std::string& term, uint32_t* df,
-                        uint64_t* total_tf) const = 0;
+  /// otherwise fills df (posting count) without decoding.
+  virtual bool TermInfo(const std::string& term, uint32_t* df) const = 0;
 
   /// Full posting list for `term`, freshly decoded, or nullopt for
   /// unknown terms.
   virtual std::optional<PostingList> FindPostings(
       const std::string& term) const = 0;
-
-  /// Number of distinct terms in the directory.
-  virtual size_t TermCount() const = 0;
 };
 
 /// Element-granularity inverted index over a corpus. Terms are attributed
@@ -83,26 +79,13 @@ class InvertedIndex {
   const PostingList* Find(const std::string& term) const;
 
   /// Inverse document frequency of `term` at element granularity:
-  /// log(1 + N / (1 + df)). Zero-df terms still get a finite value. In
-  /// packed mode df comes from the term directory — no list decode.
+  /// log(1 + N / (1 + df)), N the corpus's element count. Zero-df terms
+  /// still get a finite value. In packed mode df comes from the term
+  /// directory — no list decode.
   double Idf(const std::string& term) const;
-
-  /// Total elements indexed (the N of the idf formula).
-  uint64_t total_elements() const { return total_elements_; }
-
-  /// Number of distinct terms.
-  size_t vocabulary_size() const;
 
   const Corpus& corpus() const { return *corpus_; }
   const TokenizerOptions& tokenizer_options() const { return opts_; }
-
-  /// Sum of tf of `term` over all elements in the subtree of `context`
-  /// (inclusive), in either mode: a binary search for the subtree's
-  /// posting run, then a plain sum over it. The engine scores by one
-  /// merge walk per term instead (IrEngine::AddTermScores); this
-  /// per-node form is the reference the tests compare that walk against.
-  uint64_t SubtreeTermFrequency(const std::string& term,
-                                NodeRef context) const;
 
   /// Visits every (term, list) pair in unspecified order. In-memory mode
   /// only (the packed writer serializes from an in-memory index).
@@ -119,7 +102,6 @@ class InvertedIndex {
   mutable Mutex mu_;
   mutable std::unordered_map<std::string, PostingList> index_
       GUARDED_BY(mu_);
-  uint64_t total_elements_ = 0;
   /// Packed mode: non-null; index_ holds the terms decoded so far.
   std::shared_ptr<const PostingSource> source_;
 };

@@ -3,55 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/hash.h"
 #include "common/json_util.h"
 
 namespace flexpath {
 
 namespace {
-
-/// Order-insensitive canonical rendering of the subtree rooted at `var`.
-/// Mirrors Tpq::CanonicalString but renders tags by name so the key is
-/// stable across corpora with different interning orders.
-std::string ShapeSubtree(const Tpq& q, VarId var, const TagDict& dict,
-                         bool is_root) {
-  const TpqNode& n = q.node(var);
-  std::string out = "(";
-  out += is_root ? 'r' : (q.AxisOf(var) == Axis::kChild ? 'c' : 'd');
-  out += ':';
-  out += n.tag == kInvalidTag ? "*" : dict.Name(n.tag);
-  if (var == q.distinguished()) out += '!';
-  std::vector<std::string> preds;
-  // Sequential appends: GCC 12's -Wrestrict misfires on "C" + ToString().
-  for (const FtExpr& e : n.contains) {
-    std::string pr = "C";
-    pr += e.ToString();
-    preds.push_back(std::move(pr));
-  }
-  for (const AttrPred& a : n.attr_preds) {
-    std::string pr = "A";
-    pr += a.ToString(&dict);
-    preds.push_back(std::move(pr));
-  }
-  std::vector<std::string> kids;
-  for (VarId c : q.Children(var)) {
-    kids.push_back(ShapeSubtree(q, c, dict, false));
-  }
-  std::sort(preds.begin(), preds.end());
-  std::sort(kids.begin(), kids.end());
-  for (const std::string& p : preds) out += p;
-  for (const std::string& k : kids) out += k;
-  out += ')';
-  return out;
-}
-
-uint64_t Fnv1a64(std::string_view s) {
-  uint64_t h = 14695981039346656037ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 void AppendHistogramJson(std::string* out, const HistogramSnapshot& h) {
   *out += "{\"count\":" + std::to_string(h.count);
@@ -79,8 +36,7 @@ void ExportEvictionDeltas(uint64_t shapes, uint64_t ring, uint64_t slowlog) {
 }  // namespace
 
 std::string QueryShapeKey(const Tpq& q, const TagDict& dict) {
-  if (q.empty()) return "()";
-  return ShapeSubtree(q, q.root(), dict, true);
+  return q.CanonicalString(&dict);
 }
 
 uint64_t FingerprintTpq(const Tpq& q, const TagDict& dict) {

@@ -19,10 +19,11 @@
 
 namespace flexpath {
 
-/// Canonical shape key of a TPQ, pg_stat_statements-style: tags are
-/// rendered by *name* (so the key survives tag-id reassignment across
-/// corpora), edges by axis (c/d), contains and attribute predicates by
-/// their canonical text, and the answer node by a positional marker.
+/// Canonical shape key of a TPQ, pg_stat_statements-style: the
+/// Tpq::CanonicalString rendered through `dict`, so tags go by *name*
+/// (the key survives tag-id reassignment across corpora), edges by axis
+/// (c/d), contains and attribute predicates by their canonical text, and
+/// the answer node by a positional marker.
 /// Child order and variable numbering are normalized away — two queries
 /// built in different orders, or parsed from differently-spelled XPath,
 /// share a key iff they are the same tree pattern.

@@ -112,13 +112,6 @@ bool Tpq::IsLeaf(VarId var) const {
                         parent_.end();
 }
 
-bool Tpq::IsAncestorVar(VarId anc, VarId var) const {
-  for (VarId p = Parent(var); p != kInvalidVar; p = Parent(p)) {
-    if (p == anc) return true;
-  }
-  return false;
-}
-
 Status Tpq::DeleteLeaf(VarId var) {
   int idx = IndexOf(var);
   if (idx < 0) return Status::NotFound("no such variable");
@@ -156,8 +149,10 @@ Status Tpq::Reparent(VarId var, VarId new_parent) {
   if (parent_[static_cast<size_t>(idx)] < 0) {
     return Status::InvalidArgument("cannot reparent the root");
   }
-  if (var == new_parent || IsAncestorVar(var, new_parent)) {
-    return Status::InvalidArgument("new parent lies inside the subtree");
+  for (int p = pidx; p >= 0; p = parent_[static_cast<size_t>(p)]) {
+    if (p == idx) {
+      return Status::InvalidArgument("new parent lies inside the subtree");
+    }
   }
   parent_[static_cast<size_t>(idx)] = pidx;
   axis_[static_cast<size_t>(idx)] = Axis::kDescendant;
@@ -255,12 +250,16 @@ std::string Tpq::ToString(const TagDict& dict) const {
   return Renderer{*this, dict}.Render(root(), Axis::kDescendant, true);
 }
 
-std::string Tpq::CanonicalSubtree(size_t idx) const {
+std::string Tpq::CanonicalSubtree(size_t idx, const TagDict* dict) const {
   const TpqNode& n = nodes_[idx];
   std::string out = "(";
   out += idx == 0 ? "r" : (axis_[idx] == Axis::kChild ? "c" : "d");
   out += ":";
-  out += std::to_string(n.tag);
+  if (dict == nullptr) {
+    out += std::to_string(n.tag);
+  } else {
+    out += n.tag == kInvalidTag ? "*" : dict->Name(n.tag);
+  }
   if (n.var == distinguished_) out += "!";
   std::vector<std::string> preds;
   // Sequential appends: GCC 12's -Wrestrict misfires on "C" + ToString().
@@ -271,13 +270,13 @@ std::string Tpq::CanonicalSubtree(size_t idx) const {
   }
   for (const AttrPred& a : n.attr_preds) {
     std::string p = "A";
-    p += a.ToString();
+    p += a.ToString(dict);
     preds.push_back(std::move(p));
   }
   std::vector<std::string> kids;
   for (size_t i = 0; i < nodes_.size(); ++i) {
     if (parent_[i] == static_cast<int>(idx)) {
-      kids.push_back(CanonicalSubtree(i));
+      kids.push_back(CanonicalSubtree(i, dict));
     }
   }
   std::sort(preds.begin(), preds.end());
@@ -288,9 +287,9 @@ std::string Tpq::CanonicalSubtree(size_t idx) const {
   return out;
 }
 
-std::string Tpq::CanonicalString() const {
+std::string Tpq::CanonicalString(const TagDict* dict) const {
   if (nodes_.empty()) return "()";
-  return CanonicalSubtree(0);
+  return CanonicalSubtree(0, dict);
 }
 
 size_t Tpq::ContainsCount() const {

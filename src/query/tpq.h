@@ -90,9 +90,6 @@ class Tpq {
   /// True iff $var has no children (also for an absent $var).
   bool IsLeaf(VarId var) const;
 
-  /// True iff `anc` is a proper ancestor of `var` in the pattern tree.
-  bool IsAncestorVar(VarId anc, VarId var) const;
-
   // --- Mutators used by relaxation operators ---------------------------
 
   /// Removes leaf $var (with its predicates). If $var was distinguished,
@@ -122,15 +119,18 @@ class Tpq {
 
   /// Order-insensitive canonical form; equal trees (same shape, tags,
   /// axes, predicates, distinguished position) yield equal strings even
-  /// if built in different child orders or with different var ids.
-  std::string CanonicalString() const;
+  /// if built in different child orders or with different var ids. Tags
+  /// and attribute names render as ids, or by name through `dict` (a
+  /// wildcard as `*`), which keeps the string stable across corpora that
+  /// intern in different orders.
+  std::string CanonicalString(const TagDict* dict = nullptr) const;
 
   /// Total number of contains predicates.
   size_t ContainsCount() const;
 
  private:
   int IndexOf(VarId var) const;
-  std::string CanonicalSubtree(size_t idx) const;
+  std::string CanonicalSubtree(size_t idx, const TagDict* dict) const;
 
   std::vector<TpqNode> nodes_;
   std::vector<int> parent_;  ///< Index into nodes_; -1 for root.

@@ -59,7 +59,7 @@ DocumentStats::DocumentStats(const Corpus* corpus) : corpus_(corpus) {
     std::vector<Frame> stack;
     auto pop = [&]() {
       Frame& top = stack.back();
-      const TagId t = doc.node(top.node).tag;
+      const TagId t = doc.tag(top.node);
       // Flush existence counts for the completed node.
       top.desc.ForEach([&](TagId dt) { ++ad_exists_[PairKey(t, dt)]; });
       top.child.ForEach([&](TagId ct) { ++pc_exists_[PairKey(t, ct)]; });
@@ -72,16 +72,16 @@ DocumentStats::DocumentStats(const Corpus* corpus) : corpus_(corpus) {
     };
 
     for (NodeId n = 0; n < doc.size(); ++n) {
-      const Element& e = doc.node(n);
+      const TagId tag = doc.tag(n);
       const NodeId parent = doc.span(n).parent;
-      ++tag_counts_[e.tag];
+      ++tag_counts_[tag];
       while (!stack.empty() && stack.back().node != parent) pop();
       // Pair counts along the full ancestor chain.
       if (parent != kInvalidNode) {
-        ++pc_counts_[PairKey(doc.node(parent).tag, e.tag)];
-        stack.back().child.Set(e.tag);
+        ++pc_counts_[PairKey(doc.tag(parent), tag)];
+        stack.back().child.Set(tag);
         for (NodeId a = parent; a != kInvalidNode; a = doc.span(a).parent) {
-          ++ad_counts_[PairKey(doc.node(a).tag, e.tag)];
+          ++ad_counts_[PairKey(doc.tag(a), tag)];
         }
       }
       stack.emplace_back(n, words);

@@ -12,7 +12,7 @@ ElementIndex::ElementIndex(const Corpus* corpus,
   for (DocId d = 0; d < corpus_->size(); ++d) {
     const Document& doc = corpus_->doc(d);
     for (NodeId n = 0; n < doc.size(); ++n) {
-      const TagId tag = doc.node(n).tag;
+      const TagId tag = doc.tag(n);
       if (tag < by_tag_.size()) by_tag_[tag].push_back(NodeRef{d, n});
     }
   }
@@ -56,16 +56,6 @@ const std::vector<NodeRef>& ElementIndex::Scan(TagId tag) const {
   }
   MutexLock lock(mu_);
   return OwnListLocked(tag);
-}
-
-size_t ElementIndex::Count(TagId tag) const {
-  if (tag == kInvalidTag) return 0;
-  if (hierarchy_ != nullptr && !hierarchy_->empty() &&
-      hierarchy_->SubtypeClosure(tag).size() > 1) {
-    return Scan(tag).size();  // Merged supertype scan; no directory shortcut.
-  }
-  if (table_source_ != nullptr) return table_source_->TagListCount(tag);
-  return tag < by_tag_.size() ? by_tag_[tag].size() : 0;
 }
 
 }  // namespace flexpath

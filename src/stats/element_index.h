@@ -17,15 +17,12 @@ namespace flexpath {
 
 /// On-demand provider of per-tag element tables, already in global
 /// document order. A packed corpus (storage/reader.h) implements this
-/// over its block-compressed element section so ElementIndex can serve
-/// Scan() without an index-building corpus pass. Declared here so stats/
-/// stays independent of storage/.
+/// over its delta-coded element section so ElementIndex can serve Scan()
+/// without an index-building corpus pass. Declared here so stats/ stays
+/// independent of storage/.
 class ElementTableSource {
  public:
   virtual ~ElementTableSource() = default;
-
-  /// #(t) — list length without decoding the list.
-  virtual size_t TagListCount(TagId tag) const = 0;
 
   /// The full list for `tag`, decoded afresh on every call (ElementIndex
   /// keeps what it decodes). Unknown tags yield an empty list.
@@ -51,9 +48,9 @@ class ElementIndex {
                         const TypeHierarchy* hierarchy = nullptr);
 
   /// Builds a *packed* index: no corpus pass, no in-memory by-tag lists.
-  /// Scans are answered by `source` (the packed reader's element section)
-  /// and Count() by its directory — this is what makes OpenPacked O(1)
-  /// in corpus size. Each tag's list decodes once, on its first Scan.
+  /// Scans are answered by `source` (the packed reader's element
+  /// section) — this is what makes OpenPacked O(1) in corpus size. Each
+  /// tag's list decodes once, on its first Scan.
   ElementIndex(const Corpus* corpus, const TypeHierarchy* hierarchy,
                std::shared_ptr<const ElementTableSource> source);
 
@@ -64,11 +61,6 @@ class ElementIndex {
   /// list for unknown tags (including kInvalidTag). Safe to call from
   /// concurrent query workers; the list lives as long as the index.
   const std::vector<NodeRef>& Scan(TagId tag) const;
-
-  /// Number of elements the scan returns — #(t), subtypes included. In
-  /// packed mode a plain (non-supertype) count comes from the directory
-  /// without decoding the list.
-  size_t Count(TagId tag) const;
 
   const Corpus& corpus() const { return *corpus_; }
   const TypeHierarchy* hierarchy() const { return hierarchy_; }

@@ -1,6 +1,6 @@
 #include "storage/codec.h"
 
-#include <algorithm>
+#include <limits>
 
 namespace flexpath {
 namespace storage {
@@ -13,59 +13,49 @@ void PutVarint(uint64_t value, std::string* out) {
   out->push_back(static_cast<char>(value));
 }
 
-Status EncodeKeyBlocks(const std::vector<uint64_t>& keys, std::string* out) {
-  for (size_t i = 0; i < keys.size(); i += kBlockKeys) {
-    const size_t block_end = std::min(keys.size(), i + kBlockKeys);
-    if (i > 0 && keys[i] <= keys[i - 1]) {
+template <typename T>
+Status PutDeltaChain(const std::vector<T>& values, std::string* out) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0 && values[i] <= values[i - 1]) {
       return Status::InvalidArgument(
-          "key sequence is not strictly increasing at position " +
+          "delta chain does not strictly increase at position " +
           std::to_string(i));
     }
-    PutVarint(keys[i], out);
-    for (size_t j = i + 1; j < block_end; ++j) {
-      if (keys[j] <= keys[j - 1]) {
-        return Status::InvalidArgument(
-            "key sequence is not strictly increasing at position " +
-            std::to_string(j));
-      }
-      PutVarint(keys[j] - keys[j - 1], out);
-    }
+    PutVarint(values[i] - (i == 0 ? 0 : values[i - 1]), out);
   }
   return Status::OK();
 }
 
-Status DecodeKeyBlocks(std::string_view data, uint64_t expect,
-                       std::vector<uint64_t>* out) {
-  out->clear();
-  out->reserve(expect);
-  size_t pos = 0;
-  while (out->size() < expect) {
-    const size_t block =
-        std::min<size_t>(kBlockKeys, expect - out->size());
-    uint64_t key = 0;
-    FLEXPATH_RETURN_IF_ERROR(GetVarint(data, &pos, &key));
-    if (!out->empty() && key <= out->back()) {
-      return Status::InvalidArgument("block first key does not increase");
-    }
-    out->push_back(key);
-    for (size_t j = 1; j < block; ++j) {
-      uint64_t delta = 0;
-      FLEXPATH_RETURN_IF_ERROR(GetVarint(data, &pos, &delta));
-      if (delta == 0) {
-        return Status::InvalidArgument("zero delta in key block");
-      }
-      if (key > UINT64_MAX - delta) {
-        return Status::InvalidArgument("key overflow in key block");
-      }
-      key += delta;
-      out->push_back(key);
-    }
+template <typename T>
+Status GetDeltaChain(std::string_view data, size_t* pos, uint64_t count,
+                     std::vector<T>* out) {
+  if (*pos > data.size() || count > data.size() - *pos) {
+    return Status::InvalidArgument("delta chain count exceeds its bytes");
   }
-  if (pos != data.size()) {
-    return Status::InvalidArgument("trailing bytes after key blocks");
+  out->reserve(out->size() + static_cast<size_t>(count));
+  constexpr uint64_t kMax = std::numeric_limits<T>::max();
+  uint64_t value = 0;  // The first value is its own delta from 0.
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t delta = 0;
+    FLEXPATH_RETURN_IF_ERROR(GetVarint(data, pos, &delta));
+    if (i > 0 && delta == 0) {
+      return Status::InvalidArgument("zero delta in delta chain");
+    }
+    if (delta > kMax - value) {
+      return Status::InvalidArgument("delta chain overflows its value type");
+    }
+    value += delta;
+    out->push_back(static_cast<T>(value));
   }
   return Status::OK();
 }
+
+template Status PutDeltaChain(const std::vector<uint32_t>&, std::string*);
+template Status PutDeltaChain(const std::vector<uint64_t>&, std::string*);
+template Status GetDeltaChain(std::string_view, size_t*, uint64_t,
+                              std::vector<uint32_t>*);
+template Status GetDeltaChain(std::string_view, size_t*, uint64_t,
+                              std::vector<uint64_t>*);
 
 }  // namespace storage
 }  // namespace flexpath

@@ -13,8 +13,9 @@ namespace flexpath {
 namespace storage {
 
 /// Low-level byte codec shared by the packed-corpus writer and reader
-/// (DESIGN.md §17): LEB128 varints and delta-compressed blocks of
-/// strictly increasing uint64 keys.
+/// (DESIGN.md §17): LEB128 varints, and delta chains of strictly
+/// increasing integers — the one coding of element keys, posting keys
+/// and token positions.
 
 /// Appends `value` as a LEB128 varint (1-10 bytes).
 void PutVarint(uint64_t value, std::string* out);
@@ -41,22 +42,21 @@ inline Status GetVarint(std::string_view data, size_t* pos, uint64_t* out) {
   return Status::OK();
 }
 
-/// Number of keys per delta block: each block restarts the delta chain
-/// with an absolute key. Lists are decoded whole, block after block, so
-/// the count is what the storage.cold_block_decodes counter counts in.
-inline constexpr size_t kBlockKeys = 128;
+/// Appends `values` as one delta chain: the first value absolute, every
+/// later one as its difference (>= 1) from the value before, each a
+/// varint. InvalidArgument if the values do not strictly increase.
+/// Instantiated for uint32_t (positions) and uint64_t (keys).
+template <typename T>
+Status PutDeltaChain(const std::vector<T>& values, std::string* out);
 
-/// Encodes a strictly increasing key sequence as delta blocks of up to
-/// kBlockKeys keys: each block is [varint first_key][varint delta]*,
-/// deltas >= 1. Appends the encoded bytes to `out`. Returns
-/// InvalidArgument if the keys are not strictly increasing.
-Status EncodeKeyBlocks(const std::vector<uint64_t>& keys, std::string* out);
-
-/// Decodes the blocks of EncodeKeyBlocks back into keys. `expect` is the
-/// expected key count (from the directory); a mismatch, a non-positive
-/// delta, or a truncated block is an error, never a crash.
-Status DecodeKeyBlocks(std::string_view data, uint64_t expect,
-                       std::vector<uint64_t>* out);
+/// Reads the `count`-value delta chain at `*pos` of `data`, appends the
+/// values to `out`, and advances `*pos` past it. A zero delta, a value
+/// past T's range, a count larger than the bytes left (every value takes
+/// at least one) or a truncated varint is an error, never a crash. The
+/// caller checks for trailing bytes once its list ends.
+template <typename T>
+Status GetDeltaChain(std::string_view data, size_t* pos, uint64_t count,
+                     std::vector<T>* out);
 
 }  // namespace storage
 }  // namespace flexpath

@@ -12,8 +12,9 @@ namespace storage {
 /// integers are little-endian; fixed-width directory records are padded
 /// to natural alignment and sections start on page boundaries, so a
 /// reader can point straight into the mapping without copying. Variable
-/// content (node streams, node content, element-table blocks, posting
-/// blocks) is varint/delta coded per storage/codec.h.
+/// content (node streams, node content, element tables, posting lists)
+/// is varint coded, and every sorted list is one delta chain, per
+/// storage/codec.h.
 ///
 /// Layout:
 ///   FileHeader (page 0)
@@ -21,10 +22,10 @@ namespace storage {
 ///   sections, each page-aligned, in kSectionIds order.
 
 inline constexpr uint64_t kMagic = 0x50524F434B505846ULL;  // "FXPKCORP" LE
-/// Version 4: (tag, level) node streams, text and attributes in
-/// kSecNodeContent, and element tables and posting lists without skip
-/// tables. Version 1-3 files must be re-packed.
-inline constexpr uint32_t kFormatVersion = 4;
+/// Version 5: (tag, level) node streams, text and attributes in
+/// kSecNodeContent, and each element table and posting list one delta
+/// chain with no restarts. Version 1-4 files must be re-packed.
+inline constexpr uint32_t kFormatVersion = 5;
 /// Written as a native u32; reads back as this value only on a
 /// same-endianness machine (the mmap'd directories are raw memory, so a
 /// cross-endian file is rejected rather than misread).
@@ -40,11 +41,11 @@ enum SectionId : uint32_t {
   kSecNodeStreams = 3,   ///< per-doc structure: varint tag, level per node.
   kSecNodeContent = 4,   ///< per-doc text and attributes (see writer.cc).
   kSecElemDir = 5,       ///< tag_count × ElemDirRecord.
-  kSecElemBlocks = 6,    ///< delta key blocks of the per-tag tables.
+  kSecElemBlocks = 6,    ///< one key delta chain per tag.
   kSecStats = 8,         ///< #(t)/#pc/#ad/existence tables (varint).
   kSecTermDir = 9,       ///< term_count × TermDirRecord, term-sorted.
   kSecTermStrings = 10,  ///< raw term bytes, referenced by TermDirRecord.
-  kSecPostBlocks = 11,   ///< block-compressed postings.
+  kSecPostBlocks = 11,   ///< delta-coded posting lists.
 };
 /// The sections a file holds, in table (and file) order.
 inline constexpr SectionId kSectionIds[] = {
@@ -71,11 +72,10 @@ struct FileHeader {
   uint64_t total_nodes = 0;
   uint64_t tag_count = 0;
   uint64_t term_count = 0;
-  uint64_t total_elements = 0;   ///< InvertedIndex::total_elements().
   uint32_t section_count = kSectionCount;
   uint32_t reserved = 0;
 };
-static_assert(sizeof(FileHeader) == 80, "FileHeader layout is the format");
+static_assert(sizeof(FileHeader) == 72, "FileHeader layout is the format");
 
 struct SectionRecord {
   uint32_t id = 0;
@@ -100,7 +100,7 @@ struct DocDirRecord {
 static_assert(sizeof(DocDirRecord) == 40, "DocDirRecord layout");
 
 /// One tag's element table: `count` strictly increasing NodeRef keys
-/// ((doc << 32) | node) in kSecElemBlocks, decoded whole.
+/// ((doc << 32) | node) in kSecElemBlocks, one delta chain decoded whole.
 struct ElemDirRecord {
   uint64_t count = 0;
   uint64_t offset = 0;  ///< Into kSecElemBlocks.
@@ -108,19 +108,18 @@ struct ElemDirRecord {
 };
 static_assert(sizeof(ElemDirRecord) == 24, "ElemDirRecord layout");
 
-/// One term: its bytes in kSecTermStrings, document frequency and total
-/// term frequency (so Idf and stats need no posting decode), and its
-/// block-compressed postings: `df` postings in blocks of kBlockKeys, the
-/// last one short, decoded in sequence.
+/// One term: its bytes in kSecTermStrings, its document frequency (so
+/// Idf needs no posting decode), and its `df` postings in kSecPostBlocks:
+/// the delta chain of their NodeRef keys, then per posting its tf and the
+/// delta chain of its tf token positions, decoded whole.
 struct TermDirRecord {
   uint64_t str_offset = 0;
   uint32_t str_length = 0;
   uint32_t df = 0;
-  uint64_t total_tf = 0;
   uint64_t post_offset = 0;  ///< Into kSecPostBlocks.
   uint64_t post_length = 0;
 };
-static_assert(sizeof(TermDirRecord) == 40, "TermDirRecord layout");
+static_assert(sizeof(TermDirRecord) == 32, "TermDirRecord layout");
 
 /// Rounds `n` up to the next page boundary.
 inline uint64_t PageAlign(uint64_t n) {

@@ -38,9 +38,6 @@ Status GetString(std::string_view data, size_t* pos, std::string* out) {
   return Status::OK();
 }
 
-/// Number of kBlockKeys blocks an `n`-key list is encoded in.
-uint64_t BlocksFor(uint64_t n) { return (n + kBlockKeys - 1) / kBlockKeys; }
-
 /// Reads a varint of at most 32 bits; false on truncation or overflow.
 /// The structure decode's inner loop: a one-byte value (every tag and
 /// level below 128) takes the fast path.
@@ -290,9 +287,9 @@ Result<Document> StorageReader::MaterializeDocument(DocId id) const {
   // Per node: tag, level. A pre-order level sequence with level[0] == 0
   // and 1 <= level[n] <= level[n-1] + 1 is exactly a single-rooted tree,
   // so that range test is the whole structural check. One stack of open
-  // nodes (open[l] is at level l) then rebuilds parents, links and the
+  // nodes (open[l] is at level l) then rebuilds parents and the
   // intervals, numbered by DocumentBuilder's open/close counter.
-  std::vector<Element> nodes(rec.node_count);
+  std::vector<TagId> tags(rec.node_count);
   std::vector<NodeSpan> spans(rec.node_count);
   std::vector<NodeId> open;
   uint32_t counter = 0;
@@ -310,24 +307,14 @@ Result<Document> StorageReader::MaterializeDocument(DocId id) const {
       return Status::InvalidArgument("corrupt node record in doc " +
                                      std::to_string(id));
     }
-    NodeId prev = kInvalidNode;  // The last node closed at n's level.
-    while (open.size() > level) {
-      prev = open.back();
-      open.pop_back();
-      spans[prev].end = counter++;
+    for (; open.size() > level; open.pop_back()) {
+      spans[open.back()].end = counter++;
     }
     NodeSpan& span = spans[n];
     span.start = counter++;
     span.level = level;
-    if (level > 0) {
-      span.parent = open.back();
-      if (prev == kInvalidNode) {
-        nodes[span.parent].first_child = n;
-      } else {
-        nodes[prev].next_sibling = n;
-      }
-    }
-    nodes[n].tag = tag;
+    if (level > 0) span.parent = open.back();
+    tags[n] = tag;
     open.push_back(n);
   }
   for (; !open.empty(); open.pop_back()) spans[open.back()].end = counter++;
@@ -337,7 +324,7 @@ Result<Document> StorageReader::MaterializeDocument(DocId id) const {
   }
   m_decodes->Inc();
   m_bytes->Inc(rec.length);
-  return Document::Assemble(std::move(nodes), std::move(spans));
+  return Document::Assemble(std::move(tags), std::move(spans));
 }
 
 Result<std::vector<NodeContent>> StorageReader::MaterializeContent(
@@ -384,12 +371,6 @@ Result<std::vector<NodeContent>> StorageReader::MaterializeContent(
   return content;
 }
 
-size_t StorageReader::TagListCount(TagId tag) const {
-  return tag < header_.tag_count
-             ? static_cast<size_t>(elem_dir_[tag].count)
-             : 0;
-}
-
 std::vector<NodeRef> StorageReader::TagList(TagId tag) const {
   std::vector<NodeRef> list;
   if (tag >= header_.tag_count) return list;
@@ -398,7 +379,11 @@ std::vector<NodeRef> StorageReader::TagList(TagId tag) const {
                                      .substr(static_cast<size_t>(rec.offset),
                                              static_cast<size_t>(rec.length));
   std::vector<uint64_t> keys;
-  Status decoded = DecodeKeyBlocks(bytes, rec.count, &keys);
+  size_t pos = 0;
+  Status decoded = GetDeltaChain(bytes, &pos, rec.count, &keys);
+  if (decoded.ok() && pos != bytes.size()) {
+    decoded = Status::InvalidArgument("trailing bytes after element table");
+  }
   if (decoded.ok()) {
     list.reserve(keys.size());
     for (uint64_t key : keys) {
@@ -415,7 +400,7 @@ std::vector<NodeRef> StorageReader::TagList(TagId tag) const {
     }
   }
   if (decoded.ok()) {
-    ColdBlockDecodes()->Inc(BlocksFor(rec.count));
+    ColdBlockDecodes()->Inc();
   } else {
     // TagList cannot return a Status; an empty list is well-defined (the
     // tag matches nothing) and the log line surfaces the corruption.
@@ -449,69 +434,11 @@ int64_t StorageReader::FindTermIndex(std::string_view term) const {
   return -1;
 }
 
-bool StorageReader::TermInfo(const std::string& term, uint32_t* df,
-                             uint64_t* total_tf) const {
+bool StorageReader::TermInfo(const std::string& term, uint32_t* df) const {
   const int64_t idx = FindTermIndex(term);
   if (idx < 0) return false;
   *df = term_dir_[idx].df;
-  *total_tf = term_dir_[idx].total_tf;
   return true;
-}
-
-Status StorageReader::DecodePostingBlock(std::string_view post_bytes,
-                                         size_t* pos, size_t count,
-                                         std::vector<Posting>* out) const {
-  uint64_t key = 0;
-  for (size_t j = 0; j < count; ++j) {
-    uint64_t v = 0;
-    FLEXPATH_RETURN_IF_ERROR(GetVarint(post_bytes, pos, &v));
-    if (j == 0) {
-      key = v;
-    } else {
-      if (v == 0) {
-        return Status::InvalidArgument("zero key delta in posting block");
-      }
-      if (key > UINT64_MAX - v) {
-        return Status::InvalidArgument("key overflow in posting block");
-      }
-      key += v;
-    }
-    uint64_t tf = 0;
-    FLEXPATH_RETURN_IF_ERROR(GetVarint(post_bytes, pos, &tf));
-    // Each position costs >= 1 byte, so tf can never exceed the bytes
-    // left — rejects corrupt tf values before they drive an allocation.
-    if (tf == 0 || tf > post_bytes.size() - *pos + 1) {
-      return Status::InvalidArgument("implausible posting tf");
-    }
-    Posting p;
-    p.node = RefOf(key);
-    if (p.node.doc >= header_.doc_count ||
-        p.node.node >= doc_dir_[p.node.doc].node_count) {
-      return Status::InvalidArgument("posting key out of range");
-    }
-    p.tf = static_cast<uint32_t>(tf);
-    p.positions.reserve(static_cast<size_t>(tf));
-    uint64_t position = 0;
-    for (uint64_t k = 0; k < tf; ++k) {
-      uint64_t pv = 0;
-      FLEXPATH_RETURN_IF_ERROR(GetVarint(post_bytes, pos, &pv));
-      if (k == 0) {
-        position = pv;
-      } else {
-        if (pv == 0) {
-          return Status::InvalidArgument("zero position delta");
-        }
-        position += pv;
-      }
-      if (position > UINT32_MAX) {
-        return Status::InvalidArgument("position overflow");
-      }
-      p.positions.push_back(static_cast<uint32_t>(position));
-    }
-    out->push_back(std::move(p));
-  }
-  ColdBlockDecodes()->Inc();
-  return Status::OK();
 }
 
 std::optional<PostingList> StorageReader::FindPostings(
@@ -524,25 +451,10 @@ std::optional<PostingList> StorageReader::FindPostings(
           .substr(static_cast<size_t>(rec.post_offset),
                   static_cast<size_t>(rec.post_length));
   PostingList list;
-  list.postings.reserve(rec.df);
-  Status decoded = Status::OK();
-  size_t pos = 0;
-  while (decoded.ok() && list.postings.size() < rec.df) {
-    const size_t first = list.postings.size();
-    decoded = DecodePostingBlock(
-        bytes, &pos, std::min<size_t>(kBlockKeys, rec.df - first),
-        &list.postings);
-    // Keys rise within a block; the list must also rise across blocks,
-    // since the IR closure and merges take it as sorted and unique.
-    if (decoded.ok() && first > 0 &&
-        !(list.postings[first - 1].node < list.postings[first].node)) {
-      decoded = Status::InvalidArgument("posting blocks out of order");
-    }
-  }
-  if (decoded.ok() && pos != bytes.size()) {
-    decoded = Status::InvalidArgument("trailing bytes after posting list");
-  }
-  if (!decoded.ok()) {
+  Status decoded = DecodePostings(bytes, rec.df, &list.postings);
+  if (decoded.ok()) {
+    ColdBlockDecodes()->Inc();
+  } else {
     // Same contract as TagList: corruption yields an empty (matches
     // nothing) list plus a log line, never a crash.
     FLEXPATH_LOG_ERROR("storage", "posting list decode failed",
@@ -550,6 +462,32 @@ std::optional<PostingList> StorageReader::FindPostings(
     list.postings.clear();
   }
   return list;
+}
+
+Status StorageReader::DecodePostings(std::string_view bytes, uint32_t df,
+                                     std::vector<Posting>* out) const {
+  std::vector<uint64_t> keys;
+  size_t pos = 0;
+  FLEXPATH_RETURN_IF_ERROR(GetDeltaChain(bytes, &pos, df, &keys));
+  out->reserve(df);
+  for (uint64_t key : keys) {
+    Posting p;
+    p.node = RefOf(key);
+    if (p.node.doc >= header_.doc_count ||
+        p.node.node >= doc_dir_[p.node.doc].node_count) {
+      return Status::InvalidArgument("posting key out of range");
+    }
+    uint64_t tf = 0;
+    FLEXPATH_RETURN_IF_ERROR(GetVarint(bytes, &pos, &tf));
+    if (tf == 0) return Status::InvalidArgument("posting without positions");
+    FLEXPATH_RETURN_IF_ERROR(GetDeltaChain(bytes, &pos, tf, &p.positions));
+    p.tf = static_cast<uint32_t>(tf);
+    out->push_back(std::move(p));
+  }
+  if (pos != bytes.size()) {
+    return Status::InvalidArgument("trailing bytes after posting list");
+  }
+  return Status::OK();
 }
 
 std::string StorageReader::InspectJson() const {
@@ -567,7 +505,6 @@ std::string StorageReader::InspectJson() const {
   field("total_nodes", header_.total_nodes, true);
   field("tag_count", header_.tag_count, true);
   field("term_count", header_.term_count, true);
-  field("total_elements", header_.total_elements, true);
   out += "  \"sections\": [\n";
   static constexpr const char* kSectionNames[] = {
       "tag_names",    "doc_dir",     "node_streams", "node_content",

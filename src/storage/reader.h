@@ -35,7 +35,7 @@ namespace storage {
 /// decoded state, and each index keeps what it decodes for its session.
 /// Open() validates the header, section table, and directory bounds and
 /// returns a Status — corrupt or truncated files are an error, never a
-/// crash — but does not touch block payloads, which is why opening a
+/// crash — but does not touch list payloads, which is why opening a
 /// multi-GB corpus is O(directories), not O(data).
 ///
 /// Thread safety: all methods are const and safe for concurrent use.
@@ -44,7 +44,7 @@ class StorageReader : public CorpusBacking,
                       public PostingSource {
  public:
   /// Maps `path` and validates everything reachable without decoding
-  /// blocks: magic, version, endianness, page size, section table, and
+  /// lists: magic, version, endianness, page size, section table, and
   /// all directory records (bounds against their sections).
   static Result<std::shared_ptr<StorageReader>> Open(
       const std::string& path);
@@ -84,17 +84,12 @@ class StorageReader : public CorpusBacking,
       DocId id) const override;
 
   // ---- ElementTableSource. ----
-  size_t TagListCount(TagId tag) const override;
   std::vector<NodeRef> TagList(TagId tag) const override;
 
   // ---- PostingSource. ----
-  bool TermInfo(const std::string& term, uint32_t* df,
-                uint64_t* total_tf) const override;
+  bool TermInfo(const std::string& term, uint32_t* df) const override;
   std::optional<PostingList> FindPostings(
       const std::string& term) const override;
-  size_t TermCount() const override {
-    return static_cast<size_t>(header_.term_count);
-  }
 
  private:
   StorageReader() = default;
@@ -113,10 +108,9 @@ class StorageReader : public CorpusBacking,
   int64_t FindTermIndex(std::string_view term) const;
   std::string_view TermBytes(const TermDirRecord& rec) const;
 
-  /// Decodes the posting block at `*pos` of `post_bytes` (`count`
-  /// entries) appending to `out`, and advances `*pos` past it.
-  Status DecodePostingBlock(std::string_view post_bytes, size_t* pos,
-                            size_t count, std::vector<Posting>* out) const;
+  /// Decodes the `df` postings of one term's list `bytes` into `out`.
+  Status DecodePostings(std::string_view bytes, uint32_t df,
+                        std::vector<Posting>* out) const;
 
   MmapFile file_;
   FileHeader header_;

@@ -35,7 +35,7 @@ void PutString(std::string_view s, std::string* out) {
 void EncodeDocument(const Document& doc, std::string* structure,
                     std::string* content) {
   for (NodeId n = 0; n < doc.size(); ++n) {
-    PutVarint(doc.node(n).tag, structure);
+    PutVarint(doc.tag(n), structure);
     PutVarint(doc.span(n).level, structure);
     const NodeContent& c = doc.content(n);
     PutString(c.text, content);
@@ -60,39 +60,19 @@ void EncodePairMap(const std::unordered_map<uint64_t, uint64_t>& m,
   }
 }
 
-/// Encodes one posting list as interleaved delta blocks: per posting a
-/// key (absolute for the block's first posting, delta otherwise), the
-/// tf, then tf position values (first absolute, rest deltas).
-Status EncodePostingBlocks(const PostingList& list, std::string* out) {
-  for (size_t i = 0; i < list.postings.size(); i += kBlockKeys) {
-    const size_t block_end = std::min(list.postings.size(), i + kBlockKeys);
-    for (size_t j = i; j < block_end; ++j) {
-      const Posting& p = list.postings[j];
-      const uint64_t key = KeyOf(p.node);
-      if (j == i) {
-        PutVarint(key, out);
-      } else {
-        const uint64_t prev = KeyOf(list.postings[j - 1].node);
-        if (key <= prev) {
-          return Status::InvalidArgument("posting list is not sorted");
-        }
-        PutVarint(key - prev, out);
-      }
-      if (p.tf == 0 || p.positions.size() != p.tf) {
-        return Status::InvalidArgument("posting tf/positions mismatch");
-      }
-      PutVarint(p.tf, out);
-      for (size_t k = 0; k < p.positions.size(); ++k) {
-        if (k == 0) {
-          PutVarint(p.positions[0], out);
-        } else {
-          if (p.positions[k] <= p.positions[k - 1]) {
-            return Status::InvalidArgument("positions are not increasing");
-          }
-          PutVarint(p.positions[k] - p.positions[k - 1], out);
-        }
-      }
+/// Encodes one posting list: the delta chain of its keys, then per
+/// posting its tf and the delta chain of its positions.
+Status EncodePostings(const PostingList& list, std::string* out) {
+  std::vector<uint64_t> keys;
+  keys.reserve(list.postings.size());
+  for (const Posting& p : list.postings) keys.push_back(KeyOf(p.node));
+  FLEXPATH_RETURN_IF_ERROR(PutDeltaChain(keys, out));
+  for (const Posting& p : list.postings) {
+    if (p.tf == 0 || p.positions.size() != p.tf) {
+      return Status::InvalidArgument("posting tf/positions mismatch");
     }
+    PutVarint(p.tf, out);
+    FLEXPATH_RETURN_IF_ERROR(PutDeltaChain(p.positions, out));
   }
   return Status::OK();
 }
@@ -142,13 +122,13 @@ Status WritePackedCorpus(const Corpus& corpus, const TokenizerOptions& opts,
   }
 
   // Per-tag element tables: the by-(doc, start) lists ElementIndex
-  // serves, as delta key blocks.
+  // serves, one key delta chain each.
   {
     std::vector<std::vector<uint64_t>> by_tag(tag_count);
     for (DocId d = 0; d < corpus.size(); ++d) {
       const Document& doc = corpus.doc(d);
       for (NodeId n = 0; n < doc.size(); ++n) {
-        const TagId tag = doc.node(n).tag;
+        const TagId tag = doc.tag(n);
         if (tag < tag_count) by_tag[tag].push_back(KeyOf(NodeRef{d, n}));
       }
     }
@@ -158,7 +138,7 @@ Status WritePackedCorpus(const Corpus& corpus, const TokenizerOptions& opts,
       ElemDirRecord rec;
       rec.count = by_tag[t].size();
       rec.offset = blocks.size();
-      FLEXPATH_RETURN_IF_ERROR(EncodeKeyBlocks(by_tag[t], &blocks));
+      FLEXPATH_RETURN_IF_ERROR(PutDeltaChain(by_tag[t], &blocks));
       rec.length = blocks.size() - rec.offset;
       AppendPod(rec, &dir);
     }
@@ -177,7 +157,7 @@ Status WritePackedCorpus(const Corpus& corpus, const TokenizerOptions& opts,
   }
 
   // Term directory (sorted by term bytes, so the reader binary-searches
-  // the mmap'd records), term strings, posting blocks.
+  // the mmap'd records), term strings, posting lists.
   uint64_t term_count = 0;
   {
     std::vector<std::pair<std::string, const PostingList*>> terms;
@@ -197,10 +177,8 @@ Status WritePackedCorpus(const Corpus& corpus, const TokenizerOptions& opts,
       rec.str_length = static_cast<uint32_t>(term.size());
       strings.append(term);
       rec.df = static_cast<uint32_t>(list->postings.size());
-      rec.total_tf = 0;
-      for (const Posting& p : list->postings) rec.total_tf += p.tf;
       rec.post_offset = blocks.size();
-      FLEXPATH_RETURN_IF_ERROR(EncodePostingBlocks(*list, &blocks));
+      FLEXPATH_RETURN_IF_ERROR(EncodePostings(*list, &blocks));
       rec.post_length = blocks.size() - rec.post_offset;
       AppendPod(rec, &dir);
     }
@@ -214,7 +192,6 @@ Status WritePackedCorpus(const Corpus& corpus, const TokenizerOptions& opts,
   header.total_nodes = corpus.TotalNodes();
   header.tag_count = tag_count;
   header.term_count = term_count;
-  header.total_elements = index.total_elements();
 
   std::vector<SectionRecord> table;
   uint64_t cursor =

@@ -91,11 +91,11 @@ class CorpusBacking {
 ///
 /// Two modes: an in-memory corpus owns its documents outright (Add /
 /// AddXml), while a backed corpus (AttachBacking) materializes documents
-/// lazily from a CorpusBacking. In both modes doc()/node() hand out
-/// references that stay valid for the corpus lifetime — a materialized
-/// document is never evicted, so downstream indexes can hold Element
-/// pointers exactly as they always have. A backed doc() carries structure
-/// only; every reader of text or attributes goes through DocWithContent.
+/// lazily from a CorpusBacking. In both modes doc() hands out references
+/// that stay valid for the corpus lifetime — a materialized document is
+/// never evicted, so downstream indexes can hold span pointers. A backed
+/// doc() carries structure only; every reader of text or attributes goes
+/// through DocWithContent.
 class Corpus {
  public:
   Corpus() = default;
@@ -141,9 +141,7 @@ class Corpus {
     return docs_[id];
   }
 
-  const Element& node(NodeRef ref) const {
-    return doc(ref.doc).node(ref.node);
-  }
+  TagId tag(NodeRef ref) const { return doc(ref.doc).tag(ref.node); }
 
   const NodeSpan& span(NodeRef ref) const {
     return doc(ref.doc).span(ref.node);

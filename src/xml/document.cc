@@ -7,10 +7,8 @@ namespace flexpath {
 std::string Document::SubtreeText(NodeId id) const {
   assert(has_content());
   std::string out;
-  const uint32_t top_end = spans_[id].end;
-  // Subtree of a pre-order node is the contiguous id range [id, x) where x
-  // is the first node whose start exceeds top_end.
-  for (NodeId i = id; i < nodes_.size() && spans_[i].start < top_end; ++i) {
+  const NodeId end = SubtreeEnd(id);
+  for (NodeId i = id; i < end; ++i) {
     const std::string& t = content_[i].text;
     if (t.empty()) continue;
     if (!out.empty()) out += ' ';
@@ -21,8 +19,8 @@ std::string Document::SubtreeText(NodeId id) const {
 
 std::vector<NodeId> Document::Children(NodeId id) const {
   std::vector<NodeId> out;
-  for (NodeId c = nodes_[id].first_child; c != kInvalidNode;
-       c = nodes_[c].next_sibling) {
+  const NodeId end = SubtreeEnd(id);
+  for (NodeId c = id + 1; c < end; c = SubtreeEnd(c)) {
     out.push_back(c);
   }
   return out;
@@ -42,28 +40,15 @@ NodeId DocumentBuilder::Open(std::string_view tag) {
     error_ = Status::InvalidArgument("document has more than one root");
     return kInvalidNode;
   }
-  NodeId id = static_cast<NodeId>(doc_.nodes_.size());
-  Element e;
-  e.tag = dict_->Intern(tag);
+  NodeId id = static_cast<NodeId>(doc_.tags_.size());
   NodeSpan span;
   span.start = counter_++;
   span.level = static_cast<uint32_t>(stack_.size());
-  if (!stack_.empty()) {
-    NodeId parent = stack_.back();
-    span.parent = parent;
-    NodeId prev = last_child_.back();
-    if (prev == kInvalidNode) {
-      doc_.nodes_[parent].first_child = id;
-    } else {
-      doc_.nodes_[prev].next_sibling = id;
-    }
-    last_child_.back() = id;
-  }
-  doc_.nodes_.push_back(e);
+  if (!stack_.empty()) span.parent = stack_.back();
+  doc_.tags_.push_back(dict_->Intern(tag));
   doc_.spans_.push_back(span);
   doc_.content_.emplace_back();
   stack_.push_back(id);
-  last_child_.push_back(kInvalidNode);
   return id;
 }
 
@@ -96,7 +81,6 @@ Status DocumentBuilder::Close() {
   NodeId id = stack_.back();
   doc_.spans_[id].end = counter_++;
   stack_.pop_back();
-  last_child_.pop_back();
   if (stack_.empty()) root_done_ = true;
   return Status::OK();
 }

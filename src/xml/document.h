@@ -25,13 +25,14 @@ struct Attribute {
   std::string value;
 };
 
-/// Dietz interval numbers and the parent link of one element, kept apart
-/// from Element so the ancestor walks, interval tests and subtree scans
-/// of the join and IR layers read 16-byte records instead of full
-/// elements. `a` is an ancestor of `d` iff a.start < d.start &&
-/// d.end < a.end; `a` is the parent of `d` iff additionally
-/// d.level == a.level + 1. Input lists sorted by node id are
-/// automatically sorted by `start`, which the structural join requires.
+/// Dietz interval numbers and the parent link of one element: with its
+/// tag, the whole structure of the node. `a` is an ancestor of `d` iff
+/// a.start < d.start && d.end < a.end; `a` is the parent of `d` iff
+/// additionally d.level == a.level + 1. The open/close counter numbers
+/// both ends, so a subtree holds (end - start + 1) / 2 nodes, which is
+/// how children and siblings are found without links. Input lists
+/// sorted by node id are automatically sorted by `start`, which the
+/// structural join requires.
 struct NodeSpan {
   uint32_t start = 0;   ///< Interval open number.
   uint32_t end = 0;     ///< Interval close number (> start).
@@ -39,17 +40,6 @@ struct NodeSpan {
   uint32_t level = 0;   ///< Root is level 0.
 };
 static_assert(sizeof(NodeSpan) == 16, "NodeSpan is the hot per-node record");
-
-/// One element node: its tag and child/sibling links. Its interval
-/// numbers and parent live in the Document's parallel NodeSpan array
-/// (Document::span), its text and attributes in the parallel NodeContent
-/// array (Document::content).
-struct Element {
-  TagId tag = kInvalidTag;
-  NodeId first_child = kInvalidNode;
-  NodeId next_sibling = kInvalidNode;
-};
-static_assert(sizeof(Element) == 12, "Element is the hot per-node record");
 
 /// The text and attributes of one element. Only attribute predicates,
 /// answer snippets, the IR index build and serialization (XML or packed)
@@ -60,11 +50,11 @@ struct NodeContent {
   std::vector<Attribute> attrs;
 };
 
-/// An in-memory XML document: a vector of elements in document (pre-)order,
-/// so NodeId doubles as document order, and parallel vectors of their
-/// spans and contents. Build with DocumentBuilder or the Parser; immutable
-/// afterwards, except that a document assembled from structure alone gets
-/// its contents attached once (AttachContent).
+/// An in-memory XML document: the tags of its elements in document
+/// (pre-)order, so NodeId doubles as document order, and parallel
+/// vectors of their spans and contents. Build with DocumentBuilder or
+/// the Parser; immutable afterwards, except that a document assembled
+/// from structure alone gets its contents attached once (AttachContent).
 class Document {
  public:
   Document() = default;
@@ -74,16 +64,23 @@ class Document {
   Document& operator=(const Document&) = delete;
 
   /// Number of element nodes.
-  size_t size() const { return nodes_.size(); }
-  bool empty() const { return nodes_.empty(); }
+  size_t size() const { return tags_.size(); }
+  bool empty() const { return tags_.empty(); }
 
-  const Element& node(NodeId id) const { return nodes_[id]; }
+  TagId tag(NodeId id) const { return tags_[id]; }
   const NodeSpan& span(NodeId id) const { return spans_[id]; }
-  NodeId root() const { return nodes_.empty() ? kInvalidNode : 0; }
+  NodeId root() const { return tags_.empty() ? kInvalidNode : 0; }
+
+  /// One past the last node of `id`'s subtree: the subtree is the id
+  /// range [id, SubtreeEnd(id)), and a node's next sibling, if it has
+  /// one, starts where its subtree ends.
+  NodeId SubtreeEnd(NodeId id) const {
+    return id + (spans_[id].end - spans_[id].start + 1) / 2;
+  }
 
   /// True once text and attributes are present for every node: always
   /// for a built document, after AttachContent for an assembled one.
-  bool has_content() const { return content_.size() == nodes_.size(); }
+  bool has_content() const { return content_.size() == tags_.size(); }
   const NodeContent& content(NodeId id) const {
     assert(has_content());
     return content_[id];
@@ -110,15 +107,15 @@ class Document {
   /// Requires content.
   const std::string* FindAttribute(NodeId id, TagId name) const;
 
-  /// Wraps already-valid parallel node and span vectors (pre-order,
+  /// Wraps already-valid parallel tag and span vectors (pre-order,
   /// interval-numbered) as a Document without content — used by the
   /// packed reader, which rebuilds the structure exactly as a builder
   /// numbers it. Performs no validation beyond the two sizes matching.
-  static Document Assemble(std::vector<Element> nodes,
+  static Document Assemble(std::vector<TagId> tags,
                            std::vector<NodeSpan> spans) {
-    assert(nodes.size() == spans.size());
+    assert(tags.size() == spans.size());
     Document doc;
-    doc.nodes_ = std::move(nodes);
+    doc.tags_ = std::move(tags);
     doc.spans_ = std::move(spans);
     return doc;
   }
@@ -127,14 +124,14 @@ class Document {
   /// only the content array, so a reader of the structure may run
   /// concurrently (Corpus::DocWithContent publishes the result).
   void AttachContent(std::vector<NodeContent> content) {
-    assert(content.size() == nodes_.size() && content_.empty());
+    assert(content.size() == tags_.size() && content_.empty());
     content_ = std::move(content);
   }
 
  private:
   friend class DocumentBuilder;
-  std::vector<Element> nodes_;
-  std::vector<NodeSpan> spans_;        ///< spans_[i] belongs to nodes_[i].
+  std::vector<TagId> tags_;
+  std::vector<NodeSpan> spans_;        ///< spans_[i] belongs to tags_[i].
   std::vector<NodeContent> content_;   ///< Empty until attached, if assembled.
 };
 
@@ -176,7 +173,6 @@ class DocumentBuilder {
   TagDict* dict_;
   Document doc_;
   std::vector<NodeId> stack_;      ///< Open elements, innermost last.
-  std::vector<NodeId> last_child_; ///< Last completed child per open level.
   uint32_t counter_ = 0;           ///< Dietz interval counter.
   bool root_done_ = false;
   Status error_;

@@ -9,7 +9,8 @@ namespace {
 void SerializeNode(const Document& doc, const TagDict& dict, NodeId id,
                    const SerializeOptions& opts, int depth,
                    std::string* out) {
-  const Element& e = doc.node(id);
+  const TagId tag = doc.tag(id);
+  const NodeId end = doc.SubtreeEnd(id);
   const NodeContent& content = doc.content(id);
   auto indent = [&](int d) {
     if (opts.pretty) {
@@ -21,7 +22,7 @@ void SerializeNode(const Document& doc, const TagDict& dict, NodeId id,
   else if (opts.pretty && depth == 0 && !out->empty()) indent(0);
 
   *out += '<';
-  *out += dict.Name(e.tag);
+  *out += dict.Name(tag);
   for (const Attribute& a : content.attrs) {
     *out += ' ';
     *out += dict.Name(a.name);
@@ -29,7 +30,7 @@ void SerializeNode(const Document& doc, const TagDict& dict, NodeId id,
     *out += XmlEscape(a.value);
     *out += '"';
   }
-  bool has_children = e.first_child != kInvalidNode;
+  const bool has_children = id + 1 < end;
   if (!has_children && content.text.empty()) {
     *out += "/>";
     return;
@@ -39,13 +40,12 @@ void SerializeNode(const Document& doc, const TagDict& dict, NodeId id,
     if (opts.pretty && has_children) indent(depth + 1);
     *out += XmlEscape(content.text);
   }
-  for (NodeId c = e.first_child; c != kInvalidNode;
-       c = doc.node(c).next_sibling) {
+  for (NodeId c = id + 1; c < end; c = doc.SubtreeEnd(c)) {
     SerializeNode(doc, dict, c, opts, depth + 1, out);
   }
   if (opts.pretty && has_children) indent(depth);
   *out += "</";
-  *out += dict.Name(e.tag);
+  *out += dict.Name(tag);
   *out += '>';
 }
 

@@ -132,25 +132,9 @@ TEST(RngTest, ZipfSkewsTowardLowRanks) {
   EXPECT_GT(low, n / 3);
 }
 
-TEST(RngTest, WeightedRespectsZeroWeights) {
-  Rng rng(19);
-  std::vector<double> w = {0.0, 1.0, 0.0};
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(rng.Weighted(w), 1u);
-  }
-}
-
 TEST(StringUtilTest, ToLowerAscii) {
   EXPECT_EQ(ToLowerAscii("XML Streaming"), "xml streaming");
   EXPECT_EQ(ToLowerAscii(""), "");
-}
-
-TEST(StringUtilTest, SplitKeepsEmptyFields) {
-  std::vector<std::string> parts = Split("a,,b", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[2], "b");
 }
 
 TEST(StringUtilTest, Trim) {
@@ -159,11 +143,9 @@ TEST(StringUtilTest, Trim) {
   EXPECT_EQ(Trim("abc"), "abc");
 }
 
-TEST(StringUtilTest, StartsEndsWith) {
+TEST(StringUtilTest, StartsWith) {
   EXPECT_TRUE(StartsWith("contains(...)", "contains"));
   EXPECT_FALSE(StartsWith("con", "contains"));
-  EXPECT_TRUE(EndsWith("query.xml", ".xml"));
-  EXPECT_FALSE(EndsWith("xml", "query.xml"));
 }
 
 TEST(StringUtilTest, Join) {

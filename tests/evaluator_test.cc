@@ -125,7 +125,7 @@ TEST(EvaluatorEdgeTest, NonRootDistinguishedWithRelaxations) {
   ASSERT_EQ(result.answers.size(), 2u);
   const TagId book = std::as_const(*rig.corpus).tags().Lookup("book");
   for (const RankedAnswer& a : result.answers) {
-    EXPECT_EQ(rig.corpus->node(a.node).tag, book);
+    EXPECT_EQ(rig.corpus->tag(a.node), book);
   }
   EXPECT_GT(result.answers[0].score.ss, result.answers[1].score.ss);
 }

@@ -97,7 +97,7 @@ TEST_F(NaiveEvalTest, NonRootDistinguished) {
   const TagId para = std::as_const(*corpus_).tags().Lookup("paragraph");
   EXPECT_EQ(answers.size(), 6u);
   for (NodeRef ref : answers) {
-    EXPECT_EQ(corpus_->node(ref).tag, para);
+    EXPECT_EQ(corpus_->tag(ref), para);
   }
 }
 

@@ -219,7 +219,7 @@ TEST(ThreadPoolFuzzTest, ChunkRangesTileEveryLength) {
 // delta 1 (worst case for the strict-increase check), huge jumps
 // (multi-byte varints), keys starting at 0, and sequences ending at
 // uint64 max. Whatever encodes must decode back exactly.
-TEST(FuzzTest, StorageKeyBlocksRoundTripAdversarialDeltas) {
+TEST(FuzzTest, StorageDeltaChainRoundTripAdversarialDeltas) {
   Rng rng(1007);
   for (int iter = 0; iter < 300; ++iter) {
     std::vector<uint64_t> keys;
@@ -242,27 +242,30 @@ TEST(FuzzTest, StorageKeyBlocksRoundTripAdversarialDeltas) {
       k += delta;
     }
     std::string bytes;
-    ASSERT_TRUE(storage::EncodeKeyBlocks(keys, &bytes).ok())
+    ASSERT_TRUE(storage::PutDeltaChain(keys, &bytes).ok())
         << "iter " << iter;
     std::vector<uint64_t> back;
+    size_t pos = 0;
     ASSERT_TRUE(
-        storage::DecodeKeyBlocks(bytes, keys.size(), &back).ok())
+        storage::GetDeltaChain(bytes, &pos, keys.size(), &back).ok())
         << "iter " << iter;
+    EXPECT_EQ(pos, bytes.size()) << "iter " << iter;
     EXPECT_EQ(back, keys) << "iter " << iter;
   }
 }
 
-// Mutated encoded blocks must decode or error — never crash, never spin.
-TEST(FuzzTest, StorageKeyBlockDecoderSurvivesMutation) {
+// A mutated delta chain must decode or error — never crash, never spin.
+TEST(FuzzTest, StorageDeltaChainDecoderSurvivesMutation) {
   Rng rng(1008);
   std::vector<uint64_t> keys;
   for (uint64_t i = 0; i < 500; ++i) keys.push_back(i * 7 + 3);
   std::string bytes;
-  ASSERT_TRUE(storage::EncodeKeyBlocks(keys, &bytes).ok());
+  ASSERT_TRUE(storage::PutDeltaChain(keys, &bytes).ok());
   for (int iter = 0; iter < 400; ++iter) {
     const std::string mutated = Mutate(bytes, &rng);
     std::vector<uint64_t> out;
-    Status st = storage::DecodeKeyBlocks(mutated, keys.size(), &out);
+    size_t pos = 0;
+    Status st = storage::GetDeltaChain(mutated, &pos, keys.size(), &out);
     if (st.ok()) {
       // A lucky mutation may still decode; the contract that survives
       // corruption is the count and strict monotonicity.
@@ -333,13 +336,11 @@ TEST(FuzzTest, StorageReaderSurvivesCorruptedPages) {
     }
     for (TagId t = 0; t < static_cast<TagId>(reader->header().tag_count);
          ++t) {
-      (void)reader->TagListCount(t);
       (void)reader->TagList(t);  // corrupt tables decode to empty
     }
     uint32_t df = 0;
-    uint64_t total_tf = 0;
     for (const char* term : {"a", "the", "zzz"}) {
-      if (reader->TermInfo(term, &df, &total_tf)) {
+      if (reader->TermInfo(term, &df)) {
         (void)reader->FindPostings(term);
       }
     }

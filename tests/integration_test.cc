@@ -191,7 +191,7 @@ TEST(FlexPathXMarkTest, EndToEndOnGeneratedData) {
   // All item answers.
   for (const RankedAnswer& a : relaxed->answers) {
     EXPECT_EQ(std::as_const(fp.corpus()).tags().Name(
-                  fp.corpus().node(a.node).tag),
+                  fp.corpus().tag(a.node)),
               "item");
   }
 }

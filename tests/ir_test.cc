@@ -222,10 +222,10 @@ TEST_F(IrEngineTest, SubtreeTermFrequency) {
   const InvertedIndex& idx = engine_->index();
   // doc 0: node 0=doc, 1=sec, 2=para(gold x2), 3=para(silver), 4=sec,
   // 5=para(iron).
-  EXPECT_EQ(idx.SubtreeTermFrequency("gold", Ref(0, 0)), 2u);
-  EXPECT_EQ(idx.SubtreeTermFrequency("gold", Ref(0, 2)), 2u);
-  EXPECT_EQ(idx.SubtreeTermFrequency("gold", Ref(0, 4)), 0u);
-  EXPECT_EQ(idx.SubtreeTermFrequency("ring", Ref(0, 1)), 2u);
+  EXPECT_EQ(testing_util::SubtreeTermFrequency(idx, "gold", Ref(0, 0)), 2u);
+  EXPECT_EQ(testing_util::SubtreeTermFrequency(idx, "gold", Ref(0, 2)), 2u);
+  EXPECT_EQ(testing_util::SubtreeTermFrequency(idx, "gold", Ref(0, 4)), 0u);
+  EXPECT_EQ(testing_util::SubtreeTermFrequency(idx, "ring", Ref(0, 1)), 2u);
 }
 
 TEST_F(IrEngineTest, SatisfyingSetIsAncestorClosed) {
@@ -497,7 +497,7 @@ std::vector<double> PerNodeScores(const InvertedIndex& index,
   for (const ScoredNode& s : specific) {
     double score = 0.0;
     for (const std::string& t : e.PositiveTerms()) {
-      const uint64_t tf = index.SubtreeTermFrequency(t, s.node);
+      const uint64_t tf = testing_util::SubtreeTermFrequency(index, t, s.node);
       if (tf > 0) {
         score += (1.0 + std::log(static_cast<double>(tf))) * index.Idf(t);
       }
@@ -553,7 +553,7 @@ TEST(IrPropertyTest, ContainsMatchesBruteForceAndPackedMode) {
           oracle[d].push_back(SubtreeSatisfies(corpus.doc(d), tokens[d], n, e));
           if (oracle[d].back()) {
             expect.push_back(NodeRef{d, n});
-            ++expect_tags[corpus.doc(d).node(n).tag];
+            ++expect_tags[corpus.doc(d).tag(n)];
           }
         }
       }

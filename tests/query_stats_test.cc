@@ -15,6 +15,7 @@
 #include "exec/topk.h"
 #include "ir/ft_expr.h"
 #include "query/tpq.h"
+#include "query/xpath_parser.h"
 #include "xml/tag_dict.h"
 
 namespace flexpath {
@@ -25,6 +26,39 @@ namespace {
 TEST(FingerprintTest, HexIsSixteenLowercaseDigits) {
   EXPECT_EQ(FingerprintHex(0), "0000000000000000");
   EXPECT_EQ(FingerprintHex(0xABCDEF0123456789ull), "abcdef0123456789");
+}
+
+// Query logs and /statsz key shapes by fingerprint, so the rendering
+// must not drift: the paper's Q1-Q3 and one pattern with an attribute
+// predicate, a wildcard and contains, at the values they have always had.
+TEST(FingerprintTest, PinnedForThePaperQueries) {
+  const struct {
+    const char* xpath;
+    const char* fingerprint;
+  } kCases[] = {
+      {"//item[./description/parlist]", "93ae9598cebffa7b"},
+      {"//item[./description/parlist and ./mailbox/mail/text]",
+       "0c10e488c6286f0b"},
+      {"//item[./description/parlist/listitem and ./mailbox/mail/text[./bold "
+       "and ./keyword and ./emph] and ./name and ./incategory]",
+       "17a079db0c3cde40"},
+      {"//item[@id = 'item7' and ./*/parlist and ./mailbox/mail/text["
+       ".contains(\"gold\" or \"silver\")]]",
+       "2ca5bb521751d692"},
+  };
+  for (const auto& c : kCases) {
+    TagDict dict;
+    Result<Tpq> q = ParseXPath(c.xpath, &dict);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    EXPECT_EQ(FingerprintHex(FingerprintTpq(*q, dict)), c.fingerprint)
+        << c.xpath;
+  }
+  TagDict dict;
+  Result<Tpq> q = ParseXPath(kCases[3].xpath, &dict);
+  ASSERT_TRUE(q.ok());
+  EXPECT_EQ(QueryShapeKey(*q, dict),
+            "(r:item!A@id='item7'(c:*(c:parlist))(c:mailbox(c:mail(c:textC("
+            "\"gold\" or \"silver\")))))");
 }
 
 TEST(FingerprintTest, ChildOrderDoesNotMatter) {

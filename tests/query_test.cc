@@ -47,8 +47,6 @@ TEST(TpqTest, BuildAndAccessors) {
   ASSERT_EQ(kids.size(), 1u);
   EXPECT_EQ(q.node(kids[0]).tag, dict.Lookup("section"));
   EXPECT_EQ(q.Children(kids[0]).size(), 2u);
-  EXPECT_TRUE(q.IsAncestorVar(root, kids[0]));
-  EXPECT_FALSE(q.IsAncestorVar(kids[0], root));
   EXPECT_EQ(q.ContainsCount(), 1u);
 }
 

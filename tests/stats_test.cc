@@ -24,7 +24,7 @@ TEST(ElementIndexTest, ScansAreInDocumentOrder) {
   for (size_t i = 1; i < as.size(); ++i) {
     EXPECT_LT(as[i - 1], as[i]);
   }
-  EXPECT_EQ(index.Count(dict.Lookup("b")), 3u);
+  EXPECT_EQ(index.Scan(dict.Lookup("b")).size(), 3u);
 }
 
 TEST(ElementIndexTest, UnknownTagEmpty) {
@@ -55,24 +55,24 @@ BruteCounts Brute(const Corpus& corpus) {
   for (DocId d = 0; d < corpus.size(); ++d) {
     const Document& doc = corpus.doc(d);
     for (NodeId n = 0; n < doc.size(); ++n) {
-      ++out.tags[doc.node(n).tag];
+      ++out.tags[doc.tag(n)];
       std::map<TagId, bool> child_tags, desc_tags;
       for (NodeId m = 0; m < doc.size(); ++m) {
         if (m == n) continue;
         if (doc.IsParent(n, m)) {
-          ++out.pc[{doc.node(n).tag, doc.node(m).tag}];
-          child_tags[doc.node(m).tag] = true;
+          ++out.pc[{doc.tag(n), doc.tag(m)}];
+          child_tags[doc.tag(m)] = true;
         }
         if (doc.IsAncestor(n, m)) {
-          ++out.ad[{doc.node(n).tag, doc.node(m).tag}];
-          desc_tags[doc.node(m).tag] = true;
+          ++out.ad[{doc.tag(n), doc.tag(m)}];
+          desc_tags[doc.tag(m)] = true;
         }
       }
       for (const auto& [t, _] : child_tags) {
-        ++out.pc_exists[{doc.node(n).tag, t}];
+        ++out.pc_exists[{doc.tag(n), t}];
       }
       for (const auto& [t, _] : desc_tags) {
-        ++out.ad_exists[{doc.node(n).tag, t}];
+        ++out.ad_exists[{doc.tag(n), t}];
       }
     }
   }

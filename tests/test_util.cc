@@ -120,5 +120,18 @@ Tpq RandomTpq(Rng* rng, TagDict* dict, size_t max_nodes) {
   return q;
 }
 
+uint64_t SubtreeTermFrequency(const InvertedIndex& index,
+                              const std::string& term, NodeRef context) {
+  const PostingList* list = index.Find(term);
+  if (list == nullptr) return 0;
+  uint64_t sum = 0;
+  for (const Posting& p : list->postings) {
+    if (p.node == context || index.corpus().IsAncestor(context, p.node)) {
+      sum += p.tf;
+    }
+  }
+  return sum;
+}
+
 }  // namespace testing_util
 }  // namespace flexpath

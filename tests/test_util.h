@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "ir/inverted_index.h"
 #include "query/tpq.h"
 #include "xml/corpus.h"
 
@@ -39,6 +40,14 @@ Document RandomDocument(Rng* rng, TagDict* dict, size_t max_nodes);
 /// Tpq::Validate(); no wildcards or attribute predicates, so every query
 /// is evaluable by both the join pipeline and the naive oracle.
 Tpq RandomTpq(Rng* rng, TagDict* dict, size_t max_nodes);
+
+/// Sum of tf of `term` over the elements of the subtree of `context`
+/// (inclusive), by a linear scan of the term's postings with interval
+/// tests. The engine scores by one merge walk per term instead
+/// (IrEngine::AddTermScores); this per-node form is the reference the
+/// tests compare that walk against.
+uint64_t SubtreeTermFrequency(const InvertedIndex& index,
+                              const std::string& term, NodeRef context);
 
 }  // namespace testing_util
 }  // namespace flexpath

@@ -85,9 +85,9 @@ class XMarkSchemaTest : public ::testing::Test {
     const TagId p = dict_.Lookup(parent);
     size_t n = 0;
     for (NodeId i = 0; i < doc_.size(); ++i) {
-      if (doc_.node(i).tag != t) continue;
+      if (doc_.tag(i) != t) continue;
       const NodeId par = doc_.span(i).parent;
-      if (par != kInvalidNode && doc_.node(par).tag == p) ++n;
+      if (par != kInvalidNode && doc_.tag(par) == p) ++n;
     }
     return n;
   }
@@ -97,7 +97,7 @@ class XMarkSchemaTest : public ::testing::Test {
     if (t == kInvalidTag) return 0;
     size_t n = 0;
     for (NodeId i = 0; i < doc_.size(); ++i) {
-      if (doc_.node(i).tag == t) ++n;
+      if (doc_.tag(i) == t) ++n;
     }
     return n;
   }
@@ -141,10 +141,10 @@ TEST_F(XMarkSchemaTest, OptionalIncategory) {
   const TagId incat = dict_.Lookup("incategory");
   size_t items_with = 0;
   for (NodeId i = 0; i < doc_.size(); ++i) {
-    if (doc_.node(i).tag != item) continue;
+    if (doc_.tag(i) != item) continue;
     bool has = false;
     for (NodeId c : doc_.Children(i)) {
-      if (doc_.node(c).tag == incat) has = true;
+      if (doc_.tag(c) == incat) has = true;
     }
     if (has) ++items_with;
   }

@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "tests/test_util.h"
+#include "xmark/generator.h"
 #include "xml/corpus.h"
 #include "xml/document.h"
 #include "xml/parser.h"
@@ -67,7 +69,7 @@ TEST(DocumentBuilderTest, BuildsIntervalEncoding) {
   EXPECT_EQ(doc->span(0).level, 0u);
 }
 
-TEST(DocumentBuilderTest, SiblingLinks) {
+TEST(DocumentBuilderTest, ChildrenInDocumentOrder) {
   TagDict dict;
   DocumentBuilder b(&dict);
   b.Open("r");
@@ -82,8 +84,8 @@ TEST(DocumentBuilderTest, SiblingLinks) {
   ASSERT_TRUE(doc.ok());
   std::vector<NodeId> kids = doc->Children(0);
   ASSERT_EQ(kids.size(), 3u);
-  EXPECT_EQ(doc->node(kids[0]).tag, dict.Lookup("a"));
-  EXPECT_EQ(doc->node(kids[2]).tag, dict.Lookup("c"));
+  EXPECT_EQ(doc->tag(kids[0]), dict.Lookup("a"));
+  EXPECT_EQ(doc->tag(kids[2]), dict.Lookup("c"));
 }
 
 TEST(DocumentBuilderTest, RejectsTwoRoots) {
@@ -131,7 +133,7 @@ TEST(ParserTest, ParsesBasicDocument) {
       ParseXml("<a><b x=\"1\">hi</b><c/></a>", &dict);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   ASSERT_EQ(doc->size(), 3u);
-  EXPECT_EQ(doc->node(0).tag, dict.Lookup("a"));
+  EXPECT_EQ(doc->tag(0), dict.Lookup("a"));
   EXPECT_EQ(doc->content(1).text, "hi");
   const std::string* attr = doc->FindAttribute(1, dict.Lookup("x"));
   ASSERT_NE(attr, nullptr);
@@ -163,7 +165,7 @@ TEST(ParserTest, StopsAtEndOfUnterminatedBuffer) {
     Result<Document> doc =
         ParseXml(std::string_view(buf.get(), xml.size()), &dict);
     ASSERT_TRUE(doc.ok()) << xml << ": " << doc.status().ToString();
-    EXPECT_EQ(doc->node(0).tag, dict.Lookup("a"));
+    EXPECT_EQ(doc->tag(0), dict.Lookup("a"));
   }
 }
 
@@ -231,7 +233,7 @@ TEST(SerializerTest, RoundTripPreservesStructure) {
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   ASSERT_EQ(again->size(), doc->size());
   for (NodeId i = 0; i < doc->size(); ++i) {
-    EXPECT_EQ(again->node(i).tag, doc->node(i).tag);
+    EXPECT_EQ(again->tag(i), doc->tag(i));
     EXPECT_EQ(again->content(i).text, doc->content(i).text);
     EXPECT_EQ(again->span(i).parent, doc->span(i).parent);
     EXPECT_EQ(again->span(i).level, doc->span(i).level);
@@ -252,6 +254,62 @@ TEST(SerializerTest, PrettyPrintStillParses) {
   EXPECT_EQ(again->size(), doc->size());
 }
 
+Document XMarkDocument(uint64_t bytes, uint64_t seed, TagDict* dict) {
+  XMarkOptions opts;
+  opts.target_bytes = bytes;
+  opts.seed = seed;
+  Result<Document> doc = GenerateXMark(opts, dict);
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+  return std::move(doc).value();
+}
+
+/// Children(id), derived from subtree sizes, against the nodes whose
+/// parent link names `id`, in document order, for every node.
+void ExpectChildrenMatchParentLinks(const Document& doc) {
+  std::vector<std::vector<NodeId>> want(doc.size());
+  for (NodeId n = 0; n < doc.size(); ++n) {
+    if (doc.span(n).parent != kInvalidNode) {
+      want[doc.span(n).parent].push_back(n);
+    }
+  }
+  for (NodeId n = 0; n < doc.size(); ++n) {
+    ASSERT_EQ(doc.Children(n), want[n]) << "node " << n;
+  }
+}
+
+TEST(DocumentTest, ChildrenMatchParentLinksOnXMark) {
+  TagDict dict;
+  for (const uint64_t seed : {uint64_t{42}, uint64_t{7}}) {
+    ExpectChildrenMatchParentLinks(XMarkDocument(256 << 10, seed, &dict));
+  }
+}
+
+TEST(DocumentTest, ChildrenMatchParentLinksOnRandomDocuments) {
+  Rng rng(4242);
+  TagDict dict;
+  for (int iter = 0; iter < 100; ++iter) {
+    ExpectChildrenMatchParentLinks(
+        testing_util::RandomDocument(&rng, &dict, 1 + rng.Uniform(80)));
+  }
+}
+
+// flexbench writes its generated XMark inputs through the serializer, so
+// its output is pinned byte for byte: the size and FNV-1a digest of the
+// 1 MB seed-42 document, compact and pretty.
+TEST(SerializerTest, XMarkOutputIsPinned) {
+  TagDict dict;
+  const Document doc = XMarkDocument(1 << 20, 42, &dict);
+  ASSERT_EQ(doc.size(), 32457u);
+  const std::string compact = SerializeXml(doc, dict);
+  EXPECT_EQ(compact.size(), 1023847u);
+  EXPECT_EQ(Fnv1a64(compact), 0x5b9e3298f9271070ULL);
+  SerializeOptions opts;
+  opts.pretty = true;
+  const std::string pretty = SerializeXml(doc, dict, opts);
+  EXPECT_EQ(pretty.size(), 1615758u);
+  EXPECT_EQ(Fnv1a64(pretty), 0xa8486d88c24c77ccULL);
+}
+
 TEST(RoundTripPropertyTest, RandomDocumentsSurviveRoundTrip) {
   Rng rng(2024);
   TagDict dict;
@@ -262,7 +320,7 @@ TEST(RoundTripPropertyTest, RandomDocumentsSurviveRoundTrip) {
     ASSERT_TRUE(again.ok()) << xml;
     ASSERT_EQ(again->size(), doc.size());
     for (NodeId i = 0; i < doc.size(); ++i) {
-      EXPECT_EQ(again->node(i).tag, doc.node(i).tag);
+      EXPECT_EQ(again->tag(i), doc.tag(i));
       EXPECT_EQ(again->span(i).parent, doc.span(i).parent);
       EXPECT_EQ(again->span(i).start, doc.span(i).start);
       EXPECT_EQ(again->span(i).end, doc.span(i).end);
@@ -277,8 +335,8 @@ TEST(CorpusTest, SharedDictionaryAcrossDocuments) {
   EXPECT_EQ(corpus.size(), 2u);
   EXPECT_EQ(corpus.TotalNodes(), 4u);
   const TagId a = std::as_const(corpus).tags().Lookup("a");
-  EXPECT_EQ(corpus.doc(0).node(0).tag, a);
-  EXPECT_EQ(corpus.doc(1).node(0).tag, a);
+  EXPECT_EQ(corpus.doc(0).tag(0), a);
+  EXPECT_EQ(corpus.doc(1).tag(0), a);
 }
 
 // NodeRef compares its packed (doc << 32) | node words; that must be
